@@ -20,7 +20,7 @@ from .enclosure import (
 )
 from .ensembles import (
     EnsembleSnapshot, EnsembleSpec, ProgramRecord, builtin_snapshot,
-    census_count, enumerate_ensemble, gamma_literal_length, load_snapshot,
+    census_counts, enumerate_ensemble, gamma_literal_length, load_snapshot,
     replay_check, run_sdm4, save_snapshot, sdm4_census_count,
 )
 from .errors import (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
 
 
@@ -47,15 +46,6 @@ class BitString:
 
     def is_prefix_of(self, other: "BitString") -> bool:
         return other.bits.startswith(self.bits)
-
-    def is_proper_prefix_of(self, other: "BitString") -> bool:
-        return len(self) < len(other) and other.bits.startswith(self.bits)
-
-    def fraction_value(self) -> Fraction:
-        """Value of 0.b1 b2 ... bn as an exact rational."""
-        if not self.bits:
-            return Fraction(0)
-        return Fraction(int(self.bits, 2), 1 << len(self.bits))
 
     def render(self) -> str:
         """ASCII form used in snapshot files; the empty string renders '-'."""

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,6 +78,21 @@ def _csv_num(d: Dyadic) -> str:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _argument_type(convert):
+    """An argparse type= converter that reports the library's errors and a
+    zero denominator as usage errors (exit 2) instead of escaping main."""
+    @functools.wraps(convert)
+    def checked(text: str):
+        try:
+            return convert(text)
+        except ThermoAITError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: zero denominator") from None
+    return checked
+
+
 def _parse_dyadic(text: str) -> Dyadic:
     return parse_temperature_text(text)
 
@@ -97,6 +113,11 @@ def _parse_grid(text: str) -> list[Fraction]:
         grid.append(x)
         x += step
     return grid
+
+
+_dyadic_arg = _argument_type(_parse_dyadic)
+_fraction_arg = _argument_type(_parse_fraction)
+_grid_arg = _argument_type(_parse_grid)
 
 
 def _load(args) -> EnsembleSnapshot:
@@ -150,36 +171,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("thermo")
     machine_flags(sp, 120)
-    sp.add_argument("--T", type=_parse_dyadic)
-    sp.add_argument("--grid", type=_parse_grid)
+    sp.add_argument("--T", type=_dyadic_arg)
+    sp.add_argument("--grid", type=_grid_arg)
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--k", type=int)
     group.add_argument("--limit", action="store_true")
 
     sp = sub.add_parser("verify")
     machine_flags(sp, 120)
-    sp.add_argument("--grid", type=_parse_grid, required=True)
+    sp.add_argument("--grid", type=_grid_arg, required=True)
     sp.add_argument("--k", type=int, default=4)
 
     sp = sub.add_parser("solve")
     machine_flags(sp, 600)
     sp.set_defaults(machine="geometric")
     sp.add_argument("--quantity", choices=("Z", "F", "E", "S"), required=True)
-    sp.add_argument("--target", type=_parse_fraction, required=True)
-    sp.add_argument("--tol", type=_parse_dyadic, required=True)
+    sp.add_argument("--target", type=_fraction_arg, required=True)
+    sp.add_argument("--tol", type=_dyadic_arg, required=True)
 
     sp = sub.add_parser("witness")
     machine_flags(sp, 600)
     sp.set_defaults(machine="geometric")
-    sp.add_argument("--T", type=_parse_dyadic, required=True)
+    sp.add_argument("--T", type=_dyadic_arg, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--oracle", default="closed-form")
 
     sp = sub.add_parser("reconstruct")
     machine_flags(sp, 600)
     sp.set_defaults(machine="geometric")
-    sp.add_argument("--T", type=_parse_dyadic, required=True)
-    sp.add_argument("--u", type=_parse_dyadic, required=True)
+    sp.add_argument("--T", type=_dyadic_arg, required=True)
+    sp.add_argument("--u", type=_dyadic_arg, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--b", type=int, default=0,
                     help="exponent of the beta power sum; must match the "

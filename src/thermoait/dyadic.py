@@ -61,7 +61,10 @@ class Dyadic:
         return Fraction(self.m, 1 << -self.e)
 
     def __float__(self) -> float:
-        return self.m * 2.0**self.e
+        # integer true division rounds correctly for any mantissa width
+        if self.e >= 0:
+            return float(self.m << self.e)
+        return self.m / (1 << -self.e)
 
     def serialize(self) -> str:
         return f"{self.m}*2^{self.e}"
@@ -144,9 +147,6 @@ class Dyadic:
         if s >= 0:
             return self.m << s
         return self.m >> -s
-
-    def is_integer(self) -> bool:
-        return self.e >= 0
 
 
 def _coerce(x) -> Dyadic:

@@ -161,9 +161,6 @@ class Enclosure:
     def overlaps(self, other: "Enclosure") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
 
-    def straddles_zero(self) -> bool:
-        return self.lo.sign < 0 and self.hi.sign > 0
-
     def mag_hi(self) -> Dyadic:
         return max(abs(self.lo), abs(self.hi))
 

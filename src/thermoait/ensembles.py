@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .bitstring import BitString, LAMBDA
 from .dyadic import Dyadic
@@ -72,25 +73,32 @@ class EnsembleSnapshot:
 
     def kraft_partial(self) -> Fraction:
         """Exact census-based partial Kraft sum over lengths <= max_length."""
-        return sum((Fraction(c, 1 << l) for l, c in self.census.items()),
-                   Fraction(0))
+        return 1 - kraft_slack(self.census.items(), max(self.census, default=0))
 
     def program_kraft(self) -> Fraction:
         return sum((Fraction(1, 1 << len(r.program)) for r in self.programs),
                    Fraction(0))
 
-    def lengths_up_to(self, k: int) -> list[int]:
-        """Lengths |p_1|..|p_k| from the census (canonical order is
-        nondecreasing in length)."""
-        out: list[int] = []
+    def length_counts_up_to(self, k: int) -> list[tuple[int, int]]:
+        """(length, count) pairs covering |p_1|..|p_k|, ascending in length
+        (canonical order is nondecreasing in length)."""
+        out: list[tuple[int, int]] = []
+        left = k
         for l in sorted(self.census):
-            c = self.census[l]
-            take = min(c, k - len(out))
-            out.extend([l] * take)
-            if len(out) == k:
-                return out
-        raise InvariantViolation(
-            f"census covers only {len(out)} programs, {k} requested")
+            if left == 0:
+                break
+            take = min(self.census[l], left)
+            if take:
+                out.append((l, take))
+                left -= take
+        if left:
+            raise InvariantViolation(
+                f"census covers only {k - left} programs, {k} requested")
+        return out
+
+    def lengths_up_to(self, k: int) -> list[int]:
+        """Lengths |p_1|..|p_k| from the census."""
+        return [l for l, c in self.length_counts_up_to(k) for _ in range(c)]
 
     def validate(self) -> None:
         by_len: dict[int, int] = {}
@@ -188,32 +196,31 @@ def _sdm4_bodies(nbits: int):
 def sdm4_census_count(length: int) -> int:
     """Number of SDM-4 domain elements of the given length (d(m) with
     d(m) = 2 d(m-1) + 3 d(m-2), length = 2m + 2)."""
-    if length < 2 or length % 2:
-        return 0
-    m = (length - 2) // 2
-    d_prev, d = 1, 2  # d(0), d(1)
-    if m == 0:
-        return 1
-    for _ in range(m - 1):
-        d_prev, d = d, 2 * d + 3 * d_prev
-    return d
+    return dict(census_counts("sdm4", length)).get(length, 0)
 
 
-def census_count(kind: str, length: int) -> int:
-    """Closed-form count of domain elements of a given length for a
-    builtin ensemble kind."""
+def census_counts(kind: str, max_length: int) -> Iterator[tuple[int, int]]:
+    """Closed-form census of a builtin ensemble kind: (length, count) for
+    every length <= max_length with a nonzero count, ascending, in one pass
+    (linear in max_length, lazy so callers may stop early)."""
     if kind == "sdm4":
-        return sdm4_census_count(length)
-    if kind == "geometric":
-        return 1 if length >= 1 else 0
-    if kind == "literal":
-        return 1 << ((length - 1) // 2) if length >= 1 and length % 2 else 0
-    if kind == "gamma_literal":
+        d_prev, d = 0, 1  # d(-1), d(0)
+        for length in range(2, max_length + 1, 2):
+            yield length, d
+            d_prev, d = d, 2 * d + 3 * d_prev
+    elif kind == "geometric":
+        for length in range(1, max_length + 1):
+            yield length, 1
+    elif kind == "literal":
+        for n in range((max_length + 1) // 2):
+            yield 2 * n + 1, 1 << n
+    elif kind == "gamma_literal":
         n = 1
-        while gamma_literal_length(n) < length:
+        while gamma_literal_length(n) <= max_length:
+            yield gamma_literal_length(n), 1 << n
             n += 1
-        return 1 << n if gamma_literal_length(n) == length else 0
-    raise SpecError(f"no closed-form census for kind {kind!r}")
+    else:
+        raise SpecError(f"no closed-form census for kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,33 +238,6 @@ def gamma_code(n: int) -> BitString:
 def gamma_literal_length(n: int) -> int:
     """Program length for an n-bit payload: n + 2*floor(log2 n) + 1."""
     return n + 2 * (n.bit_length() - 1) + 1
-
-
-def _census_literal(max_length: int) -> dict[int, int]:
-    census = {}
-    n = 0
-    while 2 * n + 1 <= max_length:
-        census[2 * n + 1] = 1 << n
-        n += 1
-    return census
-
-
-def _census_gamma_literal(max_length: int) -> dict[int, int]:
-    census = {}
-    n = 1
-    while gamma_literal_length(n) <= max_length:
-        census[gamma_literal_length(n)] = 1 << n
-        n += 1
-    return census
-
-
-def _census_geometric(max_length: int) -> dict[int, int]:
-    return {l: 1 for l in range(1, max_length + 1)}
-
-
-def _census_sdm4(max_length: int) -> dict[int, int]:
-    return {l: sdm4_census_count(l)
-            for l in range(2, max_length + 1, 2) if sdm4_census_count(l)}
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +259,15 @@ def enumerate_ensemble(spec: EnsembleSpec, step_budget: int,
         raise SpecError("step_budget must be >= 1 for machine-backed ensembles")
     cap = spec.parameters.get("program_cap", DEFAULT_PROGRAM_CAP)
 
+    census = dict(census_counts(spec.kind, max_length))
     programs: list[ProgramRecord] = []
     if spec.kind == "geometric":
-        census = _census_geometric(max_length)
         for l in range(1, max_length + 1):
             if len(programs) >= cap:
                 break
             programs.append(ProgramRecord(
                 BitString("1" * (l - 1) + "0"), BitString(format(l, "b")), 0))
     elif spec.kind == "literal":
-        census = _census_literal(max_length)
         n = 0
         while 2 * n + 1 <= max_length and len(programs) + (1 << n) <= cap:
             head = "1" * n + "0"
@@ -297,7 +276,6 @@ def enumerate_ensemble(spec: EnsembleSpec, step_budget: int,
                 programs.append(ProgramRecord(BitString(head) + x, x, 0))
             n += 1
     elif spec.kind == "gamma_literal":
-        census = _census_gamma_literal(max_length)
         n = 1
         while (gamma_literal_length(n) <= max_length
                and len(programs) + (1 << n) <= cap):
@@ -307,10 +285,9 @@ def enumerate_ensemble(spec: EnsembleSpec, step_budget: int,
                 programs.append(ProgramRecord(head + x, x, 0))
             n += 1
     elif spec.kind == "sdm4":
-        census = _census_sdm4(max_length)
         done = False
         for length in range(2, max_length + 1, 2):
-            if done or len(programs) + sdm4_census_count(length) > cap:
+            if done or len(programs) + census[length] > cap:
                 break
             for body in _sdm4_bodies(length - 2):
                 prog = BitString(body + "11")
@@ -349,10 +326,15 @@ def census_tail_mass(snapshot: EnsembleSnapshot, L: int) -> Enclosure:
     whose total Kraft sum is 1 (literal, gamma_literal, geometric)."""
     if L > snapshot.max_length:
         raise SpecError(f"L = {L} exceeds snapshot max_length {snapshot.max_length}")
-    partial = sum((Fraction(c, 1 << l)
-                   for l, c in snapshot.census.items() if l <= L), Fraction(0))
-    slack = Dyadic.from_fraction(1 - partial)
+    slack = Dyadic.from_fraction(kraft_slack(snapshot.census.items(), L))
     return Enclosure(Dyadic(0), slack)
+
+
+def kraft_slack(census_items, L: int) -> Fraction:
+    """1 - sum_{l<=L} count(l) 2^-l exactly, computed in integers as
+    (2^L - sum count(l) 2^(L-l)) / 2^L."""
+    filled = sum(c << (L - l) for l, c in census_items if l <= L)
+    return Fraction((1 << L) - filled, 1 << L)
 
 
 # ---------------------------------------------------------------------------

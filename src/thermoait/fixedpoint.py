@@ -42,7 +42,7 @@ from .ensembles import EnsembleSnapshot
 from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
-from .thermo import _collapse_lengths, _temp_frac, _weight, limit_moments, moment_sums
+from .thermo import WeightChain, _temp_frac, limit_moments, moment_sums
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
 
@@ -113,8 +113,8 @@ class QuantityHandle:
     def g(self, x: Fraction, k: int) -> Enclosure:
         """Depth-k value at temperature x."""
         x = Fraction(x)
-        items = _collapse_lengths(self.lengths(k))
-        sums = moment_sums(items, x, (0, 1), self.precision_bits)
+        sums = moment_sums(self.snapshot.length_counts_up_to(k), x, (0, 1),
+                           self.precision_bits)
         return _g_from_moments(self.quantity, sums[0], sums[1], x,
                                self.precision_bits)
 
@@ -161,6 +161,7 @@ class _PartialSeries:
         self.handle = handle
         self.x = Fraction(x)
         self.lengths = handle.lengths(handle.max_depth)
+        self.weights = WeightChain(self.x, handle.precision_bits)
         self.k = 0
         self.Z = Enclosure.point(0)
         self.W = Enclosure.point(0)
@@ -169,7 +170,7 @@ class _PartialSeries:
         if self.k >= len(self.lengths):
             raise RangeError("enumeration exhausted")
         l = self.lengths[self.k]
-        w = _weight(l, self.x, self.handle.precision_bits)
+        w = self.weights[l]
         self.Z = self.Z + w
         self.W = self.W + w * l
         self.k += 1
@@ -212,19 +213,21 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
         f"cannot certify positive heat capacity on [{T}, {t}] at k0={k0}")
 
 
-def _increment_bounds(handle: QuantityHandle, l: int) -> tuple[Enclosure, Enclosure]:
-    w = _weight(l, handle.T, handle.precision_bits)
+def _increment_bounds(handle: QuantityHandle, w: Enclosure,
+                      l: int) -> tuple[Enclosure, Enclosure]:
+    """Claimed bracket of the increment whose program has length l and
+    weight w = 2^(-l/T)."""
     lower = (w * l**handle.c).scale2(-handle.b)
     upper = (w * l**handle.b).scale2(handle.c)
     return lower, upper
 
 
 def _observed_increment(handle: QuantityHandle, series: _PartialSeries,
-                        l: int) -> Enclosure:
-    """g(T,k+1) - g(T,k), computed with relative (not absolute) accuracy
-    so certification resolves even for increments near 2^-l/T."""
+                        w: Enclosure, l: int) -> Enclosure:
+    """g(T,k+1) - g(T,k) for the program of length l and weight w,
+    computed with relative (not absolute) accuracy so certification
+    resolves even for increments near 2^-l/T."""
     p = handle.precision_bits
-    w = _weight(l, handle.T, p)
     q = handle.quantity
     if q == "Z":
         return w
@@ -256,7 +259,8 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     lengths = snapshot.lengths_up_to(min(sum(snapshot.census.values()),
                                          MAX_DEPTH_CAP))
     l1 = lengths[0]
-    Z1_lo = _weight(l1, Tf, p).lo
+    w1 = WeightChain(Tf, p)[l1]
+    Z1_lo = w1.lo
     first_distinct = next((i for i, l in enumerate(lengths) if l != l1),
                           None)
     if first_distinct is None:
@@ -277,7 +281,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         # slope: Z' = (ln2/x^2) W(x), between (ln2/t^2) W_1(T) and
         # (ln2/T^2) W(t)
         up = div(ln2 * lim_t[1], Enclosure.from_rational(Tf * Tf, p), p)
-        lo = div(ln2 * (_weight(l1, Tf, p) * l1),
+        lo = div(ln2 * (w1 * l1),
                  Enclosure.from_rational(t * t, p), p)
         a = max(0, _ceil_log2(up.hi))
         a_lower = max(0, -_floor_log2(lo.lo))
@@ -329,8 +333,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
 
 
 def _partial_ZW(snapshot, k: int, x: Fraction, p: int):
-    sums = moment_sums(_collapse_lengths(snapshot.lengths_up_to(k)), x,
-                       (0, 1), p)
+    sums = moment_sums(snapshot.length_counts_up_to(k), x, (0, 1), p)
     return sums[0], sums[1]
 
 
@@ -345,8 +348,9 @@ def _verify_certificate(handle: QuantityHandle, slope_samples: int) -> None:
     for k in range(n_programs):
         if k >= handle.k0:
             l = series.lengths[k]
-            lower, upper = _increment_bounds(handle, l)
-            delta = _observed_increment(handle, series, l)
+            w = series.weights[l]
+            lower, upper = _increment_bounds(handle, w, l)
+            delta = _observed_increment(handle, series, w, l)
             if handle.quantity == "Z":
                 # bounds coincide with the increment by construction
                 ok_lo = lower.lo == delta.lo and lower.hi == delta.hi
@@ -540,10 +544,11 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
 
     # step 1: a depth whose beta partial sum certifiably exceeds the prefix
     lengths = handle.lengths(handle.max_depth)
+    weights = WeightChain(u, p)
     partial = Enclosure.point(0)
     k_e = None
     for k, l in enumerate(lengths, start=1):
-        partial = partial + _weight(l, u, p) * l**handle.b
+        partial = partial + weights[l] * l**handle.b
         if k >= handle.k0 and certified_gt(partial, target):
             k_e = k
             break

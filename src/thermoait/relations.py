@@ -43,8 +43,8 @@ from .enclosure import (
 from .ensembles import EnsembleSnapshot
 from .errors import PrecisionError, RangeError, SpecError
 from .thermo import (
-    _collapse_lengths, _temp_frac, _weight, derive_quantities, evaluate,
-    limit_moments, moment_sums,
+    WeightChain, _temp_frac, derive_quantities, evaluate, limit_moments,
+    moment_sums,
 )
 
 DERIVATIVE_TARGETS = ("Z", "F", "E", "S")
@@ -82,7 +82,7 @@ class RelationReport:
 def _length_items(snapshot: EnsembleSnapshot, k):
     if k == "limit":
         return sorted(snapshot.census.items())
-    return _collapse_lengths(snapshot.lengths_up_to(int(k)))
+    return snapshot.length_counts_up_to(int(k))
 
 
 def _moments_at(snapshot: EnsembleSnapshot, k, T: Fraction, orders,
@@ -231,11 +231,13 @@ def check_derivative(snapshot: EnsembleSnapshot, quantity: str, T, k="limit",
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _gibbs_entropy(snapshot, k, T: Fraction, Z: Enclosure, p) -> Enclosure:
-    """-sum (w_i/Z) log2 (w_i/Z), plus a tail enclosure in the limit."""
+def _gibbs_entropy(snapshot, k, T: Fraction, Z: Enclosure, p,
+                   weights: WeightChain) -> Enclosure:
+    """-sum (w_i/Z) log2 (w_i/Z), plus a tail enclosure in the limit;
+    weights is the chain at temperature T and precision p."""
     total = Enclosure.point(0)
     for l, count in _length_items(snapshot, k):
-        q = div(_weight(l, T, p), Z, p)
+        q = div(weights[l], Z, p)
         total = total + (-(q * log2_enclosure(q, p))) * count
     if k == "limit":
         _, tails = limit_moments(snapshot, T, (0, 1), p)
@@ -249,12 +251,13 @@ def _gibbs_entropy(snapshot, k, T: Fraction, Z: Enclosure, p) -> Enclosure:
 
 
 def _variance_capacity(snapshot, k, T: Fraction, Z: Enclosure, E: Enclosure,
-                       p) -> Enclosure:
-    """(ln2/T^2) sum (|p_i| - E)^2 w_i / Z, plus a limit tail enclosure."""
+                       p, weights: WeightChain) -> Enclosure:
+    """(ln2/T^2) sum (|p_i| - E)^2 w_i / Z, plus a limit tail enclosure;
+    weights is the chain at temperature T and precision p."""
     acc = Enclosure.point(0)
     for l, count in _length_items(snapshot, k):
         dev = Enclosure.point(l) - E
-        acc = acc + (_square(dev) * _weight(l, T, p)) * count
+        acc = acc + (_square(dev) * weights[l]) * count
     if k == "limit":
         _, tails = limit_moments(snapshot, T, (0, 1, 2), p)
         t0 = Enclosure(Dyadic(0), tails[0])
@@ -274,8 +277,9 @@ def check_identities(snapshot: EnsembleSnapshot, T, k="limit",
     Tf = _temp_frac(T)
     p = precision_bits
     ev = evaluate(snapshot, Tf, k, p)
-    s_gibbs = _gibbs_entropy(snapshot, k, Tf, ev.Z, p)
-    c_var = _variance_capacity(snapshot, k, Tf, ev.Z, ev.E, p)
+    weights = WeightChain(Tf, p)
+    s_gibbs = _gibbs_entropy(snapshot, k, Tf, ev.Z, p, weights)
+    c_var = _variance_capacity(snapshot, k, Tf, ev.Z, ev.E, p, weights)
     f_balance = ev.E - Enclosure.from_rational(Tf, p) * s_gibbs
     checks = [
         CheckResult("entropy-gibbs", ev.S.overlaps(s_gibbs), ev.S, s_gibbs),
@@ -298,21 +302,23 @@ def check_positivity(snapshot: EnsembleSnapshot, T, k="limit",
     Tf = _temp_frac(T)
     p = precision_bits
     ev = evaluate(snapshot, Tf, k, p)
-    s_gibbs = _gibbs_entropy(snapshot, k, Tf, ev.Z, p)
-    c_var = _variance_capacity(snapshot, k, Tf, ev.Z, ev.E, p)
+    weights = WeightChain(Tf, p)
+    s_gibbs = _gibbs_entropy(snapshot, k, Tf, ev.Z, p, weights)
+    c_var = _variance_capacity(snapshot, k, Tf, ev.Z, ev.E, p, weights)
     checks = [
         CheckResult("entropy-nonnegative", s_gibbs.hi.sign >= 0, s_gibbs),
         CheckResult("capacity-nonnegative", c_var.hi.sign >= 0, c_var),
     ]
     l_max = max(l for l, _ in _length_items(snapshot, k))
-    q = div(_weight(l_max, Tf, p), ev.Z, p)
+    w_max = weights[l_max]
+    q = div(w_max, ev.Z, p)
     if certified_lt(q, Enclosure.point(Dyadic(1, -1))):
         witness = -(q * log2_enclosure(q, p))
         checks.append(CheckResult("entropy-strict", certified_positive(witness),
                                   witness, note=f"term at length {l_max}"))
     dev = Enclosure.point(l_max) - ev.E
     if certified_positive(dev):
-        witness = div(ln2_enclosure(p) * (_square(dev) * _weight(l_max, Tf, p)),
+        witness = div(ln2_enclosure(p) * (_square(dev) * w_max),
                       Enclosure.from_rational(Tf * Tf, p) * ev.Z, p)
         checks.append(CheckResult("capacity-strict", certified_positive(witness),
                                   witness, note=f"term at length {l_max}"))

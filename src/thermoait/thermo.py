@@ -19,6 +19,17 @@ M_j = max_{l>L} l^j 2^(-l(1/T - 1)); the max of that unimodal function is
 bracketed through rational bounds on its critical point j T / ((1-T) ln 2).
 The geometric ensemble instead gets an exact ratio-test tail, valid at any
 temperature.
+
+All moments go through one integer kernel, moment_sums.  The weights come
+from a WeightChain: 2^(-l/T) as the outward-rounded l-th power of
+2^(-1/T), held as raw (mantissa, exponent) integer pairs for the lower and
+upper endpoints, with exact point weights where l/T is an integer.  The
+kernel adds count(l) * l^j times each endpoint exactly, into one integer
+accumulator per order and endpoint aligned to the smallest exponent, so no
+Dyadic or Enclosure is built per term.  A limit evaluation computes the
+census slack tau once, as (2^L - sum_{l<=L} census(l) 2^(L-l)) / 2^L in
+integers, and shares it across the tail bounds of all orders.  Every chain
+belongs to the call that builds it; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -30,9 +41,9 @@ from math import ceil, floor
 from .dyadic import Dyadic, from_rational_ceil
 from .enclosure import (
     DEFAULT_PRECISION, Enclosure, Temperature, certified_gt, div,
-    exp2_enclosure, ln2_enclosure, log2_enclosure, round_outward,
+    exp2_enclosure, ln2_enclosure, log2_enclosure,
 )
-from .ensembles import EnsembleSnapshot, builtin_snapshot, census_count
+from .ensembles import EnsembleSnapshot, census_counts, kraft_slack
 from .errors import RangeError, SpecError
 
 QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
@@ -52,50 +63,95 @@ def _temp_frac(T, allow_high: bool = False) -> Fraction:
     return q
 
 
-_WEIGHT_CHAINS: dict[tuple[Fraction, int], list[Enclosure]] = {}
+class WeightChain:
+    """The weights 2^(-l/T), l = 0, 1, 2, ..., at one temperature and
+    precision, for one caller and one computation (there is no shared
+    cache).
 
+    Entry l is the l-th power of 2^(-1/T), built as an outward-rounded
+    power chain: entry 1 is exp2_enclosure(-1/T) and entry l is entry
+    l-1 times entry 1, rounded outward to precision_bits + 32 significant
+    bits (relative error about l * 2^-precision_bits).  The chain is held
+    as raw (m_lo, e_lo, m_hi, e_hi) integers, extended lazily; a length
+    whose l/T is an integer gets its exact point weight instead, while the
+    chain still passes through it.  Only __getitem__ builds an Enclosure.
+    """
 
-def _weight(length: int, T: Fraction, precision_bits: int) -> Enclosure:
-    """2^(-length/T).  Integer exponents are exact; otherwise the value is
-    the length-th power of 2^(-1/T), built as an outward-rounded power
-    chain (one multiply per length instead of a series evaluation, with
-    relative error about length * 2^-precision)."""
-    q = Fraction(-length) / T
-    if q.denominator == 1:
-        return Enclosure.point(Dyadic(1, q.numerator))
-    key = (T, precision_bits)
-    chain = _WEIGHT_CHAINS.get(key)
-    if chain is None:
-        chain = [Enclosure.point(1),
-                 exp2_enclosure(Fraction(-1) / T, precision_bits)]
-        _WEIGHT_CHAINS[key] = chain
-    w = precision_bits + _CHAIN_GUARD
-    while len(chain) <= length:
-        chain.append(round_outward(chain[-1] * chain[1], w))
-    return chain[length]
+    __slots__ = ("T", "precision_bits", "_chain")
+
+    def __init__(self, T, precision_bits: int):
+        self.T = Fraction(T)
+        self.precision_bits = precision_bits
+        self._chain = [(1, 0, 1, 0)]
+
+    def raw(self, length: int) -> tuple[int, int, int, int]:
+        """(m_lo, e_lo, m_hi, e_hi) with weight in
+        [m_lo 2^e_lo, m_hi 2^e_hi]; mantissas are positive but need not be
+        odd."""
+        num, den = self.T.numerator, self.T.denominator
+        if length % num == 0:  # l/T = l den/num is an integer
+            e = -(length // num) * den
+            return 1, e, 1, e
+        chain = self._chain
+        if len(chain) <= length:
+            self._extend(length)
+        return chain[length]
+
+    def __getitem__(self, length: int) -> Enclosure:
+        a, ea, b, eb = self.raw(length)
+        return Enclosure(Dyadic(a, ea), Dyadic(b, eb))
+
+    def _extend(self, length: int) -> None:
+        chain = self._chain
+        if len(chain) == 1:
+            x = exp2_enclosure(Fraction(-1) / self.T, self.precision_bits)
+            chain.append((x.lo.m, x.lo.e, x.hi.m, x.hi.e))
+        xa, xea, xb, xeb = chain[1]
+        n = self.precision_bits + _CHAIN_GUARD
+        a, ea, b, eb = chain[-1]
+        for _ in range(len(chain), length + 1):
+            # round_outward to n significant bits: floor below, ceil above
+            a *= xa
+            ea += xea
+            excess = a.bit_length() - n
+            if excess > 0:
+                a >>= excess
+                ea += excess
+            b *= xb
+            eb += xeb
+            excess = b.bit_length() - n
+            if excess > 0:
+                b = -(-b >> excess)
+                eb += excess
+            chain.append((a, ea, b, eb))
 
 
 _CHAIN_GUARD = 32
 
 
 def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict[int, Enclosure]:
-    """Enclosures of sum_l count(l) * l^j * 2^(-l/T) for each j in orders."""
-    sums = {j: Enclosure.point(0) for j in orders}
-    for l, count in length_counts:
-        w = _weight(l, T, precision_bits)
+    """Enclosures of sum_l count(l) * l^j * 2^(-l/T) for each j in orders.
+
+    The sums are exact: every weight endpoint is scaled by count * l^j and
+    added into one integer accumulator per order and endpoint, aligned to
+    the smallest exponent of that endpoint."""
+    chain = WeightChain(T, precision_bits)
+    terms = [(l, count, *chain.raw(l)) for l, count in length_counts]
+    if not terms:
+        return {j: Enclosure.point(0) for j in orders}
+    e_lo = min(t[3] for t in terms)
+    e_hi = min(t[5] for t in terms)
+    acc_lo = dict.fromkeys(orders, 0)
+    acc_hi = dict.fromkeys(orders, 0)
+    for l, count, a, ea, b, eb in terms:
+        a = count * a << (ea - e_lo)
+        b = count * b << (eb - e_hi)
         for j in orders:
-            sums[j] = sums[j] + w * (count * l**j)
-    return sums
-
-
-def _collapse_lengths(lengths: list[int]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for l in lengths:
-        if out and out[-1][0] == l:
-            out[-1] = (l, out[-1][1] + 1)
-        else:
-            out.append((l, 1))
-    return out
+            f = l**j
+            acc_lo[j] += a * f
+            acc_hi[j] += b * f
+    return {j: Enclosure(Dyadic(acc_lo[j], e_lo), Dyadic(acc_hi[j], e_hi))
+            for j in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +159,15 @@ def _collapse_lengths(lengths: list[int]) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def moment_tail_bound(snapshot: EnsembleSnapshot, L: int, T: Fraction,
-                      j: int, precision_bits: int = DEFAULT_PRECISION) -> Dyadic:
-    """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T)."""
+                      j: int, precision_bits: int = DEFAULT_PRECISION,
+                      slack: Fraction | None = None) -> Dyadic:
+    """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T).
+    slack, when given, must be the census slack kraft_slack(census, L)."""
     if snapshot.ensemble_id == "geometric":
         return _geometric_tail(L, T, j, precision_bits)
     if T >= 1:
         raise RangeError("census-slack tail bounds require T < 1")
-    partial = sum((Fraction(c, 1 << l)
-                   for l, c in snapshot.census.items() if l <= L), Fraction(0))
-    tau = 1 - partial
+    tau = kraft_slack(snapshot.census.items(), L) if slack is None else slack
     if tau == 0:
         return Dyadic(0)
     delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
@@ -171,7 +227,8 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
     L = _census_cutoff(snapshot, T, 4, precision_bits)
     items = [(l, c) for l, c in sorted(snapshot.census.items()) if l <= L]
     sums = moment_sums(items, T, orders, precision_bits)
-    tails = {j: moment_tail_bound(snapshot, L, T, j, precision_bits)
+    slack = kraft_slack(items, L)
+    tails = {j: moment_tail_bound(snapshot, L, T, j, precision_bits, slack)
              for j in orders}
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails
@@ -225,8 +282,8 @@ def eval_partial(snapshot: EnsembleSnapshot, T, k: int,
     Tf = _temp_frac(T)
     if k < 1:
         raise SpecError("depth k must be >= 1")
-    items = _collapse_lengths(snapshot.lengths_up_to(k))
-    sums = moment_sums(items, Tf, (0, 1, 2), precision_bits)
+    sums = moment_sums(snapshot.length_counts_up_to(k), Tf, (0, 1, 2),
+                       precision_bits)
     Z, W, Y = sums[0], sums[1], sums[2]
     F, E, S, C = derive_quantities(Z, W, Y, Tf, precision_bits)
     return ThermoEvaluation(snapshot.ensemble_id, Tf, k, precision_bits,
@@ -265,8 +322,8 @@ def power_sum(snapshot: EnsembleSnapshot, T, n: int, k,
     if k == "limit":
         moments, _ = limit_moments(snapshot, Tf, (0,), precision_bits)
         return moments[0]
-    items = _collapse_lengths(snapshot.lengths_up_to(int(k)))
-    return moment_sums(items, Tf, (0,), precision_bits)[0]
+    return moment_sums(snapshot.length_counts_up_to(int(k)), Tf, (0,),
+                       precision_bits)[0]
 
 
 def sweep(snapshot: EnsembleSnapshot, temperatures, k="limit",
@@ -285,12 +342,11 @@ def divergence_probe(kind: str, T, threshold, length_cap: int,
     if Tf <= 1:
         raise RangeError("divergence probe expects a temperature above 1")
     thr = Enclosure.from_rational(Fraction(threshold), precision_bits)
+    weights = WeightChain(Tf, precision_bits)
     Z = Enclosure.point(0)
-    for L in range(1, length_cap + 1):
-        c = census_count(kind, L)
-        if c:
-            Z = Z + _weight(L, Tf, precision_bits) * c
-            if certified_gt(Z, thr):
-                return L, Z
+    for L, c in census_counts(kind, length_cap):
+        Z = Z + weights[L] * c
+        if certified_gt(Z, thr):
+            return L, Z
     raise RangeError(
         f"partial sum still below {threshold} at length cap {length_cap}")

@@ -37,6 +37,20 @@ def test_domain_error_T_zero():
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("thermo", "--machine", "geometric", "--T", "1/3"),
+    ("solve", "--quantity", "E", "--target", "4/3", "--tol", "1/1000"),
+    ("thermo", "--machine", "geometric", "--grid", "1/4,1/2"),
+    ("thermo", "--machine", "geometric", "--grid", "1/4:3/4:0"),
+    ("solve", "--quantity", "E", "--target", "1/0", "--tol", "1*2^-20"),
+])
+def test_bad_argument_value_is_usage_error(argv):
+    code, _, err = run(*argv)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_thermo_needs_T_or_grid_not_both():
     base = ("thermo", "--machine", "geometric")
     assert run(*base)[0] == 2

@@ -64,3 +64,19 @@ def test_order_matches_rationals(a, b):
 @given(dyadics, st.integers(min_value=-40, max_value=40))
 def test_scale2(a, k):
     assert a.scale2(k).as_fraction() == a.as_fraction() * Fraction(2) ** k
+
+
+def test_float_wide_mantissa():
+    # a 1101-bit mantissa whose value is just above 1
+    assert float(Dyadic((1 << 1100) + 1, -1100)) == 1.0
+    assert float(Dyadic(-((1 << 1100) + 3), -1099)) == -2.0
+    assert float(Dyadic(3 * (1 << 1100) + 1, -1101)) == 1.5
+
+
+def test_float_tiny_and_exact():
+    assert float(Dyadic(1, -1074)) == 5e-324
+    assert float(Dyadic(1, -1100)) == 0.0
+    assert float(Dyadic((1 << 1100) + 1, -2100)) == 2.0**-1000
+    assert float(Dyadic(3, -1075)) == 2 * 5e-324  # ties to even
+    assert float(Dyadic(5, 3)) == 40.0
+    assert float(Dyadic(-7, -2)) == -1.75

@@ -12,12 +12,14 @@ import mpmath
 import pytest
 
 from thermoait.dyadic import Dyadic
-from thermoait.enclosure import Temperature
-from thermoait.ensembles import builtin_snapshot
+from thermoait.enclosure import (
+    Enclosure, Temperature, exp2_enclosure, round_outward,
+)
+from thermoait.ensembles import BUILTIN_KINDS, builtin_snapshot
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
-    divergence_probe, eval_limit, eval_partial, evaluate, moment_tail_bound,
-    power_sum, sweep,
+    _census_cutoff, divergence_probe, eval_limit, eval_partial, evaluate,
+    limit_moments, moment_sums, moment_tail_bound, power_sum, sweep,
 )
 
 mpmath.mp.prec = 200
@@ -178,3 +180,83 @@ def test_divergence_probe_guards():
         divergence_probe("gamma_literal", Fraction(1, 2), 10, 100)
     with pytest.raises(RangeError):
         divergence_probe("gamma_literal", Fraction(11, 10), 10**6, 50)
+
+
+# -- the integer kernel is bit-identical to object-level arithmetic -----
+
+def _reference_chain(T: Fraction, p: int, length: int) -> list:
+    """The weight chain built from Enclosure products, as the kernel
+    promises to reproduce: entry l = round_outward(entry(l-1) * entry 1,
+    p + 32), entry 1 = exp2(-1/T)."""
+    chain = [Enclosure.point(1), exp2_enclosure(Fraction(-1) / T, p)]
+    while len(chain) <= length:
+        chain.append(round_outward(chain[-1] * chain[1], p + 32))
+    return chain
+
+
+def _reference_sums(items, T: Fraction, orders, p: int) -> dict:
+    chain = _reference_chain(T, p, max(l for l, _ in items))
+    sums = {j: Enclosure.point(0) for j in orders}
+    for l, count in items:
+        q = Fraction(-l) / T
+        w = (Enclosure.point(Dyadic(1, q.numerator)) if q.denominator == 1
+             else chain[l])
+        for j in orders:
+            sums[j] = sums[j] + w * (count * l**j)
+    return sums
+
+
+def _reference_limit(snap, T: Fraction, orders, p: int) -> dict:
+    """Census sums to the cutoff plus [0, tail], the tail taken over the
+    census slack summed as Fractions."""
+    L = _census_cutoff(snap, T, 4, p)
+    items = [(l, c) for l, c in sorted(snap.census.items()) if l <= L]
+    slack = 1 - sum((Fraction(c, 1 << l) for l, c in items), Fraction(0))
+    sums = _reference_sums(items, T, orders, p)
+    return {j: sums[j] + Enclosure(Dyadic(0),
+                                   moment_tail_bound(snap, L, T, j, p, slack))
+            for j in orders}
+
+
+def _endpoints(e: Enclosure) -> tuple:
+    return e.lo.m, e.lo.e, e.hi.m, e.hi.e
+
+
+KERNEL_SNAPSHOTS = {kind: builtin_snapshot(kind, 500 if kind == "sdm4" else 240,
+                                           program_cap=0)
+                    for kind in BUILTIN_KINDS}
+# 1/16, 1/3 and 1/2 make every l/T an integer (exact point weights);
+# 2/3, 15/16 and 63/64 mix exact points into the rounded chain
+KERNEL_TEMPERATURES = [Fraction(1, 16), Fraction(1, 3), Fraction(1, 2),
+                       Fraction(2, 3), Fraction(15, 16), Fraction(63, 64)]
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+@pytest.mark.parametrize("p", [64, 200])
+def test_kernel_matches_object_reference(kind, p):
+    snap = KERNEL_SNAPSHOTS[kind]
+    orders = (0, 1, 2)
+    for T in KERNEL_TEMPERATURES:
+        for k in (1, 5, 37):
+            items = snap.length_counts_up_to(k)
+            ref = _reference_sums(items, T, orders, p)
+            got = moment_sums(items, T, orders, p)
+            for j in orders:
+                assert _endpoints(got[j]) == _endpoints(ref[j])
+            ref_half = _reference_sums(items, T / 2, (0,), p)[0]
+            assert (_endpoints(power_sum(snap, T, 2, k, p))
+                    == _endpoints(ref_half))
+        ref = _reference_limit(snap, T, orders, p)
+        got, _ = limit_moments(snap, T, orders, p)
+        for j in orders:
+            assert _endpoints(got[j]) == _endpoints(ref[j])
+        ref_half = _reference_limit(snap, T / 2, (0,), p)[0]
+        assert (_endpoints(power_sum(snap, T, 2, "limit", p))
+                == _endpoints(ref_half))
+
+
+def test_thermo_has_no_module_level_cache():
+    import thermoait.thermo as thermo
+    assert [name for name, v in vars(thermo).items()
+            if isinstance(v, (dict, list, set)) and not name.startswith("__")
+            ] == []
