@@ -14,14 +14,14 @@ from .complexity import (
 )
 from .dyadic import Dyadic
 from .enclosure import (
-    DEFAULT_PRECISION, Enclosure, Temperature, bits_prefix, certified_gt,
-    certified_lt, certified_positive, div, exp2_enclosure, ln2_enclosure,
-    log2_enclosure, parse_temperature_text, prefix_value,
+    DEFAULT_PRECISION, Enclosure, bits_prefix, certified_gt, certified_lt,
+    certified_positive, div, exp2_enclosure, ln2_enclosure, log2_enclosure,
+    parse_temperature_text, prefix_value,
 )
 from .ensembles import (
-    EnsembleSnapshot, EnsembleSpec, ProgramRecord, builtin_snapshot,
-    census_counts, enumerate_ensemble, gamma_literal_length, load_snapshot,
-    replay_check, run_sdm4, save_snapshot, sdm4_census_count,
+    MACHINES, EnsembleSnapshot, Machine, ProgramRecord, builtin_snapshot,
+    gamma_literal_length, load_snapshot, replay_check, run_sdm4,
+    save_snapshot, sdm4_census_count,
 )
 from .errors import (
     CertificationError, InvariantViolation, OracleExhausted, PrecisionError,

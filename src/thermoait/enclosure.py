@@ -394,45 +394,6 @@ def prefix_value(bits: BitString) -> Dyadic:
 # temperatures
 # ---------------------------------------------------------------------------
 
-TEMPERATURE_MAX = Fraction(2)  # solvers may probe above 1 but never reach 2
-
-
-class Temperature:
-    """A dyadic temperature; 0 < T < 1 for standard evaluation entry points.
-
-    Divergence studies may construct temperatures up to (but below) 2 by
-    passing allow_high=True.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Dyadic | Fraction | int | str, allow_high: bool = False):
-        if isinstance(value, str):
-            value = parse_temperature_text(value)
-        elif not isinstance(value, Dyadic):
-            value = Dyadic.from_fraction(Fraction(value))
-        limit = Fraction(TEMPERATURE_MAX) if allow_high else Fraction(1)
-        v = value.as_fraction()
-        if not 0 < v < limit:
-            raise ValueError(f"temperature {value.serialize()} outside (0, {limit})")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Temperature is immutable")
-
-    def frac(self) -> Fraction:
-        return self.value.as_fraction()
-
-    def __eq__(self, other):
-        return isinstance(other, Temperature) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"Temperature({self.value.serialize()})"
-
-
 def parse_temperature_text(text: str) -> Dyadic:
     """Accepts 'p/q' with q a power of two, or a binary literal '0.b1b2...'."""
     text = text.strip()

@@ -1,14 +1,19 @@
-"""Prefix-free program ensembles: concrete machines, synthetic sources,
-deterministic enumeration, and snapshot persistence.
+"""Prefix-free program ensembles: the builtin machines, deterministic
+enumeration, certified tails, and snapshot persistence.
 
-Builtin ensembles:
+Builtin machines (``MACHINES``, one ``Machine`` each):
 
 * ``sdm4``          -- a deliberately sub-universal self-delimiting machine
                        with a regular-language domain and halting mass 4/5.
 * ``literal``       -- programs 1^n 0 x with |x| = n, output x.
 * ``gamma_literal`` -- programs gamma(|x|) x (Elias gamma length header).
 * ``geometric``     -- one program 1^(l-1) 0 per length l, output l in binary.
-* ``file``          -- a snapshot loaded from disk.
+
+A Machine holds its census closed form, its canonical program enumerator
+and its certified tail.  A snapshot built from a machine carries it.  A
+snapshot loaded from disk carries the machine its header names only when
+its census equals that machine's closed form exactly; any other snapshot
+is an anonymous census, whose tail is the census Kraft slack.
 
 Enumeration order is canonical: ascending (length, lex).  The census maps
 length -> count of *all* domain elements of that length, which can exceed
@@ -18,20 +23,21 @@ lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice
+from math import ceil, floor
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .bitstring import BitString, LAMBDA
-from .dyadic import Dyadic
-from .enclosure import Enclosure
-from .errors import InvariantViolation, SnapshotError, SpecError
+from .bitstring import BitString
+from .dyadic import Dyadic, from_rational_ceil
+from .enclosure import exp2_enclosure, ln2_enclosure
+from .errors import InvariantViolation, RangeError, SnapshotError, SpecError
 
 SNAPSHOT_MAGIC = "THERMOAIT-SNAPSHOT v1"
 DEFAULT_PROGRAM_CAP = 4096
-
-BUILTIN_KINDS = ("sdm4", "literal", "gamma_literal", "geometric")
 
 
 # ---------------------------------------------------------------------------
@@ -45,24 +51,6 @@ class ProgramRecord:
     steps: int  # interpreter steps to halt; 0 for synthetic ensembles
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    kind: str
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind in BUILTIN_KINDS:
-            known = {"program_cap"}
-            extra = set(self.parameters) - known
-            if extra:
-                raise SpecError(f"unknown parameters for {self.kind}: {sorted(extra)}")
-        elif self.kind == "file":
-            if "path" not in self.parameters:
-                raise SpecError("file ensemble requires a 'path' parameter")
-        else:
-            raise SpecError(f"unknown ensemble kind: {self.kind}")
-
-
 @dataclass
 class EnsembleSnapshot:
     ensemble_id: str
@@ -70,6 +58,12 @@ class EnsembleSnapshot:
     max_length: int
     programs: list[ProgramRecord]
     census: dict[int, int]
+    machine: Machine | None = None  # None: an anonymous census
+
+    @property
+    def tail(self) -> Tail:
+        """The machine's tail, or the Kraft slack of an anonymous census."""
+        return self.machine.tail if self.machine else KRAFT_SLACK
 
     def kraft_partial(self) -> Fraction:
         """Exact census-based partial Kraft sum over lengths <= max_length."""
@@ -193,34 +187,28 @@ def _sdm4_bodies(nbits: int):
             yield "10" + arg + rest
 
 
+def _sdm4_census(max_length: int) -> Iterator[tuple[int, int]]:
+    d_prev, d = 0, 1  # d(-1), d(0)
+    for length in range(2, max_length + 1, 2):
+        yield length, d
+        d_prev, d = d, 2 * d + 3 * d_prev
+
+
 def sdm4_census_count(length: int) -> int:
     """Number of SDM-4 domain elements of the given length (d(m) with
     d(m) = 2 d(m-1) + 3 d(m-2), length = 2m + 2)."""
-    return dict(census_counts("sdm4", length)).get(length, 0)
+    return dict(_sdm4_census(length)).get(length, 0)
 
 
-def census_counts(kind: str, max_length: int) -> Iterator[tuple[int, int]]:
-    """Closed-form census of a builtin ensemble kind: (length, count) for
-    every length <= max_length with a nonzero count, ascending, in one pass
-    (linear in max_length, lazy so callers may stop early)."""
-    if kind == "sdm4":
-        d_prev, d = 0, 1  # d(-1), d(0)
-        for length in range(2, max_length + 1, 2):
-            yield length, d
-            d_prev, d = d, 2 * d + 3 * d_prev
-    elif kind == "geometric":
-        for length in range(1, max_length + 1):
-            yield length, 1
-    elif kind == "literal":
-        for n in range((max_length + 1) // 2):
-            yield 2 * n + 1, 1 << n
-    elif kind == "gamma_literal":
-        n = 1
-        while gamma_literal_length(n) <= max_length:
-            yield gamma_literal_length(n), 1 << n
-            n += 1
-    else:
-        raise SpecError(f"no closed-form census for kind {kind!r}")
+def _sdm4_programs(length: int, count: int,
+                   step_budget: int) -> Iterator[ProgramRecord]:
+    for body in _sdm4_bodies(length - 2):
+        prog = BitString(body + "11")
+        res = run_sdm4(prog, step_budget)
+        if res.status == BUDGET:
+            return
+        assert res.status == HALT and res.consumed == len(prog)
+        yield ProgramRecord(prog, res.output, res.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -240,101 +228,180 @@ def gamma_literal_length(n: int) -> int:
     return n + 2 * (n.bit_length() - 1) + 1
 
 
-# ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
-
-def enumerate_ensemble(spec: EnsembleSpec, step_budget: int,
-                       max_length: int) -> EnsembleSnapshot:
-    """Deterministically enumerate the ensemble's domain in canonical
-    (length, lex) order.  Per-program records are emitted up to the
-    configured program_cap; the census always covers every length
-    <= max_length."""
-    if max_length < 1:
-        raise SpecError("max_length must be >= 1")
-    if spec.kind == "file":
-        snap = load_snapshot(spec.parameters["path"])
-        return snap
-    if step_budget < 1 and spec.kind == "sdm4":
-        raise SpecError("step_budget must be >= 1 for machine-backed ensembles")
-    cap = spec.parameters.get("program_cap", DEFAULT_PROGRAM_CAP)
-
-    census = dict(census_counts(spec.kind, max_length))
-    programs: list[ProgramRecord] = []
-    if spec.kind == "geometric":
-        for l in range(1, max_length + 1):
-            if len(programs) >= cap:
-                break
-            programs.append(ProgramRecord(
-                BitString("1" * (l - 1) + "0"), BitString(format(l, "b")), 0))
-    elif spec.kind == "literal":
-        n = 0
-        while 2 * n + 1 <= max_length and len(programs) + (1 << n) <= cap:
-            head = "1" * n + "0"
-            for v in range(1 << n):
-                x = BitString.from_int(v, n)
-                programs.append(ProgramRecord(BitString(head) + x, x, 0))
-            n += 1
-    elif spec.kind == "gamma_literal":
-        n = 1
-        while (gamma_literal_length(n) <= max_length
-               and len(programs) + (1 << n) <= cap):
-            head = gamma_code(n)
-            for v in range(1 << n):
-                x = BitString.from_int(v, n)
-                programs.append(ProgramRecord(head + x, x, 0))
-            n += 1
-    elif spec.kind == "sdm4":
-        done = False
-        for length in range(2, max_length + 1, 2):
-            if done or len(programs) + census[length] > cap:
-                break
-            for body in _sdm4_bodies(length - 2):
-                prog = BitString(body + "11")
-                res = run_sdm4(prog, step_budget)
-                if res.status == HALT:
-                    assert res.consumed == len(prog)
-                    programs.append(ProgramRecord(prog, res.output, res.steps))
-                elif res.status == BUDGET:
-                    done = True  # deeper programs need even more steps
-                    break
-    else:  # pragma: no cover - guarded by EnsembleSpec
-        raise SpecError(f"unknown ensemble kind: {spec.kind}")
-
-    snap = EnsembleSnapshot(spec.kind, step_budget, max_length, programs, census)
-    snap.validate()
-    return snap
+def _literal_census(max_length: int) -> Iterator[tuple[int, int]]:
+    for n in range((max_length + 1) // 2):
+        yield 2 * n + 1, 1 << n
 
 
-def builtin_snapshot(kind: str, max_length: int,
-                     step_budget: int | None = None,
-                     program_cap: int = DEFAULT_PROGRAM_CAP) -> EnsembleSnapshot:
-    if step_budget is None:
-        step_budget = max(1, max_length)  # ample: SDM-4 halts in <= len/2 steps
-    return enumerate_ensemble(EnsembleSpec(kind, {"program_cap": program_cap}),
-                              step_budget, max_length)
+def _gamma_literal_census(max_length: int) -> Iterator[tuple[int, int]]:
+    n = 1
+    while gamma_literal_length(n) <= max_length:
+        yield gamma_literal_length(n), 1 << n
+        n += 1
+
+
+def _unary_code(n: int) -> BitString:
+    return BitString("1" * n + "0")
+
+
+def _payload_programs(header, length: int, count: int,
+                      step_budget: int) -> Iterator[ProgramRecord]:
+    """header(n) x, output x, for each of the count = 2^n payloads x."""
+    n = count.bit_length() - 1
+    head = header(n)
+    for v in range(count):
+        x = BitString.from_int(v, n)
+        yield ProgramRecord(head + x, x, 0)
+
+
+def _geometric_census(max_length: int) -> Iterator[tuple[int, int]]:
+    for length in range(1, max_length + 1):
+        yield length, 1
+
+
+def _geometric_programs(length: int, count: int,
+                        step_budget: int) -> Iterator[ProgramRecord]:
+    yield ProgramRecord(_unary_code(length - 1), BitString(format(length, "b")), 0)
 
 
 # ---------------------------------------------------------------------------
-# tail mass
+# certified tails
 # ---------------------------------------------------------------------------
-
-def census_tail_mass(snapshot: EnsembleSnapshot, L: int) -> Enclosure:
-    """Certified bound on the Kraft mass of all domain elements longer
-    than L, over the full (possibly infinite) domain: the mass lies in
-    [0, 1 - sum_{l<=L} census(l) 2^-l].  The slack is exact for ensembles
-    whose total Kraft sum is 1 (literal, gamma_literal, geometric)."""
-    if L > snapshot.max_length:
-        raise SpecError(f"L = {L} exceeds snapshot max_length {snapshot.max_length}")
-    slack = Dyadic.from_fraction(kraft_slack(snapshot.census.items(), L))
-    return Enclosure(Dyadic(0), slack)
-
 
 def kraft_slack(census_items, L: int) -> Fraction:
     """1 - sum_{l<=L} count(l) 2^-l exactly, computed in integers as
     (2^L - sum count(l) 2^(L-l)) / 2^L."""
     filled = sum(c << (L - l) for l, c in census_items if l <= L)
     return Fraction((1 << L) - filled, 1 << L)
+
+
+class Tail:
+    """A certified tail past a cutoff L: bound(census, L, T, j,
+    precision_bits, slack) bounds sum over |p| > L of |p|^j 2^(-|p|/T) from
+    above (slack, when not None, is kraft_slack(census, L)); decay(T) is
+    the float rate, in bits per length, at which it shrinks; it only picks
+    the cutoff."""
+
+
+class _KraftSlack(Tail):
+    """Beyond length L the per-length Kraft mass of any prefix-free domain
+    is at most the census slack tau = 1 - sum_{l<=L} census(l) 2^-l, and
+    each term satisfies l^j 2^(-l/T) <= M_j (census(l) 2^-l) with
+    M_j = max_{l>L} l^j 2^(-l(1/T - 1)); the max of that unimodal function
+    is bracketed through rational bounds on its critical point
+    j T / ((1-T) ln 2)."""
+
+    def decay(self, T: Fraction) -> float:
+        return 1 / float(T) - 1
+
+    def bound(self, census, L: int, T: Fraction, j: int, precision_bits: int,
+              slack: Fraction | None) -> Dyadic:
+        if T >= 1:
+            raise RangeError("census-slack tail bounds require T < 1")
+        tau = kraft_slack(census.items(), L) if slack is None else slack
+        if tau == 0:
+            return Dyadic(0)
+        delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
+        candidates = {L + 1}
+        if j > 0:
+            ln2 = ln2_enclosure(precision_bits)
+            lstar_lo = Fraction(j) / (delta * ln2.hi.as_fraction())
+            lstar_hi = Fraction(j) / (delta * ln2.lo.as_fraction())
+            for l in range(max(L + 1, floor(lstar_lo)), max(L + 1, ceil(lstar_hi)) + 1):
+                candidates.add(l)
+        M = Dyadic(0)
+        for l in candidates:
+            M = max(M, exp2_enclosure(-l * delta, precision_bits).hi * l**j)
+        bound = M.as_fraction() * tau
+        return from_rational_ceil(bound.numerator, bound.denominator,
+                                  precision_bits + 32)
+
+
+class _Ratio(Tail):
+    """Exact-ratio tail of a domain with one program per length, valid at
+    any T > 0: terms t_l = l^j 2^(-l/T) shrink by a factor of at most
+    rho = 2^(-1/T) ((L+2)/(L+1))^j, so the tail is t_{L+1}/(1-rho)."""
+
+    def decay(self, T: Fraction) -> float:
+        return 1 / float(T)  # the census does not grow
+
+    def bound(self, census, L: int, T: Fraction, j: int, precision_bits: int,
+              slack: Fraction | None) -> Dyadic:
+        x_hi = exp2_enclosure(Fraction(-1) / T, precision_bits).hi.as_fraction()
+        rho = x_hi * Fraction(L + 2, L + 1) ** j
+        if rho >= 1:
+            raise RangeError(f"tail ratio {float(rho):.3f} >= 1 at L = {L}; increase L")
+        t_first = exp2_enclosure(Fraction(-(L + 1)) / T, precision_bits).hi * (L + 1)**j
+        bound = t_first.as_fraction() / (1 - rho)
+        return from_rational_ceil(bound.numerator, bound.denominator,
+                                  precision_bits + 32)
+
+
+KRAFT_SLACK, RATIO = _KraftSlack(), _Ratio()
+
+
+# ---------------------------------------------------------------------------
+# the builtin machines
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Machine:
+    """One builtin prefix-free machine.  census(max_length) lazily yields
+    the nonzero (length, count) pairs up to max_length, ascending;
+    programs(length, count, step_budget) yields the domain elements of one
+    length in lex order, stopping where the step budget runs out; run is
+    the (program, step_budget) interpreter of a machine-backed ensemble."""
+
+    name: str
+    census: Callable[[int], Iterator[tuple[int, int]]]
+    programs: Callable[[int, int, int], Iterator[ProgramRecord]]
+    tail: Tail = KRAFT_SLACK
+    run: Callable[[BitString, int], SDM4Result] | None = None
+
+
+MACHINES: dict[str, Machine] = {m.name: m for m in (
+    Machine("sdm4", _sdm4_census, _sdm4_programs, run=run_sdm4),
+    Machine("literal", _literal_census,
+            partial(_payload_programs, _unary_code)),
+    Machine("gamma_literal", _gamma_literal_census,
+            partial(_payload_programs, gamma_code)),
+    Machine("geometric", _geometric_census, _geometric_programs, RATIO),
+)}
+
+
+def get_machine(name: str) -> Machine:
+    if name not in MACHINES:
+        raise SpecError(f"unknown ensemble kind: {name}")
+    return MACHINES[name]
+
+
+def builtin_snapshot(kind: str, max_length: int,
+                     step_budget: int | None = None,
+                     program_cap: int = DEFAULT_PROGRAM_CAP) -> EnsembleSnapshot:
+    """Deterministically enumerate a builtin machine's domain in canonical
+    (length, lex) order.  Records cover whole lengths only, up to
+    program_cap records or until the step budget runs out; the census
+    always covers every length <= max_length."""
+    machine = get_machine(kind)
+    if max_length < 1:
+        raise SpecError("max_length must be >= 1")
+    if step_budget is None:
+        step_budget = max(1, max_length)  # ample: SDM-4 halts in <= len/2 steps
+    if step_budget < 1 and machine.run is not None:
+        raise SpecError("step_budget must be >= 1 for machine-backed ensembles")
+    census = dict(machine.census(max_length))
+    programs: list[ProgramRecord] = []
+    for length, count in census.items():
+        if len(programs) + count > program_cap:
+            break
+        before = len(programs)
+        programs.extend(machine.programs(length, count, step_budget))
+        if len(programs) - before < count:
+            break  # step budget exhausted: longer programs need more steps
+    snap = EnsembleSnapshot(kind, step_budget, max_length, programs, census,
+                            machine)
+    snap.validate()
+    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +444,38 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
         if not line.strip():
             continue
         parts = line.split()
-        if parts[0] == "L":
-            if len(parts) != 3:
-                raise SnapshotError("census line needs 'L <length> <count>'", line=lineno)
-            census[int(parts[1])] = int(parts[2])
-        elif parts[0] == "P":
-            if len(parts) != 5:
-                raise SnapshotError(
-                    "program line needs 'P <index> <bits> <output> <steps>'", line=lineno)
-            if int(parts[1]) != len(programs) + 1:
-                raise SnapshotError(f"program index {parts[1]} out of order", line=lineno)
-            try:
+        try:
+            if parts[0] == "L":
+                if len(parts) != 3:
+                    raise SnapshotError("census line needs 'L <length> <count>'", line=lineno)
+                census[int(parts[1])] = int(parts[2])
+            elif parts[0] == "P":
+                if len(parts) != 5:
+                    raise SnapshotError(
+                        "program line needs 'P <index> <bits> <output> <steps>'", line=lineno)
+                if int(parts[1]) != len(programs) + 1:
+                    raise SnapshotError(f"program index {parts[1]} out of order", line=lineno)
                 programs.append(ProgramRecord(BitString.from_render(parts[2]),
                                               BitString.from_render(parts[3]),
                                               int(parts[4])))
-            except ValueError as exc:
-                raise SnapshotError(str(exc), line=lineno) from exc
-        elif parts[0] == "KRAFT":
-            num, den = parts[1].split("/")
-            kraft_line = Fraction(int(num), int(den))
-        else:
-            raise SnapshotError(f"unknown record {parts[0]!r}", line=lineno)
+            elif parts[0] == "KRAFT":
+                if len(parts) != 2:
+                    raise SnapshotError("checksum line needs 'KRAFT <num>/<den>'", line=lineno)
+                num, den = parts[1].split("/")
+                kraft_line = Fraction(int(num), int(den))
+            else:
+                raise SnapshotError(f"unknown record {parts[0]!r}", line=lineno)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SnapshotError(f"bad {parts[0]} record: {exc}", line=lineno) from exc
 
-    snap = EnsembleSnapshot(ensemble_id, budget, maxlen, programs, census)
+    # the label only names the machine to check against; the census decides
+    # (lazily: a huge header maxlen costs no more than the file's census)
+    machine = MACHINES.get(ensemble_id)
+    items = sorted(census.items())
+    if machine and list(islice(machine.census(maxlen), len(items) + 1)) != items:
+        machine = None
+    snap = EnsembleSnapshot(ensemble_id, budget, maxlen, programs, census,
+                            machine)
     if kraft_line is None:
         raise SnapshotError("missing KRAFT checksum line")
     if snap.kraft_partial() != kraft_line:
@@ -411,11 +487,13 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
 
 
 def replay_check(snapshot: EnsembleSnapshot) -> None:
-    """Re-execute every machine-backed record; raises on any mismatch."""
-    if snapshot.ensemble_id != "sdm4":
+    """Re-execute every record of a machine-backed snapshot on its
+    machine's interpreter; raises on any mismatch."""
+    run = snapshot.machine.run if snapshot.machine else None
+    if run is None:
         return
     for rec in snapshot.programs:
-        res = run_sdm4(rec.program, snapshot.step_budget)
+        res = run(rec.program, snapshot.step_budget)
         if (res.status != HALT or res.output != rec.output
                 or res.steps != rec.steps or res.consumed != len(rec.program)):
             raise InvariantViolation(f"replay mismatch for {rec.program.bits!r}")

@@ -11,14 +11,10 @@ with Z = mu_0, W = mu_1, Y = mu_2, and the derived quantities
     C = (ln 2 / T^2) (Y/Z - (W/Z)^2).
 
 Limit evaluation (k = "limit") aggregates the per-length census up to the
-snapshot's max_length and adds a certified tail bound for each moment:
-beyond length L the per-length Kraft mass is at most the census slack
-tau = 1 - sum_{l<=L} census(l) 2^-l, and each term satisfies
-l^j 2^(-l/T) <= M_j(L, T) * (census(l) 2^-l) with
-M_j = max_{l>L} l^j 2^(-l(1/T - 1)); the max of that unimodal function is
-bracketed through rational bounds on its critical point j T / ((1-T) ln 2).
-The geometric ensemble instead gets an exact ratio-test tail, valid at any
-temperature.
+snapshot's max_length and adds a certified tail bound for each moment.
+The tail belongs to the snapshot (ensembles.Tail): a builtin machine's
+own tail when the snapshot carries that machine, otherwise the census
+Kraft slack, which holds for any prefix-free domain.
 
 All moments go through one integer kernel, moment_sums.  The weights come
 from a WeightChain: 2^(-l/T) as the outward-rounded l-th power of
@@ -36,14 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 
-from .dyadic import Dyadic, from_rational_ceil
+from .dyadic import Dyadic
 from .enclosure import (
-    DEFAULT_PRECISION, Enclosure, Temperature, certified_gt, div,
-    exp2_enclosure, ln2_enclosure, log2_enclosure,
+    DEFAULT_PRECISION, Enclosure, certified_gt, div, exp2_enclosure,
+    ln2_enclosure, log2_enclosure,
 )
-from .ensembles import EnsembleSnapshot, census_counts, kraft_slack
+from .ensembles import EnsembleSnapshot, get_machine, kraft_slack
 from .errors import RangeError, SpecError
 
 QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
@@ -51,9 +47,7 @@ QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
 
 def _temp_frac(T, allow_high: bool = False) -> Fraction:
     """Normalise a temperature argument to an exact Fraction in range."""
-    if isinstance(T, Temperature):
-        q = T.frac()
-    elif isinstance(T, Dyadic):
+    if isinstance(T, Dyadic):
         q = T.as_fraction()
     else:
         q = Fraction(T)
@@ -161,43 +155,10 @@ def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict
 def moment_tail_bound(snapshot: EnsembleSnapshot, L: int, T: Fraction,
                       j: int, precision_bits: int = DEFAULT_PRECISION,
                       slack: Fraction | None = None) -> Dyadic:
-    """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T).
-    slack, when given, must be the census slack kraft_slack(census, L)."""
-    if snapshot.ensemble_id == "geometric":
-        return _geometric_tail(L, T, j, precision_bits)
-    if T >= 1:
-        raise RangeError("census-slack tail bounds require T < 1")
-    tau = kraft_slack(snapshot.census.items(), L) if slack is None else slack
-    if tau == 0:
-        return Dyadic(0)
-    delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
-    candidates = {L + 1}
-    if j > 0:
-        ln2 = ln2_enclosure(precision_bits)
-        lstar_lo = Fraction(j) / (delta * ln2.hi.as_fraction())
-        lstar_hi = Fraction(j) / (delta * ln2.lo.as_fraction())
-        for l in range(max(L + 1, floor(lstar_lo)), max(L + 1, ceil(lstar_hi)) + 1):
-            candidates.add(l)
-    M = Dyadic(0)
-    for l in candidates:
-        M = max(M, exp2_enclosure(-l * delta, precision_bits).hi * l**j)
-    bound = M.as_fraction() * tau
-    return from_rational_ceil(bound.numerator, bound.denominator,
-                              precision_bits + 32)
-
-
-def _geometric_tail(L: int, T: Fraction, j: int, precision_bits: int) -> Dyadic:
-    """Exact-ratio tail for the geometric ensemble (one program per length),
-    valid at any T > 0: terms t_l = l^j 2^(-l/T) shrink by a factor of at
-    most rho = 2^(-1/T) ((L+2)/(L+1))^j, so the tail is t_{L+1}/(1-rho)."""
-    x_hi = exp2_enclosure(Fraction(-1) / T, precision_bits).hi.as_fraction()
-    rho = x_hi * Fraction(L + 2, L + 1) ** j
-    if rho >= 1:
-        raise RangeError(f"tail ratio {float(rho):.3f} >= 1 at L = {L}; increase L")
-    t_first = exp2_enclosure(Fraction(-(L + 1)) / T, precision_bits).hi * (L + 1)**j
-    bound = t_first.as_fraction() / (1 - rho)
-    return from_rational_ceil(bound.numerator, bound.denominator,
-                              precision_bits + 32)
+    """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T), from
+    the snapshot's tail.  slack, when given, must be the census slack
+    kraft_slack(census, L)."""
+    return snapshot.tail.bound(snapshot.census, L, T, j, precision_bits, slack)
 
 
 def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
@@ -207,9 +168,7 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
     result.  Float arithmetic here only picks the cutoff; certification
     comes from the tail bound itself."""
     from math import log2
-    # per-term decay: census slack shrinks like 2^-l(1/T - 1) (2^-l/T for
-    # the geometric ensemble, whose census does not grow)
-    delta = 1 / float(T) - (0 if snapshot.ensemble_id == "geometric" else 1)
+    delta = snapshot.tail.decay(T)
     if delta <= 0:
         return snapshot.max_length
     target = precision_bits + 12
@@ -344,7 +303,7 @@ def divergence_probe(kind: str, T, threshold, length_cap: int,
     thr = Enclosure.from_rational(Fraction(threshold), precision_bits)
     weights = WeightChain(Tf, precision_bits)
     Z = Enclosure.point(0)
-    for L, c in census_counts(kind, length_cap):
+    for L, c in get_machine(kind).census(length_cap):
         Z = Z + weights[L] * c
         if certified_gt(Z, thr):
             return L, Z

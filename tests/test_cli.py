@@ -64,6 +64,25 @@ def test_verify_passes_on_sdm4():
     assert json.loads(out)["failures"] == 0
 
 
+def test_verify_passes_on_a_snapshot_of_fewer_than_12_programs():
+    code, out, err = run("verify", "--machine", "geometric", "--maxlen", "8",
+                         "--grid", "1/2:1/2:1/4")
+    assert code == 0, err
+    assert json.loads(out)["failures"] == 0
+
+
+@pytest.mark.parametrize("bad", ["KRAFT", "KRAFT 1/0", "L 1 x", "P x 0 - 0"])
+def test_malformed_snapshot_is_usage_error(tmp_path, bad):
+    path = tmp_path / "bad.snap"
+    path.write_text("\n".join(["THERMOAIT-SNAPSHOT v1",
+                               "ensemble=custom budget=1 maxlen=2",
+                               "L 1 1", bad]) + "\n")
+    code, _, err = run("thermo", "--snapshot", str(path), "--T", "1/2")
+    assert code == 2
+    assert "error: line 4:" in err
+    assert "Traceback" not in err
+
+
 # -- thermo output -----------------------------------------------------
 
 def test_thermo_limit_contains_closed_form():

@@ -13,7 +13,7 @@ import pytest
 from thermoait.bitstring import BitString
 from thermoait.dyadic import Dyadic
 from thermoait.enclosure import (
-    Enclosure, Temperature, bits_prefix, certified_lt, certified_positive,
+    Enclosure, bits_prefix, certified_lt, certified_positive,
     div, exp2_enclosure, inv, ln2_enclosure, log2_enclosure,
     parse_temperature_text, prefix_value,
 )
@@ -161,11 +161,5 @@ def test_clamp_nonnegative():
 
 
 def test_temperature_validation():
-    assert Temperature("0.11").value == Dyadic(3, -2)
-    assert Temperature(Fraction(1, 2)).frac() == Fraction(1, 2)
-    assert Temperature("11/8", allow_high=True).frac() == Fraction(11, 8)
-    with pytest.raises(ValueError):
-        Temperature(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        Temperature(0)
+    assert parse_temperature_text("0.11") == Dyadic(3, -2)
     assert parse_temperature_text("0.101") == Dyadic(5, -3)

@@ -6,9 +6,9 @@ import pytest
 
 from thermoait.bitstring import BitString, LAMBDA
 from thermoait.ensembles import (
-    BUDGET, DIVERGE, HALT, EnsembleSpec, builtin_snapshot, census_tail_mass,
-    enumerate_ensemble, gamma_code, gamma_literal_length, load_snapshot,
-    run_sdm4, replay_check, save_snapshot, sdm4_census_count,
+    BUDGET, DIVERGE, HALT, MACHINES, builtin_snapshot, gamma_code,
+    gamma_literal_length, kraft_slack, load_snapshot, run_sdm4, replay_check,
+    save_snapshot, sdm4_census_count,
 )
 from thermoait.errors import InvariantViolation, SnapshotError, SpecError
 
@@ -120,31 +120,28 @@ def test_gamma_literal_enumeration():
 
 
 def test_program_cap_keeps_census_full():
-    snap = enumerate_ensemble(EnsembleSpec("literal", {"program_cap": 3}), 1, 7)
+    snap = builtin_snapshot("literal", 7, step_budget=1, program_cap=3)
     assert len(snap.programs) == 3  # whole lengths only: 1 + 2
     assert snap.census == {1: 1, 3: 2, 5: 4, 7: 8}
 
 
 def test_spec_validation():
     with pytest.raises(SpecError):
-        EnsembleSpec("bogus")
+        builtin_snapshot("bogus", 5)
     with pytest.raises(SpecError):
-        EnsembleSpec("file")
+        builtin_snapshot("geometric", 0)
     with pytest.raises(SpecError):
-        EnsembleSpec("geometric", {"path": "x"})
+        builtin_snapshot("sdm4", 4, step_budget=0)
 
 
-# -- tail mass ---------------------------------------------------------
+# -- census slack ------------------------------------------------------
 
-def test_census_tail_mass_examples():
+def test_kraft_slack_examples():
     geo = builtin_snapshot("geometric", 6)
-    t = census_tail_mass(geo, 4)
-    assert t.lo.as_fraction() == 0 and t.hi.as_fraction() == Fraction(1, 16)
+    assert kraft_slack(geo.census.items(), 4) == Fraction(1, 16)
     lit = builtin_snapshot("literal", 9)
-    t = census_tail_mass(lit, 7)  # lengths 1,3,5,7 covered: slack 2^-4
-    assert t.hi.as_fraction() == Fraction(1, 16)
-    with pytest.raises(SpecError):
-        census_tail_mass(geo, 7)
+    # lengths 1,3,5,7 covered: slack 2^-4
+    assert kraft_slack(lit.census.items(), 7) == Fraction(1, 16)
 
 
 # -- persistence -------------------------------------------------------
@@ -215,12 +212,32 @@ def test_load_rejects_bad_magic(tmp_path):
         load_snapshot(path)
 
 
-def test_file_kind_loads_snapshot(tmp_path):
-    snap = builtin_snapshot("geometric", 5)
-    path = tmp_path / "geo.snap"
+@pytest.mark.parametrize("kind", MACHINES)
+def test_loaded_snapshot_gets_machine_only_on_census_match(tmp_path, kind):
+    snap = builtin_snapshot(kind, 24, program_cap=64)
+    path = tmp_path / "m.snap"
     save_snapshot(snap, path)
-    back = enumerate_ensemble(EnsembleSpec("file", {"path": str(path)}), 1, 5)
+    back = load_snapshot(path)
     assert back.census == snap.census
+    assert back.machine is snap.machine is MACHINES[kind]
+    # the census without its last length is a valid file, but no longer
+    # this machine's census at this maxlen
+    short = builtin_snapshot(kind, 24, program_cap=0)
+    del short.census[max(short.census)]
+    save_snapshot(short, path)
+    assert load_snapshot(path).machine is None
+
+
+@pytest.mark.parametrize("bad", [
+    "KRAFT", "KRAFT 1/0", "L 1 x", "P x 0 - 0", "KRAFT 1", "P 1 0 - y",
+])
+def test_malformed_line_is_snapshot_error(tmp_path, bad):
+    path = tmp_path / "bad.snap"
+    path.write_text("\n".join(["THERMOAIT-SNAPSHOT v1",
+                               "ensemble=custom budget=1 maxlen=2",
+                               "L 1 1", bad]) + "\n")
+    with pytest.raises(SnapshotError, match="^line 4: "):
+        load_snapshot(path)
 
 
 def test_lengths_up_to():

@@ -13,13 +13,15 @@ import pytest
 
 from thermoait.dyadic import Dyadic
 from thermoait.enclosure import (
-    Enclosure, Temperature, exp2_enclosure, round_outward,
+    Enclosure, exp2_enclosure, round_outward,
 )
-from thermoait.ensembles import BUILTIN_KINDS, builtin_snapshot
+from thermoait.ensembles import (
+    MACHINES, builtin_snapshot, load_snapshot, save_snapshot,
+)
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
-    _census_cutoff, divergence_probe, eval_limit, eval_partial, evaluate,
-    limit_moments, moment_sums, moment_tail_bound, power_sum, sweep,
+    QUANTITIES, _census_cutoff, divergence_probe, eval_limit, eval_partial,
+    evaluate, limit_moments, moment_sums, moment_tail_bound, power_sum, sweep,
 )
 
 mpmath.mp.prec = 200
@@ -133,8 +135,46 @@ def test_limit_requires_subcritical_temperature():
         moment_tail_bound(SDM, 200, Fraction(1, 1), 0)
 
 
+# -- the tail comes from the machine, never from the label ---------------
+
+def _write_snapshot(path, label):
+    path.write_text("\n".join(["THERMOAIT-SNAPSHOT v1",
+                               f"ensemble={label} budget=1 maxlen=3",
+                               "L 1 1", "KRAFT 1/2"]) + "\n")
+    return load_snapshot(path)
+
+
+def test_mislabelled_file_gets_the_census_slack(tmp_path):
+    # {0} with {1000, ..., 1111} is a prefix-free domain consistent with
+    # this file, and its Z(1/2) is 1/4 + 8/256 = 9/32; the geometric ratio
+    # tail would claim Z(1/2) <= 49/192
+    snap = _write_snapshot(tmp_path / "a.snap", "geometric")
+    assert snap.machine is None
+    ev = eval_limit(snap, Fraction(1, 2))
+    assert ev.Z.hi.as_fraction() >= Fraction(9, 32)
+    custom = eval_limit(_write_snapshot(tmp_path / "b.snap", "custom"),
+                        Fraction(1, 2))
+    for q in QUANTITIES:
+        assert _endpoints(ev.quantity(q)) == _endpoints(custom.quantity(q))
+    assert ev.tail_bounds == custom.tail_bounds
+
+
+@pytest.mark.parametrize("kind", MACHINES)
+def test_saved_builtin_keeps_its_limit(tmp_path, kind):
+    snap = builtin_snapshot(kind, 120)
+    path = tmp_path / f"{kind}.snap"
+    save_snapshot(snap, path)
+    back = load_snapshot(path)
+    assert back.machine is MACHINES[kind]
+    for T in (Fraction(1, 2), Fraction(15, 16)):
+        a, b = eval_limit(snap, T), eval_limit(back, T)
+        for q in QUANTITIES:
+            assert _endpoints(a.quantity(q)) == _endpoints(b.quantity(q))
+        assert a.tail_bounds == b.tail_bounds
+
+
 def test_temperature_object_accepted():
-    ev = evaluate(GEO60, Temperature("0.1"), k=3)
+    ev = evaluate(GEO60, Dyadic(1, -1), k=3)
     assert ev.temperature == Fraction(1, 2)
     assert ev.k == 3
 
@@ -224,14 +264,14 @@ def _endpoints(e: Enclosure) -> tuple:
 
 KERNEL_SNAPSHOTS = {kind: builtin_snapshot(kind, 500 if kind == "sdm4" else 240,
                                            program_cap=0)
-                    for kind in BUILTIN_KINDS}
+                    for kind in MACHINES}
 # 1/16, 1/3 and 1/2 make every l/T an integer (exact point weights);
 # 2/3, 15/16 and 63/64 mix exact points into the rounded chain
 KERNEL_TEMPERATURES = [Fraction(1, 16), Fraction(1, 3), Fraction(1, 2),
                        Fraction(2, 3), Fraction(15, 16), Fraction(63, 64)]
 
 
-@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+@pytest.mark.parametrize("kind", MACHINES)
 @pytest.mark.parametrize("p", [64, 200])
 def test_kernel_matches_object_reference(kind, p):
     snap = KERNEL_SNAPSHOTS[kind]
