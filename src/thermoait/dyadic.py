@@ -9,6 +9,7 @@ layer, where it rounds outward.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 
@@ -67,16 +68,16 @@ class Dyadic:
         return self.m / (1 << -self.e)
 
     def serialize(self) -> str:
-        return f"{self.m}*2^{self.e}"
+        return f"{_int_text(self.m)}*2^{self.e}"
 
     def decimal(self) -> str:
         """Exact decimal rendering (finite because the value is dyadic)."""
         if self.e >= 0:
-            return str(self.m << self.e)
+            return _int_text(self.m << self.e)
         digits = -self.e
         scaled = self.m * 5**digits  # m / 2^d = m*5^d / 10^d
         sign = "-" if scaled < 0 else ""
-        s = str(abs(scaled)).rjust(digits + 1, "0")
+        s = _int_text(abs(scaled)).rjust(digits + 1, "0")
         return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
     def __repr__(self) -> str:
@@ -147,6 +148,12 @@ class Dyadic:
         if s >= 0:
             return self.m << s
         return self.m >> -s
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int of any size.  Decimal converts from the binary
+    digits, so the interpreter's int-to-str digit limit does not apply."""
+    return str(Decimal(n))
 
 
 def _coerce(x) -> Dyadic:

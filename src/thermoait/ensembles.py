@@ -94,6 +94,13 @@ class EnsembleSnapshot:
         """Lengths |p_1|..|p_k| from the census."""
         return [l for l, c in self.length_counts_up_to(k) for _ in range(c)]
 
+    def iter_lengths(self) -> Iterator[int]:
+        """|p_1|, |p_2|, ... from the census, lazily, so a caller builds no
+        more lengths than it reads."""
+        for l in sorted(self.census):
+            for _ in range(self.census[l]):
+                yield l
+
     def validate(self) -> None:
         by_len: dict[int, int] = {}
         prev: ProgramRecord | None = None
@@ -115,6 +122,8 @@ class EnsembleSnapshot:
                     f"census({l}) = {self.census.get(l, 0)} below enumerated count {n}")
         if any(l > self.max_length or l < 0 for l in self.census):
             raise InvariantViolation("census length outside [0, max_length]")
+        if any(c < 0 for c in self.census.values()):
+            raise InvariantViolation("negative census count")
         if self.kraft_partial() > 1 or self.program_kraft() > 1:
             raise InvariantViolation("Kraft violation: partial sum exceeds 1")
 
@@ -448,7 +457,10 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
             if parts[0] == "L":
                 if len(parts) != 3:
                     raise SnapshotError("census line needs 'L <length> <count>'", line=lineno)
-                census[int(parts[1])] = int(parts[2])
+                length, count = int(parts[1]), int(parts[2])
+                if count < 0:
+                    raise SnapshotError("census count must be >= 0", line=lineno)
+                census[length] = count
             elif parts[0] == "P":
                 if len(parts) != 5:
                     raise SnapshotError(
@@ -483,6 +495,10 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
             f"checksum mismatch: census Kraft sum {snap.kraft_partial()} "
             f"!= recorded {kraft_line}")
     snap.validate()
+    try:
+        replay_check(snap)  # records of a machine-backed file must replay
+    except InvariantViolation as exc:
+        raise SnapshotError(str(exc)) from exc
     return snap
 
 

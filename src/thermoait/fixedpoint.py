@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bitstring import BitString, successor
@@ -42,7 +43,7 @@ from .ensembles import EnsembleSnapshot
 from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
-from .thermo import WeightChain, _temp_frac, limit_moments, moment_sums
+from .thermo import WeightChain, _temp_frac, moment_hull, moments
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
 
@@ -113,8 +114,7 @@ class QuantityHandle:
     def g(self, x: Fraction, k: int) -> Enclosure:
         """Depth-k value at temperature x."""
         x = Fraction(x)
-        sums = moment_sums(self.snapshot.length_counts_up_to(k), x, (0, 1),
-                           self.precision_bits)
+        sums, _ = moments(self.snapshot, x, k, (0, 1), self.precision_bits)
         return _g_from_moments(self.quantity, sums[0], sums[1], x,
                                self.precision_bits)
 
@@ -123,8 +123,8 @@ class QuantityHandle:
         """Limit value at temperature x (default: the certified T)."""
         x = self.T if x is None else Fraction(x)
         p = self.precision_bits if precision_bits is None else precision_bits
-        moments, _ = limit_moments(self.snapshot, x, (0, 1), p)
-        return _g_from_moments(self.quantity, moments[0], moments[1], x, p)
+        mu, _ = moments(self.snapshot, x, "limit", (0, 1), p)
+        return _g_from_moments(self.quantity, mu[0], mu[1], x, p)
 
     def radius(self, n: int) -> Dyadic:
         return Dyadic(1, self.a_lower + self.c - n)
@@ -160,16 +160,16 @@ class _PartialSeries:
     def __init__(self, handle: QuantityHandle, x: Fraction):
         self.handle = handle
         self.x = Fraction(x)
-        self.lengths = handle.lengths(handle.max_depth)
+        self.lengths = islice(handle.snapshot.iter_lengths(), handle.max_depth)
         self.weights = WeightChain(self.x, handle.precision_bits)
         self.k = 0
         self.Z = Enclosure.point(0)
         self.W = Enclosure.point(0)
 
     def advance(self) -> None:
-        if self.k >= len(self.lengths):
+        l = next(self.lengths, None)
+        if l is None:
             raise RangeError("enumeration exhausted")
-        l = self.lengths[self.k]
         w = self.weights[l]
         self.Z = self.Z + w
         self.W = self.W + w * l
@@ -188,7 +188,6 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                             precision_bits: int) -> Dyadic:
     """Certified positive lower bound on C_{k0} over [T, t], by subdividing
     the window until interval evaluation resolves the sign."""
-    from .relations import _moment_hull  # shared hull helper
     p = precision_bits
     ln2 = ln2_enclosure(p)
     for pieces in (4, 8, 16, 32):
@@ -197,7 +196,7 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
         for i in range(pieces):
             x0 = T + (t - T) * Fraction(i, pieces)
             x1 = T + (t - T) * Fraction(i + 1, pieces)
-            mu = _moment_hull(snapshot, k0, x0, x1, (0, 1, 2), p)
+            mu = moment_hull(snapshot, x0, x1, k0, (0, 1, 2), p)
             m1 = div(mu[1], mu[0], p)
             v = div(mu[2], mu[0], p) - m1 * m1
             tau2 = Enclosure(Enclosure.from_rational(x0 * x0, p).lo,
@@ -253,24 +252,24 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     t = (Tf + 1) / 2
     p = precision_bits
     ln2 = ln2_enclosure(p)
-    lim_T, _ = limit_moments(snapshot, Tf, (0, 1, 2), p)
-    lim_t, _ = limit_moments(snapshot, t, (0, 1, 2), p)
+    lim_T, _ = moments(snapshot, Tf, "limit", (0, 1, 2), p)
+    lim_t, _ = moments(snapshot, t, "limit", (0, 1, 2), p)
     Z_T, W_T = lim_T[0], lim_T[1]
-    lengths = snapshot.lengths_up_to(min(sum(snapshot.census.values()),
-                                         MAX_DEPTH_CAP))
-    l1 = lengths[0]
-    w1 = WeightChain(Tf, p)[l1]
-    Z1_lo = w1.lo
-    first_distinct = next((i for i, l in enumerate(lengths) if l != l1),
-                          None)
+    n = min(sum(snapshot.census.values()), MAX_DEPTH_CAP)
+    # (k, |p_{k+1}|) for k < n, read once: first_k resumes past first_distinct
+    lengths = enumerate(islice(snapshot.iter_lengths(), n))
+    _, l1 = next(lengths, (0, None))
+    first_distinct = next((k for k, l in lengths if l != l1), None)
     if first_distinct is None:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
+    w1 = WeightChain(Tf, p)[l1]
+    Z1_lo = w1.lo
 
-    def first_k(cond: Callable[[int], bool], base: int) -> int:
-        # smallest k >= base with cond(|p_{k+1}|); lengths[k] is |p_{k+1}|
-        for k in range(base, len(lengths) - 1):
-            if cond(lengths[k]):
+    def first_k(cond: Callable[[int], bool]) -> int:
+        # smallest k > first_distinct, k < n - 1, with cond(|p_{k+1}|)
+        for k, l in lengths:
+            if k < n - 1 and cond(l):
                 return k
         raise CertificationError("no enumerated index satisfies the "
                                  "certificate precondition")
@@ -292,10 +291,10 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         b = max(1, -_floor_log2(factor_lo)) if factor_lo < Dyadic(1) else 1
         U = div(Enclosure.from_rational(Tf, p),
                 Enclosure.point(Z1_lo) * ln2, p).hi
-        k0 = first_k(lambda l: Fraction(l) ** b >= U.as_fraction(),
-                     first_distinct + 1)
+        k0 = first_k(lambda l: Fraction(l) ** b >= U.as_fraction())
         # slope is S_k(x): between S_{k0}(T) and S_lim(t)
-        s_lo = _g_from_moments("S", *_partial_ZW(snapshot, k0, Tf, p), Tf, p)
+        mu, _ = moments(snapshot, Tf, k0, (0, 1), p)
+        s_lo = _g_from_moments("S", mu[0], mu[1], Tf, p)
         if not certified_positive(s_lo):
             raise CertificationError("entropy at k0 not certifiably positive")
         s_hi = _g_from_moments("S", lim_t[0], lim_t[1], t, p)
@@ -306,13 +305,12 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         need = max(2 * E_sup, Fraction(1, 2) / Z1_lo.as_fraction())
         if quantity == "E":
             b, c = 2, 1
-            k0 = first_k(lambda l: l >= need, first_distinct + 1)
+            k0 = first_k(lambda l: l >= need)
         else:
             b, c = 3, 1
             D = ((1 / Tf + div(Enclosure.point(1), ln2, p).hi.as_fraction())
                  / Z1_lo.as_fraction())
-            k0 = first_k(lambda l: l >= need and Fraction(l) ** 2 >= D / 2,
-                         first_distinct + 1)
+            k0 = first_k(lambda l: l >= need and Fraction(l) ** 2 >= D / 2)
         # slope is C_k(x) (or C_k(x)/x for S): uniform upper bound
         # (ln2/T^2) Y_lim(t)/Z_1(T), lower bound min C_{k0} on [T, t]
         c_up = div(ln2 * lim_t[2],
@@ -332,11 +330,6 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     return handle
 
 
-def _partial_ZW(snapshot, k: int, x: Fraction, p: int):
-    sums = moment_sums(snapshot.length_counts_up_to(k), x, (0, 1), p)
-    return sums[0], sums[1]
-
-
 def _verify_certificate(handle: QuantityHandle, slope_samples: int) -> None:
     """Exhaustive increment re-check over the enumerated programs plus
     sampled slope checks on (T, t)."""
@@ -345,9 +338,9 @@ def _verify_certificate(handle: QuantityHandle, slope_samples: int) -> None:
     if n_programs <= handle.k0:
         raise CertificationError("not enough enumerated programs to verify "
                                  f"beyond k0 = {handle.k0}")
-    for k in range(n_programs):
+    lengths = islice(handle.snapshot.iter_lengths(), n_programs)
+    for k, l in enumerate(lengths):
         if k >= handle.k0:
-            l = series.lengths[k]
             w = series.weights[l]
             lower, upper = _increment_bounds(handle, w, l)
             delta = _observed_increment(handle, series, w, l)
@@ -535,7 +528,7 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     if len(beta_prefix) != expected_bits:
         raise SpecError(f"beta_prefix must carry exactly {expected_bits} "
                         f"bits, got {len(beta_prefix)}")
-    beta_lim, _ = limit_moments(handle.snapshot, u, (handle.b,), p)
+    beta_lim, _ = moments(handle.snapshot, u, "limit", (handle.b,), p)
     beta = beta_lim[handle.b]
     floor_lo = beta.lo.floor_scaled(0)
     if beta.hi.floor_scaled(0) != floor_lo:
@@ -543,10 +536,10 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     target = Enclosure.point(Dyadic(floor_lo) + prefix_value(beta_prefix))
 
     # step 1: a depth whose beta partial sum certifiably exceeds the prefix
-    lengths = handle.lengths(handle.max_depth)
     weights = WeightChain(u, p)
     partial = Enclosure.point(0)
     k_e = None
+    lengths = islice(handle.snapshot.iter_lengths(), handle.max_depth)
     for k, l in enumerate(lengths, start=1):
         partial = partial + weights[l] * l**handle.b
         if k >= handle.k0 and certified_gt(partial, target):

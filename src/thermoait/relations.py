@@ -43,8 +43,8 @@ from .enclosure import (
 from .ensembles import EnsembleSnapshot
 from .errors import PrecisionError, RangeError, SpecError
 from .thermo import (
-    WeightChain, _temp_frac, derive_quantities, evaluate, limit_moments,
-    moment_sums,
+    ThermoEvaluation, WeightChain, _temp_frac, evaluate, moment_hull,
+    summed_lengths,
 )
 
 DERIVATIVE_TARGETS = ("Z", "F", "E", "S")
@@ -79,30 +79,6 @@ class RelationReport:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _length_items(snapshot: EnsembleSnapshot, k):
-    if k == "limit":
-        return sorted(snapshot.census.items())
-    return snapshot.length_counts_up_to(int(k))
-
-
-def _moments_at(snapshot: EnsembleSnapshot, k, T: Fraction, orders,
-                precision_bits: int):
-    """Moment enclosures plus (for the limit) their tail upper bounds."""
-    if k == "limit":
-        return limit_moments(snapshot, T, orders, precision_bits)
-    sums = moment_sums(_length_items(snapshot, k), T, orders, precision_bits)
-    return sums, {j: Dyadic(0) for j in orders}
-
-
-def _moment_hull(snapshot: EnsembleSnapshot, k, t_lo: Fraction, t_hi: Fraction,
-                 orders, precision_bits: int) -> dict[int, Enclosure]:
-    """Hull of mu_j over a temperature interval; valid because every term
-    2^(-l/t) increases with t."""
-    lo, _ = _moments_at(snapshot, k, t_lo, orders, precision_bits)
-    hi, _ = _moments_at(snapshot, k, t_hi, orders, precision_bits)
-    return {j: Enclosure(lo[j].lo, hi[j].hi) for j in orders}
-
-
 def _abs_enclosure(e: Enclosure) -> Enclosure:
     if e.lo.sign >= 0:
         return e
@@ -129,7 +105,7 @@ def third_derivative_bound(snapshot: EnsembleSnapshot, quantity: str, k,
     if not 0 < t_lo:
         raise RangeError("derivative stencil leaves the temperature range")
     p = precision_bits
-    mu = _moment_hull(snapshot, k, t_lo, t_hi, (0, 1, 2, 3, 4), p)
+    mu = moment_hull(snapshot, t_lo, t_hi, k, (0, 1, 2, 3, 4), p)
     tau = Enclosure(Enclosure.from_rational(t_lo, p).lo,
                     Enclosure.from_rational(t_hi, p).hi)
     L = ln2_enclosure(p)
@@ -231,18 +207,18 @@ def check_derivative(snapshot: EnsembleSnapshot, quantity: str, T, k="limit",
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _gibbs_entropy(snapshot, k, T: Fraction, Z: Enclosure, p,
+def _gibbs_entropy(snapshot, ev: ThermoEvaluation,
                    weights: WeightChain) -> Enclosure:
-    """-sum (w_i/Z) log2 (w_i/Z), plus a tail enclosure in the limit;
-    weights is the chain at temperature T and precision p."""
+    """-sum (w_i/Z) log2 (w_i/Z) over the lengths ev summed, plus ev's
+    tails in the limit; weights is the chain at ev's T and precision."""
+    T, Z, p = ev.temperature, ev.Z, ev.precision_bits
     total = Enclosure.point(0)
-    for l, count in _length_items(snapshot, k):
+    for l, count in summed_lengths(snapshot, T, ev.k, p):
         q = div(weights[l], Z, p)
         total = total + (-(q * log2_enclosure(q, p))) * count
-    if k == "limit":
-        _, tails = limit_moments(snapshot, T, (0, 1), p)
-        z_tail = Enclosure(Dyadic(0), tails[0])
-        w_tail = Enclosure(Dyadic(0), tails[1])
+    if ev.k == "limit":
+        z_tail = Enclosure(Dyadic(0), ev.tail_bounds["Z"])
+        w_tail = Enclosure(Dyadic(0), ev.tail_bounds["W"])
         # tail terms are q (l/T + log2 Z) = w l/(TZ) + (w/Z) log2 Z
         total = (total
                  + div(w_tail, Enclosure.from_rational(T, p) * Z, p)
@@ -250,19 +226,18 @@ def _gibbs_entropy(snapshot, k, T: Fraction, Z: Enclosure, p,
     return total
 
 
-def _variance_capacity(snapshot, k, T: Fraction, Z: Enclosure, E: Enclosure,
-                       p, weights: WeightChain) -> Enclosure:
-    """(ln2/T^2) sum (|p_i| - E)^2 w_i / Z, plus a limit tail enclosure;
-    weights is the chain at temperature T and precision p."""
+def _variance_capacity(snapshot, ev: ThermoEvaluation,
+                       weights: WeightChain) -> Enclosure:
+    """(ln2/T^2) sum (|p_i| - E)^2 w_i / Z over the lengths ev summed, plus
+    ev's tails in the limit; weights is the chain at ev's T and precision."""
+    T, Z, E, p = ev.temperature, ev.Z, ev.E, ev.precision_bits
     acc = Enclosure.point(0)
-    for l, count in _length_items(snapshot, k):
+    for l, count in summed_lengths(snapshot, T, ev.k, p):
         dev = Enclosure.point(l) - E
         acc = acc + (_square(dev) * weights[l]) * count
-    if k == "limit":
-        _, tails = limit_moments(snapshot, T, (0, 1, 2), p)
-        t0 = Enclosure(Dyadic(0), tails[0])
-        t1 = Enclosure(Dyadic(0), tails[1])
-        t2 = Enclosure(Dyadic(0), tails[2])
+    if ev.k == "limit":
+        t0, t1, t2 = (Enclosure(Dyadic(0), ev.tail_bounds[q])
+                      for q in ("Z", "W", "Y"))
         acc = acc + (t2 - 2 * (E * t1) + (E * E) * t0)
     scaled = div(acc, Z, p)
     return (div(ln2_enclosure(p),
@@ -278,8 +253,8 @@ def check_identities(snapshot: EnsembleSnapshot, T, k="limit",
     p = precision_bits
     ev = evaluate(snapshot, Tf, k, p)
     weights = WeightChain(Tf, p)
-    s_gibbs = _gibbs_entropy(snapshot, k, Tf, ev.Z, p, weights)
-    c_var = _variance_capacity(snapshot, k, Tf, ev.Z, ev.E, p, weights)
+    s_gibbs = _gibbs_entropy(snapshot, ev, weights)
+    c_var = _variance_capacity(snapshot, ev, weights)
     f_balance = ev.E - Enclosure.from_rational(Tf, p) * s_gibbs
     checks = [
         CheckResult("entropy-gibbs", ev.S.overlaps(s_gibbs), ev.S, s_gibbs),
@@ -303,13 +278,13 @@ def check_positivity(snapshot: EnsembleSnapshot, T, k="limit",
     p = precision_bits
     ev = evaluate(snapshot, Tf, k, p)
     weights = WeightChain(Tf, p)
-    s_gibbs = _gibbs_entropy(snapshot, k, Tf, ev.Z, p, weights)
-    c_var = _variance_capacity(snapshot, k, Tf, ev.Z, ev.E, p, weights)
+    s_gibbs = _gibbs_entropy(snapshot, ev, weights)
+    c_var = _variance_capacity(snapshot, ev, weights)
     checks = [
         CheckResult("entropy-nonnegative", s_gibbs.hi.sign >= 0, s_gibbs),
         CheckResult("capacity-nonnegative", c_var.hi.sign >= 0, c_var),
     ]
-    l_max = max(l for l, _ in _length_items(snapshot, k))
+    l_max = summed_lengths(snapshot, Tf, ev.k, p)[-1][0]
     w_max = weights[l_max]
     q = div(w_max, ev.Z, p)
     if certified_lt(q, Enclosure.point(Dyadic(1, -1))):

@@ -177,20 +177,51 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
     return min(snapshot.max_length, max(8, ceil(L)))
 
 
+def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
+                   precision_bits: int) -> list[tuple[int, int]]:
+    """The (length, count) pairs a depth-k (k an int) or limit (k ==
+    "limit") evaluation sums: the first k programs, or the census up to
+    the cutoff past which the limit's tails take over."""
+    if k != "limit":
+        return snapshot.length_counts_up_to(int(k))
+    # the cutoff deliberately ignores which orders were requested so that
+    # evaluations sharing (snapshot, T, precision) sum identical terms
+    L = _census_cutoff(snapshot, T, 4, precision_bits)
+    return [(l, c) for l, c in sorted(snapshot.census.items()) if l <= L]
+
+
 def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
                   precision_bits: int) -> tuple[dict[int, Enclosure], dict[int, Dyadic]]:
     """Moments of the full (possibly infinite) domain: census partial sums
     up to a cutoff length plus a [0, bound] tail per order."""
-    # the cutoff deliberately ignores which orders were requested so that
-    # evaluations sharing (snapshot, T, precision) sum identical terms
     L = _census_cutoff(snapshot, T, 4, precision_bits)
-    items = [(l, c) for l, c in sorted(snapshot.census.items()) if l <= L]
+    items = summed_lengths(snapshot, T, "limit", precision_bits)
     sums = moment_sums(items, T, orders, precision_bits)
     slack = kraft_slack(items, L)
     tails = {j: moment_tail_bound(snapshot, L, T, j, precision_bits, slack)
              for j in orders}
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails
+
+
+def moments(snapshot: EnsembleSnapshot, T: Fraction, k, orders,
+            precision_bits: int) -> tuple[dict[int, Enclosure], dict[int, Dyadic]]:
+    """Moment enclosures at depth k (k an int) or in the limit (k ==
+    "limit"), plus the tail upper bound of each order (zero at a depth)."""
+    if k == "limit":
+        return limit_moments(snapshot, T, orders, precision_bits)
+    sums = moment_sums(summed_lengths(snapshot, T, k, precision_bits), T,
+                       orders, precision_bits)
+    return sums, {j: Dyadic(0) for j in orders}
+
+
+def moment_hull(snapshot: EnsembleSnapshot, t_lo: Fraction, t_hi: Fraction,
+                k, orders, precision_bits: int) -> dict[int, Enclosure]:
+    """Hull of mu_j over the temperature interval [t_lo, t_hi]; valid
+    because every term 2^(-l/t) increases with t."""
+    lo, _ = moments(snapshot, t_lo, k, orders, precision_bits)
+    hi, _ = moments(snapshot, t_hi, k, orders, precision_bits)
+    return {j: Enclosure(lo[j].lo, hi[j].hi) for j in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +272,7 @@ def eval_partial(snapshot: EnsembleSnapshot, T, k: int,
     Tf = _temp_frac(T)
     if k < 1:
         raise SpecError("depth k must be >= 1")
-    sums = moment_sums(snapshot.length_counts_up_to(k), Tf, (0, 1, 2),
-                       precision_bits)
+    sums, _ = moments(snapshot, Tf, k, (0, 1, 2), precision_bits)
     Z, W, Y = sums[0], sums[1], sums[2]
     F, E, S, C = derive_quantities(Z, W, Y, Tf, precision_bits)
     return ThermoEvaluation(snapshot.ensemble_id, Tf, k, precision_bits,
@@ -251,10 +281,10 @@ def eval_partial(snapshot: EnsembleSnapshot, T, k: int,
 
 def eval_limit(snapshot: EnsembleSnapshot, T,
                precision_bits: int = DEFAULT_PRECISION) -> ThermoEvaluation:
-    """Full-domain evaluation: census to max_length plus certified tails."""
+    """Full-domain evaluation: census to the cutoff plus certified tails."""
     Tf = _temp_frac(T)
-    moments, tails = limit_moments(snapshot, Tf, (0, 1, 2), precision_bits)
-    Z, W, Y = moments[0], moments[1], moments[2]
+    sums, tails = moments(snapshot, Tf, "limit", (0, 1, 2), precision_bits)
+    Z, W, Y = sums[0], sums[1], sums[2]
     F, E, S, C = derive_quantities(Z, W, Y, Tf, precision_bits)
     return ThermoEvaluation(snapshot.ensemble_id, Tf, "limit", precision_bits,
                             Z, W, Y, F, E, S, C,
@@ -278,11 +308,7 @@ def power_sum(snapshot: EnsembleSnapshot, T, n: int, k,
     if n < 1:
         raise SpecError("power n must be >= 1")
     Tf = _temp_frac(T) / n
-    if k == "limit":
-        moments, _ = limit_moments(snapshot, Tf, (0,), precision_bits)
-        return moments[0]
-    return moment_sums(snapshot.length_counts_up_to(int(k)), Tf, (0,),
-                       precision_bits)[0]
+    return moments(snapshot, Tf, k, (0,), precision_bits)[0][0]
 
 
 def sweep(snapshot: EnsembleSnapshot, temperatures, k="limit",

@@ -83,7 +83,31 @@ def test_malformed_snapshot_is_usage_error(tmp_path, bad):
     assert "Traceback" not in err
 
 
+def test_edited_sdm4_record_is_usage_error(tmp_path):
+    # the census still matches sdm4, so the file carries the machine; its
+    # records must replay on the interpreter
+    path = tmp_path / "sdm4.snap"
+    assert run("enumerate", "--machine", "sdm4", "--budget", "20",
+               "--maxlen", "8", "--save", str(path))[0] == 0
+    text = path.read_text()
+    assert "P 2 0011 0 2\n" in text
+    path.write_text(text.replace("P 2 0011 0 2\n", "P 2 0011 111 2\n"))
+    code, out, err = run("complexity", "--snapshot", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: replay mismatch" in err
+
+
 # -- thermo output -----------------------------------------------------
+
+def test_thermo_renders_wide_dyadics():
+    # Z.lo at depth 600 and T = 1/16 has 9600 decimal digits, more than
+    # the interpreter's default int-to-str limit
+    code, out, err = run("thermo", "--machine", "geometric", "--maxlen",
+                         "600", "--k", "600", "--T", "1/16")
+    assert code == 0, err
+    z_lo = json.loads(out)["results"][0]["quantities"][0]["value"]["lo"]
+    assert len(z_lo["decimal"]) > 9600
 
 def test_thermo_limit_contains_closed_form():
     code, out, _ = run("thermo", "--machine", "geometric", "--T", "1/2",

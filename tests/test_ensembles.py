@@ -192,6 +192,13 @@ def test_load_rejects_kraft_violation(tmp_path):
         load_snapshot(path)
 
 
+def test_validate_rejects_negative_census_count():
+    snap = builtin_snapshot("geometric", 4, program_cap=0)
+    snap.census[2] = -1
+    with pytest.raises(InvariantViolation, match="negative"):
+        snap.validate()
+
+
 def test_load_rejects_checksum_mismatch(tmp_path):
     path = tmp_path / "bad.snap"
     path.write_text("\n".join([
@@ -230,6 +237,7 @@ def test_loaded_snapshot_gets_machine_only_on_census_match(tmp_path, kind):
 
 @pytest.mark.parametrize("bad", [
     "KRAFT", "KRAFT 1/0", "L 1 x", "P x 0 - 0", "KRAFT 1", "P 1 0 - y",
+    "L 2 -1",
 ])
 def test_malformed_line_is_snapshot_error(tmp_path, bad):
     path = tmp_path / "bad.snap"

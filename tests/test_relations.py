@@ -103,6 +103,17 @@ def test_identities_hold(snap, T, k):
                              "free-energy-balance"}
 
 
+@pytest.mark.parametrize("T", [Fraction(1, 4), Fraction(1, 2)])
+def test_identities_sum_only_to_the_limit_cutoff(T):
+    # at these temperatures the limit cutoff (32 and 102) lies below both
+    # max lengths, so the Gibbs and variance forms must sum the same
+    # lengths, and add the same tails, for both snapshots
+    long = check_identities(builtin_snapshot("sdm4", 1500), T, "limit")
+    short = check_identities(builtin_snapshot("sdm4", 200), T, "limit")
+    for a, b in zip(long.checks, short.checks):
+        assert (a.rhs.lo, a.rhs.hi) == (b.rhs.lo, b.rhs.hi), a.name
+
+
 def test_identity_enclosures_are_tight():
     r = check_identities(GEO, Fraction(5, 8), 7)
     for c in r.checks:
