@@ -19,7 +19,7 @@ from typing import Optional
 
 from .bitstring import BitString
 from .complexity import build_table, profile as complexity_profile
-from .dyadic import Dyadic
+from .dyadic import Dyadic, fraction_text
 from .enclosure import (
     DEFAULT_PRECISION, Enclosure, bits_prefix, parse_temperature_text,
 )
@@ -47,10 +47,6 @@ def _dy(d: Dyadic) -> dict:
 
 def _enc(e: Enclosure) -> dict:
     return {"lo": _dy(e.lo), "hi": _dy(e.hi)}
-
-
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
 class _Emitter:
@@ -233,11 +229,11 @@ def _cmd_enumerate(args, emit) -> int:
         "step_budget": snap.step_budget,
         "programs": len(snap.programs),
         "census_total": sum(snap.census.values()),
-        "kraft_partial": _frac(kraft),
+        "kraft_partial": fraction_text(kraft),
         "saved": args.save,
     }
     rows = [[snap.ensemble_id, str(snap.max_length), str(len(snap.programs)),
-             _frac(kraft)]]
+             fraction_text(kraft)]]
     emit(payload, (["ensemble", "maxlen", "programs", "kraft_partial"], rows))
     return EXIT_OK
 
@@ -249,7 +245,7 @@ def _thermo_rows(ev, temperature: Fraction):
         tail = ev.tail_bounds.get(q, Dyadic(0)) if ev.tail_bounds else Dyadic(0)
         entries.append({"quantity": q, "value": _enc(enc),
                         "tail_bound": _dy(tail)})
-        rows.append([_frac(temperature), q, str(ev.k),
+        rows.append([fraction_text(temperature), q, str(ev.k),
                      _csv_num(enc.lo), enc.lo.decimal(),
                      _csv_num(enc.hi), enc.hi.decimal(), _csv_num(tail)])
     return rows, entries
@@ -269,7 +265,7 @@ def _cmd_thermo(args, emit, precision) -> int:
             ev = eval_partial(snap, T, args.k, precision_bits=precision)
         r, entries = _thermo_rows(ev, T)
         rows.extend(r)
-        results.append({"T": _frac(T), "k": str(ev.k),
+        results.append({"T": fraction_text(T), "k": str(ev.k),
                         "quantities": entries})
     emit({"ensemble": snap.ensemble_id, "precision_bits": precision,
           "results": results},
@@ -290,9 +286,9 @@ def _cmd_verify(args, emit, precision) -> int:
                               None: "unresolved"}[chk.passed]
                     if chk.passed is False:
                         failures += 1
-                    reports.append({"T": _frac(T), "k": str(k),
+                    reports.append({"T": fraction_text(T), "k": str(k),
                                     "check": chk.name, "status": status})
-                    rows.append([_frac(T), str(k), chk.name, status])
+                    rows.append([fraction_text(T), str(k), chk.name, status])
     mono = check_monotone(snap, Fraction(1, 2),
                           min(12, sum(snap.census.values())))
     for chk in mono.checks:
@@ -313,13 +309,11 @@ def _cmd_solve(args, emit, precision) -> int:
     quantity = "-F" if args.quantity == "F" else args.quantity
     handle = certify(snap, quantity, Fraction(1, 2), precision)
     target = args.target if args.quantity != "F" else -args.target
-    enc = solve_temperature(handle,
-                            Enclosure.from_rational(target, precision),
-                            args.tol)
-    emit({"quantity": args.quantity, "target": _frac(args.target),
+    enc = solve_temperature(handle, target, args.tol)
+    emit({"quantity": args.quantity, "target": fraction_text(args.target),
           "temperature": _enc(enc), "width": _dy(enc.width())},
          (["quantity", "target", "T_lo", "T_lo_dec", "T_hi", "T_hi_dec"],
-          [[args.quantity, _frac(args.target), _csv_num(enc.lo),
+          [[args.quantity, fraction_text(args.target), _csv_num(enc.lo),
             enc.lo.decimal(), _csv_num(enc.hi), enc.hi.decimal()]]))
     return EXIT_OK
 
@@ -330,13 +324,13 @@ def _cmd_witness(args, emit, precision) -> int:
     bits = bits_prefix(args.T, args.n)
     oracle = _make_oracle(args.oracle, handle, "upper")
     rep = witness_search(handle, bits, oracle)
-    emit({"T": _frac(rep.T), "n": rep.n, "k_e": rep.k_e,
+    emit({"T": fraction_text(rep.T), "n": rep.n, "k_e": rep.k_e,
           "length_threshold": _dy(rep.length_threshold),
           "witness": rep.witness.render(),
           "verified_through": rep.verified_through},
          (["T", "n", "k_e", "length_threshold", "witness",
            "verified_through"],
-          [[_frac(rep.T), str(rep.n), str(rep.k_e),
+          [[fraction_text(rep.T), str(rep.n), str(rep.k_e),
             _csv_num(rep.length_threshold), rep.witness.render(),
             str(rep.verified_through)]]))
     return EXIT_OK
@@ -356,12 +350,13 @@ def _cmd_reconstruct(args, emit, precision) -> int:
     rep = reconstruct_T(handle, u, args.n, prefix,
                         _make_oracle(args.oracle_A, handle, "approach"),
                         _make_oracle(args.oracle_B, handle, "lower"))
-    emit({"T_true": _frac(rep.T_true), "n": rep.n, "u": _frac(rep.u),
+    emit({"T_true": fraction_text(rep.T_true), "n": rep.n,
+          "u": fraction_text(rep.u),
           "beta_bits_used": rep.beta_bits_used,
           "candidate": _dy(rep.candidate), "radius": _dy(rep.radius)},
          (["T_true", "n", "u", "beta_bits", "candidate", "candidate_dec",
            "radius"],
-          [[_frac(rep.T_true), str(rep.n), _frac(rep.u),
+          [[fraction_text(rep.T_true), str(rep.n), fraction_text(rep.u),
             str(rep.beta_bits_used), _csv_num(rep.candidate),
             rep.candidate.decimal(), _csv_num(rep.radius)]]))
     return EXIT_OK
@@ -400,10 +395,10 @@ def _cmd_profile(args, emit, precision) -> int:
     for e in prof:
         bits = e.bits.render() if e.bits is not None else ""
         h = str(e.H) if e.H is not None else e.status
-        ratio = _frac(e.ratio) if e.ratio is not None else e.status
+        ratio = fraction_text(e.ratio) if e.ratio is not None else e.status
         rows.append([str(e.n), bits, h, ratio])
         entries.append({"n": e.n, "bits": bits, "H": e.H,
-                        "ratio": _frac(e.ratio) if e.ratio else None,
+                        "ratio": fraction_text(e.ratio) if e.ratio else None,
                         "status": e.status})
     emit({"alpha": args.alpha, "machine": snap.ensemble_id,
           "exactness": table.exactness, "profile": entries},

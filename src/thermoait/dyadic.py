@@ -16,6 +16,7 @@ from functools import total_ordering
 from .errors import SpecError
 
 _DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
+_NUMERAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
 @total_ordering
@@ -68,16 +69,16 @@ class Dyadic:
         return self.m / (1 << -self.e)
 
     def serialize(self) -> str:
-        return f"{_int_text(self.m)}*2^{self.e}"
+        return f"{int_text(self.m)}*2^{self.e}"
 
     def decimal(self) -> str:
         """Exact decimal rendering (finite because the value is dyadic)."""
         if self.e >= 0:
-            return _int_text(self.m << self.e)
+            return int_text(self.m << self.e)
         digits = -self.e
         scaled = self.m * 5**digits  # m / 2^d = m*5^d / 10^d
         sign = "-" if scaled < 0 else ""
-        s = _int_text(abs(scaled)).rjust(digits + 1, "0")
+        s = int_text(abs(scaled)).rjust(digits + 1, "0")
         return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
     def __repr__(self) -> str:
@@ -150,10 +151,25 @@ class Dyadic:
         return self.m >> -s
 
 
-def _int_text(n: int) -> str:
+def int_text(n: int) -> str:
     """str(n) for an int of any size.  Decimal converts from the binary
     digits, so the interpreter's int-to-str digit limit does not apply."""
     return str(Decimal(n))
+
+
+def int_from_text(text: str) -> int:
+    """int(text) for a decimal numeral of any length, by way of Decimal
+    (exact, and free of the digit limit); any other text goes to int()."""
+    if _NUMERAL_RE.fullmatch(text):
+        return int(Decimal(text))
+    return int(text)
+
+
+def fraction_text(q: Fraction) -> str:
+    """str(q) ('num/den', or 'num' for an integer) of any size."""
+    if q.denominator == 1:
+        return int_text(q.numerator)
+    return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
 
 
 def _coerce(x) -> Dyadic:

@@ -32,7 +32,9 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .bitstring import BitString
-from .dyadic import Dyadic, from_rational_ceil
+from .dyadic import (
+    Dyadic, fraction_text, from_rational_ceil, int_from_text, int_text,
+)
 from .enclosure import exp2_enclosure, ln2_enclosure
 from .errors import InvariantViolation, RangeError, SnapshotError, SpecError
 
@@ -423,10 +425,11 @@ def save_snapshot(snapshot: EnsembleSnapshot, path: str | Path) -> None:
              f"ensemble={snapshot.ensemble_id} budget={snapshot.step_budget} "
              f"maxlen={snapshot.max_length}"]
     for l in sorted(snapshot.census):
-        lines.append(f"L {l} {snapshot.census[l]}")
+        lines.append(f"L {l} {int_text(snapshot.census[l])}")
     for i, rec in enumerate(snapshot.programs, start=1):
         lines.append(f"P {i} {rec.program.render()} {rec.output.render()} {rec.steps}")
-    lines.append(f"KRAFT {kraft.numerator}/{kraft.denominator}")
+    lines.append(f"KRAFT {int_text(kraft.numerator)}/"
+                 f"{int_text(kraft.denominator)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -457,7 +460,7 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
             if parts[0] == "L":
                 if len(parts) != 3:
                     raise SnapshotError("census line needs 'L <length> <count>'", line=lineno)
-                length, count = int(parts[1]), int(parts[2])
+                length, count = int(parts[1]), int_from_text(parts[2])
                 if count < 0:
                     raise SnapshotError("census count must be >= 0", line=lineno)
                 census[length] = count
@@ -474,7 +477,7 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
                 if len(parts) != 2:
                     raise SnapshotError("checksum line needs 'KRAFT <num>/<den>'", line=lineno)
                 num, den = parts[1].split("/")
-                kraft_line = Fraction(int(num), int(den))
+                kraft_line = Fraction(int_from_text(num), int_from_text(den))
             else:
                 raise SnapshotError(f"unknown record {parts[0]!r}", line=lineno)
         except (ValueError, ZeroDivisionError) as exc:
@@ -492,8 +495,9 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
         raise SnapshotError("missing KRAFT checksum line")
     if snap.kraft_partial() != kraft_line:
         raise SnapshotError(
-            f"checksum mismatch: census Kraft sum {snap.kraft_partial()} "
-            f"!= recorded {kraft_line}")
+            f"checksum mismatch: census Kraft sum "
+            f"{fraction_text(snap.kraft_partial())} != recorded "
+            f"{fraction_text(kraft_line)}")
     snap.validate()
     try:
         replay_check(snap)  # records of a machine-backed file must replay

@@ -17,7 +17,15 @@ re-verified exhaustively on every enumerated increment; a violation is a
 hard CertificationError, not a tuning knob.
 
 On top of the handle:
-  solve_temperature  monotone inversion by two-edge bisection;
+  solve_temperature  monotone inversion in one shared bracket [a, b]: a is
+                     the bracket's low end or a point whose limit value is
+                     certifiably below the target, b the high end or a
+                     point certifiably above it.  Newton steps steered by
+                     the probes' own moments choose where to probe (about
+                     ten limit evaluations per solve), with bisection as
+                     the fallback; the ends move only on certified
+                     comparisons, so the probe choice cannot affect
+                     soundness.  The working precision is set by tol;
   witness_search     given n bits of T, finds a depth k_e past which all
                      programs are certifiably longer than T(n - a - b),
                      and a short string none of them outputs;
@@ -31,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import ceil
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bitstring import BitString, successor
@@ -380,54 +389,194 @@ def _verify_certificate(handle: QuantityHandle, slope_samples: int) -> None:
 # monotone inversion
 # ---------------------------------------------------------------------------
 
+# bits of working precision beyond the tolerance's: the limit values must
+# resolve differences of about slope * tol/32 between the final probes
+SOLVE_GUARD_BITS = 24
+
+
+def _mid(e: Enclosure) -> Fraction:
+    return (e.lo + e.hi).scale2(-1).as_fraction()
+
+
+def _slope_estimate(quantity: str, mu: dict[int, Enclosure], x: Fraction,
+                    value: Fraction, ln2: Fraction) -> Fraction:
+    """d/dx of the limit quantity at x, from the midpoints of the moments
+    the probe already summed: Z' = ln2 W/x^2, (-F)' = S, E' = C, S' = C/x.
+    It only picks probes; 0 means no usable estimate."""
+    Z, W = _mid(mu[0]), _mid(mu[1])
+    if quantity == "Z":
+        return ln2 * W / (x * x)
+    if Z <= 0:
+        return Fraction(0)
+    E = W / Z
+    if quantity == "-F":  # S = E/x + log2 Z, and the value is x log2 Z
+        return (E + value) / x
+    C = ln2 * (_mid(mu[2]) / Z - E * E) / (x * x)
+    return C if quantity == "E" else C / x
+
+
+def _window_probe(lo: Dyadic, hi: Dyadic, x: Dyadic, w: Dyadic) -> Dyadic:
+    """A probe that can close the region (lo, hi), wider than w, to width w
+    around the estimate x: the point w from an end within 3w/4 of x,
+    otherwise the point w/2 below x."""
+    reach = w.scale2(-2) * 3
+    if hi - x <= reach:
+        return hi - w
+    if x - lo <= reach:
+        return lo + w
+    return x - w.scale2(-1)
+
+
+def _unresolved(target: Enclosure, overlap: Optional[Enclosure], p: int,
+                tol: Dyadic) -> PrecisionError:
+    """Name what kept the edges apart: the target's own width, or the
+    width of the limit values at the working precision."""
+    if overlap is not None and not target.width() < overlap.width():
+        return PrecisionError(
+            f"the target enclosure (width {target.width().serialize()}) is "
+            f"too wide to localise the temperature to width {tol.serialize()}")
+    return PrecisionError(
+        f"at {p} bits of working precision the limit values left the edge "
+        f"comparisons unresolved; could not localise the temperature to "
+        f"width {tol.serialize()}")
+
+
 def solve_temperature(handle: QuantityHandle, target: Enclosure,
                       tol: Dyadic,
                       bracket: tuple[Fraction, Fraction] = (Fraction(1, 64),
                                                             Fraction(63, 64)),
                       ) -> Enclosure:
     """Invert the increasing limit function: returns a temperature
-    enclosure of width <= tol whose image overlaps the target."""
+    enclosure [a, b] of width <= tol that contains every x in the bracket
+    whose image meets the target (a rational target is rounded outward at
+    the working precision).
+
+    One bracket is shared by both edges.  a is the bracket's low end or a
+    probe whose value is certifiably below the target; b is the high end
+    or a probe certifiably above it; neither end moves on any other
+    evidence, so where the solver probes cannot affect soundness, only
+    how many limit evaluations it takes.  Each probe is one limit
+    evaluation at p = max(handle precision, tol bits + 24) bits.  Probes
+    are chosen by a Newton step from the last probe, with a slope
+    estimated from the moments that probe summed, and fall back to
+    bisection when the step leaves the bracket, the slope estimate is not
+    positive, or the steps stop halving.  Once the step is below the goal
+    width tol/8, the probes sit just either side of the estimate, so the
+    result is at most tol/8 wide.  A probe whose value overlaps the
+    target joins the overlap core, and each edge is then finished in the
+    gap between the core and its end, to within tol/16 of the core.
+    PrecisionError says whether the target's width or the working
+    precision kept the edges more than tol apart.
+    """
+    if tol.sign <= 0:
+        raise SpecError("tol must be positive")
+    p = max(handle.precision_bits, SOLVE_GUARD_BITS - _floor_log2(tol))
     if isinstance(target, Dyadic):
         target = Enclosure.point(target)
     elif not isinstance(target, Enclosure):
-        target = Enclosure.from_rational(Fraction(target),
-                                         handle.precision_bits)
-    if tol.sign <= 0:
-        raise SpecError("tol must be positive")
-    lo = Dyadic.from_fraction(bracket[0])
-    hi = Dyadic.from_fraction(bracket[1])
+        target = Enclosure.from_rational(Fraction(target), p)
+    quantity = handle.quantity
+    orders = (0, 1, 2) if quantity in ("E", "S") else (0, 1)
+    ln2 = ln2_enclosure(p).lo.as_fraction()
+    goal = tol.scale2(-3)
+    half = goal.scale2(-1)
+    grid = max(0, 4 - _floor_log2(goal))  # Newton probes lie on 2^-grid
+    aim_mid, aim_lo, aim_hi = (_mid(target), target.lo.as_fraction(),
+                               target.hi.as_fraction())
 
-    def value(x: Dyadic) -> Enclosure:
-        return handle.f(x.as_fraction())
+    ends = (Dyadic.from_fraction(bracket[0]), Dyadic.from_fraction(bracket[1]))
+    a, b = ends
+    unchecked = set(ends)  # bracket ends not yet probed
+    core: Optional[tuple[Dyadic, Dyadic]] = None  # hull of overlapping probes
+    overlap: Optional[Enclosure] = None  # the last overlapping value
+    # the last probe's (x, value midpoint, slope estimate), and its Newton
+    # step if it was a Newton probe
+    last: Optional[tuple[Fraction, Fraction, Fraction]] = None
+    step: Optional[Fraction] = None
+    # after an estimate misleads, bisect `skip` times before the next
+    # Newton step; the penalty doubles with each miss
+    skip, penalty = 0, 1
 
-    if certified_lt(target, value(lo)):
-        raise RangeError(f"target below the quantity's range on {bracket}")
-    if certified_lt(value(hi), target):
-        raise RangeError(f"target above the quantity's range on {bracket}")
-    quarter = tol.scale2(-2)
-
-    # lower edge: largest point certifiably below the target
-    a_lo, a_hi = lo, hi
-    while a_hi - a_lo > quarter:
-        mid = (a_lo + a_hi).scale2(-1)
-        if certified_lt(value(mid), target):
-            a_lo = mid
+    def probe(y: Dyadic) -> None:
+        nonlocal a, b, core, overlap, last
+        x = y.as_fraction()
+        mu, _ = moments(handle.snapshot, x, "limit", orders, p)
+        v = _g_from_moments(quantity, mu[0], mu[1], x, p)
+        value = _mid(v)
+        last = (x, value, _slope_estimate(quantity, mu, x, value, ln2))
+        unchecked.discard(y)
+        if certified_lt(v, target):
+            a = y
+        elif certified_gt(v, target):
+            b = y
         else:
-            a_hi = mid
-    # upper edge: smallest point certifiably above the target
-    b_lo, b_hi = lo, hi
-    while b_hi - b_lo > quarter:
-        mid = (b_lo + b_hi).scale2(-1)
-        if certified_gt(value(mid), target):
-            b_hi = mid
+            core = (y, y) if core is None else (min(core[0], y),
+                                                max(core[1], y))
+            overlap = v
+        if core is not None and (core[0] < a or b < core[1]):
+            core = None  # an overlap that a certified probe has outranged
+        if b == ends[0]:
+            raise RangeError(f"target below the quantity's range on {bracket}")
+        if a == ends[1]:
+            raise RangeError(f"target above the quantity's range on {bracket}")
+
+    halvings = ceil((ends[1] - ends[0]).as_fraction()
+                    / goal.as_fraction()).bit_length()
+    for _ in range(4 * halvings + 16):  # a bound no converging solve meets
+        # the region still to close, the value whose crossing it aims at,
+        # and the width that closes it
+        if core is None:
+            if b - a <= goal:
+                break
+            lo, hi, aim, w = a, b, aim_mid, goal
         else:
-            b_lo = mid
-    if b_hi < a_lo:
-        raise PrecisionError("bisection edges crossed; raise precision")
-    result = Enclosure(a_lo, b_hi)
+            if b - a <= goal or (core[0] - a <= half and b - core[1] <= half):
+                break
+            if core[1] - core[0] > tol:
+                raise _unresolved(target, overlap, p, tol)
+            if core[0] - a >= b - core[1]:
+                lo, hi, aim, w = a, core[0], aim_lo, half
+            else:
+                lo, hi, aim, w = core[1], b, aim_hi, half
+        y = estimate = newton_step = None
+        if skip:
+            skip -= 1
+        elif last is not None and (last[2] > 0 or core is not None):
+            x, value, slope = last
+            if slope > 0:
+                x_star = x + (aim - value) / slope
+            else:  # no slope to steer by: seek the edge at the core
+                x_star = x = (hi if hi == core[0] else lo).as_fraction()
+            size = abs(x_star - x)
+            on = Dyadic(x_star.numerator * (1 << grid) // x_star.denominator,
+                        -grid)
+            if size < goal.as_fraction() and lo - w < on < hi + w:
+                # converged: probe just either side of the estimate
+                estimate = min(max(on, lo), hi)
+                y = _window_probe(lo, hi, estimate, w)
+            elif not lo < on < hi:
+                # past an end not yet probed: probe it, which also checks
+                # that the target is in range
+                end = lo if on <= lo else hi
+                if end in unchecked:
+                    y = end
+            elif step is None or size <= step / 2:
+                y, newton_step = on, size
+            else:  # the Newton steps stopped halving
+                skip, penalty = penalty - 1, 2 * penalty
+        step = newton_step
+        probe((lo + hi).scale2(-1) if y is None else y)
+        if estimate is not None and not a <= estimate <= b:
+            # the probe contradicted the estimate it was placed by
+            skip, penalty = penalty, 2 * penalty
+    else:
+        raise _unresolved(target, overlap, p, tol)
+    for end in ends:
+        if end in unchecked and (end == a or end == b):
+            probe(end)
+    result = Enclosure(a, b)
     if result.width() > tol:
-        raise PrecisionError(
-            f"could not localise the temperature to width {tol.serialize()}")
+        raise _unresolved(target, overlap, p, tol)
     return result
 
 

@@ -177,6 +177,19 @@ def test_solve_roundtrip():
     assert lo <= Fraction(1, 2) <= hi
 
 
+def test_solve_takes_the_exact_target():
+    # the exact 4/3 is rounded at 2^-200's working precision, not at the
+    # default 64 bits, so this tolerance is reachable
+    code, out, err = run("solve", "--quantity", "E", "--target", "4/3",
+                         "--tol", "1*2^-200")
+    assert code == 0, err
+    doc = json.loads(out)
+    lo = Dyadic.parse(doc["temperature"]["lo"]["dyadic"]).as_fraction()
+    hi = Dyadic.parse(doc["temperature"]["hi"]["dyadic"]).as_fraction()
+    assert lo <= Fraction(1, 2) <= hi
+    assert Dyadic.parse(doc["width"]["dyadic"]) <= Dyadic(1, -203)
+
+
 def test_solve_F_sign_convention():
     # F(1/2) = -(1/2) log2 (1/3) is positive; the CLI accepts F directly
     code, out, _ = run("solve", "--quantity", "F", "--target", "4/5",

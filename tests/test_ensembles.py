@@ -1,16 +1,23 @@
 """Enumeration, machine semantics, census counts, and snapshot persistence."""
 
+import io
+import json
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from thermoait.bitstring import BitString, LAMBDA
+from thermoait.cli import main
+from thermoait.dyadic import fraction_text, int_from_text
 from thermoait.ensembles import (
     BUDGET, DIVERGE, HALT, MACHINES, builtin_snapshot, gamma_code,
     gamma_literal_length, kraft_slack, load_snapshot, run_sdm4, replay_check,
     save_snapshot, sdm4_census_count,
 )
 from thermoait.errors import InvariantViolation, SnapshotError, SpecError
+from thermoait.thermo import eval_limit
 
 
 # -- SDM-4 machine -----------------------------------------------------
@@ -164,6 +171,32 @@ def test_snapshot_lambda_output_round_trip(tmp_path):
     save_snapshot(snap, path)
     back = load_snapshot(path)
     assert back.programs[0].output == LAMBDA
+
+
+def test_snapshot_round_trip_past_the_int_digit_limit(tmp_path):
+    # the Kraft sum (2^16000 - 1)/2^16000 has numerator and denominator of
+    # 4817 digits, past the interpreter's int/str digit limit (left as is)
+    snap = builtin_snapshot("geometric", 16000, program_cap=4)
+    kraft = fraction_text(snap.kraft_partial())
+    assert len(kraft) > 2 * sys.get_int_max_str_digits()
+    num, den = kraft.split("/")
+    assert Fraction(int_from_text(num), int_from_text(den)) == \
+        snap.kraft_partial()
+    path = tmp_path / "big.snap"
+    save_snapshot(snap, path)
+    assert path.read_text().splitlines()[-1] == f"KRAFT {kraft}"
+    back = load_snapshot(path)
+    assert back.census == snap.census
+    assert back.machine is snap.machine
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["thermo", "--snapshot", str(path), "--T", "1/2",
+                     "--limit"]) == 0
+    Z = json.loads(out.getvalue())["results"][0]["quantities"][0]
+    assert Z["quantity"] == "Z"
+    expected = eval_limit(snap, Fraction(1, 2)).Z
+    assert Z["value"]["lo"]["dyadic"] == expected.lo.serialize()
+    assert Z["value"]["hi"]["dyadic"] == expected.hi.serialize()
 
 
 def test_load_rejects_prefix_violation(tmp_path):

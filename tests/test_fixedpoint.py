@@ -1,16 +1,21 @@
 """Certified handles: certification, inversion, witnesses, reconstruction."""
 
 import random
+import time
 from fractions import Fraction
+from math import ceil, log2
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thermoait import fixedpoint, thermo
 from thermoait.bitstring import BitString, LAMBDA
 from thermoait.dyadic import Dyadic
 from thermoait.enclosure import Enclosure, bits_prefix
 from thermoait.ensembles import builtin_snapshot
 from thermoait.errors import (
-    CertificationError, OracleExhausted, RangeError, SpecError,
+    CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
 from thermoait.fixedpoint import (
     QuantityHandle, approach_oracle, ascending_lower_oracle, certify,
@@ -112,6 +117,102 @@ def test_solve_validates_tol(handles):
     with pytest.raises(SpecError):
         solve_temperature(handles["Z"], Enclosure.point(Dyadic(1, -2)),
                           Dyadic(0))
+
+
+GEO300 = builtin_snapshot("geometric", 300)
+GEO300_HANDLES = {q: certify(GEO300, q, HALF) for q in ("Z", "-F", "E", "S")}
+
+
+def _counted_solve(handle, target, tol):
+    """solve_temperature and the number of limit evaluations it made."""
+    with mock.patch.object(thermo, "limit_moments",
+                           wraps=thermo.limit_moments) as counter:
+        enc = solve_temperature(handle, target, tol)
+    return enc, counter.call_count
+
+
+temperatures = st.one_of(
+    st.integers(16, 48).map(lambda n: Fraction(n, 64)),  # on the probe grid
+    st.integers(1 << 38, 3 << 38).map(lambda n: Fraction(n, 1 << 40)),
+    st.fractions(Fraction(1, 4), Fraction(3, 4), max_denominator=10**6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GEO300_HANDLES)), temperatures,
+       st.sampled_from((30, 50, 120, 200)))
+def test_solve_property_contains_T_in_few_evaluations(quantity, Tstar, bits):
+    handle = GEO300_HANDLES[quantity]
+    tol = Dyadic(1, -bits)
+    target = handle.f(Tstar, precision_bits=bits + 40)
+    enc, evaluations = _counted_solve(handle, target, tol)
+    assert enc.contains(Tstar)
+    assert enc.width() <= tol.scale2(-3)
+    assert evaluations <= 15
+
+
+@pytest.mark.parametrize("slope", [Fraction(0), Fraction(-1),
+                                   Fraction(1 << 40)])
+def test_solve_sound_under_a_misleading_slope(monkeypatch, slope):
+    # the slope estimate only places probes: a useless one costs
+    # evaluations (at most twice plain bisection's), never soundness
+    monkeypatch.setattr(fixedpoint, "_slope_estimate", lambda *_: slope)
+    tol = Dyadic(1, -50)
+    bisections = ceil(log2(Fraction(62, 64) / tol.scale2(-3).as_fraction()))
+    for quantity in ("Z", "S"):
+        handle = GEO300_HANDLES[quantity]
+        for Tstar in (Fraction(5, 16), Fraction(1, 2), Fraction(2, 3)):
+            enc, evaluations = _counted_solve(
+                handle, handle.f(Tstar, precision_bits=90), tol)
+            assert enc.contains(Tstar)
+            assert enc.width() <= tol.scale2(-3)
+            assert evaluations <= 2 * bisections
+
+
+def test_solve_at_2_to_the_minus_200_within_a_second(handles):
+    for quantity, handle in handles.items():
+        Tstar = Fraction(5, 8)
+        target = handle.f(Tstar, precision_bits=240)
+        start = time.monotonic()
+        enc = solve_temperature(handle, target, Dyadic(1, -200))
+        assert time.monotonic() - start < 1.0, quantity
+        assert enc.contains(Tstar)
+        assert enc.width() <= Dyadic(1, -203)
+
+
+def test_solve_rounds_a_rational_target_at_the_working_precision(handles):
+    # at 2^-40 the working precision is the handle's 64 bits, so the exact
+    # target gives the enclosure the 64-bit rounded target gives
+    h = handles["E"]
+    tol = Dyadic(1, -40)
+    exact = solve_temperature(h, Fraction(4, 3), tol)
+    rounded = solve_temperature(h, Enclosure.from_rational(Fraction(4, 3), 64),
+                                tol)
+    assert (exact.lo, exact.hi) == (rounded.lo, rounded.hi)
+    fine = solve_temperature(h, Fraction(4, 3), Dyadic(1, -200))
+    assert fine.contains(HALF) and fine.width() <= Dyadic(1, -203)
+
+
+def test_precision_error_names_a_too_wide_target(handles):
+    h = handles["Z"]
+    v = h.f(HALF)
+    wide = Enclosure(v.lo - Dyadic(1, -20), v.hi + Dyadic(1, -20))
+    with pytest.raises(PrecisionError, match="target enclosure .* too wide"):
+        solve_temperature(h, wide, Dyadic(1, -30))
+
+
+def test_precision_error_names_the_working_precision():
+    # sdm4 near T = 1/48 has Z about 2^-96: at 64 bits the tails' rounding
+    # grid leaves the comparisons unresolved; 160 bits resolve them
+    snap = builtin_snapshot("sdm4", 1500, program_cap=512)
+    Tstar, bracket = Fraction(1, 48), (Fraction(1, 64), Fraction(1, 32))
+    h = certify(snap, "Z", HALF)
+    target = h.f(Tstar, precision_bits=300)
+    with pytest.raises(PrecisionError,
+                       match="at 64 bits of working precision"):
+        solve_temperature(h, target, Dyadic(1, -30), bracket)
+    h160 = certify(snap, "Z", HALF, precision_bits=160)
+    enc = solve_temperature(h160, target, Dyadic(1, -30), bracket)
+    assert enc.contains(Tstar)
 
 
 # -- witness_search ----------------------------------------------------
