@@ -19,7 +19,7 @@ from typing import Optional
 
 from .bitstring import BitString
 from .complexity import build_table, profile as complexity_profile
-from .dyadic import Dyadic, fraction_text
+from .dyadic import Dyadic, fraction_text, int_text
 from .enclosure import (
     DEFAULT_PRECISION, Enclosure, bits_prefix, parse_temperature_text,
 )
@@ -56,12 +56,35 @@ class _Emitter:
 
     def emit(self, payload: dict, csv_rows: tuple[list[str], list[list[str]]]):
         if self.out_format == "json":
-            self.stream.write(json.dumps(payload, indent=2) + "\n")
+            self.stream.write(_json_text(payload) + "\n")
         else:
             header, rows = csv_rows
             self.stream.write(",".join(header) + "\n")
             for row in rows:
                 self.stream.write(",".join(row) + "\n")
+
+
+def _json_text(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2), except that ints are rendered through
+    int_text: json renders them with repr, which refuses an int past the
+    interpreter's int-to-str digit limit, as a census total can be."""
+    if isinstance(value, bool) or not isinstance(value, (dict, list, tuple,
+                                                         int)):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int_text(value)
+    if not value:
+        return json.dumps(value)
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        items = [f"{json.dumps(str(k))}: {_json_text(v, level + 1)}"
+                 for k, v in value.items()]
+        ends = "{}"
+    else:
+        items = [_json_text(v, level + 1) for v in value]
+        ends = "[]"
+    return (ends[0] + pad + ("," + pad).join(items) + "\n" + "  " * level
+            + ends[1])
 
 
 def _csv_num(d: Dyadic) -> str:

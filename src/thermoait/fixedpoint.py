@@ -13,8 +13,13 @@ of explicit constants:
   t        validity window (T, t), t = (T+1)/2
 
 The constants are computed from enclosures (never guessed) and then
-re-verified exhaustively on every enumerated increment; a violation is a
-hard CertificationError, not a tuning knob.
+re-verified on every enumerated increment; a violation is a hard
+CertificationError, not a tuning knob.  The re-check walks one census
+length group at a time: within a group each increment of Z is w itself,
+so its bracket is the exact inequality l^c 2^-b <= 1 <= l^b 2^c, and each
+increment of -F, E and S falls as the group's programs are added (Z_k
+grows, Z_k l - W_k stays fixed), so the lower bound binds at the group's
+last program and the upper bound at its first.  See _verify_certificate.
 
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
@@ -58,6 +63,13 @@ QUANTITY_CHOICES = ("Z", "-F", "E", "S")
 
 MAX_DEPTH_CAP = 1 << 20
 
+# points sampled in (T, t) at each checked depth of the slope check
+SLOPE_SAMPLES = 3
+
+# significant bits beyond the handle's precision that the increment
+# re-check keeps when it rounds its running sums outward
+_RECHECK_GUARD = 32
+
 
 def _floor_log2(d: Dyadic) -> int:
     if d.sign <= 0:
@@ -68,16 +80,6 @@ def _floor_log2(d: Dyadic) -> int:
 def _ceil_log2(d: Dyadic) -> int:
     f = _floor_log2(d)
     return f if d.m == 1 else f + 1  # canonical mantissa is 1 iff power of 2
-
-
-def _log2_1p(q: Enclosure, precision_bits: int) -> Enclosure:
-    """log2(1 + q) for an enclosure 0 <= q < 1, with relative accuracy
-    preserved for tiny q: ln(1+x) is bracketed by [x - x^2/2, x]."""
-    if q.lo.sign < 0 or not q.hi < Dyadic(1):
-        raise ValueError("q must lie in [0, 1)")
-    lo = q.lo - (q.lo * q.lo).scale2(-1)
-    ln1p = Enclosure(lo, q.hi)
-    return div(ln1p, ln2_enclosure(precision_bits), precision_bits)
 
 
 def _g_from_moments(quantity: str, Z: Enclosure, W: Enclosure, x: Fraction,
@@ -221,38 +223,8 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
         f"cannot certify positive heat capacity on [{T}, {t}] at k0={k0}")
 
 
-def _increment_bounds(handle: QuantityHandle, w: Enclosure,
-                      l: int) -> tuple[Enclosure, Enclosure]:
-    """Claimed bracket of the increment whose program has length l and
-    weight w = 2^(-l/T)."""
-    lower = (w * l**handle.c).scale2(-handle.b)
-    upper = (w * l**handle.b).scale2(handle.c)
-    return lower, upper
-
-
-def _observed_increment(handle: QuantityHandle, series: _PartialSeries,
-                        w: Enclosure, l: int) -> Enclosure:
-    """g(T,k+1) - g(T,k) for the program of length l and weight w,
-    computed with relative (not absolute) accuracy so certification
-    resolves even for increments near 2^-l/T."""
-    p = handle.precision_bits
-    q = handle.quantity
-    if q == "Z":
-        return w
-    ratio = div(w, series.Z, p)
-    dlog = _log2_1p(ratio, p)
-    if q == "-F":
-        return Enclosure.from_rational(handle.T, p) * dlog
-    Z_next = series.Z + w
-    dE = div((series.Z * l - series.W) * w, Z_next * series.Z, p)
-    if q == "E":
-        return dE
-    return div(dE, Enclosure.from_rational(handle.T, p), p) + dlog  # S
-
-
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
-            precision_bits: int = DEFAULT_PRECISION,
-            slope_samples: int = 3) -> QuantityHandle:
+            precision_bits: int = DEFAULT_PRECISION) -> QuantityHandle:
     """Compute the certificate constants from enclosures, then re-verify
     every claimed inequality on all enumerated increments."""
     if quantity not in QUANTITY_CHOICES:
@@ -265,21 +237,22 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     lim_t, _ = moments(snapshot, t, "limit", (0, 1, 2), p)
     Z_T, W_T = lim_T[0], lim_T[1]
     n = min(sum(snapshot.census.values()), MAX_DEPTH_CAP)
-    # (k, |p_{k+1}|) for k < n, read once: first_k resumes past first_distinct
-    lengths = enumerate(islice(snapshot.iter_lengths(), n))
-    _, l1 = next(lengths, (0, None))
-    first_distinct = next((k for k, l in lengths if l != l1), None)
-    if first_distinct is None:
+    groups = snapshot.length_counts_up_to(n)
+    if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
+    l1, first_distinct = groups[0]  # |p_k| = l1 for k <= first_distinct
     w1 = WeightChain(Tf, p)[l1]
     Z1_lo = w1.lo
 
     def first_k(cond: Callable[[int], bool]) -> int:
         # smallest k > first_distinct, k < n - 1, with cond(|p_{k+1}|)
-        for k, l in lengths:
-            if k < n - 1 and cond(l):
+        K = 0
+        for l, count in groups:
+            k = max(K, first_distinct + 1)
+            if k < min(K + count, n - 1) and cond(l):
                 return k
+            K += count
         raise CertificationError("no enumerated index satisfies the "
                                  "certificate precondition")
 
@@ -335,46 +308,185 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, slope_samples)
+    _verify_certificate(handle)
     return handle
 
 
-def _verify_certificate(handle: QuantityHandle, slope_samples: int) -> None:
-    """Exhaustive increment re-check over the enumerated programs plus
-    sampled slope checks on (T, t)."""
-    series = _PartialSeries(handle, handle.T)
-    n_programs = min(len(handle.snapshot.programs), handle.max_depth)
-    if n_programs <= handle.k0:
+# The increment re-check holds each rational as (m, e, d), the value
+# m 2^e / d with integers m and d > 0, so a bound is a few integer
+# products and a comparison one cross-multiplication.
+
+def _mul(*xs: tuple[int, int, int]) -> tuple[int, int, int]:
+    m, e, d = 1, 0, 1
+    for xm, xe, xd in xs:
+        m, e, d = m * xm, e + xe, d * xd
+    return m, e, d
+
+
+def _inv(x: tuple[int, int, int]) -> tuple[int, int, int]:
+    m, e, d = x
+    return d, -e, m
+
+
+def _add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    (xm, xe, xd), (ym, ye, yd) = x, y
+    e = min(xe, ye)
+    return ((xm * yd) << (xe - e)) + ((ym * xd) << (ye - e)), e, xd * yd
+
+
+def _less(x: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
+    (xm, xe, xd), (ym, ye, yd) = x, y
+    u, v = xm * yd, ym * xd
+    return u << (xe - ye) < v if xe >= ye else u < v << (ye - xe)
+
+
+def _order(x, y) -> Optional[bool]:
+    """certified_lt for intervals x = (lo, hi) and y = (lo, hi)."""
+    if _less(x[1], y[0]):
+        return True
+    if not _less(x[0], y[1]):
+        return False
+    return None
+
+
+def _rounded(m: int, e: int, bits: int, up: bool) -> tuple[int, int, int]:
+    """m 2^e, m >= 0, rounded down or up to `bits` significant bits."""
+    excess = m.bit_length() - bits
+    if excess <= 0:
+        return m, e, 1
+    return (-(-m >> excess) if up else m >> excess), e + excess, 1
+
+
+def _power(l: int, j: int) -> tuple[int, int, int]:
+    """l^j for an integer j of either sign."""
+    return (l**j, 0, 1) if j >= 0 else (1, 0, l**-j)
+
+
+def _increment_bracket(quantity: str, T, ln2, w, Z, Z_next, N, bits: int):
+    """(lo, hi) bounds on g(T,k+1) - g(T,k) for a program of weight w, from
+    the (lo, hi) intervals of ln 2, w, Z_k, Z_{k+1} and N = Z_k l - W_k.
+    log2(1 + q), q = w/Z_k <= 1, lies in [q - q^2/2, q] / ln 2, and
+    q - q^2/2 rises on [0, 1]."""
+    (w_lo, w_hi), (Z_lo, Z_hi) = w, Z
+    if quantity != "E":
+        two_Z_hi = _mul((2, 0, 1), Z_hi)
+        gap = _add(two_Z_hi, (-w_lo[0], w_lo[1], 1))  # 2 Z_hi - w_lo > 0
+        dlog = (_mul(w_lo, _rounded(gap[0], gap[1], bits, False),
+                     _inv(_mul(two_Z_hi, Z_hi, ln2[1]))),
+                _mul(w_hi, _inv(_mul(Z_lo, ln2[0]))))
+        if quantity == "-F":
+            return _mul(T, dlog[0]), _mul(T, dlog[1])
+    dE = (_mul(N[0], w_lo, _inv(_mul(Z_next[1], Z_hi))),
+          _mul(N[1], w_hi, _inv(_mul(Z_next[0], Z_lo))))
+    if quantity == "E":
+        return dE
+    return (_add(_mul(dE[0], _inv(T)), dlog[0]),  # S: dE/T + dlog
+            _add(_mul(dE[1], _inv(T)), dlog[1]))
+
+
+def _verify_certificate(handle: QuantityHandle) -> None:
+    """Re-check the increment bracket at every enumerated depth k0 <= k <
+    n (n the enumerated programs, at most max_depth), then sample the
+    slope bounds on (T, t).
+
+    The depths are walked one census length group (l, count) at a time.
+    Z_k and W_k are exact integer accumulators over the weight chain's
+    raw endpoints, aligned to the smallest exponent as in
+    thermo.moment_sums.  The claimed bounds l^c 2^(-b) w and l^b 2^c w
+    depend on l alone.  Within a group every increment depends only on l
+    and on (Z_k, W_k), and it falls as k runs over the group, because Z_k
+    grows by w at each program:
+
+      Z   the increment is w itself, so the bracket is the inequality
+          l^c 2^(-b) <= 1 <= l^b 2^c, decided exactly once per group
+          (not an equality test between enclosures of w);
+      -F  T log2(1 + w/Z_k) falls as Z_k grows;
+      E   w (Z_k l - W_k) / (Z_k Z_{k+1}): Z_k l - W_k = sum (l - l_i) w_i
+          is the same at every k in the group, and Z_k Z_{k+1} grows;
+      S   dE/T + log2(1 + w/Z_k), and both terms fall.
+
+    So the lower bound binds at the group's last checked depth and the
+    upper bound at its first, and one comparison each decides the whole
+    group.  The comparisons are exact integer cross-multiplications,
+    after Z_k, Z_{k+1}, Z_k l - W_k and 2 Z_k - w are rounded outward to
+    precision + 32 significant bits; ln 2 comes from ln2_enclosure.  A
+    falsified bound raises CertificationError, an unresolved one
+    PrecisionError; the first group with either decides, and within it a
+    falsified bound outranks an unresolved one.
+    """
+    snapshot, quantity = handle.snapshot, handle.quantity
+    k0, b, c = handle.k0, handle.b, handle.c
+    n_programs = min(len(snapshot.programs), handle.max_depth)
+    if n_programs <= k0:
         raise CertificationError("not enough enumerated programs to verify "
-                                 f"beyond k0 = {handle.k0}")
-    lengths = islice(handle.snapshot.iter_lengths(), n_programs)
-    for k, l in enumerate(lengths):
-        if k >= handle.k0:
-            w = series.weights[l]
-            lower, upper = _increment_bounds(handle, w, l)
-            delta = _observed_increment(handle, series, w, l)
-            if handle.quantity == "Z":
-                # bounds coincide with the increment by construction
-                ok_lo = lower.lo == delta.lo and lower.hi == delta.hi
-                ok_hi = ok_lo
+                                 f"beyond k0 = {k0}")
+    if k0 < 1 and quantity != "Z":
+        raise PrecisionError("increment bound unresolved at k=0: g(T, 0) "
+                             "is undefined")
+    p = handle.precision_bits
+    bits = p + _RECHECK_GUARD
+    T = (handle.T.numerator, 0, handle.T.denominator)
+    ln2 = ln2_enclosure(p)
+    ln2 = ((ln2.lo.m, ln2.lo.e, 1), (ln2.hi.m, ln2.hi.e, 1))
+    one = (1, 0, 1)
+    chain = WeightChain(handle.T, p)
+    terms = [(l, count, *chain.raw(l))
+             for l, count in snapshot.length_counts_up_to(n_programs)]
+    e_lo = min(t[3] for t in terms)
+    e_hi = min(t[5] for t in terms)
+    Z_lo = Z_hi = W_lo = W_hi = 0  # over the K programs before the group
+    K = 0
+
+    def increment_at(j: int, w, N):
+        """Bounds on the increment at depth K + j, inside the group."""
+        Z, Z_next = ((_rounded(Z_lo + i * step_lo, e_lo, bits, False),
+                      _rounded(Z_hi + i * step_hi, e_hi, bits, True))
+                     for i in (j, j + 1))
+        return _increment_bracket(quantity, T, ln2, w, Z, Z_next, N, bits)
+
+    for l, count, m_lo, x_lo, m_hi, x_hi in terms:
+        step_lo = m_lo << (x_lo - e_lo)
+        step_hi = m_hi << (x_hi - e_hi)
+        first, last = max(k0 - K, 0), count - 1
+        if first <= last:
+            lower_factor = _mul(_power(l, c), (1, -b, 1))
+            upper_factor = _mul(_power(l, b), (1, c, 1))
+            if quantity == "Z":
+                if _less(one, lower_factor) or _less(upper_factor, one):
+                    raise CertificationError("increment bound falsified at "
+                                             f"k={K + first}, length {l}")
             else:
-                ok_lo = certified_lt(lower, delta)
-                ok_hi = certified_lt(delta, upper)
-            if ok_lo is False or ok_hi is False:
-                raise CertificationError(
-                    f"increment bound falsified at k={k}, length {l}")
-            if ok_lo is None or ok_hi is None:
-                raise PrecisionError(
-                    f"increment bound unresolved at k={k}; raise precision")
-        series.advance()
+                w = ((m_lo, x_lo, 1), (m_hi, x_hi, 1))
+                N = (_rounded(l * Z_lo - W_lo, e_lo, bits, False),
+                     _rounded(l * Z_hi - W_hi, e_hi, bits, True))
+                at_first = increment_at(first, w, N)
+                at_last = (at_first if last == first
+                           else increment_at(last, w, N))
+                ok_hi = _order(at_first, (_mul(w[0], upper_factor),
+                                          _mul(w[1], upper_factor)))
+                ok_lo = _order((_mul(w[0], lower_factor),
+                                _mul(w[1], lower_factor)), at_last)
+                if ok_hi is False or ok_lo is False:
+                    k = K + (first if ok_hi is False else last)
+                    raise CertificationError(
+                        f"increment bound falsified at k={k}, length {l}")
+                if ok_hi is None or ok_lo is None:
+                    k = K + (first if ok_hi is None else last)
+                    raise PrecisionError(
+                        f"increment bound unresolved at k={k}; raise precision")
+        Z_lo += count * step_lo
+        Z_hi += count * step_hi
+        W_lo += count * l * step_lo
+        W_hi += count * l * step_hi
+        K += count
 
     ks = sorted({handle.k0, handle.k0 + 1,
                  min(2 * handle.k0 + 2, n_programs),
                  n_programs})
     for k in ks:
         gT = handle.g(handle.T, k)
-        for i in range(1, slope_samples + 1):
-            x = handle.T + (handle.t - handle.T) * Fraction(i, slope_samples + 1)
+        for i in range(1, SLOPE_SAMPLES + 1):
+            x = handle.T + (handle.t - handle.T) * Fraction(i, SLOPE_SAMPLES + 1)
             diff = handle.g(x, k) - gT
             dx = Enclosure.from_rational(x - handle.T, handle.precision_bits)
             if certified_lt(dx.scale2(handle.a), diff):

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from thermoait.cli import main
-from thermoait.dyadic import Dyadic
+from thermoait.dyadic import Dyadic, int_text
+from thermoait.ensembles import get_machine
 
 
 def run(*argv):
@@ -159,10 +160,26 @@ def test_enumerate_then_thermo(tmp_path):
     doc = json.loads(out)
     assert doc["programs"] == 24
     assert doc["kraft_partial"] == f"{(1 << 24) - 1}/{1 << 24}"
+    assert out == json.dumps(doc, indent=2) + "\n"
     code, out, _ = run("thermo", "--snapshot", str(path), "--T", "1/2",
                        "--k", "2")
     assert code == 0
     assert json.loads(out)["ensemble"] == "geometric"
+
+
+def test_enumerate_reports_a_census_total_past_the_int_digit_limit(tmp_path):
+    # 4342 digits: json.dumps would refuse it (repr applies the limit)
+    path = tmp_path / "big.snap"
+    code, out, err = run("enumerate", "--machine", "sdm4", "--budget", "1",
+                         "--maxlen", "18200", "--save", str(path))
+    assert (code, err) == (0, "")
+    total = sum(c for _, c in get_machine("sdm4").census(18200))
+    digits = int_text(total)
+    assert len(digits) > 4300
+    assert f'"census_total": {digits},\n' in out
+    doc = json.loads(out.replace(digits, "0"))
+    assert (doc["ensemble"], doc["max_length"], doc["saved"]) == (
+        "sdm4", 18200, str(path))
 
 
 # -- solver / fixed-point front ends -----------------------------------

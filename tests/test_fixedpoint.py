@@ -2,6 +2,8 @@
 
 import random
 import time
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, log2
 from unittest import mock
@@ -12,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 from thermoait import fixedpoint, thermo
 from thermoait.bitstring import BitString, LAMBDA
 from thermoait.dyadic import Dyadic
-from thermoait.enclosure import Enclosure, bits_prefix
-from thermoait.ensembles import builtin_snapshot
+from thermoait.enclosure import (
+    Enclosure, bits_prefix, certified_lt, div, ln2_enclosure,
+)
+from thermoait.ensembles import EnsembleSnapshot, ProgramRecord, builtin_snapshot
 from thermoait.errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
@@ -77,6 +81,186 @@ def test_slope_bounds_hold_numerically(handles):
         dx = x - h.T
         assert diff.hi.as_fraction() <= Fraction(2) ** h.a * dx
         assert diff.lo.as_fraction() >= Fraction(2) ** (-h.a_lower) * dx
+
+
+# -- the increment re-check --------------------------------------------
+
+RECHECK_SNAPSHOTS = {
+    "geometric 300": builtin_snapshot("geometric", 300),
+    "sdm4 1500 cap 512": builtin_snapshot("sdm4", 1500, program_cap=512),
+}
+TEMPERATURES = tuple(Fraction(n, 8) for n in (2, 3, 4, 5, 6))
+
+# (k0, a, a_lower, b, c), or the exception certify raises, per snapshot,
+# quantity and T in TEMPERATURES; the per-program re-check gave the same
+PINNED_CERTIFICATES = {
+    "geometric 300": {
+        "Z": [(1, 4, 4, 0, 0), (1, 3, 3, 0, 0), (1, 2, 2, 0, 0),
+              (1, 2, 2, 0, 0), (1, 1, 2, 0, 0)],
+        "-F": [(5, 1, 2, 1, 0), (3, 1, 1, 1, 0), (2, 1, 1, 1, 0),
+               (2, 1, 1, 1, 0), (2, 1, 1, 1, 0)],
+        "E": [CertificationError, CertificationError, (2, 5, 4, 2, 1),
+              (2, 5, 4, 2, 1), (3, 4, 6, 2, 1)],
+        "S": [CertificationError, CertificationError, (2, 6, 3, 3, 1),
+              (2, 5, 4, 3, 1), (3, 5, 6, 3, 1)],
+    },
+    "sdm4 1500 cap 512": {
+        "Z": [(1, 3, 7, 0, 0), (1, 2, 4, 0, 0), (1, 2, 3, 0, 0),
+              (1, 2, 3, 0, 0), (1, 2, 2, 0, 0)],
+        "-F": [CertificationError, CertificationError, (91, 2, 1, 1, 0),
+               (30, 2, 0, 1, 0), (10, 3, 0, 1, 0)],
+        "E": [CertificationError, CertificationError, CertificationError,
+              (3, 8, 3, 2, 1), (10, 8, 3, 2, 1)],
+        "S": [CertificationError, CertificationError, CertificationError,
+              (3, 8, 2, 3, 1), (10, 8, 3, 3, 1)],
+    },
+}
+
+
+@pytest.mark.parametrize("snapshot", sorted(PINNED_CERTIFICATES))
+def test_certificates_are_pinned(snapshot):
+    for quantity, expected in PINNED_CERTIFICATES[snapshot].items():
+        for T, want in zip(TEMPERATURES, expected):
+            snap = RECHECK_SNAPSHOTS[snapshot]
+            if isinstance(want, tuple):
+                h = certify(snap, quantity, T)
+                assert (h.k0, h.a, h.a_lower, h.b, h.c) == want, (quantity, T)
+            else:
+                with pytest.raises(want):
+                    certify(snap, quantity, T)
+
+
+def _reference_increments(h):
+    """(k, l, w, increment) for k0 <= k < n, summed one program at a time
+    in Enclosures, as the re-check did before it walked length groups:
+    log2(1 + q) is bracketed by [q - q^2/2, q] / ln 2."""
+    p = h.precision_bits
+    Tq = Enclosure.from_rational(h.T, p)
+    weights = thermo.WeightChain(h.T, p)
+    Z = W = Enclosure.point(0)
+    n = min(len(h.snapshot.programs), h.max_depth)
+    out = []
+    for k, l in enumerate(h.snapshot.lengths_up_to(n)):
+        w = weights[l]
+        if k >= h.k0:
+            if h.quantity == "Z":
+                delta = w
+            else:
+                q = div(w, Z, p)
+                ln1p = Enclosure(q.lo - (q.lo * q.lo).scale2(-1), q.hi)
+                dlog = div(ln1p, ln2_enclosure(p), p)
+                dE = div((Z * l - W) * w, (Z + w) * Z, p)
+                delta = {"-F": Tq * dlog, "E": dE,
+                         "S": div(dE, Tq, p) + dlog}[h.quantity]
+            out.append((k, l, w, delta))
+        Z, W = Z + w, W + w * l
+    return out
+
+
+def _reference_checks(h, increments):
+    """certified_lt of (lower, increment) and of (increment, upper) at
+    each increment in turn."""
+    for k, l, w, delta in increments:
+        power = lambda j: (l**j if j >= 0 else Enclosure.from_rational(
+            Fraction(1, l**-j), h.precision_bits))
+        lower = (w * power(h.c)).scale2(-h.b)
+        upper = (w * power(h.b)).scale2(h.c)
+        yield certified_lt(lower, delta), certified_lt(delta, upper)
+
+
+def _reference_verdict(h, increments):
+    """None, CertificationError or PrecisionError, from the first
+    increment whose bracket is not certified."""
+    for ok_lo, ok_hi in _reference_checks(h, increments):
+        if ok_lo is False or ok_hi is False:
+            return CertificationError
+        if ok_lo is None or ok_hi is None:
+            return PrecisionError
+    return None
+
+
+def _verdict(h):
+    try:
+        fixedpoint._verify_certificate(h)
+    except (CertificationError, PrecisionError) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.fixture(scope="module")
+def recheck_handles():
+    out = []
+    for name, snap in RECHECK_SNAPSHOTS.items():
+        for quantity in ("-F", "E", "S"):
+            for T in TEMPERATURES[2:]:
+                try:
+                    out.append((name, certify(snap, quantity, T)))
+                except CertificationError:
+                    pass  # sdm4 E and S at 1/2, pinned above
+    return out
+
+
+def test_recheck_matches_the_per_program_reference(recheck_handles,
+                                                   monkeypatch):
+    # only the increment check differs between the two; no slope samples
+    monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
+    assert len(recheck_handles) == 16
+    verdicts = set()
+    for name, h in recheck_handles:
+        increments = _reference_increments(h)
+        for db in (-2, -1, 0, 1):
+            for dc in (-1, 0, 1, 2):
+                mutated = replace(h, b=h.b + db, c=h.c + dc)
+                want = _reference_verdict(mutated, increments)
+                assert _verdict(mutated) is want, (name, h.quantity, h.T,
+                                                   db, dc)
+                verdicts.add(want)
+    assert verdicts == {None, CertificationError}
+
+
+def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
+    # "00" then six programs of length 3: at T = 1/2 the group more than
+    # doubles Z, so the -F, E and S increments fall by factors of about 2,
+    # 4.5 and 2.2 across it, and many of the brackets 3^c 2^-b w and
+    # 3^b 2^c w hold at one end of the group and fail at the other
+    monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
+    programs = [ProgramRecord(BitString(s), BitString(""), 0)
+                for s in ("00", "010", "011", "100", "101", "110", "111")]
+    snap = EnsembleSnapshot("two groups", 0, 3, programs, {2: 1, 3: 6})
+    verdicts = Counter()
+    for quantity in ("-F", "E", "S"):
+        h = QuantityHandle(snap, quantity, HALF, Fraction(3, 4), 0, 0, 0, 0,
+                           1, 64)
+        increments = _reference_increments(h)
+        for b in range(-1, 6):
+            for c in range(-1, 6):
+                mutated = replace(h, b=b, c=c)
+                # within one group a bound falsified anywhere outranks one
+                # left unresolved elsewhere
+                checks = [ok for pair in _reference_checks(mutated, increments)
+                          for ok in pair]
+                want = (CertificationError if False in checks
+                        else PrecisionError if None in checks else None)
+                assert _verdict(mutated) is want, (quantity, b, c)
+                verdicts[want] += 1
+        with pytest.raises(PrecisionError, match="k=0"):  # Z_0 = 0
+            fixedpoint._verify_certificate(replace(h, k0=0))
+    assert verdicts[None] and verdicts[CertificationError]
+
+
+def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
+    for _, h in recheck_handles:
+        with pytest.raises(CertificationError,
+                           match="increment bound falsified"):
+            fixedpoint._verify_certificate(replace(h, c=h.c + 2))
+
+
+def test_recheck_Z_is_the_stated_inequality():
+    # the increment of Z is w itself: w/2 <= w <= w holds; w <= w/2 fails
+    h = certify(RECHECK_SNAPSHOTS["sdm4 1500 cap 512"], "Z", HALF)
+    fixedpoint._verify_certificate(replace(h, b=1))
+    with pytest.raises(CertificationError, match="falsified at k=1, length"):
+        fixedpoint._verify_certificate(replace(h, c=-1))
 
 
 # -- solve_temperature -------------------------------------------------
