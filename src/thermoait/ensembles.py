@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import ceil, floor
+from math import ceil, floor, log2
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -206,9 +206,13 @@ def _sdm4_census(max_length: int) -> Iterator[tuple[int, int]]:
 
 
 def sdm4_census_count(length: int) -> int:
-    """Number of SDM-4 domain elements of the given length (d(m) with
-    d(m) = 2 d(m-1) + 3 d(m-2), length = 2m + 2)."""
-    return dict(_sdm4_census(length)).get(length, 0)
+    """Number of SDM-4 domain elements of the given length: d(m) for
+    length = 2m + 2, where d(m) = 2 d(m-1) + 3 d(m-2), d(-1) = 0, d(0) = 1
+    has the closed form (3^(m+1) + (-1)^m) / 4; no odd length occurs."""
+    if length < 2 or length % 2:
+        return 0
+    m = length // 2 - 1
+    return (3 ** (m + 1) + (1 if m % 2 == 0 else -1)) // 4
 
 
 def _sdm4_programs(length: int, count: int,
@@ -287,11 +291,12 @@ def kraft_slack(census_items, L: int) -> Fraction:
 
 
 class Tail:
-    """A certified tail past a cutoff L: bound(census, L, T, j,
-    precision_bits, slack) bounds sum over |p| > L of |p|^j 2^(-|p|/T) from
-    above (slack, when not None, is kraft_slack(census, L)); decay(T) is
-    the float rate, in bits per length, at which it shrinks; it only picks
-    the cutoff."""
+    """A certified tail past a cutoff L: bounds(census, L, T, orders,
+    precision_bits, slack) maps each order j to an upper bound on the sum
+    over |p| > L of |p|^j 2^(-|p|/T) (slack, when not None, is
+    kraft_slack(census, L)); decay(T) is the float rate, in bits per
+    length, at which the bounds shrink; it only picks the cutoff.  Tails
+    are certified for T < 1."""
 
 
 class _KraftSlack(Tail):
@@ -305,50 +310,95 @@ class _KraftSlack(Tail):
     def decay(self, T: Fraction) -> float:
         return 1 / float(T) - 1
 
-    def bound(self, census, L: int, T: Fraction, j: int, precision_bits: int,
-              slack: Fraction | None) -> Dyadic:
+    def bounds(self, census, L: int, T: Fraction, orders, precision_bits: int,
+               slack: Fraction | None) -> dict[int, Dyadic]:
         if T >= 1:
             raise RangeError("census-slack tail bounds require T < 1")
         tau = kraft_slack(census.items(), L) if slack is None else slack
         if tau == 0:
-            return Dyadic(0)
+            return {j: Dyadic(0) for j in orders}
         delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
-        candidates = {L + 1}
-        if j > 0:
-            ln2 = ln2_enclosure(precision_bits)
-            lstar_lo = Fraction(j) / (delta * ln2.hi.as_fraction())
-            lstar_hi = Fraction(j) / (delta * ln2.lo.as_fraction())
-            for l in range(max(L + 1, floor(lstar_lo)), max(L + 1, ceil(lstar_hi)) + 1):
-                candidates.add(l)
-        M = Dyadic(0)
-        for l in candidates:
-            M = max(M, exp2_enclosure(-l * delta, precision_bits).hi * l**j)
-        bound = M.as_fraction() * tau
-        return from_rational_ceil(bound.numerator, bound.denominator,
-                                  precision_bits + 32)
+        ln2 = ln2_enclosure(precision_bits) if max(orders) > 0 else None
+        weights: dict[int, Dyadic] = {}  # l -> upper bound on 2^(-l*delta)
+        out = {}
+        for j in orders:
+            candidates = {L + 1}
+            if j > 0:
+                lstar_lo = Fraction(j) / (delta * ln2.hi.as_fraction())
+                lstar_hi = Fraction(j) / (delta * ln2.lo.as_fraction())
+                candidates.update(range(max(L + 1, floor(lstar_lo)),
+                                        max(L + 1, ceil(lstar_hi)) + 1))
+            M = Dyadic(0)
+            for l in candidates:
+                if l not in weights:
+                    weights[l] = exp2_enclosure(-l * delta, precision_bits).hi
+                M = max(M, weights[l] * l**j)
+            bound = M.as_fraction() * tau
+            out[j] = from_rational_ceil(bound.numerator, bound.denominator,
+                                        precision_bits + 32)
+        return out
 
 
-class _Ratio(Tail):
-    """Exact-ratio tail of a domain with one program per length, valid at
-    any T > 0: terms t_l = l^j 2^(-l/T) shrink by a factor of at most
-    rho = 2^(-1/T) ((L+2)/(L+1))^j, so the tail is t_{L+1}/(1-rho)."""
+@dataclass(frozen=True)
+class _CensusRatio(Tail):
+    """Ratio tail of a machine whose census is zero off the lengths
+    l_m = period m + offset and at most scale rate^m + excess on them
+    (rate >= 1, excess >= 0).  With x = 2^(-1/T) and c_m that count bound,
+    the term bounds u_m = c_m l_m^j x^(l_m) satisfy u_(m+1) <= rho_m u_m
+    for rho_m = rate x^period (l_(m+1)/l_m)^j, because
+    c_(m+1) <= rate c_m; and rho_m falls to rate x^period < 1 as m grows.
+    So if l_M is the first such length past L and K >= M the first index
+    with rho_K at most halfway from rate x^period to 1, the tail is at
+    most u_M + ... + u_(K-1) + u_K / (1 - rho_K), within a small factor of
+    the true tail even where rho_M is near or above 1.  Every x power is
+    the upper end of exp2_enclosure(-l_M/T) times powers of that of
+    exp2_enclosure(-period/T), both shared by all orders."""
+
+    period: int
+    offset: int
+    rate: int
+    scale: Fraction = Fraction(1)
+    excess: Fraction = Fraction(0)
 
     def decay(self, T: Fraction) -> float:
-        return 1 / float(T)  # the census does not grow
+        rate = 1 / float(T) - log2(self.rate) / self.period
+        # with a growing census the terms shrink slowly near T = 1 and the
+        # tail is a long sum of like terms; pricing the decay at 9/10 keeps
+        # it well below the rounding width of the sums (sdm4 widths grow by
+        # under 0.01 bits, where the full rate let them grow by 0.07)
+        return 0.9 * rate if self.rate > 1 else rate
 
-    def bound(self, census, L: int, T: Fraction, j: int, precision_bits: int,
-              slack: Fraction | None) -> Dyadic:
-        x_hi = exp2_enclosure(Fraction(-1) / T, precision_bits).hi.as_fraction()
-        rho = x_hi * Fraction(L + 2, L + 1) ** j
-        if rho >= 1:
-            raise RangeError(f"tail ratio {float(rho):.3f} >= 1 at L = {L}; increase L")
-        t_first = exp2_enclosure(Fraction(-(L + 1)) / T, precision_bits).hi * (L + 1)**j
-        bound = t_first.as_fraction() / (1 - rho)
-        return from_rational_ceil(bound.numerator, bound.denominator,
-                                  precision_bits + 32)
+    def bounds(self, census, L: int, T: Fraction, orders, precision_bits: int,
+               slack: Fraction | None) -> dict[int, Dyadic]:
+        if T >= 1:
+            raise RangeError("census tail bounds require T < 1")
+        P, r = self.period, self.rate
+        first = max(0, (L - self.offset) // P + 1)  # l_first is the first past L
+        step = exp2_enclosure(Fraction(-P) / T, precision_bits).hi.as_fraction()
+        if r * step >= 1:
+            raise RangeError(f"census growth {r} per {P} lengths outpaces the "
+                             f"weights at T = {T}")
+        w_first = exp2_enclosure(Fraction(-(P * first + self.offset)) / T,
+                                 precision_bits).hi.as_fraction()
+        settle = (1 + r * step) / 2
+        out = {}
+        for j in orders:
+            m, w, total = first, w_first, 0
+            while True:
+                l = P * m + self.offset
+                c = self.scale * r**m + self.excess
+                rho = r * step * Fraction(l + P, l) ** j
+                if rho <= settle:
+                    break
+                total += c * l**j * w
+                m, w = m + 1, w * step
+            total += c * l**j * w / (1 - rho)
+            out[j] = from_rational_ceil(total.numerator, total.denominator,
+                                        precision_bits + 32)
+        return out
 
 
-KRAFT_SLACK, RATIO = _KraftSlack(), _Ratio()
+KRAFT_SLACK = _KraftSlack()
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +421,17 @@ class Machine:
 
 
 MACHINES: dict[str, Machine] = {m.name: m for m in (
-    Machine("sdm4", _sdm4_census, _sdm4_programs, run=run_sdm4),
+    # d(m) = (3^(m+1) + (-1)^m)/4 <= (3/4) 3^m + 1/4 programs of length 2m+2
+    Machine("sdm4", _sdm4_census, _sdm4_programs,
+            _CensusRatio(2, 2, 3, Fraction(3, 4), Fraction(1, 4)), run_sdm4),
+    # 2^n programs of length 2n+1
     Machine("literal", _literal_census,
-            partial(_payload_programs, _unary_code)),
+            partial(_payload_programs, _unary_code), _CensusRatio(2, 1, 2)),
     Machine("gamma_literal", _gamma_literal_census,
             partial(_payload_programs, gamma_code)),
-    Machine("geometric", _geometric_census, _geometric_programs, RATIO),
+    # one program per length
+    Machine("geometric", _geometric_census, _geometric_programs,
+            _CensusRatio(1, 0, 1)),
 )}
 
 

@@ -20,12 +20,14 @@ All moments go through one integer kernel, moment_sums.  The weights come
 from a WeightChain: 2^(-l/T) as the outward-rounded l-th power of
 2^(-1/T), held as raw (mantissa, exponent) integer pairs for the lower and
 upper endpoints, with exact point weights where l/T is an integer.  The
-kernel adds count(l) * l^j times each endpoint exactly, into one integer
-accumulator per order and endpoint aligned to the smallest exponent, so no
-Dyadic or Enclosure is built per term.  A limit evaluation computes the
-census slack tau once, as (2^L - sum_{l<=L} census(l) 2^(L-l)) / 2^L in
-integers, and shares it across the tail bounds of all orders.  Every chain
-belongs to the call that builds it; nothing is cached at module level.
+kernel sums count(l) * l^j times each endpoint exactly, as one integer
+per order and endpoint aligned to the smallest exponent, so no Dyadic or
+Enclosure is built per term.  A limit evaluation bounds the
+tails of all its orders in one call, so the per-cutoff work is shared:
+the census slack tau, computed once as
+(2^L - sum_{l<=L} census(l) 2^(L-l)) / 2^L in integers, or a machine
+tail's two exp2 enclosures.  Every chain belongs to the call that builds
+it; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
+from operator import mul
 
 from .dyadic import Dyadic
 from .enclosure import (
     DEFAULT_PRECISION, Enclosure, certified_gt, div, exp2_enclosure,
     ln2_enclosure, log2_enclosure,
 )
-from .ensembles import EnsembleSnapshot, get_machine, kraft_slack
+from .ensembles import EnsembleSnapshot, get_machine
 from .errors import RangeError, SpecError
 
 QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
@@ -127,25 +130,30 @@ def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict
     """Enclosures of sum_l count(l) * l^j * 2^(-l/T) for each j in orders.
 
     The sums are exact: every weight endpoint is scaled by count * l^j and
-    added into one integer accumulator per order and endpoint, aligned to
-    the smallest exponent of that endpoint."""
-    chain = WeightChain(T, precision_bits)
-    terms = [(l, count, *chain.raw(l)) for l, count in length_counts]
-    if not terms:
+    summed as one integer per order and endpoint, aligned to the smallest
+    exponent of that endpoint.  The chain is extended once, to
+    the longest length, and each order's terms are the previous order's
+    times l."""
+    if not length_counts:
         return {j: Enclosure.point(0) for j in orders}
-    e_lo = min(t[3] for t in terms)
-    e_hi = min(t[5] for t in terms)
-    acc_lo = dict.fromkeys(orders, 0)
-    acc_hi = dict.fromkeys(orders, 0)
-    for l, count, a, ea, b, eb in terms:
-        a = count * a << (ea - e_lo)
-        b = count * b << (eb - e_hi)
-        for j in orders:
-            f = l**j
-            acc_lo[j] += a * f
-            acc_hi[j] += b * f
-    return {j: Enclosure(Dyadic(acc_lo[j], e_lo), Dyadic(acc_hi[j], e_hi))
-            for j in orders}
+    lengths = [l for l, _ in length_counts]
+    chain = WeightChain(T, precision_bits)
+    chain._extend(max(lengths))
+    weights = [chain.raw(l) for l in lengths]
+    e_lo = min(w[1] for w in weights)
+    e_hi = min(w[3] for w in weights)
+    lo = [c * a << (ea - e_lo)
+          for (_, c), (a, ea, _, _) in zip(length_counts, weights)]
+    hi = [c * b << (eb - e_hi)
+          for (_, c), (_, _, b, eb) in zip(length_counts, weights)]
+    sums = {}
+    for j in range(max(orders) + 1):
+        if j:
+            lo = list(map(mul, lo, lengths))
+            hi = list(map(mul, hi, lengths))
+        if j in orders:
+            sums[j] = Enclosure(Dyadic(sum(lo), e_lo), Dyadic(sum(hi), e_hi))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +161,16 @@ def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict
 # ---------------------------------------------------------------------------
 
 def moment_tail_bound(snapshot: EnsembleSnapshot, L: int, T: Fraction,
-                      j: int, precision_bits: int = DEFAULT_PRECISION,
-                      slack: Fraction | None = None) -> Dyadic:
+                      j, precision_bits: int = DEFAULT_PRECISION,
+                      slack: Fraction | None = None):
     """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T), from
-    the snapshot's tail.  slack, when given, must be the census slack
-    kraft_slack(census, L)."""
-    return snapshot.tail.bound(snapshot.census, L, T, j, precision_bits, slack)
+    the snapshot's tail.  For a tuple j of orders, a dict of the bound of
+    each order, sharing the work that does not depend on the order.
+    slack, when given, must be the census slack kraft_slack(census, L)."""
+    orders = (j,) if isinstance(j, int) else j
+    bounds = snapshot.tail.bounds(snapshot.census, L, T, orders,
+                                  precision_bits, slack)
+    return bounds[j] if isinstance(j, int) else bounds
 
 
 def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
@@ -197,9 +209,7 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
     L = _census_cutoff(snapshot, T, 4, precision_bits)
     items = summed_lengths(snapshot, T, "limit", precision_bits)
     sums = moment_sums(items, T, orders, precision_bits)
-    slack = kraft_slack(items, L)
-    tails = {j: moment_tail_bound(snapshot, L, T, j, precision_bits, slack)
-             for j in orders}
+    tails = moment_tail_bound(snapshot, L, T, tuple(orders), precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails
 

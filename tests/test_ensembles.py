@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -76,6 +77,20 @@ def test_sdm4_census_counts():
     for m in range(12):
         assert sdm4_census_count(2 * m + 2) == (3 ** (m + 1) + (-1) ** m) // 4
     replay_check(snap)
+
+
+def test_sdm4_census_count_matches_the_recurrence():
+    expected = {}
+    d_prev, d = 0, 1  # d(-1), d(0)
+    for length in range(2, 2001, 2):
+        expected[length] = d
+        d_prev, d = d, 2 * d + 3 * d_prev
+    assert ([sdm4_census_count(l) for l in range(2001)]
+            == [expected.get(l, 0) for l in range(2001)])
+    far = (3**9100 - 1) // 4  # d(9099), length 18200
+    start = time.perf_counter()
+    assert sdm4_census_count(18200) == far
+    assert time.perf_counter() - start < 0.05
 
 
 def test_sdm4_canonical_order_and_prefix_freeness():

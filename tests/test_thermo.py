@@ -16,12 +16,13 @@ from thermoait.enclosure import (
     Enclosure, exp2_enclosure, round_outward,
 )
 from thermoait.ensembles import (
-    MACHINES, builtin_snapshot, load_snapshot, save_snapshot,
+    MACHINES, EnsembleSnapshot, builtin_snapshot, load_snapshot, save_snapshot,
 )
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
     QUANTITIES, _census_cutoff, divergence_probe, eval_limit, eval_partial,
-    evaluate, limit_moments, moment_sums, moment_tail_bound, power_sum, sweep,
+    evaluate, limit_moments, moment_sums, moment_tail_bound, power_sum,
+    summed_lengths, sweep,
 )
 
 mpmath.mp.prec = 200
@@ -119,6 +120,21 @@ def test_sdm4_limit_near_critical():
     assert ev.Z.width().as_fraction() < Fraction(1, 2**30)
 
 
+def test_near_critical_sdm4_sums_few_lengths():
+    # sdm4's own tail shrinks by about 0.22 bits per length at 63/64; the
+    # census slack tail, whose slack never falls below 1/5, shrinks by only
+    # 1/63 bit per length and would run to max_length
+    snap = builtin_snapshot("sdm4", 1500, program_cap=0)
+    T = Fraction(63, 64)
+    assert len(summed_lengths(snap, T, "limit", 64)) <= 300
+    assert eval_limit(snap, T).Z.width().as_fraction() <= Fraction(1, 2**60)
+
+
+def test_literal_cutoff_follows_its_decay():
+    snap = builtin_snapshot("literal", 1500, program_cap=0)
+    assert _census_cutoff(snap, Fraction(7, 8), 4, 64) < 790
+
+
 def test_limit_tail_bounds_cover_true_tail():
     # geometric exact tail: sum_{l>60} l^j x^l
     T = Fraction(3, 4)
@@ -130,6 +146,76 @@ def test_limit_tail_bounds_cover_true_tail():
         assert as_mp(bound) < 4 * true_tail  # not wildly loose
 
 
+_EULERIAN = [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
+
+
+def _series(z, j, a):
+    """sum_{k>=0} (k + a)^j z^k in closed form, through
+    sum_{k>=0} k^i z^k = z A_i(z) / (1 - z)^(i+1) (A_i the Eulerian
+    polynomials; 1/(1 - z) for i = 0)."""
+    def powers(i):
+        if i == 0:
+            return 1 / (1 - z)
+        return z * mpmath.polyval(_EULERIAN[i][::-1], z) / (1 - z) ** (i + 1)
+    return sum(mpmath.binomial(j, i) * mpmath.mpf(a) ** (j - i) * powers(i)
+               for i in range(j + 1))
+
+
+def _closed_tail(kind, x, N, j):
+    """sum over lengths l > N of count(l) l^j x^l, from each census's
+    closed form."""
+    if kind == "geometric":  # one program of each length l >= 1
+        return x ** (N + 1) * _series(x, j, N + 1)
+    if kind == "literal":  # 2^n programs of length 2n + 1
+        n0, q = (N + 1) // 2, 2 * x * x
+        return x * 2**j * q**n0 * _series(q, j, n0 + mpmath.mpf(1) / 2)
+    # sdm4: (3^n - (-1)^n)/4 programs of length 2n, n >= 1
+    n0, y = N // 2 + 1, x * x
+    return 2**j / mpmath.mpf(4) * ((3 * y) ** n0 * _series(3 * y, j, n0)
+                                    - (-y) ** n0 * _series(-y, j, n0))
+
+
+def _count(kind, l):
+    if kind == "geometric":
+        return int(l >= 1)
+    if kind == "literal":
+        return 2 ** (l // 2) if l % 2 else 0
+    return (3 ** (l // 2) - (-1) ** (l // 2)) // 4 if l % 2 == 0 else 0
+
+
+@pytest.mark.parametrize("kind", ["sdm4", "literal", "geometric"])
+def test_census_tail_against_exact_tail(kind):
+    # exact tail past L: a direct sum over 60 more lengths plus the closed
+    # form past those, which must agree with the closed form past L; the
+    # bound must hold it and be at most 8 times it, up to the absolute
+    # 2^-(p+32) grid the bound is rounded up to
+    snap = builtin_snapshot(kind, 1, program_cap=0)
+    with mpmath.workprec(300):
+        _check_census_tail(kind, snap)
+
+
+def _check_census_tail(kind, snap):
+    tol = 1 - mpmath.mpf(2) ** -250
+    for T in (Fraction(1, 16), Fraction(1, 2), Fraction(7, 8),
+              Fraction(63, 64), Fraction(127, 128)):
+        x = mpmath.power(2, -mpmath.mpf(T.denominator) / T.numerator)
+        for L in (1, 2, 9, 10, 41, 60, 101):
+            N = L + 60
+            terms = [_count(kind, l) * x**l for l in range(L + 1, N + 1)]
+            exact = {}
+            for j in range(5):
+                exact[j] = _closed_tail(kind, x, N, j) + mpmath.fsum(
+                    t * l**j for l, t in enumerate(terms, L + 1))
+                assert abs(exact[j] / _closed_tail(kind, x, L, j) - 1) < 2**-250
+            for p in (64, 1024):
+                bounds = moment_tail_bound(snap, L, T, tuple(exact), p)
+                for j, bound in bounds.items():
+                    b = as_mp(bound)
+                    assert b >= exact[j] * tol, (T, L, p, j)
+                    assert b <= 8 * exact[j] + mpmath.mpf(2) ** -(p + 32), \
+                        (T, L, p, j)
+
+
 def test_limit_requires_subcritical_temperature():
     with pytest.raises(RangeError):
         moment_tail_bound(SDM, 200, Fraction(1, 1), 0)
@@ -137,10 +223,14 @@ def test_limit_requires_subcritical_temperature():
 
 # -- the tail comes from the machine, never from the label ---------------
 
-def _write_snapshot(path, label):
+def _write_snapshot(path, label, maxlen=3, census=None):
+    census = census or {1: 1}
+    kraft = sum(Fraction(c, 2**l) for l, c in census.items())
     path.write_text("\n".join(["THERMOAIT-SNAPSHOT v1",
-                               f"ensemble={label} budget=1 maxlen=3",
-                               "L 1 1", "KRAFT 1/2"]) + "\n")
+                               f"ensemble={label} budget=1 maxlen={maxlen}",
+                               *(f"L {l} {c}" for l, c in census.items()),
+                               f"KRAFT {kraft.numerator}/{kraft.denominator}"])
+                    + "\n")
     return load_snapshot(path)
 
 
@@ -154,6 +244,36 @@ def test_mislabelled_file_gets_the_census_slack(tmp_path):
     assert ev.Z.hi.as_fraction() >= Fraction(9, 32)
     custom = eval_limit(_write_snapshot(tmp_path / "b.snap", "custom"),
                         Fraction(1, 2))
+    for q in QUANTITIES:
+        assert _endpoints(ev.quantity(q)) == _endpoints(custom.quantity(q))
+    assert ev.tail_bounds == custom.tail_bounds
+
+
+@pytest.mark.parametrize("kind, census, T, consistent_Z", [
+    # {11, 0011, 00000, 00001} is prefix-free and consistent with the file:
+    # the freed Kraft mass 1/16 goes to two programs of length 5, which
+    # sdm4 never has; sdm4's tail would claim Z(1/4) < 2^-8 + 2^-16 + 2^-21
+    ("sdm4", {2: 1, 4: 1}, Fraction(1, 4), Fraction(2057, 2**19)),
+    # {0, 100, 1010, 1011}: the freed mass 1/8 goes to two programs of
+    # length 4, which literal never has; its tail would claim Z(1/2) < 0.271
+    ("literal", {1: 1, 3: 1}, Fraction(1, 2), Fraction(35, 128)),
+])
+def test_census_one_count_off_gets_the_census_slack(tmp_path, kind, census,
+                                                    T, consistent_Z):
+    # the machine's census at maxlen 4 (sdm4) or 3 (literal) with its last
+    # count one lower
+    maxlen = max(census)
+    honest = dict(MACHINES[kind].census(maxlen))
+    assert [l for l in census if census[l] != honest[l]] == [maxlen]
+    snap = _write_snapshot(tmp_path / "a.snap", kind, maxlen, census)
+    assert snap.machine is None
+    ev = eval_limit(snap, T)
+    assert ev.Z.hi.as_fraction() >= consistent_Z
+    claimed = eval_limit(EnsembleSnapshot(kind, 1, maxlen, [], census,
+                                          MACHINES[kind]), T)
+    assert claimed.Z.hi.as_fraction() < consistent_Z
+    custom = eval_limit(_write_snapshot(tmp_path / "b.snap", "custom",
+                                        maxlen, census), T)
     for q in QUANTITIES:
         assert _endpoints(ev.quantity(q)) == _endpoints(custom.quantity(q))
     assert ev.tail_bounds == custom.tail_bounds
