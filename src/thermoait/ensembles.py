@@ -96,13 +96,6 @@ class EnsembleSnapshot:
         """Lengths |p_1|..|p_k| from the census."""
         return [l for l, c in self.length_counts_up_to(k) for _ in range(c)]
 
-    def iter_lengths(self) -> Iterator[int]:
-        """|p_1|, |p_2|, ... from the census, lazily, so a caller builds no
-        more lengths than it reads."""
-        for l in sorted(self.census):
-            for _ in range(self.census[l]):
-                yield l
-
     def validate(self) -> None:
         by_len: dict[int, int] = {}
         prev: ProgramRecord | None = None
@@ -292,9 +285,8 @@ def kraft_slack(census_items, L: int) -> Fraction:
 
 class Tail:
     """A certified tail past a cutoff L: bounds(census, L, T, orders,
-    precision_bits, slack) maps each order j to an upper bound on the sum
-    over |p| > L of |p|^j 2^(-|p|/T) (slack, when not None, is
-    kraft_slack(census, L)); decay(T) is the float rate, in bits per
+    precision_bits) maps each order j to an upper bound on the sum over
+    |p| > L of |p|^j 2^(-|p|/T); decay(T) is the float rate, in bits per
     length, at which the bounds shrink; it only picks the cutoff.  Tails
     are certified for T < 1."""
 
@@ -310,11 +302,11 @@ class _KraftSlack(Tail):
     def decay(self, T: Fraction) -> float:
         return 1 / float(T) - 1
 
-    def bounds(self, census, L: int, T: Fraction, orders, precision_bits: int,
-               slack: Fraction | None) -> dict[int, Dyadic]:
+    def bounds(self, census, L: int, T: Fraction, orders,
+               precision_bits: int) -> dict[int, Dyadic]:
         if T >= 1:
             raise RangeError("census-slack tail bounds require T < 1")
-        tau = kraft_slack(census.items(), L) if slack is None else slack
+        tau = kraft_slack(census.items(), L)
         if tau == 0:
             return {j: Dyadic(0) for j in orders}
         delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
@@ -352,7 +344,9 @@ class _CensusRatio(Tail):
     most u_M + ... + u_(K-1) + u_K / (1 - rho_K), within a small factor of
     the true tail even where rho_M is near or above 1.  Every x power is
     the upper end of exp2_enclosure(-l_M/T) times powers of that of
-    exp2_enclosure(-period/T), both shared by all orders."""
+    exp2_enclosure(-period/T), both shared by all orders.  The sum is kept
+    as an integer over a power of two and a fixed denominator, so no gcd
+    is taken until the one rounding at the end."""
 
     period: int
     offset: int
@@ -368,33 +362,43 @@ class _CensusRatio(Tail):
         # under 0.01 bits, where the full rate let them grow by 0.07)
         return 0.9 * rate if self.rate > 1 else rate
 
-    def bounds(self, census, L: int, T: Fraction, orders, precision_bits: int,
-               slack: Fraction | None) -> dict[int, Dyadic]:
+    def bounds(self, census, L: int, T: Fraction, orders,
+               precision_bits: int) -> dict[int, Dyadic]:
         if T >= 1:
             raise RangeError("census tail bounds require T < 1")
         P, r = self.period, self.rate
         first = max(0, (L - self.offset) // P + 1)  # l_first is the first past L
-        step = exp2_enclosure(Fraction(-P) / T, precision_bits).hi.as_fraction()
-        if r * step >= 1:
+        # in integers: x^period <= s 2^-d (d >= 0), and x^(l_first) <= w_first
+        step = exp2_enclosure(Fraction(-P) / T, precision_bits).hi
+        s, d = (step.m << step.e, 0) if step.e >= 0 else (step.m, -step.e)
+        if r * s >= 1 << d:
             raise RangeError(f"census growth {r} per {P} lengths outpaces the "
                              f"weights at T = {T}")
         w_first = exp2_enclosure(Fraction(-(P * first + self.offset)) / T,
-                                 precision_bits).hi.as_fraction()
-        settle = (1 + r * step) / 2
+                                 precision_bits).hi
+        # the count bound c_m = scale r^m + excess is (sn r^m + xn) / den
+        (sn, sd), (xn, xd) = (self.scale.as_integer_ratio(),
+                              self.excess.as_integer_ratio())
+        sn, xn, den = sn * xd, xn * sd, sd * xd
+        rs, settle = r * s, (1 << d) + r * s  # rho <= settle/2^(d+1)
         out = {}
         for j in orders:
-            m, w, total = first, w_first, 0
+            # after i steps acc (the terms so far) and w (the current x^l)
+            # are mantissas of the unit 2^(w_first.e - d i)
+            m, acc, w, i = first, 0, w_first.m, 0
             while True:
                 l = P * m + self.offset
-                c = self.scale * r**m + self.excess
-                rho = r * step * Fraction(l + P, l) ** j
-                if rho <= settle:
+                lj, next_lj = l**j, (l + P) ** j
+                c = sn * r**m + xn
+                if 2 * rs * next_lj <= settle * lj:
                     break
-                total += c * l**j * w
-                m, w = m + 1, w * step
-            total += c * l**j * w / (1 - rho)
-            out[j] = from_rational_ceil(total.numerator, total.denominator,
-                                        precision_bits + 32)
+                acc = (acc + c * lj * w) << d
+                m, w, i = m + 1, w * s, i + 1
+            # plus u_m/(1 - rho_m), 1 - rho_m = q/(2^d l^j)
+            q = (lj << d) - rs * next_lj
+            num, e = acc * q + (c * lj * lj * w << d), w_first.e - d * i
+            num, q = (num << e, den * q) if e >= 0 else (num, den * q << -e)
+            out[j] = from_rational_ceil(num, q, precision_bits + 32)
         return out
 
 

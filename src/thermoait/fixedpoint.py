@@ -21,6 +21,12 @@ increment of -F, E and S falls as the group's programs are added (Z_k
 grows, Z_k l - W_k stays fixed), so the lower bound binds at the group's
 last program and the upper bound at its first.  See _verify_certificate.
 
+certify sums each temperature's census once, in integers: one
+thermo.CensusWalk at T serves the precondition, the re-check and every
+depth of the slope check, one walk per slope sample serves all its
+depths, and each capacity subdivision point is summed once.  The
+procedures keep integer running sums per census group as they go deeper.
+
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
                      the bracket's low end or a point whose limit value is
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cache, partial
 from math import ceil
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -57,7 +63,9 @@ from .ensembles import EnsembleSnapshot
 from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
-from .thermo import WeightChain, _temp_frac, moment_hull, moments
+from .thermo import (
+    CensusWalk, WeightChain, _temp_frac, moment_sums, moments,
+)
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
 
@@ -165,30 +173,43 @@ class ReconstructionReport:
 # running partial sums (incremental in k)
 # ---------------------------------------------------------------------------
 
-class _PartialSeries:
-    """Z_k and W_k at a fixed temperature, extended one program at a time."""
+def _depth_values(handle: QuantityHandle, x: Fraction
+                  ) -> Iterator[tuple[int, Callable[[], Enclosure]]]:
+    """(k, g) for k = k0, k0 + 1, ..., max_depth, where g() is g(x, k),
+    computed at its first call.  Z_k and W_k are exact integer running sums
+    over the census groups (so equal to the depth-k moments bit for bit),
+    each endpoint aligned to the smallest weight exponent so far."""
+    chain = WeightChain(x, handle.precision_bits)
+    k0 = handle.k0
+    k = Z_lo = Z_hi = W_lo = W_hi = e_lo = e_hi = 0
 
-    def __init__(self, handle: QuantityHandle, x: Fraction):
-        self.handle = handle
-        self.x = Fraction(x)
-        self.lengths = islice(handle.snapshot.iter_lengths(), handle.max_depth)
-        self.weights = WeightChain(self.x, handle.precision_bits)
-        self.k = 0
-        self.Z = Enclosure.point(0)
-        self.W = Enclosure.point(0)
+    def state():
+        Z = Enclosure(Dyadic(Z_lo, e_lo), Dyadic(Z_hi, e_hi))
+        W = Enclosure(Dyadic(W_lo, e_lo), Dyadic(W_hi, e_hi))
+        return k, cache(partial(_g_from_moments, handle.quantity, Z, W, x,
+                                handle.precision_bits))
 
-    def advance(self) -> None:
-        l = next(self.lengths, None)
-        if l is None:
-            raise RangeError("enumeration exhausted")
-        w = self.weights[l]
-        self.Z = self.Z + w
-        self.W = self.W + w * l
-        self.k += 1
-
-    def g(self) -> Enclosure:
-        return _g_from_moments(self.handle.quantity, self.Z, self.W, self.x,
-                               self.handle.precision_bits)
+    for l, count in handle.snapshot.length_counts_up_to(handle.max_depth):
+        m_lo, x_lo, m_hi, x_hi = chain.raw(l)
+        if x_lo < e_lo:
+            s = e_lo - x_lo
+            Z_lo, W_lo, e_lo = Z_lo << s, W_lo << s, x_lo
+        if x_hi < e_hi:
+            s = e_hi - x_hi
+            Z_hi, W_hi, e_hi = Z_hi << s, W_hi << s, x_hi
+        step_lo, step_hi = m_lo << (x_lo - e_lo), m_hi << (x_hi - e_hi)
+        skip = min(count, max(k0 - k, 0))  # the programs before k0, at once
+        Z_lo, Z_hi = Z_lo + skip * step_lo, Z_hi + skip * step_hi
+        W_lo, W_hi = W_lo + skip * l * step_lo, W_hi + skip * l * step_hi
+        k += skip
+        for _ in range(count - skip):
+            yield state()
+            Z_lo, Z_hi = Z_lo + step_lo, Z_hi + step_hi
+            W_lo, W_hi = W_lo + l * step_lo, W_hi + l * step_hi
+            k += 1
+    if k < k0:
+        raise RangeError("enumeration exhausted")
+    yield state()
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +217,30 @@ class _PartialSeries:
 # ---------------------------------------------------------------------------
 
 def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
-                            precision_bits: int) -> Dyadic:
+                            precision_bits: int,
+                            at_T: dict[int, Enclosure]) -> Dyadic:
     """Certified positive lower bound on C_{k0} over [T, t], by subdividing
-    the window until interval evaluation resolves the sign."""
+    the window until interval evaluation resolves the sign.  A piece's
+    moments are the hull [lo at x0, hi at x1] (every 2^(-l/x) rises with
+    x); each point, at_T's moments at T among them, is summed once."""
     p = precision_bits
     ln2 = ln2_enclosure(p)
+    groups = snapshot.length_counts_up_to(k0)
+    points = {T: at_T}
+
+    def at(x: Fraction) -> dict[int, Enclosure]:
+        if x not in points:
+            points[x] = moment_sums(groups, x, (0, 1, 2), p)
+        return points[x]
+
     for pieces in (4, 8, 16, 32):
         lo_min: Optional[Dyadic] = None
         ok = True
         for i in range(pieces):
             x0 = T + (t - T) * Fraction(i, pieces)
             x1 = T + (t - T) * Fraction(i + 1, pieces)
-            mu = moment_hull(snapshot, x0, x1, k0, (0, 1, 2), p)
+            lo, hi = at(x0), at(x1)
+            mu = {j: Enclosure(lo[j].lo, hi[j].hi) for j in (0, 1, 2)}
             m1 = div(mu[1], mu[0], p)
             v = div(mu[2], mu[0], p) - m1 * m1
             tau2 = Enclosure(Enclosure.from_rational(x0 * x0, p).lo,
@@ -241,8 +274,9 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
+    walk = CensusWalk(groups, Tf, p)  # the one walk at T; the check reuses it
     l1, first_distinct = groups[0]  # |p_k| = l1 for k <= first_distinct
-    w1 = WeightChain(Tf, p)[l1]
+    w1 = walk.sums((0,), (1,))[0][0]
     Z1_lo = w1.lo
 
     def first_k(cond: Callable[[int], bool]) -> int:
@@ -275,7 +309,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
                 Enclosure.point(Z1_lo) * ln2, p).hi
         k0 = first_k(lambda l: Fraction(l) ** b >= U.as_fraction())
         # slope is S_k(x): between S_{k0}(T) and S_lim(t)
-        mu, _ = moments(snapshot, Tf, k0, (0, 1), p)
+        mu = walk.sums((0, 1), (k0,))[0]
         s_lo = _g_from_moments("S", mu[0], mu[1], Tf, p)
         if not certified_positive(s_lo):
             raise CertificationError("entropy at k0 not certifiably positive")
@@ -298,7 +332,8 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         c_up = div(ln2 * lim_t[2],
                    Enclosure.from_rational(Tf * Tf, p)
                    * Enclosure.point(Z1_lo), p).hi
-        c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p)
+        c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p,
+                                       walk.sums((0, 1, 2), (k0,))[0])
         if quantity == "S":
             c_up = div(Enclosure.point(c_up),
                        Enclosure.from_rational(Tf, p), p).hi
@@ -308,7 +343,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle)
+    _verify_certificate(handle, walk)
     return handle
 
 
@@ -384,22 +419,26 @@ def _increment_bracket(quantity: str, T, ln2, w, Z, Z_next, N, bits: int):
             _add(_mul(dE[1], _inv(T)), dlog[1]))
 
 
-def _verify_certificate(handle: QuantityHandle) -> None:
+def _verify_certificate(handle: QuantityHandle,
+                        walk: Optional[CensusWalk] = None) -> None:
     """Re-check the increment bracket at every enumerated depth k0 <= k <
     n (n the enumerated programs, at most max_depth), then sample the
     slope bounds on (T, t).
 
+    walk is the CensusWalk at T over at least the first n programs (built
+    here when not given); the re-check and the slope check both read it.
+
     The depths are walked one census length group (l, count) at a time.
-    Z_k and W_k are exact integer accumulators over the weight chain's
-    raw endpoints, aligned to the smallest exponent as in
-    thermo.moment_sums.  The claimed bounds l^c 2^(-b) w and l^b 2^c w
-    depend on l alone.  Within a group every increment depends only on l
-    and on (Z_k, W_k), and it falls as k runs over the group, because Z_k
-    grows by w at each program:
+    Z_k and W_k are exact integer accumulators over the walk's raw weight
+    endpoints, aligned to its smallest exponents, as in thermo.moment_sums.
+    The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on l alone.
+    Within a group every increment depends only on l and on (Z_k, W_k),
+    and it falls as k runs over the group, because Z_k grows by w at each
+    program:
 
       Z   the increment is w itself, so the bracket is the inequality
           l^c 2^(-b) <= 1 <= l^b 2^c, decided exactly once per group
-          (not an equality test between enclosures of w);
+          without reading a weight;
       -F  T log2(1 + w/Z_k) falls as Z_k grows;
       E   w (Z_k l - W_k) / (Z_k Z_{k+1}): Z_k l - W_k = sum (l - l_i) w_i
           is the same at every k in the group, and Z_k Z_{k+1} grows;
@@ -424,16 +463,15 @@ def _verify_certificate(handle: QuantityHandle) -> None:
         raise PrecisionError("increment bound unresolved at k=0: g(T, 0) "
                              "is undefined")
     p = handle.precision_bits
+    groups = snapshot.length_counts_up_to(n_programs)
+    if walk is None:
+        walk = CensusWalk(groups, handle.T, p)
     bits = p + _RECHECK_GUARD
-    T = (handle.T.numerator, 0, handle.T.denominator)
+    Tq = (handle.T.numerator, 0, handle.T.denominator)
     ln2 = ln2_enclosure(p)
     ln2 = ((ln2.lo.m, ln2.lo.e, 1), (ln2.hi.m, ln2.hi.e, 1))
     one = (1, 0, 1)
-    chain = WeightChain(handle.T, p)
-    terms = [(l, count, *chain.raw(l))
-             for l, count in snapshot.length_counts_up_to(n_programs)]
-    e_lo = min(t[3] for t in terms)
-    e_hi = min(t[5] for t in terms)
+    e_lo, e_hi = walk.e_lo, walk.e_hi
     Z_lo = Z_hi = W_lo = W_hi = 0  # over the K programs before the group
     K = 0
 
@@ -442,9 +480,10 @@ def _verify_certificate(handle: QuantityHandle) -> None:
         Z, Z_next = ((_rounded(Z_lo + i * step_lo, e_lo, bits, False),
                       _rounded(Z_hi + i * step_hi, e_hi, bits, True))
                      for i in (j, j + 1))
-        return _increment_bracket(quantity, T, ln2, w, Z, Z_next, N, bits)
+        return _increment_bracket(quantity, Tq, ln2, w, Z, Z_next, N, bits)
 
-    for l, count, m_lo, x_lo, m_hi, x_hi in terms:
+    # the walk may cover more groups than the n programs; zip stops at n
+    for (l, count), (m_lo, x_lo, m_hi, x_hi) in zip(groups, walk.weights):
         step_lo = m_lo << (x_lo - e_lo)
         step_hi = m_hi << (x_hi - e_hi)
         first, last = max(k0 - K, 0), count - 1
@@ -480,15 +519,19 @@ def _verify_certificate(handle: QuantityHandle) -> None:
         W_hi += count * l * step_hi
         K += count
 
-    ks = sorted({handle.k0, handle.k0 + 1,
-                 min(2 * handle.k0 + 2, n_programs),
-                 n_programs})
-    for k in ks:
-        gT = handle.g(handle.T, k)
-        for i in range(1, SLOPE_SAMPLES + 1):
-            x = handle.T + (handle.t - handle.T) * Fraction(i, SLOPE_SAMPLES + 1)
-            diff = handle.g(x, k) - gT
-            dx = Enclosure.from_rational(x - handle.T, handle.precision_bits)
+    # the slope bounds at depths k0, k0 + 1, 2 k0 + 2 and n, at sample
+    # points of (T, t); one walk per point gives all four depths
+    T, t = handle.T, handle.t
+    ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n_programs), n_programs})
+    xs = [T + (t - T) * Fraction(i, SLOPE_SAMPLES + 1)
+          for i in range(1, SLOPE_SAMPLES + 1)]
+    at_T = walk.sums((0, 1), ks)
+    at_x = [CensusWalk(groups, x, p).sums((0, 1), ks) for x in xs]
+    for i, k in enumerate(ks):
+        gT = _g_from_moments(quantity, at_T[i][0], at_T[i][1], T, p)
+        for x, mu in zip(xs, at_x):
+            diff = _g_from_moments(quantity, mu[i][0], mu[i][1], x, p) - gT
+            dx = Enclosure.from_rational(x - T, p)
             if certified_lt(dx.scale2(handle.a), diff):
                 raise CertificationError(
                     f"slope upper bound falsified at k={k}, x={x}")
@@ -707,30 +750,31 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
         raise RangeError(
             f"0.T_n + 2^-{n} = {r.serialize()} outside the certificate "
             f"window ({handle.T}, {handle.t}); n below n0")
-    series = _PartialSeries(handle, r_frac)
-    for _ in range(handle.k0):
-        series.advance()
+    values = _depth_values(handle, r_frac)
+    k, g = next(values)
+    max_depth = handle.max_depth  # a sum over the census: read it once
     k_e = None
     for h in upper_oracle:
         while True:
-            if certified_gt(series.g(), Enclosure.point(h)):
-                k_e = series.k
+            if certified_gt(g(), Enclosure.point(h)):
+                k_e = k
                 break
-            if series.k >= handle.max_depth:
+            if k >= max_depth:
                 break
-            series.advance()
+            k, g = next(values)
         if k_e is not None:
             break
     if k_e is None:
         raise OracleExhausted("oracle ended before g(r, k) exceeded it")
 
     threshold = Dyadic.from_fraction(handle.T * (n - handle.a - handle.b))
-    verified_through = min(10 * k_e, handle.max_depth)
-    lengths = handle.lengths(verified_through)
-    for i in range(k_e, verified_through):
-        if not threshold < Dyadic(lengths[i]):
+    verified_through = min(10 * k_e, max_depth)
+    if k_e < verified_through:
+        # lengths never fall, so program k_e + 1 is the shortest checked
+        l = handle.snapshot.length_counts_up_to(k_e + 1)[-1][0]
+        if not threshold < Dyadic(l):
             raise CertificationError(
-                f"program {i + 1} has length {lengths[i]} <= threshold "
+                f"program {k_e + 1} has length {l} <= threshold "
                 f"{threshold.serialize()}; certificate falsified")
 
     if len(handle.snapshot.programs) < k_e:
@@ -755,18 +799,18 @@ def semidecide_above(handle: QuantityHandle, r: Dyadic,
     r_frac = r.as_fraction()
     if not 0 < r_frac < handle.t:
         raise RangeError(f"r = {r.serialize()} outside the certificate window")
-    series = _PartialSeries(handle, r_frac)
-    for _ in range(handle.k0):
-        series.advance()
+    values = _depth_values(handle, r_frac)
+    k, g = next(values)
+    max_depth = handle.max_depth  # a sum over the census: read it once
     probes = 0
     for h in upper_oracle:
         while probes < budget:
             probes += 1
-            if certified_gt(series.g(), Enclosure.point(h)):
+            if certified_gt(g(), Enclosure.point(h)):
                 return "yes"
-            if series.k >= handle.max_depth:
+            if k >= max_depth:
                 break
-            series.advance()
+            k, g = next(values)
         if probes >= budget:
             break
     return "unknown"
@@ -796,16 +840,23 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
         raise PrecisionError("integer part of beta unresolved")
     target = Enclosure.point(Dyadic(floor_lo) + prefix_value(beta_prefix))
 
-    # step 1: a depth whose beta partial sum certifiably exceeds the prefix
+    # step 1: the first depth k >= k0 whose beta partial sum certifiably
+    # exceeds the prefix: its exact lower end after i programs of a group
+    # is S + i w l^b, so one integer division finds the first such i
     weights = WeightChain(u, p)
-    partial = Enclosure.point(0)
+    tm, te = target.lo.m, target.lo.e
+    S, e, K = 0, te, 0  # the lower end S 2^e over the first K programs
     k_e = None
-    lengths = islice(handle.snapshot.iter_lengths(), handle.max_depth)
-    for k, l in enumerate(lengths, start=1):
-        partial = partial + weights[l] * l**handle.b
-        if k >= handle.k0 and certified_gt(partial, target):
-            k_e = k
+    for l, count in handle.snapshot.length_counts_up_to(handle.max_depth):
+        m, x, _, _ = weights.raw(l)
+        if x < e:
+            S, e = S << (e - x), x
+        step = (m << (x - e)) * l**handle.b
+        i = max(handle.k0 - K, ((tm << (te - e)) - S) // step + 1, 1)
+        if i <= count:
+            k_e = K + i
             break
+        S, K = S + count * step, K + count
     if k_e is None:
         raise OracleExhausted("enumeration exhausted before the beta "
                               "partial sum cleared the prefix value")

@@ -16,13 +16,14 @@ The tail belongs to the snapshot (ensembles.Tail): a builtin machine's
 own tail when the snapshot carries that machine, otherwise the census
 Kraft slack, which holds for any prefix-free domain.
 
-All moments go through one integer kernel, moment_sums.  The weights come
-from a WeightChain: 2^(-l/T) as the outward-rounded l-th power of
-2^(-1/T), held as raw (mantissa, exponent) integer pairs for the lower and
-upper endpoints, with exact point weights where l/T is an integer.  The
-kernel sums count(l) * l^j times each endpoint exactly, as one integer
-per order and endpoint aligned to the smallest exponent, so no Dyadic or
-Enclosure is built per term.  A limit evaluation bounds the
+All moments go through one integer kernel, CensusWalk, and moment_sums is
+its last prefix.  The weights come from a WeightChain: 2^(-l/T) as the
+outward-rounded l-th power of 2^(-1/T), held as raw (mantissa, exponent)
+integer pairs for the lower and upper endpoints, with exact point weights
+where l/T is an integer.  The kernel sums count(l) * l^j times each
+endpoint exactly, as one integer per order and endpoint aligned to the
+smallest exponent, so no Dyadic or Enclosure is built per term, and one
+walk gives the exact sums at several depths.  A limit evaluation bounds the
 tails of all its orders in one call, so the per-cutoff work is shared:
 the census slack tau, computed once as
 (2^L - sum_{l<=L} census(l) 2^(L-l)) / 2^L in integers, or a machine
@@ -32,8 +33,10 @@ it; nothing is cached at module level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
 from operator import mul
 
@@ -126,34 +129,75 @@ class WeightChain:
 _CHAIN_GUARD = 32
 
 
-def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict[int, Enclosure]:
-    """Enclosures of sum_l count(l) * l^j * 2^(-l/T) for each j in orders.
+class CensusWalk:
+    """Exact moment sums over census groups at one temperature.  One
+    WeightChain, extended once to the longest length (not at all when
+    every l/T is an integer), gives each group's weight endpoints, aligned
+    to the smallest exponent of each endpoint.  So the sum over the first
+    k programs is one integer per endpoint at any k, inside a group too,
+    and equals moment_sums over those programs bit for bit (the sums are
+    exact and Dyadic is canonical)."""
 
-    The sums are exact: every weight endpoint is scaled by count * l^j and
-    summed as one integer per order and endpoint, aligned to the smallest
-    exponent of that endpoint.  The chain is extended once, to
-    the longest length, and each order's terms are the previous order's
-    times l."""
-    if not length_counts:
-        return {j: Enclosure.point(0) for j in orders}
-    lengths = [l for l, _ in length_counts]
-    chain = WeightChain(T, precision_bits)
-    chain._extend(max(lengths))
-    weights = [chain.raw(l) for l in lengths]
-    e_lo = min(w[1] for w in weights)
-    e_hi = min(w[3] for w in weights)
-    lo = [c * a << (ea - e_lo)
-          for (_, c), (a, ea, _, _) in zip(length_counts, weights)]
-    hi = [c * b << (eb - e_hi)
-          for (_, c), (_, _, b, eb) in zip(length_counts, weights)]
-    sums = {}
-    for j in range(max(orders) + 1):
-        if j:
-            lo = list(map(mul, lo, lengths))
-            hi = list(map(mul, hi, lengths))
-        if j in orders:
-            sums[j] = Enclosure(Dyadic(sum(lo), e_lo), Dyadic(sum(hi), e_hi))
-    return sums
+    __slots__ = ("groups", "lengths", "weights", "e_lo", "e_hi")
+
+    def __init__(self, length_counts, T: Fraction, precision_bits: int):
+        self.groups = length_counts
+        self.lengths = lengths = [l for l, _ in length_counts]
+        chain = WeightChain(T, precision_bits)
+        if lengths and chain.T.numerator > 1:
+            chain._extend(max(lengths))
+        self.weights = [chain.raw(l) for l in lengths]
+        self.e_lo = min((w[1] for w in self.weights), default=0)
+        self.e_hi = min((w[3] for w in self.weights), default=0)
+
+    def sums(self, orders, depths=None) -> list[dict[int, Enclosure]]:
+        """For each depth k in depths (ascending; default the walk's end),
+        enclosures of the sum over the first k programs of l^j 2^(-l/T),
+        j in orders.  Order j+1's terms are order j's times l."""
+        groups, lengths, weights = self.groups, self.lengths, self.weights
+        e_lo, e_hi = self.e_lo, self.e_hi
+        # each depth is the groups before index g plus `take` programs of g
+        spots = [(len(groups), 0)]
+        if depths is not None:
+            starts = list(accumulate((c for _, c in groups), initial=0))
+            spots = []
+            for k in depths:
+                g = bisect_right(starts, k) - 1
+                spots.append((g, k - starts[g]))
+        top = spots[-1][0]  # no whole group past it is summed
+        if top < len(groups):
+            groups = groups[:top]
+        lo = [c * a << (ea - e_lo)
+              for (_, c), (a, ea, _, _) in zip(groups, weights)]
+        hi = [c * b << (eb - e_hi)
+              for (_, c), (_, _, b, eb) in zip(groups, weights)]
+        out = [{} for _ in spots]
+        for j in range(max(orders) + 1):
+            if j:
+                lo = list(map(mul, lo, lengths))
+                hi = list(map(mul, hi, lengths))
+            if j not in orders:
+                continue
+            run_lo = run_hi = done = 0
+            for sums, (g, take) in zip(out, spots):
+                run_lo += sum(lo[done:g])
+                run_hi += sum(hi[done:g])
+                done = g
+                part_lo, part_hi = run_lo, run_hi
+                if take:
+                    a, ea, b, eb = weights[g]
+                    lj = take * lengths[g] ** j
+                    part_lo += lj * a << (ea - e_lo)
+                    part_hi += lj * b << (eb - e_hi)
+                sums[j] = Enclosure(Dyadic(part_lo, e_lo),
+                                    Dyadic(part_hi, e_hi))
+        return out
+
+
+def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict[int, Enclosure]:
+    """Enclosures of sum_l count(l) * l^j * 2^(-l/T) for each j in orders:
+    the last prefix of a CensusWalk over length_counts."""
+    return CensusWalk(length_counts, T, precision_bits).sums(orders)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +205,13 @@ def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict
 # ---------------------------------------------------------------------------
 
 def moment_tail_bound(snapshot: EnsembleSnapshot, L: int, T: Fraction,
-                      j, precision_bits: int = DEFAULT_PRECISION,
-                      slack: Fraction | None = None):
+                      j, precision_bits: int = DEFAULT_PRECISION):
     """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T), from
     the snapshot's tail.  For a tuple j of orders, a dict of the bound of
-    each order, sharing the work that does not depend on the order.
-    slack, when given, must be the census slack kraft_slack(census, L)."""
+    each order, sharing the work that does not depend on the order."""
     orders = (j,) if isinstance(j, int) else j
     bounds = snapshot.tail.bounds(snapshot.census, L, T, orders,
-                                  precision_bits, slack)
+                                  precision_bits)
     return bounds[j] if isinstance(j, int) else bounds
 
 

@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from math import ceil, log2
 from unittest import mock
 
@@ -89,45 +90,87 @@ RECHECK_SNAPSHOTS = {
     "geometric 300": builtin_snapshot("geometric", 300),
     "sdm4 1500 cap 512": builtin_snapshot("sdm4", 1500, program_cap=512),
 }
+CERTIFICATE_SNAPSHOTS = {
+    **{f"geometric {n}": (lambda n=n: builtin_snapshot("geometric", n))
+       for n in (80, 300, 600)},
+    "sdm4 200 cap 64": lambda: builtin_snapshot("sdm4", 200, program_cap=64),
+    "sdm4 1500 cap 512": lambda: RECHECK_SNAPSHOTS["sdm4 1500 cap 512"],
+    "sdm4 1500": lambda: builtin_snapshot("sdm4", 1500),
+    "literal 40": lambda: builtin_snapshot("literal", 40),
+    "gamma_literal 40": lambda: builtin_snapshot("gamma_literal", 40),
+}
 TEMPERATURES = tuple(Fraction(n, 8) for n in (2, 3, 4, 5, 6))
 
-# (k0, a, a_lower, b, c), or the exception certify raises, per snapshot,
-# quantity and T in TEMPERATURES; the per-program re-check gave the same
+# certify's CertificationError messages; CAP's window is [T, (T+1)/2]
+NO_INDEX = "no enumerated index satisfies the certificate precondition"
+FEW = "not enough enumerated programs to verify beyond k0 = "
+CAP = "cannot certify positive heat capacity on [{T}, {t}] at k0="
+_GEOMETRIC = {
+    "Z": [(1, 4, 4, 0, 0), (1, 3, 3, 0, 0), (1, 2, 2, 0, 0), (1, 2, 2, 0, 0),
+          (1, 1, 2, 0, 0)],
+    "-F": [(5, 1, 2, 1, 0), (3, 1, 1, 1, 0), (2, 1, 1, 1, 0), (2, 1, 1, 1, 0),
+           (2, 1, 1, 1, 0)],
+    "E": [CAP + "7", CAP + "3", (2, 5, 4, 2, 1), (2, 5, 4, 2, 1),
+          (3, 4, 6, 2, 1)],
+    "S": [CAP + "7", CAP + "3", (2, 6, 3, 3, 1), (2, 5, 4, 3, 1),
+          (3, 5, 6, 3, 1)],
+}
+_SDM4 = {
+    "Z": [(1, 3, 7, 0, 0), (1, 2, 4, 0, 0), (1, 2, 3, 0, 0), (1, 2, 3, 0, 0),
+          (1, 2, 2, 0, 0)],
+    "-F": [NO_INDEX, FEW + "22143", (91, 2, 1, 1, 0), (30, 2, 0, 1, 0),
+           (10, 3, 0, 1, 0)],
+    "E": [NO_INDEX, CAP + "22143", CAP + "10", (3, 8, 3, 2, 1),
+          (10, 8, 3, 2, 1)],
+    "S": [NO_INDEX, CAP + "22143", CAP + "10", (3, 8, 2, 3, 1),
+          (10, 8, 3, 3, 1)],
+}
+# (k0, a, a_lower, b, c), or the message of the CertificationError certify
+# raises, per snapshot, quantity and T in TEMPERATURES: 160 handles, as
+# certify gave them when it summed each depth and sample point separately
 PINNED_CERTIFICATES = {
-    "geometric 300": {
-        "Z": [(1, 4, 4, 0, 0), (1, 3, 3, 0, 0), (1, 2, 2, 0, 0),
-              (1, 2, 2, 0, 0), (1, 1, 2, 0, 0)],
-        "-F": [(5, 1, 2, 1, 0), (3, 1, 1, 1, 0), (2, 1, 1, 1, 0),
-               (2, 1, 1, 1, 0), (2, 1, 1, 1, 0)],
-        "E": [CertificationError, CertificationError, (2, 5, 4, 2, 1),
-              (2, 5, 4, 2, 1), (3, 4, 6, 2, 1)],
-        "S": [CertificationError, CertificationError, (2, 6, 3, 3, 1),
-              (2, 5, 4, 3, 1), (3, 5, 6, 3, 1)],
+    "geometric 80": _GEOMETRIC,
+    "geometric 300": _GEOMETRIC,
+    "geometric 600": _GEOMETRIC,
+    "sdm4 200 cap 64": {**_SDM4, "-F": [NO_INDEX, FEW + "22143", FEW + "91",
+                                        FEW + "30", (10, 3, 0, 1, 0)]},
+    "sdm4 1500 cap 512": _SDM4,
+    "sdm4 1500": _SDM4,
+    "literal 40": {
+        "Z": [(1, 3, 4, 0, 0), (1, 3, 3, 0, 0), (1, 2, 2, 0, 0),
+              (1, 2, 2, 0, 0), (1, 2, 2, 0, 0)],
+        "-F": [(7, 1, 4, 1, 0), (3, 1, 2, 1, 0), (2, 1, 2, 1, 0),
+               (2, 2, 2, 1, 0), (2, 2, 1, 1, 0)],
+        "E": [CAP + "15", CAP + "3", (2, 6, 6, 2, 1), (3, 5, 2, 2, 1),
+              (3, 5, 2, 2, 1)],
+        "S": [CAP + "15", CAP + "3", (2, 7, 6, 3, 1), (3, 6, 2, 3, 1),
+              (3, 6, 2, 3, 1)],
     },
-    "sdm4 1500 cap 512": {
-        "Z": [(1, 3, 7, 0, 0), (1, 2, 4, 0, 0), (1, 2, 3, 0, 0),
+    "gamma_literal 40": {
+        "Z": [(1, 3, 7, 0, 0), (1, 3, 4, 0, 0), (1, 2, 3, 0, 0),
               (1, 2, 3, 0, 0), (1, 2, 2, 0, 0)],
-        "-F": [CertificationError, CertificationError, (91, 2, 1, 1, 0),
-               (30, 2, 0, 1, 0), (10, 3, 0, 1, 0)],
-        "E": [CertificationError, CertificationError, CertificationError,
-              (3, 8, 3, 2, 1), (10, 8, 3, 2, 1)],
-        "S": [CertificationError, CertificationError, CertificationError,
-              (3, 8, 2, 3, 1), (10, 8, 3, 3, 1)],
+        "-F": [NO_INDEX, FEW + "32766", (126, 2, 0, 1, 0), (14, 2, 0, 1, 0),
+               (14, 2, 0, 1, 0)],
+        "E": [NO_INDEX, CAP + "16382", CAP + "14", CAP + "3",
+              (6, 8, 6, 2, 1)],
+        "S": [NO_INDEX, CAP + "16382", CAP + "14", CAP + "3",
+              (6, 8, 5, 3, 1)],
     },
 }
 
 
 @pytest.mark.parametrize("snapshot", sorted(PINNED_CERTIFICATES))
 def test_certificates_are_pinned(snapshot):
+    snap = CERTIFICATE_SNAPSHOTS[snapshot]()
     for quantity, expected in PINNED_CERTIFICATES[snapshot].items():
         for T, want in zip(TEMPERATURES, expected):
-            snap = RECHECK_SNAPSHOTS[snapshot]
             if isinstance(want, tuple):
                 h = certify(snap, quantity, T)
                 assert (h.k0, h.a, h.a_lower, h.b, h.c) == want, (quantity, T)
             else:
-                with pytest.raises(want):
+                with pytest.raises(CertificationError) as raised:
                     certify(snap, quantity, T)
+                assert str(raised.value) == want.format(T=T, t=(T + 1) / 2)
 
 
 def _reference_increments(h):
@@ -541,3 +584,114 @@ def test_reconstruct_randomized():
                             approach_oracle(h), ascending_lower_oracle(h))
         assert abs(rep.candidate.as_fraction() - T) < rep.radius.as_fraction()
         assert T < rep.candidate.as_fraction()  # approach is from above
+
+
+# -- pinned procedure results ------------------------------------------
+
+# witness_search on geometric 300 at T = 1/2 from n bits of 1/2: (k_e,
+# length threshold, verified_through), then the same with a shifted 40
+# down, whose threshold the programs past k_e no longer clear (the
+# CertificationError message, less "; certificate falsified")
+PINNED_WITNESSES = {
+    "Z": {8: ((4, "3*2^0", 40),
+              "program 5 has length 5 <= threshold 23*2^0"),
+          20: ((10, "9*2^0", 100),
+               "program 11 has length 11 <= threshold 29*2^0"),
+          30: ((15, "7*2^1", 150),
+               "program 16 has length 16 <= threshold 17*2^1")},
+    "-F": {8: ((4, "3*2^0", 40),
+               "program 5 has length 5 <= threshold 23*2^0"),
+           20: ((10, "9*2^0", 100),
+                "program 11 has length 11 <= threshold 29*2^0"),
+           30: ((300, "7*2^1", 300), (300, "17*2^1", 300))},
+    "E": {8: ((6, "1*2^-1", 60),
+              "program 7 has length 7 <= threshold 41*2^-1"),
+          20: ((12, "13*2^-1", 120),
+               "program 13 has length 13 <= threshold 53*2^-1"),
+          30: ((17, "23*2^-1", 170),
+               "program 18 has length 18 <= threshold 63*2^-1")},
+    "S": {8: ((6, "-1*2^-1", 60),
+              "program 7 has length 7 <= threshold 39*2^-1"),
+          20: ((12, "11*2^-1", 120),
+               "program 13 has length 13 <= threshold 51*2^-1"),
+          30: ((300, "21*2^-1", 300), (300, "61*2^-1", 300))},
+}
+# the least budget at which semidecide_above answers yes, for r = 9/16,
+# 33/64, 129/256 and 1025/2048
+PINNED_SEMIDECISION_BUDGETS = {"Z": [2, 3, 4, 5], "-F": [1, 2, 3, 5],
+                               "E": [2, 3, 5, 6], "S": [3, 4, 5, 6]}
+# reconstruct_T at (u, n) = (5/8, 6), (3/4, 16), (7/8, 24): (beta bits
+# used, candidate, radius)
+PINNED_RECONSTRUCTIONS = {
+    "Z": [(5, "129*2^-8", "1*2^-4"), (11, "524289*2^-20", "1*2^-14"),
+          (14, "134217729*2^-28", "1*2^-22")],
+    "-F": [(5, "1025*2^-11", "1*2^-5"), (11, "268435457*2^-29", "1*2^-15"),
+           (14, "274877906945*2^-39", "1*2^-23")],
+    "E": [(5, "2049*2^-12", "1*2^-1"), (11, "4294967297*2^-33", "1*2^-11"),
+          (14, "8796093022209*2^-44", "1*2^-19")],
+    "S": [(5, "1048577*2^-21", "1*2^-2"),
+          (11, "549755813889*2^-40", "1*2^-12"),
+          (14, "35184372088833*2^-46", "1*2^-20")],
+}
+
+
+def _witness(handle, n):
+    try:
+        rep = witness_search(handle, bits_prefix(Dyadic(1, -1), n),
+                             descending_upper_oracle(handle))
+    except CertificationError as exc:
+        return str(exc).removesuffix("; certificate falsified")
+    assert rep.witness == LAMBDA
+    return rep.k_e, rep.length_threshold.serialize(), rep.verified_through
+
+
+@pytest.mark.parametrize("quantity", sorted(GEO300_HANDLES))
+def test_procedures_are_pinned(quantity):
+    h = GEO300_HANDLES[quantity]
+    for n, want in PINNED_WITNESSES[quantity].items():
+        assert (_witness(h, n), _witness(replace(h, a=h.a - 40), n)) == want
+    for r, least in zip((Dyadic(9, -4), Dyadic(33, -6), Dyadic(129, -8),
+                         Dyadic(1025, -11)),
+                        PINNED_SEMIDECISION_BUDGETS[quantity]):
+        answers = [semidecide_above(h, r, descending_upper_oracle(h), budget)
+                   for budget in (least - 1, least)]
+        assert answers == ["unknown", "yes"], r
+    for (u, n), want in zip(((Fraction(5, 8), 6), (Fraction(3, 4), 16),
+                             (Fraction(7, 8), 24)),
+                            PINNED_RECONSTRUCTIONS[quantity]):
+        rep = reconstruct_T(h, u, n, _beta_prefix(h, u, n),
+                            approach_oracle(h), ascending_lower_oracle(h))
+        got = (rep.beta_bits_used, rep.candidate.serialize(),
+               rep.radius.serialize())
+        assert got == want, (u, n)
+
+
+def test_running_depth_values_match_the_depth_evaluations():
+    # the procedures' running integer sums give g(x, k) bit for bit, also
+    # inside sdm4's length groups
+    for snap in RECHECK_SNAPSHOTS.values():
+        for quantity in ("Z", "-F"):
+            h = certify(snap, quantity, HALF)
+            x = Fraction(37, 64)
+            for k, g in islice(fixedpoint._depth_values(h, x), 40):
+                want = h.g(x, k)
+                assert (g().lo, g().hi) == (want.lo, want.hi), (quantity, k)
+
+
+def test_certify_builds_few_weight_chains(monkeypatch):
+    # per certify on geometric 300 at T = 1/2: two limit evaluations, one
+    # walk at T shared by the precondition, the re-check and the slope
+    # check, one walk per slope sample, and for E and S one per capacity
+    # subdivision point past T (32); summing each depth and point
+    # separately took 20, 21, 90 and 90
+    built = Counter()
+    init = thermo.WeightChain.__init__
+
+    def counted(self, *args):
+        built[quantity] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(thermo.WeightChain, "__init__", counted)
+    for quantity in ("Z", "-F", "E", "S"):
+        certify(GEO300, quantity, HALF)
+    assert built == {"Z": 6, "-F": 6, "E": 38, "S": 38}

@@ -6,23 +6,25 @@ Closed forms used as oracles:
   sdm4:       Z(T) = y/(1 - 2y - 3y^2), y = 2^(-2/T)  (census recurrence)
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from thermoait.dyadic import Dyadic
+from thermoait.dyadic import Dyadic, from_rational_ceil
 from thermoait.enclosure import (
     Enclosure, exp2_enclosure, round_outward,
 )
 from thermoait.ensembles import (
-    MACHINES, EnsembleSnapshot, builtin_snapshot, load_snapshot, save_snapshot,
+    MACHINES, EnsembleSnapshot, _CensusRatio, builtin_snapshot, load_snapshot,
+    save_snapshot,
 )
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
-    QUANTITIES, _census_cutoff, divergence_probe, eval_limit, eval_partial,
-    evaluate, limit_moments, moment_sums, moment_tail_bound, power_sum,
-    summed_lengths, sweep,
+    QUANTITIES, CensusWalk, _census_cutoff, divergence_probe, eval_limit,
+    eval_partial, evaluate, limit_moments, moment_sums, moment_tail_bound,
+    power_sum, summed_lengths, sweep,
 )
 
 mpmath.mp.prec = 200
@@ -216,6 +218,64 @@ def _check_census_tail(kind, snap):
                         (T, L, p, j)
 
 
+def _fraction_ratio_bounds(tail, L, T, orders, p):
+    """_CensusRatio.bounds summed in Fractions, as it was before it moved
+    to integer mantissas and exponents."""
+    P, r = tail.period, tail.rate
+    first = max(0, (L - tail.offset) // P + 1)
+    step = exp2_enclosure(Fraction(-P) / T, p).hi.as_fraction()
+    if r * step >= 1:
+        raise RangeError("census growth outpaces the weights")
+    w_first = exp2_enclosure(Fraction(-(P * first + tail.offset)) / T,
+                             p).hi.as_fraction()
+    settle = (1 + r * step) / 2
+    out = {}
+    for j in orders:
+        m, w, total = first, w_first, 0
+        while True:
+            l = P * m + tail.offset
+            c = tail.scale * r**m + tail.excess
+            rho = r * step * Fraction(l + P, l) ** j
+            if rho <= settle:
+                break
+            total += c * l**j * w
+            m, w = m + 1, w * step
+        total += c * l**j * w / (1 - rho)
+        out[j] = from_rational_ceil(total.numerator, total.denominator, p + 32)
+    return out
+
+
+def test_census_ratio_bounds_match_the_fraction_reference():
+    # the builtin ratio tails, and two whose census outgrows the weights
+    # at some T < 1 (rate 3 per length from T = 1/log2 3 = 0.63, rate 5
+    # per 2 lengths from T = 2/log2 5 = 0.86); a T where the growth nearly
+    # meets the weights' decay is drawn again, since there both sums run
+    # to very long lengths
+    rng = random.Random(20261018)
+    tails = [m.tail for _, m in sorted(MACHINES.items())
+             if isinstance(m.tail, _CensusRatio)]
+    tails += [_CensusRatio(1, 0, 3),
+              _CensusRatio(2, 1, 5, Fraction(2, 3), Fraction(5, 7))]
+    outcomes = set()
+    for _ in range(900):
+        tail = rng.choice(tails)
+        L, T = rng.randrange(0, 600), Fraction(rng.randrange(1, 1024), 1024)
+        while 0.9 < tail.rate * 2 ** (-tail.period / T) < 1:
+            T = Fraction(rng.randrange(1, 1024), 1024)
+        args = (L, T, (0, 1, 2, 3, 4), rng.choice((32, 64, 128, 256)))
+        try:
+            want = _fraction_ratio_bounds(tail, *args)
+        except RangeError:
+            want = RangeError
+        try:
+            got = tail.bounds({}, *args)
+        except RangeError:
+            got = RangeError
+        assert got == want, (tail, args)
+        outcomes.add(want is RangeError)
+    assert outcomes == {False, True}
+
+
 def test_limit_requires_subcritical_temperature():
     with pytest.raises(RangeError):
         moment_tail_bound(SDM, 200, Fraction(1, 1), 0)
@@ -367,14 +427,13 @@ def _reference_sums(items, T: Fraction, orders, p: int) -> dict:
 
 
 def _reference_limit(snap, T: Fraction, orders, p: int) -> dict:
-    """Census sums to the cutoff plus [0, tail], the tail taken over the
-    census slack summed as Fractions."""
+    """Census sums to the cutoff plus [0, tail], each order's tail bounded
+    on its own."""
     L = _census_cutoff(snap, T, 4, p)
     items = [(l, c) for l, c in sorted(snap.census.items()) if l <= L]
-    slack = 1 - sum((Fraction(c, 1 << l) for l, c in items), Fraction(0))
     sums = _reference_sums(items, T, orders, p)
     return {j: sums[j] + Enclosure(Dyadic(0),
-                                   moment_tail_bound(snap, L, T, j, p, slack))
+                                   moment_tail_bound(snap, L, T, j, p))
             for j in orders}
 
 
@@ -413,6 +472,21 @@ def test_kernel_matches_object_reference(kind, p):
         ref_half = _reference_limit(snap, T / 2, (0,), p)[0]
         assert (_endpoints(power_sum(snap, T, 2, "limit", p))
                 == _endpoints(ref_half))
+
+
+@pytest.mark.parametrize("kind", MACHINES)
+def test_census_walk_prefixes_match_moment_sums(kind):
+    # one walk's sums at several depths, some inside a length group, equal
+    # moment_sums over each depth's programs bit for bit
+    snap = KERNEL_SNAPSHOTS[kind]
+    depths = [0, 1, 2, 5, 37, 38, 200]
+    groups = snap.length_counts_up_to(depths[-1])
+    for T in KERNEL_TEMPERATURES:
+        walk = CensusWalk(groups, T, 64)
+        for k, got in zip(depths, walk.sums((0, 1, 2), depths)):
+            want = moment_sums(snap.length_counts_up_to(k), T, (0, 1, 2), 64)
+            for j in (0, 1, 2):
+                assert _endpoints(got[j]) == _endpoints(want[j]), (T, k, j)
 
 
 def test_thermo_has_no_module_level_cache():
