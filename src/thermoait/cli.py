@@ -31,7 +31,7 @@ from .fixedpoint import (
     approach_oracle, ascending_lower_oracle, certify, descending_upper_oracle,
     file_oracle, grid_oracle, reconstruct_T, solve_temperature, witness_search,
 )
-from .relations import check_identities, check_monotone, check_positivity
+from .relations import _identities_and_positivity, check_monotone
 from .thermo import QUANTITIES, eval_limit, eval_partial
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
@@ -299,31 +299,20 @@ def _cmd_thermo(args, emit, precision) -> int:
 
 def _cmd_verify(args, emit, precision) -> int:
     snap = _load(args)
-    failures, reports, rows = 0, [], []
-    for T in args.grid:
-        for k in (args.k, "limit"):
-            for rep in (check_identities(snap, T, k, precision),
-                        check_positivity(snap, T, k, precision)):
-                for chk in rep.checks:
-                    status = {True: "pass", False: "FAIL",
-                              None: "unresolved"}[chk.passed]
-                    if chk.passed is False:
-                        failures += 1
-                    reports.append({"T": fraction_text(T), "k": str(k),
-                                    "check": chk.name, "status": status})
-                    rows.append([fraction_text(T), str(k), chk.name, status])
+    checks = [(fraction_text(T), str(k), chk)
+              for T in args.grid for k in (args.k, "limit")
+              for rep in _identities_and_positivity(snap, T, k, precision)
+              for chk in rep.checks]
     mono = check_monotone(snap, Fraction(1, 2),
                           min(12, sum(snap.census.values())))
-    for chk in mono.checks:
-        status = {True: "pass", False: "FAIL", None: "unresolved"}[chk.passed]
-        if chk.passed is False:
-            failures += 1
-        reports.append({"T": "1/2", "k": "depth-sweep", "check": chk.name,
-                        "status": status})
-        rows.append(["1/2", "depth-sweep", chk.name, status])
+    checks += [("1/2", "depth-sweep", chk) for chk in mono.checks]
+    status = {True: "pass", False: "FAIL", None: "unresolved"}
+    header = ["T", "k", "check", "status"]
+    rows = [[T, k, chk.name, status[chk.passed]] for T, k, chk in checks]
+    failures = sum(chk.passed is False for _, _, chk in checks)
     emit({"ensemble": snap.ensemble_id, "failures": failures,
-          "checks": reports},
-         (["T", "k", "check", "status"], rows))
+          "checks": [dict(zip(header, row)) for row in rows]},
+         (header, rows))
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

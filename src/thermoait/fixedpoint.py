@@ -21,11 +21,10 @@ increment of -F, E and S falls as the group's programs are added (Z_k
 grows, Z_k l - W_k stays fixed), so the lower bound binds at the group's
 last program and the upper bound at its first.  See _verify_certificate.
 
-certify sums each temperature's census once, in integers: one
-thermo.CensusWalk at T serves the precondition, the re-check and every
-depth of the slope check, one walk per slope sample serves all its
-depths, and each capacity subdivision point is summed once.  The
-procedures keep integer running sums per census group as they go deeper.
+Every sum is thermo's, exact and in integers: certify's depth sets come
+from one thermo.CensusWalk per temperature, and whatever goes one census
+group at a time (the re-check, the procedures' depths) from thermo's
+lazy running walk, which stops where its reader stops.
 
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
@@ -50,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import ceil
+from math import ceil, inf
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bitstring import BitString, successor
@@ -64,7 +63,7 @@ from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
 from .thermo import (
-    CensusWalk, WeightChain, _temp_frac, moment_sums, moments,
+    CensusWalk, WeightChain, _RunningWalk, _temp_frac, moment_sums, moments,
 )
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
@@ -176,40 +175,46 @@ class ReconstructionReport:
 def _depth_values(handle: QuantityHandle, x: Fraction
                   ) -> Iterator[tuple[int, Callable[[], Enclosure]]]:
     """(k, g) for k = k0, k0 + 1, ..., max_depth, where g() is g(x, k),
-    computed at its first call.  Z_k and W_k are exact integer running sums
-    over the census groups (so equal to the depth-k moments bit for bit),
-    each endpoint aligned to the smallest weight exponent so far."""
-    chain = WeightChain(x, handle.precision_bits)
-    k0 = handle.k0
-    k = Z_lo = Z_hi = W_lo = W_hi = e_lo = e_hi = 0
+    computed at its first call from one running walk's exact sums."""
+    k0, p = handle.k0, handle.precision_bits
+    walk = _RunningWalk(handle.snapshot.length_counts_up_to(handle.max_depth),
+                        WeightChain(x, p), (0, 1))
 
-    def state():
-        Z = Enclosure(Dyadic(Z_lo, e_lo), Dyadic(Z_hi, e_hi))
-        W = Enclosure(Dyadic(W_lo, e_lo), Dyadic(W_hi, e_hi))
-        return k, cache(partial(_g_from_moments, handle.quantity, Z, W, x,
-                                handle.precision_bits))
+    def g(i: int) -> Callable[[], Enclosure]:
+        return cache(partial(_g_from_moments, handle.quantity, walk.at(0, i),
+                             walk.at(1, i), x, p))
 
-    for l, count in handle.snapshot.length_counts_up_to(handle.max_depth):
-        m_lo, x_lo, m_hi, x_hi = chain.raw(l)
-        if x_lo < e_lo:
-            s = e_lo - x_lo
-            Z_lo, W_lo, e_lo = Z_lo << s, W_lo << s, x_lo
-        if x_hi < e_hi:
-            s = e_hi - x_hi
-            Z_hi, W_hi, e_hi = Z_hi << s, W_hi << s, x_hi
-        step_lo, step_hi = m_lo << (x_lo - e_lo), m_hi << (x_hi - e_hi)
-        skip = min(count, max(k0 - k, 0))  # the programs before k0, at once
-        Z_lo, Z_hi = Z_lo + skip * step_lo, Z_hi + skip * step_hi
-        W_lo, W_hi = W_lo + skip * l * step_lo, W_hi + skip * l * step_hi
-        k += skip
-        for _ in range(count - skip):
-            yield state()
-            Z_lo, Z_hi = Z_lo + step_lo, Z_hi + step_hi
-            W_lo, W_hi = W_lo + l * step_lo, W_hi + l * step_hi
-            k += 1
+    k = 0
+    for _, count in walk:
+        for i in range(min(count, max(k0 - k, 0)), count):
+            yield k + i, g(i)  # the programs before k0 are skipped at once
+        k += count
     if k < k0:
         raise RangeError("enumeration exhausted")
-    yield state()
+    yield k, g(0)
+
+
+def _exceeding_depth(handle: QuantityHandle, x: Fraction,
+                     upper_oracle: Iterable[Dyadic], budget: float
+                     ) -> Optional[int]:
+    """The first depth k >= k0 with g(x, k) certifiably above the oracle's
+    value (the next one once the depths run out), or None if the oracle or
+    the budget of comparisons runs out first."""
+    values = _depth_values(handle, x)
+    k, g = next(values)
+    probes = 0
+    for h in upper_oracle:
+        while probes < budget:
+            probes += 1
+            if certified_gt(g(), Enclosure.point(h)):
+                return k
+            deeper = next(values, None)
+            if deeper is None:
+                break
+            k, g = deeper
+        if probes >= budget:
+            break
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +431,12 @@ def _verify_certificate(handle: QuantityHandle,
     slope bounds on (T, t).
 
     walk is the CensusWalk at T over at least the first n programs (built
-    here when not given); the re-check and the slope check both read it.
+    here when not given); the slope check reads its sums, and the re-check
+    walks its weight chain.
 
-    The depths are walked one census length group (l, count) at a time.
-    Z_k and W_k are exact integer accumulators over the walk's raw weight
-    endpoints, aligned to its smallest exponents, as in thermo.moment_sums.
+    The depths are walked one census length group (l, count) at a time
+    by a thermo running walk: the exact sums Z_K, W_K over the K programs
+    before the group, and one program's weight w, so Z_k = Z_K + (k - K) w.
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on l alone.
     Within a group every increment depends only on l and on (Z_k, W_k),
     and it falls as k runs over the group, because Z_k grows by w at each
@@ -471,21 +477,22 @@ def _verify_certificate(handle: QuantityHandle,
     ln2 = ln2_enclosure(p)
     ln2 = ((ln2.lo.m, ln2.lo.e, 1), (ln2.hi.m, ln2.hi.e, 1))
     one = (1, 0, 1)
-    e_lo, e_hi = walk.e_lo, walk.e_hi
-    Z_lo = Z_hi = W_lo = W_hi = 0  # over the K programs before the group
-    K = 0
+    # a Z increment is w itself, so its bracket reads no sums
+    running = groups if quantity == "Z" else _RunningWalk(groups, walk.chain,
+                                                          (0, 1))
 
-    def increment_at(j: int, w, N):
-        """Bounds on the increment at depth K + j, inside the group."""
-        Z, Z_next = ((_rounded(Z_lo + i * step_lo, e_lo, bits, False),
-                      _rounded(Z_hi + i * step_hi, e_hi, bits, True))
-                     for i in (j, j + 1))
+    def increment_at(Z_k, w, N):
+        """Bounds on the increment at the depth k where the walk's sum is
+        Z_k = (m_lo, e, m_hi, e), the same e as w's; Z_{k+1} = Z_k + w."""
+        lo, e, hi, _ = Z_k
+        (w_lo, _, _), (w_hi, _, _) = w
+        Z = (_rounded(lo, e, bits, False), _rounded(hi, e, bits, True))
+        Z_next = (_rounded(lo + w_lo, e, bits, False),
+                  _rounded(hi + w_hi, e, bits, True))
         return _increment_bracket(quantity, Tq, ln2, w, Z, Z_next, N, bits)
 
-    # the walk may cover more groups than the n programs; zip stops at n
-    for (l, count), (m_lo, x_lo, m_hi, x_hi) in zip(groups, walk.weights):
-        step_lo = m_lo << (x_lo - e_lo)
-        step_hi = m_hi << (x_hi - e_hi)
+    K = 0  # the programs before the group
+    for l, count in running:
         first, last = max(k0 - K, 0), count - 1
         if first <= last:
             lower_factor = _mul(_power(l, c), (1, -b, 1))
@@ -495,12 +502,17 @@ def _verify_certificate(handle: QuantityHandle,
                     raise CertificationError("increment bound falsified at "
                                              f"k={K + first}, length {l}")
             else:
-                w = ((m_lo, x_lo, 1), (m_hi, x_hi, 1))
-                N = (_rounded(l * Z_lo - W_lo, e_lo, bits, False),
-                     _rounded(l * Z_hi - W_hi, e_hi, bits, True))
-                at_first = increment_at(first, w, N)
+                Z_K = running.exact(0)
+                Z_lo, e, Z_hi, _ = Z_K
+                W_lo, _, W_hi, _ = running.exact(1)
+                w_lo, _, w_hi, _ = running.term(0)
+                w = ((w_lo, e, 1), (w_hi, e, 1))
+                N = (_rounded(l * Z_lo - W_lo, e, bits, False),
+                     _rounded(l * Z_hi - W_hi, e, bits, True))
+                at_first = increment_at(
+                    running.exact(0, first) if first else Z_K, w, N)
                 at_last = (at_first if last == first
-                           else increment_at(last, w, N))
+                           else increment_at(running.exact(0, last), w, N))
                 ok_hi = _order(at_first, (_mul(w[0], upper_factor),
                                           _mul(w[1], upper_factor)))
                 ok_lo = _order((_mul(w[0], lower_factor),
@@ -513,10 +525,6 @@ def _verify_certificate(handle: QuantityHandle,
                     k = K + (first if ok_hi is None else last)
                     raise PrecisionError(
                         f"increment bound unresolved at k={k}; raise precision")
-        Z_lo += count * step_lo
-        Z_hi += count * step_hi
-        W_lo += count * l * step_lo
-        W_hi += count * l * step_hi
         K += count
 
     # the slope bounds at depths k0, k0 + 1, 2 k0 + 2 and n, at sample
@@ -750,25 +758,12 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
         raise RangeError(
             f"0.T_n + 2^-{n} = {r.serialize()} outside the certificate "
             f"window ({handle.T}, {handle.t}); n below n0")
-    values = _depth_values(handle, r_frac)
-    k, g = next(values)
-    max_depth = handle.max_depth  # a sum over the census: read it once
-    k_e = None
-    for h in upper_oracle:
-        while True:
-            if certified_gt(g(), Enclosure.point(h)):
-                k_e = k
-                break
-            if k >= max_depth:
-                break
-            k, g = next(values)
-        if k_e is not None:
-            break
+    k_e = _exceeding_depth(handle, r_frac, upper_oracle, inf)
     if k_e is None:
         raise OracleExhausted("oracle ended before g(r, k) exceeded it")
 
     threshold = Dyadic.from_fraction(handle.T * (n - handle.a - handle.b))
-    verified_through = min(10 * k_e, max_depth)
+    verified_through = min(10 * k_e, handle.max_depth)
     if k_e < verified_through:
         # lengths never fall, so program k_e + 1 is the shortest checked
         l = handle.snapshot.length_counts_up_to(k_e + 1)[-1][0]
@@ -799,21 +794,8 @@ def semidecide_above(handle: QuantityHandle, r: Dyadic,
     r_frac = r.as_fraction()
     if not 0 < r_frac < handle.t:
         raise RangeError(f"r = {r.serialize()} outside the certificate window")
-    values = _depth_values(handle, r_frac)
-    k, g = next(values)
-    max_depth = handle.max_depth  # a sum over the census: read it once
-    probes = 0
-    for h in upper_oracle:
-        while probes < budget:
-            probes += 1
-            if certified_gt(g(), Enclosure.point(h)):
-                return "yes"
-            if k >= max_depth:
-                break
-            k, g = next(values)
-        if probes >= budget:
-            break
-    return "unknown"
+    k = _exceeding_depth(handle, r_frac, upper_oracle, budget)
+    return "unknown" if k is None else "yes"
 
 
 # ---------------------------------------------------------------------------
@@ -843,21 +825,22 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     # step 1: the first depth k >= k0 whose beta partial sum certifiably
     # exceeds the prefix: its exact lower end after i programs of a group
     # is S + i w l^b, so one integer division finds the first such i
-    weights = WeightChain(u, p)
+    walk = _RunningWalk(handle.snapshot.length_counts_up_to(handle.max_depth),
+                        WeightChain(u, p), (handle.b,))
     tm, te = target.lo.m, target.lo.e
-    S, e, K = 0, te, 0  # the lower end S 2^e over the first K programs
-    k_e = None
-    for l, count in handle.snapshot.length_counts_up_to(handle.max_depth):
-        m, x, _, _ = weights.raw(l)
-        if x < e:
-            S, e = S << (e - x), x
-        step = (m << (x - e)) * l**handle.b
-        i = max(handle.k0 - K, ((tm << (te - e)) - S) // step + 1, 1)
+    K = 0  # the programs before the group
+    for _, count in walk:
+        S, e, _, _ = walk.exact(handle.b)  # S 2^e over the first K programs
+        step = walk.term(handle.b)[0]
+        f = min(e, te)
+        i = max(handle.k0 - K,
+                ((tm << (te - f)) - (S << (e - f))) // (step << (e - f)) + 1,
+                1)
         if i <= count:
             k_e = K + i
             break
-        S, K = S + count * step, K + count
-    if k_e is None:
+        K += count
+    else:
         raise OracleExhausted("enumeration exhausted before the beta "
                               "partial sum cleared the prefix value")
 

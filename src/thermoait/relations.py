@@ -41,10 +41,10 @@ from .enclosure import (
     ln2_enclosure, log2_enclosure,
 )
 from .ensembles import EnsembleSnapshot
-from .errors import PrecisionError, RangeError, SpecError
+from .errors import RangeError, SpecError
 from .thermo import (
-    ThermoEvaluation, WeightChain, _temp_frac, evaluate, moment_hull,
-    summed_lengths,
+    CensusWalk, WeightChain, _temp_frac, derive_quantities, evaluate,
+    moment_hull, summed_lengths,
 )
 
 DERIVATIVE_TARGETS = ("Z", "F", "E", "S")
@@ -207,41 +207,63 @@ def check_derivative(snapshot: EnsembleSnapshot, quantity: str, T, k="limit",
 # identity checks
 # ---------------------------------------------------------------------------
 
-def _gibbs_entropy(snapshot, ev: ThermoEvaluation,
-                   weights: WeightChain) -> Enclosure:
-    """-sum (w_i/Z) log2 (w_i/Z) over the lengths ev summed, plus ev's
-    tails in the limit; weights is the chain at ev's T and precision."""
-    T, Z, p = ev.temperature, ev.Z, ev.precision_bits
-    total = Enclosure.point(0)
-    for l, count in summed_lengths(snapshot, T, ev.k, p):
-        q = div(weights[l], Z, p)
-        total = total + (-(q * log2_enclosure(q, p))) * count
-    if ev.k == "limit":
-        z_tail = Enclosure(Dyadic(0), ev.tail_bounds["Z"])
-        w_tail = Enclosure(Dyadic(0), ev.tail_bounds["W"])
-        # tail terms are q (l/T + log2 Z) = w l/(TZ) + (w/Z) log2 Z
-        total = (total
-                 + div(w_tail, Enclosure.from_rational(T, p) * Z, p)
-                 + div(z_tail, Z, p) * log2_enclosure(Z, p))
-    return total
-
-
-def _variance_capacity(snapshot, ev: ThermoEvaluation,
-                       weights: WeightChain) -> Enclosure:
-    """(ln2/T^2) sum (|p_i| - E)^2 w_i / Z over the lengths ev summed, plus
-    ev's tails in the limit; weights is the chain at ev's T and precision."""
-    T, Z, E, p = ev.temperature, ev.Z, ev.E, ev.precision_bits
-    acc = Enclosure.point(0)
-    for l, count in summed_lengths(snapshot, T, ev.k, p):
+def _identities_and_positivity(snapshot: EnsembleSnapshot, T, k,
+                               precision_bits: int
+                               ) -> tuple[RelationReport, RelationReport]:
+    """The identity and the positivity report at (T, k) from one
+    evaluation, whose lengths and tails feed one sum of the Gibbs and of
+    the variance form."""
+    Tf = _temp_frac(T)
+    p = precision_bits
+    ev = evaluate(snapshot, Tf, k, p)
+    Z, E = ev.Z, ev.E
+    items = summed_lengths(snapshot, Tf, ev.k, p)
+    weights = WeightChain(Tf, p)
+    s_gibbs = acc = Enclosure.point(0)
+    for l, count in items:
+        w = weights[l]
+        q = div(w, Z, p)
+        gibbs = -(q * log2_enclosure(q, p))
         dev = Enclosure.point(l) - E
-        acc = acc + (_square(dev) * weights[l]) * count
+        variance = _square(dev) * w
+        s_gibbs = s_gibbs + gibbs * count
+        acc = acc + variance * count
     if ev.k == "limit":
-        t0, t1, t2 = (Enclosure(Dyadic(0), ev.tail_bounds[q])
-                      for q in ("Z", "W", "Y"))
+        t0, t1, t2 = (Enclosure(Dyadic(0), ev.tail_bounds[name])
+                      for name in ("Z", "W", "Y"))
+        # entropy tail terms are q (l/T + log2 Z) = w l/(TZ) + (w/Z) log2 Z
+        s_gibbs = (s_gibbs
+                   + div(t1, Enclosure.from_rational(Tf, p) * Z, p)
+                   + div(t0, Z, p) * log2_enclosure(Z, p))
         acc = acc + (t2 - 2 * (E * t1) + (E * E) * t0)
-    scaled = div(acc, Z, p)
-    return (div(ln2_enclosure(p),
-                Enclosure.from_rational(T * T, p), p) * scaled).clamp_nonnegative()
+    c_var = (div(ln2_enclosure(p), Enclosure.from_rational(Tf * Tf, p), p)
+             * div(acc, Z, p)).clamp_nonnegative()
+    f_balance = ev.E - Enclosure.from_rational(Tf, p) * s_gibbs
+    identities = [
+        CheckResult("entropy-gibbs", ev.S.overlaps(s_gibbs), ev.S, s_gibbs),
+        CheckResult("capacity-variance", ev.C.overlaps(c_var), ev.C, c_var),
+        CheckResult("free-energy-balance", ev.F.overlaps(f_balance),
+                    ev.F, f_balance),
+    ]
+    positivity = [
+        CheckResult("entropy-nonnegative", s_gibbs.hi.sign >= 0, s_gibbs),
+        CheckResult("capacity-nonnegative", c_var.hi.sign >= 0, c_var),
+    ]
+    # the terms of the longest summed length are the strict witnesses
+    note = f"term at length {l}"
+    if certified_lt(q, Enclosure.point(Dyadic(1, -1))):
+        positivity.append(CheckResult("entropy-strict",
+                                      certified_positive(gibbs), gibbs,
+                                      note=note))
+    if certified_positive(dev):
+        witness = div(ln2_enclosure(p) * variance,
+                      Enclosure.from_rational(Tf * Tf, p) * Z, p)
+        positivity.append(CheckResult("capacity-strict",
+                                      certified_positive(witness), witness,
+                                      note=note))
+    return tuple(RelationReport(kind, snapshot.ensemble_id, Tf, k, checks)
+                 for kind, checks in (("identities", identities),
+                                      ("positivity", positivity)))
 
 
 def check_identities(snapshot: EnsembleSnapshot, T, k="limit",
@@ -249,20 +271,7 @@ def check_identities(snapshot: EnsembleSnapshot, T, k="limit",
     """Entropy (Gibbs form), heat capacity (variance form), and the balance
     F = E - T*S with the independently computed entropy.  Pass means the
     independently derived enclosures overlap."""
-    Tf = _temp_frac(T)
-    p = precision_bits
-    ev = evaluate(snapshot, Tf, k, p)
-    weights = WeightChain(Tf, p)
-    s_gibbs = _gibbs_entropy(snapshot, ev, weights)
-    c_var = _variance_capacity(snapshot, ev, weights)
-    f_balance = ev.E - Enclosure.from_rational(Tf, p) * s_gibbs
-    checks = [
-        CheckResult("entropy-gibbs", ev.S.overlaps(s_gibbs), ev.S, s_gibbs),
-        CheckResult("capacity-variance", ev.C.overlaps(c_var), ev.C, c_var),
-        CheckResult("free-energy-balance", ev.F.overlaps(f_balance),
-                    ev.F, f_balance),
-    ]
-    return RelationReport("identities", snapshot.ensemble_id, Tf, k, checks)
+    return _identities_and_positivity(snapshot, T, k, precision_bits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +283,7 @@ def check_positivity(snapshot: EnsembleSnapshot, T, k="limit",
     """S >= 0 and C >= 0 by their sum-of-nonnegative-terms forms, with
     strict single-term witnesses where they resolve:
     S >= -q_l log2 q_l for any single l, and C >= (ln2/T^2)(l - E)^2 q_l."""
-    Tf = _temp_frac(T)
-    p = precision_bits
-    ev = evaluate(snapshot, Tf, k, p)
-    weights = WeightChain(Tf, p)
-    s_gibbs = _gibbs_entropy(snapshot, ev, weights)
-    c_var = _variance_capacity(snapshot, ev, weights)
-    checks = [
-        CheckResult("entropy-nonnegative", s_gibbs.hi.sign >= 0, s_gibbs),
-        CheckResult("capacity-nonnegative", c_var.hi.sign >= 0, c_var),
-    ]
-    l_max = summed_lengths(snapshot, Tf, ev.k, p)[-1][0]
-    w_max = weights[l_max]
-    q = div(w_max, ev.Z, p)
-    if certified_lt(q, Enclosure.point(Dyadic(1, -1))):
-        witness = -(q * log2_enclosure(q, p))
-        checks.append(CheckResult("entropy-strict", certified_positive(witness),
-                                  witness, note=f"term at length {l_max}"))
-    dev = Enclosure.point(l_max) - ev.E
-    if certified_positive(dev):
-        witness = div(ln2_enclosure(p) * (_square(dev) * w_max),
-                      Enclosure.from_rational(Tf * Tf, p) * ev.Z, p)
-        checks.append(CheckResult("capacity-strict", certified_positive(witness),
-                                  witness, note=f"term at length {l_max}"))
-    return RelationReport("positivity", snapshot.ensemble_id, Tf, k, checks)
+    return _identities_and_positivity(snapshot, T, k, precision_bits)[1]
 
 
 def check_monotone(snapshot: EnsembleSnapshot, T, k_max: int,
@@ -307,14 +293,18 @@ def check_monotone(snapshot: EnsembleSnapshot, T, k_max: int,
     Tf = _temp_frac(T)
     if k_max < 2:
         raise SpecError("monotonicity needs k_max >= 2")
-    evs = [evaluate(snapshot, Tf, k, precision_bits)
-           for k in range(1, k_max + 1)]
+    # every depth's moments from one walk, equal to evaluate's bit for bit
+    walk = CensusWalk(snapshot.length_counts_up_to(k_max), Tf, precision_bits)
+    values = []
+    for mu in walk.sums((0, 1, 2), range(1, k_max + 1)):
+        F, E, S, _ = derive_quantities(mu[0], mu[1], mu[2], Tf, precision_bits)
+        values.append({"Z": mu[0], "F": F, "E": E, "S": S})
     checks = []
     for name, ascending, strict in (("Z", True, True), ("F", False, True),
                                     ("E", True, False), ("S", True, False)):
         ok: Optional[bool] = True
-        for prev, nxt in zip(evs, evs[1:]):
-            a, b = prev.quantity(name), nxt.quantity(name)
+        for prev, nxt in zip(values, values[1:]):
+            a, b = prev[name], nxt[name]
             if not ascending:
                 a, b = b, a
             if strict:

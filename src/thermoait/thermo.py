@@ -16,16 +16,17 @@ The tail belongs to the snapshot (ensembles.Tail): a builtin machine's
 own tail when the snapshot carries that machine, otherwise the census
 Kraft slack, which holds for any prefix-free domain.
 
-All moments go through one integer kernel, CensusWalk, and moment_sums is
-its last prefix.  The weights come from a WeightChain: 2^(-l/T) as the
-outward-rounded l-th power of 2^(-1/T), held as raw (mantissa, exponent)
-integer pairs for the lower and upper endpoints, with exact point weights
-where l/T is an integer.  The kernel sums count(l) * l^j times each
-endpoint exactly, as one integer per order and endpoint aligned to the
-smallest exponent, so no Dyadic or Enclosure is built per term, and one
-walk gives the exact sums at several depths.  A limit evaluation bounds the
-tails of all its orders in one call, so the per-cutoff work is shared:
-the census slack tau, computed once as
+Only this module turns weights into sums.  The weights come from a
+WeightChain: 2^(-l/T) as the outward-rounded l-th power of 2^(-1/T), held
+as raw (mantissa, exponent) integer pairs for the lower and upper
+endpoints, with exact point weights where l/T is an integer.  Two integer
+kernels sum count(l) * l^j times each endpoint exactly, bit for bit alike:
+CensusWalk, the fast one, aligns a list of groups once and gives the sums
+at known depths (moment_sums is its last prefix); _RunningWalk draws groups
+lazily for readers that stop early or act once per group, where an eager
+walk would weigh every group up to the cap and align it to the last one.
+A limit evaluation bounds the tails of all its orders in one call, so the
+per-cutoff work is shared: the census slack tau, computed once as
 (2^L - sum_{l<=L} census(l) 2^(L-l)) / 2^L in integers, or a machine
 tail's two exp2 enclosures.  Every chain belongs to the call that builds
 it; nothing is cached at module level.
@@ -77,20 +78,22 @@ class WeightChain:
     chain still passes through it.  Only __getitem__ builds an Enclosure.
     """
 
-    __slots__ = ("T", "precision_bits", "_chain")
+    __slots__ = ("T", "precision_bits", "_chain", "_num", "_den")
 
     def __init__(self, T, precision_bits: int):
         self.T = Fraction(T)
         self.precision_bits = precision_bits
         self._chain = [(1, 0, 1, 0)]
+        # read on every raw() call: Fraction's properties cost a call each
+        self._num, self._den = self.T.numerator, self.T.denominator
 
     def raw(self, length: int) -> tuple[int, int, int, int]:
         """(m_lo, e_lo, m_hi, e_hi) with weight in
         [m_lo 2^e_lo, m_hi 2^e_hi]; mantissas are positive but need not be
         odd."""
-        num, den = self.T.numerator, self.T.denominator
+        num = self._num
         if length % num == 0:  # l/T = l den/num is an integer
-            e = -(length // num) * den
+            e = -(length // num) * self._den
             return 1, e, 1, e
         chain = self._chain
         if len(chain) <= length:
@@ -136,14 +139,15 @@ class CensusWalk:
     to the smallest exponent of each endpoint.  So the sum over the first
     k programs is one integer per endpoint at any k, inside a group too,
     and equals moment_sums over those programs bit for bit (the sums are
-    exact and Dyadic is canonical)."""
+    exact and Dyadic is canonical).  chain is that WeightChain, so that a
+    _RunningWalk over the same groups reuses its weights."""
 
-    __slots__ = ("groups", "lengths", "weights", "e_lo", "e_hi")
+    __slots__ = ("groups", "lengths", "chain", "weights", "e_lo", "e_hi")
 
     def __init__(self, length_counts, T: Fraction, precision_bits: int):
         self.groups = length_counts
         self.lengths = lengths = [l for l, _ in length_counts]
-        chain = WeightChain(T, precision_bits)
+        self.chain = chain = WeightChain(T, precision_bits)
         if lengths and chain.T.numerator > 1:
             chain._extend(max(lengths))
         self.weights = [chain.raw(l) for l in lengths]
@@ -194,6 +198,65 @@ class CensusWalk:
         return out
 
 
+# a _RunningWalk shifts its sums this many bits below a new lowest weight
+# exponent, so that it shifts them about once per 16 bits of decay while
+# its terms stay short
+_ALIGN_SLACK = 16
+
+
+class _RunningWalk:
+    """Running exact sums of count(l) l^j w_l, j in orders, over (length,
+    count) groups drawn lazily, with chain the WeightChain at T.  Iterating
+    yields each group's (l, count); while the walk stands there, term(j) is
+    one of its programs' l^j w and exact(j, i) the sum over the groups
+    before it plus i of its programs, both as (m_lo, e, m_hi, e), and
+    at(j, i) is that sum as an Enclosure.  After the last group, exact(j)
+    and at(j) are the totals."""
+
+    __slots__ = ("_groups", "_chain", "_lo", "_hi", "_step", "_e")
+
+    def __init__(self, length_counts, chain: WeightChain, orders):
+        self._groups, self._chain = length_counts, chain
+        self._lo, self._hi = dict.fromkeys(orders, 0), dict.fromkeys(orders, 0)
+        self._step, self._e = (0, 0, 0), 0
+
+    def __iter__(self):
+        raw, lo, hi = self._chain.raw, self._lo, self._hi
+        e = 0
+        for l, count in self._groups:
+            a, ea, b, eb = raw(l)
+            if ea < e or eb < e:
+                shift = e - min(ea, eb) + _ALIGN_SLACK
+                for j in lo:
+                    lo[j] <<= shift
+                    hi[j] <<= shift
+                e = self._e = e - shift
+            a <<= ea - e
+            b <<= eb - e
+            self._step = l, a, b
+            yield l, count
+            for j in lo:
+                c = count * l**j
+                lo[j] += c * a
+                hi[j] += c * b
+
+    def term(self, j: int) -> tuple[int, int, int, int]:
+        l, a, b = self._step
+        c = l**j
+        return a * c, self._e, b * c, self._e
+
+    def exact(self, j: int, i: int = 0) -> tuple[int, int, int, int]:
+        if not i:
+            return self._lo[j], self._e, self._hi[j], self._e
+        l, a, b = self._step
+        c = i * l**j
+        return self._lo[j] + c * a, self._e, self._hi[j] + c * b, self._e
+
+    def at(self, j: int, i: int = 0) -> Enclosure:
+        a, e, b, _ = self.exact(j, i)
+        return Enclosure(Dyadic(a, e), Dyadic(b, e))
+
+
 def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict[int, Enclosure]:
     """Enclosures of sum_l count(l) * l^j * 2^(-l/T) for each j in orders:
     the last prefix of a CensusWalk over length_counts."""
@@ -238,18 +301,22 @@ def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
     the cutoff past which the limit's tails take over."""
     if k != "limit":
         return snapshot.length_counts_up_to(int(k))
-    # the cutoff deliberately ignores which orders were requested so that
-    # evaluations sharing (snapshot, T, precision) sum identical terms
+    return _limit_lengths(snapshot, T, precision_bits)[1]
+
+
+def _limit_lengths(snapshot: EnsembleSnapshot, T: Fraction,
+                   precision_bits: int) -> tuple[int, list[tuple[int, int]]]:
+    """The limit cutoff L (one for all orders, so that evaluations at one
+    (snapshot, T, precision) sum alike) and the census pairs up to it."""
     L = _census_cutoff(snapshot, T, 4, precision_bits)
-    return [(l, c) for l, c in sorted(snapshot.census.items()) if l <= L]
+    return L, sorted((l, c) for l, c in snapshot.census.items() if l <= L)
 
 
 def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
                   precision_bits: int) -> tuple[dict[int, Enclosure], dict[int, Dyadic]]:
     """Moments of the full (possibly infinite) domain: census partial sums
     up to a cutoff length plus a [0, bound] tail per order."""
-    L = _census_cutoff(snapshot, T, 4, precision_bits)
-    items = summed_lengths(snapshot, T, "limit", precision_bits)
+    L, items = _limit_lengths(snapshot, T, precision_bits)
     sums = moment_sums(items, T, orders, precision_bits)
     tails = moment_tail_bound(snapshot, L, T, tuple(orders), precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
@@ -379,10 +446,10 @@ def divergence_probe(kind: str, T, threshold, length_cap: int,
     if Tf <= 1:
         raise RangeError("divergence probe expects a temperature above 1")
     thr = Enclosure.from_rational(Fraction(threshold), precision_bits)
-    weights = WeightChain(Tf, precision_bits)
-    Z = Enclosure.point(0)
-    for L, c in get_machine(kind).census(length_cap):
-        Z = Z + weights[L] * c
+    walk = _RunningWalk(get_machine(kind).census(length_cap),
+                        WeightChain(Tf, precision_bits), (0,))
+    for L, c in walk:
+        Z = walk.at(0, c)
         if certified_gt(Z, thr):
             return L, Z
     raise RangeError(

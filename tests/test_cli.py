@@ -261,6 +261,37 @@ def test_witness_file_oracle(tmp_path):
     assert json.loads(out)["k_e"] >= 1
 
 
+def test_witness_grid_oracle():
+    # the grid oracle descends to Z(1/2) rounded up on a 2^-10 grid; the
+    # threshold T(n - a - b) comes from the handle, whatever the oracle
+    code, out, err = run("witness", "--T", "1/2", "--n", "20", "--oracle",
+                         "grid:1*2^-10")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    _, closed, _ = run("witness", "--T", "1/2", "--n", "20")
+    assert doc["length_threshold"] == json.loads(closed)["length_threshold"]
+    assert (doc["T"], doc["n"], doc["witness"]) == ("1/2", 20, "-")
+    assert 1 <= doc["k_e"] <= doc["verified_through"] <= 10 * doc["k_e"]
+
+
+def test_reconstruct_grid_oracle_is_usage_error():
+    code, out, err = run("reconstruct", "--T", "1/2", "--u", "3/4", "--n",
+                         "16", "--oracle-B", "grid:1*2^-10")
+    assert (code, out) == (2, "")
+    assert err == "error: grid oracles only serve upper bounds\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "--T", "1/2", "--n", "20", "--oracle", "bogus"),
+    ("reconstruct", "--T", "1/2", "--u", "3/4", "--n", "16",
+     "--oracle-A", "grid"),
+])
+def test_unknown_oracle_spec_is_usage_error(argv):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown oracle spec ")
+
+
 # -- complexity / profile ----------------------------------------------
 
 def test_complexity_csv():

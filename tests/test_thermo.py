@@ -6,11 +6,14 @@ Closed forms used as oracles:
   sdm4:       Z(T) = y/(1 - 2y - 3y^2), y = 2^(-2/T)  (census recurrence)
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermoait.dyadic import Dyadic, from_rational_ceil
 from thermoait.enclosure import (
@@ -22,9 +25,9 @@ from thermoait.ensembles import (
 )
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
-    QUANTITIES, CensusWalk, _census_cutoff, divergence_probe, eval_limit,
-    eval_partial, evaluate, limit_moments, moment_sums, moment_tail_bound,
-    power_sum, summed_lengths, sweep,
+    QUANTITIES, CensusWalk, WeightChain, _census_cutoff, _RunningWalk,
+    divergence_probe, eval_limit, eval_partial, evaluate, limit_moments,
+    moment_sums, moment_tail_bound, power_sum, summed_lengths, sweep,
 )
 
 mpmath.mp.prec = 200
@@ -474,19 +477,81 @@ def test_kernel_matches_object_reference(kind, p):
                 == _endpoints(ref_half))
 
 
+def _running_prefixes(groups, T: Fraction, orders, p: int):
+    """(k, {j: sum over the first k programs}) for every depth k, from one
+    _RunningWalk over groups."""
+    walk = _RunningWalk(groups, WeightChain(T, p), orders)
+    k = 0
+    for _, count in walk:
+        for i in range(count):
+            yield k + i, {j: walk.at(j, i) for j in orders}
+        k += count
+    yield k, {j: walk.at(j) for j in orders}
+
+
+def _first_programs(groups, k: int) -> list:
+    """The (length, count) pairs of the first k programs of groups."""
+    out = []
+    for l, count in groups:
+        if k <= 0:
+            break
+        out.append((l, min(count, k)))
+        k -= count
+    return out
+
+
 @pytest.mark.parametrize("kind", MACHINES)
 def test_census_walk_prefixes_match_moment_sums(kind):
     # one walk's sums at several depths, some inside a length group, equal
-    # moment_sums over each depth's programs bit for bit
+    # moment_sums over each depth's programs bit for bit; so do the running
+    # walk's sums at those depths
     snap = KERNEL_SNAPSHOTS[kind]
     depths = [0, 1, 2, 5, 37, 38, 200]
     groups = snap.length_counts_up_to(depths[-1])
     for T in KERNEL_TEMPERATURES:
         walk = CensusWalk(groups, T, 64)
+        running = dict(_running_prefixes(groups, T, (0, 1, 2), 64))
         for k, got in zip(depths, walk.sums((0, 1, 2), depths)):
             want = moment_sums(snap.length_counts_up_to(k), T, (0, 1, 2), 64)
             for j in (0, 1, 2):
                 assert _endpoints(got[j]) == _endpoints(want[j]), (T, k, j)
+                assert (_endpoints(running[k][j])
+                        == _endpoints(want[j])), (T, k, j)
+
+
+def _close_to_inside(encl: Enclosure, value) -> bool:
+    """encl contains value up to a relative 2^-290, the rounding of a
+    300-bit sum of positive terms."""
+    slack = abs(value) * mpmath.mpf(2) ** -290
+    return as_mp(encl.lo) - slack <= value <= as_mp(encl.hi) + slack
+
+
+random_censuses = st.dictionaries(st.integers(0, 40), st.integers(1, 4),
+                                  min_size=1, max_size=12)
+# below and above 1, with temperatures that make some or every l/T an
+# integer (exact point weights) among them
+random_temperatures = st.one_of(
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 2),
+                     Fraction(4, 3)]),
+    st.integers(1, 255).map(lambda n: Fraction(n, 256)),
+    st.integers(1, 255).map(lambda n: 1 + Fraction(n, 256)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_censuses, random_temperatures, st.sampled_from([64, 200]))
+def test_running_walk_matches_moment_sums_on_random_censuses(census, T, p):
+    groups = sorted(census.items())
+    orders = (0, 1, 2)
+    with mpmath.workprec(300):
+        weight = {l: mpmath.power(2, -mpmath.mpf(l * T.denominator)
+                                  / T.numerator) for l in census}
+        for k, got in _running_prefixes(groups, T, orders, p):
+            items = _first_programs(groups, k)
+            want = moment_sums(items, T, orders, p)
+            for j in orders:
+                assert _endpoints(got[j]) == _endpoints(want[j]), (k, j)
+                exact = mpmath.fsum(c * l**j * weight[l] for l, c in items)
+                assert _close_to_inside(got[j], exact), (k, j)
 
 
 def test_thermo_has_no_module_level_cache():
@@ -494,3 +559,16 @@ def test_thermo_has_no_module_level_cache():
     assert [name for name, v in vars(thermo).items()
             if isinstance(v, (dict, list, set)) and not name.startswith("__")
             ] == []
+
+
+def test_only_thermo_reads_raw_weights():
+    # raw weight mantissas are aligned and summed in thermo alone: no other
+    # module calls WeightChain.raw or reads CensusWalk's aligned weights
+    import thermoait.thermo as thermo
+    internals = {"raw", "weights", "e_lo", "e_hi"}
+    home = Path(thermo.__file__)
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in sorted(home.parent.glob("*.py")) if path != home
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in internals]
+    assert reads == []
