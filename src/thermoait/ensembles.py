@@ -1,5 +1,5 @@
 """Prefix-free program ensembles: the builtin machines, deterministic
-enumeration, certified tails, and snapshot persistence.
+enumeration, generating functions, tails, and snapshot persistence.
 
 Builtin machines (``MACHINES``, one ``Machine`` each):
 
@@ -10,10 +10,11 @@ Builtin machines (``MACHINES``, one ``Machine`` each):
 * ``geometric``     -- one program 1^(l-1) 0 per length l, output l in binary.
 
 A Machine holds its census closed form, its canonical program enumerator
-and its certified tail.  A snapshot built from a machine carries it.  A
-snapshot loaded from disk carries the machine its header names only when
-its census equals that machine's closed form exactly; any other snapshot
-is an anonymous census, whose tail is the census Kraft slack.
+and (sdm4, literal, geometric) the rational generating function that
+gives a limit with no census sum and no tail.  A snapshot built from a
+machine carries it; one loaded from disk only when its census equals the
+named machine's closed form exactly.  gamma_literal and any other
+snapshot (an anonymous census) take their tails from the Kraft slack.
 
 Enumeration order is canonical: ascending (length, lex).  The census maps
 length -> count of *all* domain elements of that length, which can exceed
@@ -63,9 +64,9 @@ class EnsembleSnapshot:
     machine: Machine | None = None  # None: an anonymous census
 
     @property
-    def tail(self) -> Tail:
-        """The machine's tail, or the Kraft slack of an anonymous census."""
-        return self.machine.tail if self.machine else KRAFT_SLACK
+    def series(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The machine's generating function (None: the Kraft slack)."""
+        return self.machine.series if self.machine else None
 
     def kraft_partial(self) -> Fraction:
         """Exact census-based partial Kraft sum over lengths <= max_length."""
@@ -283,126 +284,49 @@ def kraft_slack(census_items, L: int) -> Fraction:
     return Fraction((1 << L) - filled, 1 << L)
 
 
-class Tail:
-    """A certified tail past a cutoff L: bounds(census, L, T, orders,
-    precision_bits) maps each order j to an upper bound on the sum over
-    |p| > L of |p|^j 2^(-|p|/T); decay(T) is the float rate, in bits per
-    length, at which the bounds shrink; it only picks the cutoff.  Tails
-    are certified for T < 1."""
-
-
-class _KraftSlack(Tail):
-    """Beyond length L the per-length Kraft mass of any prefix-free domain
-    is at most the census slack tau = 1 - sum_{l<=L} census(l) 2^-l, and
-    each term satisfies l^j 2^(-l/T) <= M_j (census(l) 2^-l) with
+def kraft_tail_bounds(census, L: int, T: Fraction, orders,
+                      precision_bits: int) -> dict[int, Dyadic]:
+    """Bounds on sum_{|p|>L} |p|^j 2^(-|p|/T), T < 1, for any prefix-free
+    domain with this census: beyond L the per-length Kraft mass is at most
+    tau = 1 - sum_{l<=L} census(l) 2^-l, and each term satisfies
+    l^j 2^(-l/T) <= M_j (census(l) 2^-l) with
     M_j = max_{l>L} l^j 2^(-l(1/T - 1)); the max of that unimodal function
     is bracketed through rational bounds on its critical point
     j T / ((1-T) ln 2)."""
-
-    def decay(self, T: Fraction) -> float:
-        return 1 / float(T) - 1
-
-    def bounds(self, census, L: int, T: Fraction, orders,
-               precision_bits: int) -> dict[int, Dyadic]:
-        if T >= 1:
-            raise RangeError("census-slack tail bounds require T < 1")
-        tau = kraft_slack(census.items(), L)
-        if tau == 0:
-            return {j: Dyadic(0) for j in orders}
-        delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
-        ln2 = ln2_enclosure(precision_bits) if max(orders) > 0 else None
-        weights: dict[int, Dyadic] = {}  # l -> upper bound on 2^(-l*delta)
-        out = {}
-        for j in orders:
-            candidates = {L + 1}
-            if j > 0:
-                lstar_lo = Fraction(j) / (delta * ln2.hi.as_fraction())
-                lstar_hi = Fraction(j) / (delta * ln2.lo.as_fraction())
-                candidates.update(range(max(L + 1, floor(lstar_lo)),
-                                        max(L + 1, ceil(lstar_hi)) + 1))
-            M = Dyadic(0)
-            for l in candidates:
-                if l not in weights:
-                    weights[l] = exp2_enclosure(-l * delta, precision_bits).hi
-                M = max(M, weights[l] * l**j)
-            bound = M.as_fraction() * tau
-            out[j] = from_rational_ceil(bound.numerator, bound.denominator,
-                                        precision_bits + 32)
-        return out
+    if T >= 1:
+        raise RangeError("census-slack tail bounds require T < 1")
+    tau = kraft_slack(census.items(), L)
+    if tau == 0:
+        return {j: Dyadic(0) for j in orders}
+    delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
+    ln2 = ln2_enclosure(precision_bits) if max(orders) > 0 else None
+    weights: dict[int, Dyadic] = {}  # l -> upper bound on 2^(-l*delta)
+    out = {}
+    for j in orders:
+        candidates = {L + 1}
+        if j > 0:
+            lstar_lo = Fraction(j) / (delta * ln2.hi.as_fraction())
+            lstar_hi = Fraction(j) / (delta * ln2.lo.as_fraction())
+            candidates.update(range(max(L + 1, floor(lstar_lo)),
+                                    max(L + 1, ceil(lstar_hi)) + 1))
+        M = Dyadic(0)
+        for l in candidates:
+            if l not in weights:
+                weights[l] = exp2_enclosure(-l * delta, precision_bits).hi
+            M = max(M, weights[l] * l**j)
+        bound = M.as_fraction() * tau
+        out[j] = from_rational_ceil(bound.numerator, bound.denominator,
+                                    precision_bits + 32)
+    return out
 
 
-@dataclass(frozen=True)
-class _CensusRatio(Tail):
-    """Ratio tail of a machine whose census is zero off the lengths
-    l_m = period m + offset and at most scale rate^m + excess on them
-    (rate >= 1, excess >= 0).  With x = 2^(-1/T) and c_m that count bound,
-    the term bounds u_m = c_m l_m^j x^(l_m) satisfy u_(m+1) <= rho_m u_m
-    for rho_m = rate x^period (l_(m+1)/l_m)^j, because
-    c_(m+1) <= rate c_m; and rho_m falls to rate x^period < 1 as m grows.
-    So if l_M is the first such length past L and K >= M the first index
-    with rho_K at most halfway from rate x^period to 1, the tail is at
-    most u_M + ... + u_(K-1) + u_K / (1 - rho_K), within a small factor of
-    the true tail even where rho_M is near or above 1.  Every x power is
-    the upper end of exp2_enclosure(-l_M/T) times powers of that of
-    exp2_enclosure(-period/T), both shared by all orders.  The sum is kept
-    as an integer over a power of two and a fixed denominator, so no gcd
-    is taken until the one rounding at the end."""
-
-    period: int
-    offset: int
-    rate: int
-    scale: Fraction = Fraction(1)
-    excess: Fraction = Fraction(0)
-
-    def decay(self, T: Fraction) -> float:
-        rate = 1 / float(T) - log2(self.rate) / self.period
-        # with a growing census the terms shrink slowly near T = 1 and the
-        # tail is a long sum of like terms; pricing the decay at 9/10 keeps
-        # it well below the rounding width of the sums (sdm4 widths grow by
-        # under 0.01 bits, where the full rate let them grow by 0.07)
-        return 0.9 * rate if self.rate > 1 else rate
-
-    def bounds(self, census, L: int, T: Fraction, orders,
-               precision_bits: int) -> dict[int, Dyadic]:
-        if T >= 1:
-            raise RangeError("census tail bounds require T < 1")
-        P, r = self.period, self.rate
-        first = max(0, (L - self.offset) // P + 1)  # l_first is the first past L
-        # in integers: x^period <= s 2^-d (d >= 0), and x^(l_first) <= w_first
-        step = exp2_enclosure(Fraction(-P) / T, precision_bits).hi
-        s, d = (step.m << step.e, 0) if step.e >= 0 else (step.m, -step.e)
-        if r * s >= 1 << d:
-            raise RangeError(f"census growth {r} per {P} lengths outpaces the "
-                             f"weights at T = {T}")
-        w_first = exp2_enclosure(Fraction(-(P * first + self.offset)) / T,
-                                 precision_bits).hi
-        # the count bound c_m = scale r^m + excess is (sn r^m + xn) / den
-        (sn, sd), (xn, xd) = (self.scale.as_integer_ratio(),
-                              self.excess.as_integer_ratio())
-        sn, xn, den = sn * xd, xn * sd, sd * xd
-        rs, settle = r * s, (1 << d) + r * s  # rho <= settle/2^(d+1)
-        out = {}
-        for j in orders:
-            # after i steps acc (the terms so far) and w (the current x^l)
-            # are mantissas of the unit 2^(w_first.e - d i)
-            m, acc, w, i = first, 0, w_first.m, 0
-            while True:
-                l = P * m + self.offset
-                lj, next_lj = l**j, (l + P) ** j
-                c = sn * r**m + xn
-                if 2 * rs * next_lj <= settle * lj:
-                    break
-                acc = (acc + c * lj * w) << d
-                m, w, i = m + 1, w * s, i + 1
-            # plus u_m/(1 - rho_m), 1 - rho_m = q/(2^d l^j)
-            q = (lj << d) - rs * next_lj
-            num, e = acc * q + (c * lj * lj * w << d), w_first.e - d * i
-            num, q = (num << e, den * q) if e >= 0 else (num, den * q << -e)
-            out[j] = from_rational_ceil(num, q, precision_bits + 32)
-        return out
-
-
-KRAFT_SLACK = _KraftSlack()
+def census_decay(growth: float, T: Fraction) -> float:
+    """Bits per length by which the terms of a census growing by growth
+    bits per length shrink; it picks census cutoffs.  Below the Kraft
+    bound's 1, growth is priced at 9/10 of the rate: near T = 1, where the
+    terms shrink slowly, the sum runs a little longer."""
+    decay = 1 / float(T) - growth
+    return 0.9 * decay if 0 < growth < 1 else decay
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +339,35 @@ class Machine:
     the nonzero (length, count) pairs up to max_length, ascending;
     programs(length, count, step_budget) yields the domain elements of one
     length in lex order, stopping where the step budget runs out; run is
-    the (program, step_budget) interpreter of a machine-backed ensemble."""
+    the (program, step_budget) interpreter of a machine-backed ensemble;
+    growth is log2 of the census's growth per length.  series, if any, is
+    the generating function sum_l census(l) x^l = N(x)/D(x) as the integer
+    coefficients (N, D) in ascending powers; D(0) = 1 and D's others are
+    at most 0, so D falls on x >= 0 and is positive below the pole."""
 
     name: str
     census: Callable[[int], Iterator[tuple[int, int]]]
     programs: Callable[[int, int, int], Iterator[ProgramRecord]]
-    tail: Tail = KRAFT_SLACK
     run: Callable[[BitString, int], SDM4Result] | None = None
+    growth: float = 1.0
+    series: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
 MACHINES: dict[str, Machine] = {m.name: m for m in (
-    # d(m) = (3^(m+1) + (-1)^m)/4 <= (3/4) 3^m + 1/4 programs of length 2m+2
-    Machine("sdm4", _sdm4_census, _sdm4_programs,
-            _CensusRatio(2, 2, 3, Fraction(3, 4), Fraction(1, 4)), run_sdm4),
-    # 2^n programs of length 2n+1
+    # d(m) programs of length 2m+2, d(m) = 2 d(m-1) + 3 d(m-2), d(0) = 1:
+    # Z = x^2 / (1 - 2x^2 - 3x^4)
+    Machine("sdm4", _sdm4_census, _sdm4_programs, run_sdm4, log2(3) / 2,
+            ((0, 0, 1), (1, 0, -2, 0, -3))),
+    # 2^n programs of length 2n+1: Z = x / (1 - 2x^2)
     Machine("literal", _literal_census,
-            partial(_payload_programs, _unary_code), _CensusRatio(2, 1, 2)),
+            partial(_payload_programs, _unary_code), None, 1 / 2,
+            ((0, 1), (1, 0, -2))),
+    # no rational generating function: the census Kraft slack
     Machine("gamma_literal", _gamma_literal_census,
             partial(_payload_programs, gamma_code)),
-    # one program per length
-    Machine("geometric", _geometric_census, _geometric_programs,
-            _CensusRatio(1, 0, 1)),
+    # one program per length: Z = x / (1 - x)
+    Machine("geometric", _geometric_census, _geometric_programs, None, 0.0,
+            ((0, 1), (1, -1))),
 )}
 
 
@@ -494,9 +426,13 @@ def save_snapshot(snapshot: EnsembleSnapshot, path: str | Path) -> None:
 
 def load_snapshot(path: str | Path) -> EnsembleSnapshot:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise SnapshotError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"byte {exc.start} is not UTF-8 ({exc.reason})",
+                            line=data.count(b"\n", 0, exc.start) + 1) from exc
     lines = text.splitlines()
     if not lines or lines[0] != SNAPSHOT_MAGIC:
         raise SnapshotError("missing snapshot magic header", line=1)
@@ -557,8 +493,8 @@ def load_snapshot(path: str | Path) -> EnsembleSnapshot:
             f"checksum mismatch: census Kraft sum "
             f"{fraction_text(snap.kraft_partial())} != recorded "
             f"{fraction_text(kraft_line)}")
-    snap.validate()
     try:
+        snap.validate()
         replay_check(snap)  # records of a machine-backed file must replay
     except InvariantViolation as exc:
         raise SnapshotError(str(exc)) from exc

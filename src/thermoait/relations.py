@@ -44,7 +44,7 @@ from .ensembles import EnsembleSnapshot
 from .errors import RangeError, SpecError
 from .thermo import (
     CensusWalk, WeightChain, _temp_frac, derive_quantities, evaluate,
-    moment_hull, summed_lengths,
+    moment_hull, moment_sums, summed_lengths,
 )
 
 DERIVATIVE_TARGETS = ("Z", "F", "E", "S")
@@ -212,7 +212,8 @@ def _identities_and_positivity(snapshot: EnsembleSnapshot, T, k,
                                ) -> tuple[RelationReport, RelationReport]:
     """The identity and the positivity report at (T, k) from one
     evaluation, whose lengths and tails feed one sum of the Gibbs and of
-    the variance form."""
+    the variance form; past its cutoff, a generating-function limit leaves
+    the limit minus the census sum as each moment's tail."""
     Tf = _temp_frac(T)
     p = precision_bits
     ev = evaluate(snapshot, Tf, k, p)
@@ -229,8 +230,12 @@ def _identities_and_positivity(snapshot: EnsembleSnapshot, T, k,
         s_gibbs = s_gibbs + gibbs * count
         acc = acc + variance * count
     if ev.k == "limit":
-        t0, t1, t2 = (Enclosure(Dyadic(0), ev.tail_bounds[name])
-                      for name in ("Z", "W", "Y"))
+        tails = [ev.tail_bounds[name] for name in ("Z", "W", "Y")]
+        if snapshot.series:
+            sums = moment_sums(items, Tf, (0, 1, 2), p)
+            tails = [max(Dyadic(0), lim.hi - sums[j].lo)
+                     for j, lim in enumerate((Z, ev.W, ev.Y))]
+        t0, t1, t2 = (Enclosure(Dyadic(0), t) for t in tails)
         # entropy tail terms are q (l/T + log2 Z) = w l/(TZ) + (w/Z) log2 Z
         s_gibbs = (s_gibbs
                    + div(t1, Enclosure.from_rational(Tf, p) * Z, p)

@@ -10,11 +10,12 @@ with Z = mu_0, W = mu_1, Y = mu_2, and the derived quantities
     F = -T log2 Z,   E = W/Z,   S = (E - F)/T,
     C = (ln 2 / T^2) (Y/Z - (W/Z)^2).
 
-Limit evaluation (k = "limit") aggregates the per-length census up to the
-snapshot's max_length and adds a certified tail bound for each moment.
-The tail belongs to the snapshot (ensembles.Tail): a builtin machine's
-own tail when the snapshot carries that machine, otherwise the census
-Kraft slack, which holds for any prefix-free domain.
+Limit evaluation (k = "limit") covers the whole, possibly infinite,
+domain: from the rational generating function of the snapshot's machine
+(sdm4, literal, geometric; series_moments), with no census sum and a tail
+bound of 0, or else (gamma_literal, an anonymous census) by summing the
+census up to a cutoff and adding a certified tail bound per order from
+the census Kraft slack, which holds for any prefix-free domain.
 
 Only this module turns weights into sums.  The weights come from a
 WeightChain: 2^(-l/T) as the outward-rounded l-th power of 2^(-1/T), held
@@ -25,10 +26,9 @@ CensusWalk, the fast one, aligns a list of groups once and gives the sums
 at known depths (moment_sums is its last prefix); _RunningWalk draws groups
 lazily for readers that stop early or act once per group, where an eager
 walk would weigh every group up to the cap and align it to the last one.
-A limit evaluation bounds the tails of all its orders in one call, so the
-per-cutoff work is shared: the census slack tau, computed once as
-(2^L - sum_{l<=L} census(l) 2^(L-l)) / 2^L in integers, or a machine
-tail's two exp2 enclosures.  Every chain belongs to the call that builds
+A Kraft-slack limit bounds the tails of all its orders in one call, which
+computes the census slack tau once, as (2^L - sum_{l<=L} census(l)
+2^(L-l)) / 2^L in integers.  Every chain belongs to the call that builds
 it; nothing is cached at module level.
 """
 
@@ -38,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil
+from math import ceil, log2
 from operator import mul
 
 from .dyadic import Dyadic
@@ -46,7 +46,9 @@ from .enclosure import (
     DEFAULT_PRECISION, Enclosure, certified_gt, div, exp2_enclosure,
     ln2_enclosure, log2_enclosure,
 )
-from .ensembles import EnsembleSnapshot, get_machine
+from .ensembles import (
+    EnsembleSnapshot, census_decay, get_machine, kraft_tail_bounds,
+)
 from .errors import RangeError, SpecError
 
 QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
@@ -270,11 +272,10 @@ def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict
 def moment_tail_bound(snapshot: EnsembleSnapshot, L: int, T: Fraction,
                       j, precision_bits: int = DEFAULT_PRECISION):
     """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T), from
-    the snapshot's tail.  For a tuple j of orders, a dict of the bound of
-    each order, sharing the work that does not depend on the order."""
+    the census Kraft slack.  For a tuple j of orders, a dict of the bound
+    of each order, sharing the work that does not depend on the order."""
     orders = (j,) if isinstance(j, int) else j
-    bounds = snapshot.tail.bounds(snapshot.census, L, T, orders,
-                                  precision_bits)
+    bounds = kraft_tail_bounds(snapshot.census, L, T, orders, precision_bits)
     return bounds[j] if isinstance(j, int) else bounds
 
 
@@ -284,8 +285,8 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
     working precision, so summing further census terms cannot tighten the
     result.  Float arithmetic here only picks the cutoff; certification
     comes from the tail bound itself."""
-    from math import log2
-    delta = snapshot.tail.decay(T)
+    machine = snapshot.machine
+    delta = census_decay(machine.growth if machine else 1, T)
     if delta <= 0:
         return snapshot.max_length
     target = precision_bits + 12
@@ -297,30 +298,88 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
 def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
                    precision_bits: int) -> list[tuple[int, int]]:
     """The (length, count) pairs a depth-k (k an int) or limit (k ==
-    "limit") evaluation sums: the first k programs, or the census up to
-    the cutoff past which the limit's tails take over."""
+    "limit") census sum covers: the first k programs, or the census up to
+    the cutoff past which the tails take over (one for all orders, so that
+    the sums at one (snapshot, T, precision) agree)."""
     if k != "limit":
         return snapshot.length_counts_up_to(int(k))
-    return _limit_lengths(snapshot, T, precision_bits)[1]
-
-
-def _limit_lengths(snapshot: EnsembleSnapshot, T: Fraction,
-                   precision_bits: int) -> tuple[int, list[tuple[int, int]]]:
-    """The limit cutoff L (one for all orders, so that evaluations at one
-    (snapshot, T, precision) sum alike) and the census pairs up to it."""
     L = _census_cutoff(snapshot, T, 4, precision_bits)
-    return L, sorted((l, c) for l, c in snapshot.census.items() if l <= L)
+    return sorted((l, c) for l, c in snapshot.census.items() if l <= L)
 
 
 def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
                   precision_bits: int) -> tuple[dict[int, Enclosure], dict[int, Dyadic]]:
-    """Moments of the full (possibly infinite) domain: census partial sums
-    up to a cutoff length plus a [0, bound] tail per order."""
-    L, items = _limit_lengths(snapshot, T, precision_bits)
-    sums = moment_sums(items, T, orders, precision_bits)
+    """Moments of the full (possibly infinite) domain and the tail bound
+    each includes: from the machine's generating function (tails 0), or
+    census sums up to a cutoff plus a [0, bound] Kraft-slack tail."""
+    if snapshot.series:
+        return (series_moments(snapshot.series, T, orders, precision_bits),
+                {j: Dyadic(0) for j in orders})
+    L = _census_cutoff(snapshot, T, 4, precision_bits)
+    sums = moment_sums(summed_lengths(snapshot, T, "limit", precision_bits),
+                       T, orders, precision_bits)
     tails = moment_tail_bound(snapshot, L, T, tuple(orders), precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails
+
+
+def _moment_numerators(series, top: int) -> list[list[int]]:
+    """P_0 .. P_top with (x d/dx)^j (N/D) = P_j / D^(j+1) for series
+    (N, D): P_0 = N and P_j = (x P_(j-1)') D - j P_(j-1) (x D'), in
+    coefficients sum_(i+k) (i - j k) a_i d_k."""
+    N, D = series
+    out = [list(N)]
+    for j in range(1, top + 1):
+        P = [0] * (len(out[-1]) + len(D) - 1)
+        for i, a in enumerate(out[-1]):
+            for k, d in enumerate(D):
+                P[i + k] += (i - j * k) * a * d
+        out.append(P)
+    return out
+
+
+def _horner(poly, m: int, s: int) -> int:
+    """2^(s n) poly(m 2^-s), n = len(poly) - 1, exactly in integers."""
+    acc = 0
+    for i, a in enumerate(reversed(poly)):
+        acc = acc * m + (a << s * i)
+    return acc
+
+
+def _rounded_quotient(num: int, den: int, e: int, n: int, up: bool) -> Dyadic:
+    """num/den 2^e (num, den > 0) rounded down, or up, to an n-bit
+    significand: the quotient scaled by 2^shift lies in [2^(n-1), 2^n)."""
+    shift = n + den.bit_length() - num.bit_length()
+    if num << max(shift, 0) >= den << max(-shift, 0) + n:
+        shift -= 1
+    q, r = divmod(num << max(shift, 0), den << max(-shift, 0))
+    return Dyadic(q + (up and r > 0), e - shift)
+
+
+def series_moments(series, T: Fraction, orders,
+                   precision_bits: int) -> dict[int, Enclosure]:
+    """Enclosures of the moments M_j = sum_l census(l) l^j x^l, x =
+    2^(-1/T) < 1/2, of the census with generating function series (N, D).
+    M_j = P_j / D^(j+1) has nonnegative power-series coefficients, so it
+    rises with x below the pole, where D > 0: its exact values at the ends
+    of one exp2 enclosure of x, rounded outward to precision_bits + 32
+    significant bits, enclose it.  x is its only source of width, so it is
+    taken 16 bits finer than the working precision."""
+    if T >= 1:
+        raise RangeError("generating-function limits require T < 1")
+    D, P = series[1], _moment_numerators(series, max(orders))
+    x = exp2_enclosure(Fraction(-1) / T, precision_bits + 16)
+    ends = []
+    for end, up in ((x.lo, False), (x.hi, True)):
+        m, s = end.m, -end.e  # poly(x) = _horner(poly, m, s) 2^(-s deg)
+        d = _horner(D, m, s)
+        if d <= 0:
+            raise RangeError(f"T = {T} is past the generating function's pole")
+        ends.append([_rounded_quotient(
+            _horner(P[j], m, s), d ** (j + 1),
+            s * ((len(D) - 1) * (j + 1) - len(P[j]) + 1),
+            precision_bits + _CHAIN_GUARD, up) for j in orders])
+    return {j: Enclosure(lo, hi) for j, lo, hi in zip(orders, *ends)}
 
 
 def moments(snapshot: EnsembleSnapshot, T: Fraction, k, orders,

@@ -2,8 +2,10 @@
 
 import io
 import json
+import random
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -224,8 +226,9 @@ def test_load_rejects_prefix_violation(tmp_path):
         "P 2 001 - 0",
         "KRAFT 5/8",
     ]) + "\n")
-    with pytest.raises(InvariantViolation, match="prefix-free"):
+    with pytest.raises(SnapshotError, match="prefix-free") as err:
         load_snapshot(path)
+    assert isinstance(err.value.__cause__, InvariantViolation)
 
 
 def test_load_rejects_kraft_violation(tmp_path):
@@ -236,8 +239,9 @@ def test_load_rejects_kraft_violation(tmp_path):
         "L 1 3",
         "KRAFT 3/2",
     ]) + "\n")
-    with pytest.raises(InvariantViolation, match="Kraft"):
+    with pytest.raises(SnapshotError, match="Kraft") as err:
         load_snapshot(path)
+    assert isinstance(err.value.__cause__, InvariantViolation)
 
 
 def test_validate_rejects_negative_census_count():
@@ -294,6 +298,46 @@ def test_malformed_line_is_snapshot_error(tmp_path, bad):
                                "L 1 1", bad]) + "\n")
     with pytest.raises(SnapshotError, match="^line 4: "):
         load_snapshot(path)
+
+
+def test_non_utf8_byte_is_snapshot_error(tmp_path):
+    data = (b"THERMOAIT-SNAPSHOT v1\nensemble=custom budget=1 maxlen=2\n"
+            b"L 1 \xff1\nKRAFT 1/2\n")
+    path = tmp_path / "bad.snap"
+    path.write_bytes(data)
+    with pytest.raises(SnapshotError, match=f"^line 3: byte "
+                       f"{data.index(0xff)} is not UTF-8"):
+        load_snapshot(path)
+
+
+def test_mutated_snapshot_loads_or_is_snapshot_error(tmp_path):
+    # 500 seeded mutations of a saved sdm4 snapshot, each of 1 to 3 bytes
+    # replaced, inserted or deleted: every file either loads and validates
+    # or raises SnapshotError, whatever it breaks (UTF-8, a record, the
+    # checksum, prefix-freeness, a replay)
+    path = tmp_path / "sdm4.snap"
+    save_snapshot(builtin_snapshot("sdm4", 10), path)
+    data = path.read_bytes()
+    rng = random.Random(20261018)
+    outcomes = Counter()
+    for _ in range(500):
+        mutated = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            at, op = rng.randrange(len(mutated)), rng.randrange(3)
+            if op == 0:
+                mutated[at] = rng.randrange(256)
+            elif op == 1:
+                mutated.insert(at, rng.randrange(256))
+            else:
+                del mutated[at]
+        path.write_bytes(bytes(mutated))
+        try:
+            load_snapshot(path).validate()
+            outcomes["loaded"] += 1
+        except SnapshotError as exc:
+            outcomes["not UTF-8" if "not UTF-8" in str(exc)
+                     else "rejected"] += 1
+    assert outcomes["not UTF-8"] and outcomes["rejected"]
 
 
 def test_lengths_up_to():

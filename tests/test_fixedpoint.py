@@ -428,9 +428,10 @@ def test_precision_error_names_a_too_wide_target(handles):
 
 
 def test_precision_error_names_the_working_precision():
-    # sdm4 near T = 1/48 has Z about 2^-96: at 64 bits the tails' rounding
-    # grid leaves the comparisons unresolved; 160 bits resolve them
-    snap = builtin_snapshot("sdm4", 1500, program_cap=512)
+    # gamma_literal near T = 1/48 has Z about 2^-95: at 64 bits the rounding
+    # grid of its Kraft-slack tail leaves the comparisons unresolved; 160
+    # bits resolve them
+    snap = builtin_snapshot("gamma_literal", 600, program_cap=512)
     Tstar, bracket = Fraction(1, 48), (Fraction(1, 64), Fraction(1, 32))
     h = certify(snap, "Z", HALF)
     target = h.f(Tstar, precision_bits=300)
@@ -679,11 +680,12 @@ def test_running_depth_values_match_the_depth_evaluations():
 
 
 def test_certify_builds_few_weight_chains(monkeypatch):
-    # per certify on geometric 300 at T = 1/2: two limit evaluations, one
-    # walk at T shared by the precondition, the re-check and the slope
-    # check, one walk per slope sample, and for E and S one per capacity
-    # subdivision point past T (32); summing each depth and point
-    # separately took 20, 21, 90 and 90
+    # per certify on geometric 300 at T = 1/2: one walk at T shared by the
+    # precondition, the re-check and the slope check, one walk per slope
+    # sample, and for E and S one per capacity subdivision point past T
+    # (32); the two limit evaluations come from the generating function
+    # and build none; summing each depth and point separately took 20, 21,
+    # 90 and 90, and census limits 6, 6, 38 and 38
     built = Counter()
     init = thermo.WeightChain.__init__
 
@@ -694,4 +696,4 @@ def test_certify_builds_few_weight_chains(monkeypatch):
     monkeypatch.setattr(thermo.WeightChain, "__init__", counted)
     for quantity in ("Z", "-F", "E", "S"):
         certify(GEO300, quantity, HALF)
-    assert built == {"Z": 6, "-F": 6, "E": 38, "S": 38}
+    assert built == {"Z": 4, "-F": 4, "E": 36, "S": 36}

@@ -7,27 +7,29 @@ Closed forms used as oracles:
 """
 
 import ast
-import random
 from fractions import Fraction
+from math import ceil, comb, floor
 from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermoait.dyadic import Dyadic, from_rational_ceil
+import thermoait.thermo as thermo
+from thermoait.dyadic import Dyadic
 from thermoait.enclosure import (
     Enclosure, exp2_enclosure, round_outward,
 )
 from thermoait.ensembles import (
-    MACHINES, EnsembleSnapshot, _CensusRatio, builtin_snapshot, load_snapshot,
+    MACHINES, EnsembleSnapshot, builtin_snapshot, load_snapshot,
     save_snapshot,
 )
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
     QUANTITIES, CensusWalk, WeightChain, _census_cutoff, _RunningWalk,
     divergence_probe, eval_limit, eval_partial, evaluate, limit_moments,
-    moment_sums, moment_tail_bound, power_sum, summed_lengths, sweep,
+    moment_sums, moment_tail_bound, power_sum, series_moments,
+    summed_lengths, sweep,
 )
 
 mpmath.mp.prec = 200
@@ -113,8 +115,8 @@ def test_sdm4_limit_closed_form():
     ev = eval_limit(SDM, Fraction(1, 2))
     assert ev.Z.contains(Fraction(16, 221))
     assert ev.Z.width().as_fraction() < Fraction(1, 2**40)
-    assert set(ev.tail_bounds) == {"Z", "W", "Y"}
-    assert ev.tail_bounds["Z"].as_fraction() < Fraction(1, 2**50)
+    # the generating function holds the whole domain: no tail is left
+    assert ev.tail_bounds == {"Z": Dyadic(0), "W": Dyadic(0), "Y": Dyadic(0)}
 
 
 def test_sdm4_limit_near_critical():
@@ -126,9 +128,10 @@ def test_sdm4_limit_near_critical():
 
 
 def test_near_critical_sdm4_sums_few_lengths():
-    # sdm4's own tail shrinks by about 0.22 bits per length at 63/64; the
-    # census slack tail, whose slack never falls below 1/5, shrinks by only
-    # 1/63 bit per length and would run to max_length
+    # a census loop over the limit (the relations' Gibbs and variance forms)
+    # stops where sdm4's terms, shrinking by about 0.22 bits per length at
+    # 63/64, fall below the precision; the census slack decay, 1/63 bit
+    # per length, would run it to max_length
     snap = builtin_snapshot("sdm4", 1500, program_cap=0)
     T = Fraction(63, 64)
     assert len(summed_lengths(snap, T, "limit", 64)) <= 300
@@ -141,7 +144,8 @@ def test_literal_cutoff_follows_its_decay():
 
 
 def test_limit_tail_bounds_cover_true_tail():
-    # geometric exact tail: sum_{l>60} l^j x^l
+    # the census Kraft slack past 60 against geometric's exact tail
+    # sum_{l>60} l^j x^l
     T = Fraction(3, 4)
     x = mpmath.power(2, mpmath.mpf(-4) / 3)
     for j in (0, 1, 2):
@@ -157,27 +161,27 @@ _EULERIAN = [[1], [1], [1, 1], [1, 4, 1], [1, 11, 11, 1]]
 def _series(z, j, a):
     """sum_{k>=0} (k + a)^j z^k in closed form, through
     sum_{k>=0} k^i z^k = z A_i(z) / (1 - z)^(i+1) (A_i the Eulerian
-    polynomials; 1/(1 - z) for i = 0)."""
+    polynomials; 1/(1 - z) for i = 0); exact for a Fraction z."""
     def powers(i):
         if i == 0:
             return 1 / (1 - z)
-        return z * mpmath.polyval(_EULERIAN[i][::-1], z) / (1 - z) ** (i + 1)
-    return sum(mpmath.binomial(j, i) * mpmath.mpf(a) ** (j - i) * powers(i)
-               for i in range(j + 1))
+        A = sum(c * z**k for k, c in enumerate(_EULERIAN[i]))
+        return z * A / (1 - z) ** (i + 1)
+    return sum(comb(j, i) * a ** (j - i) * powers(i) for i in range(j + 1))
 
 
 def _closed_tail(kind, x, N, j):
     """sum over lengths l > N of count(l) l^j x^l, from each census's
-    closed form."""
+    closed form (the whole moment at N = 0)."""
     if kind == "geometric":  # one program of each length l >= 1
         return x ** (N + 1) * _series(x, j, N + 1)
     if kind == "literal":  # 2^n programs of length 2n + 1
         n0, q = (N + 1) // 2, 2 * x * x
-        return x * 2**j * q**n0 * _series(q, j, n0 + mpmath.mpf(1) / 2)
+        return x * 2**j * q**n0 * _series(q, j, n0 + Fraction(1, 2))
     # sdm4: (3^n - (-1)^n)/4 programs of length 2n, n >= 1
     n0, y = N // 2 + 1, x * x
-    return 2**j / mpmath.mpf(4) * ((3 * y) ** n0 * _series(3 * y, j, n0)
-                                    - (-y) ** n0 * _series(-y, j, n0))
+    return Fraction(2**j, 4) * ((3 * y) ** n0 * _series(3 * y, j, n0)
+                                - (-y) ** n0 * _series(-y, j, n0))
 
 
 def _count(kind, l):
@@ -190,98 +194,153 @@ def _count(kind, l):
 
 @pytest.mark.parametrize("kind", ["sdm4", "literal", "geometric"])
 def test_census_tail_against_exact_tail(kind):
-    # exact tail past L: a direct sum over 60 more lengths plus the closed
-    # form past those, which must agree with the closed form past L; the
-    # bound must hold it and be at most 8 times it, up to the absolute
-    # 2^-(p+32) grid the bound is rounded up to
-    snap = builtin_snapshot(kind, 1, program_cap=0)
+    # the tail a census loop over the limit takes past L (relations' Gibbs
+    # and variance forms): the upper end of the generating-function moment
+    # minus the lower end of the census sum up to L.  Exact tail past L: a
+    # direct sum over 60 more lengths plus the closed form past those,
+    # which must agree with the closed form past L; the tail must hold it
+    # and exceed it by at most 2^-p of the moment
+    snap = builtin_snapshot(kind, 101, program_cap=0)
     with mpmath.workprec(300):
         _check_census_tail(kind, snap)
 
 
 def _check_census_tail(kind, snap):
     tol = 1 - mpmath.mpf(2) ** -250
+    orders = (0, 1, 2, 3, 4)
     for T in (Fraction(1, 16), Fraction(1, 2), Fraction(7, 8),
               Fraction(63, 64), Fraction(127, 128)):
         x = mpmath.power(2, -mpmath.mpf(T.denominator) / T.numerator)
+        limits = {p: limit_moments(snap, T, orders, p)[0] for p in (64, 1024)}
         for L in (1, 2, 9, 10, 41, 60, 101):
             N = L + 60
             terms = [_count(kind, l) * x**l for l in range(L + 1, N + 1)]
             exact = {}
-            for j in range(5):
+            for j in orders:
                 exact[j] = _closed_tail(kind, x, N, j) + mpmath.fsum(
                     t * l**j for l, t in enumerate(terms, L + 1))
                 assert abs(exact[j] / _closed_tail(kind, x, L, j) - 1) < 2**-250
-            for p in (64, 1024):
-                bounds = moment_tail_bound(snap, L, T, tuple(exact), p)
-                for j, bound in bounds.items():
-                    b = as_mp(bound)
+            items = [(l, c) for l, c in sorted(snap.census.items()) if l <= L]
+            for p, limit in limits.items():
+                sums = moment_sums(items, T, orders, p)
+                for j in orders:
+                    b = as_mp(limit[j].hi - sums[j].lo)
                     assert b >= exact[j] * tol, (T, L, p, j)
-                    assert b <= 8 * exact[j] + mpmath.mpf(2) ** -(p + 32), \
+                    assert b <= (exact[j] / tol
+                                 + as_mp(limit[j].hi) * mpmath.mpf(2) ** -p), \
                         (T, L, p, j)
-
-
-def _fraction_ratio_bounds(tail, L, T, orders, p):
-    """_CensusRatio.bounds summed in Fractions, as it was before it moved
-    to integer mantissas and exponents."""
-    P, r = tail.period, tail.rate
-    first = max(0, (L - tail.offset) // P + 1)
-    step = exp2_enclosure(Fraction(-P) / T, p).hi.as_fraction()
-    if r * step >= 1:
-        raise RangeError("census growth outpaces the weights")
-    w_first = exp2_enclosure(Fraction(-(P * first + tail.offset)) / T,
-                             p).hi.as_fraction()
-    settle = (1 + r * step) / 2
-    out = {}
-    for j in orders:
-        m, w, total = first, w_first, 0
-        while True:
-            l = P * m + tail.offset
-            c = tail.scale * r**m + tail.excess
-            rho = r * step * Fraction(l + P, l) ** j
-            if rho <= settle:
-                break
-            total += c * l**j * w
-            m, w = m + 1, w * step
-        total += c * l**j * w / (1 - rho)
-        out[j] = from_rational_ceil(total.numerator, total.denominator, p + 32)
-    return out
-
-
-def test_census_ratio_bounds_match_the_fraction_reference():
-    # the builtin ratio tails, and two whose census outgrows the weights
-    # at some T < 1 (rate 3 per length from T = 1/log2 3 = 0.63, rate 5
-    # per 2 lengths from T = 2/log2 5 = 0.86); a T where the growth nearly
-    # meets the weights' decay is drawn again, since there both sums run
-    # to very long lengths
-    rng = random.Random(20261018)
-    tails = [m.tail for _, m in sorted(MACHINES.items())
-             if isinstance(m.tail, _CensusRatio)]
-    tails += [_CensusRatio(1, 0, 3),
-              _CensusRatio(2, 1, 5, Fraction(2, 3), Fraction(5, 7))]
-    outcomes = set()
-    for _ in range(900):
-        tail = rng.choice(tails)
-        L, T = rng.randrange(0, 600), Fraction(rng.randrange(1, 1024), 1024)
-        while 0.9 < tail.rate * 2 ** (-tail.period / T) < 1:
-            T = Fraction(rng.randrange(1, 1024), 1024)
-        args = (L, T, (0, 1, 2, 3, 4), rng.choice((32, 64, 128, 256)))
-        try:
-            want = _fraction_ratio_bounds(tail, *args)
-        except RangeError:
-            want = RangeError
-        try:
-            got = tail.bounds({}, *args)
-        except RangeError:
-            got = RangeError
-        assert got == want, (tail, args)
-        outcomes.add(want is RangeError)
-    assert outcomes == {False, True}
 
 
 def test_limit_requires_subcritical_temperature():
     with pytest.raises(RangeError):
         moment_tail_bound(SDM, 200, Fraction(1, 1), 0)
+    # the generating functions hold up to each machine's pole (sdm4's at
+    # T = 2/log2 3), but limits are served for T < 1 only
+    for kind in ("sdm4", "literal", "geometric"):
+        snap = KERNEL_SNAPSHOTS[kind]
+        for T in (Fraction(1), Fraction(9, 8), Fraction(3)):
+            with pytest.raises(RangeError):
+                limit_moments(snap, T, (0, 1, 2), 64)
+            with pytest.raises(RangeError):
+                eval_limit(snap, T)
+    # a census of 3^l programs per length has its pole at x = 1/3, which
+    # 2^(-1/T) passes at T = 1/log2 3 = 0.63: past it D(x.hi) <= 0
+    steep = ((0, 1), (1, -3))
+    assert series_moments(steep, Fraction(5, 8), (0,), 64)[0].lo.sign > 0
+    with pytest.raises(RangeError, match="pole"):
+        series_moments(steep, Fraction(3, 4), (0,), 64)
+
+
+# -- limits from the generating functions --------------------------------
+
+SERIES_KINDS = ["sdm4", "literal", "geometric"]
+SERIES_TEMPERATURES = [Fraction(1, 64), Fraction(1, 16), Fraction(1, 2),
+                       Fraction(7, 8), Fraction(63, 64)]
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_series_expands_to_the_census(kind):
+    # D(0) = 1 and D's other coefficients are at most 0, so D falls on
+    # x >= 0 (the pole check rests on it); the power series of N/D,
+    # c_l = N_l - sum_{i>=1} D_i c_(l-i), is the census
+    N, D = MACHINES[kind].series
+    assert D[0] == 1 and all(d <= 0 for d in D[1:])
+    coeffs = []
+    for l in range(200):
+        coeffs.append((N[l] if l < len(N) else 0)
+                      - sum(D[i] * coeffs[l - i]
+                            for i in range(1, min(l, len(D) - 1) + 1)))
+    census = dict(MACHINES[kind].census(199))
+    assert coeffs == [census.get(l, 0) for l in range(200)]
+
+
+def _check_series_moments(kind, T, p):
+    """Each moment j <= 4 contains the 300-bit closed form, with a width
+    of at most 2^-(p-8) of the moment."""
+    got = series_moments(MACHINES[kind].series, T, range(5), p)
+    with mpmath.workprec(300):
+        x = mpmath.power(2, -mpmath.mpf(T.denominator) / T.numerator)
+        for j in range(5):
+            exact = _closed_tail(kind, x, 0, j)
+            assert as_mp(got[j].lo) <= exact <= as_mp(got[j].hi), (T, j)
+            assert (as_mp(got[j].width())
+                    <= exact * mpmath.mpf(2) ** (8 - p)), (T, j)
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+@pytest.mark.parametrize("p", [64, 200])
+def test_series_moments_contain_the_closed_forms(kind, p):
+    for T in SERIES_TEMPERATURES:
+        _check_series_moments(kind, T, p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SERIES_KINDS),
+       st.fractions(0, 1, max_denominator=2**20).filter(lambda T: 0 < T < 1),
+       st.sampled_from([32, 64, 200]))
+def test_series_moments_contain_the_closed_forms_at_drawn_T(kind, T, p):
+    _check_series_moments(kind, T, p)
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_series_moments_reach_the_census_sum(kind):
+    # every moment's lower end is at least the census sum up to 1500 at
+    # the lower end of x = 2^(-1/T), exact and rounded down on its grid
+    snap = builtin_snapshot(kind, 1500, program_cap=0)
+    top = snap.max_length
+    for T in SERIES_TEMPERATURES:
+        limit, _ = limit_moments(snap, T, range(5), 64)
+        x = exp2_enclosure(Fraction(-1) / T, 80).lo
+        m, s = x.m, -x.e
+        # by Horner, acc[j] = sum_l count(l) l^j m^l 2^(s (top - l)), the
+        # sum times 2^(s top)
+        acc = [0] * 5
+        for l in range(top, -1, -1):
+            c = snap.census.get(l, 0)
+            acc = [a * m + (c * l**j << s * (top - l))
+                   for j, a in enumerate(acc)]
+        for j in range(5):
+            partial = Fraction(acc[j], 1 << s * top)
+            assert limit[j].lo >= _round_significand(partial, 96, False), \
+                (T, j)
+
+
+def test_generating_function_limits_walk_no_census(monkeypatch):
+    # a limit on sdm4, literal or geometric evaluates the generating
+    # function at the ends of one exp2 enclosure: it builds no weight
+    # chain and no census walk (the Kraft-slack path, which does, shows
+    # that the guard is live)
+    def refuse(*args):
+        raise AssertionError("census walk on the generating-function path")
+
+    monkeypatch.setattr(thermo, "WeightChain", refuse)
+    monkeypatch.setattr(thermo, "CensusWalk", refuse)
+    for kind in SERIES_KINDS:
+        for T in KERNEL_TEMPERATURES:
+            eval_limit(KERNEL_SNAPSHOTS[kind], T)
+            limit_moments(KERNEL_SNAPSHOTS[kind], T, range(5), 64)
+    with pytest.raises(AssertionError, match="census walk"):
+        eval_limit(KERNEL_SNAPSHOTS["gamma_literal"], Fraction(1, 2))
 
 
 # -- the tail comes from the machine, never from the label ---------------
@@ -315,10 +374,10 @@ def test_mislabelled_file_gets_the_census_slack(tmp_path):
 @pytest.mark.parametrize("kind, census, T, consistent_Z", [
     # {11, 0011, 00000, 00001} is prefix-free and consistent with the file:
     # the freed Kraft mass 1/16 goes to two programs of length 5, which
-    # sdm4 never has; sdm4's tail would claim Z(1/4) < 2^-8 + 2^-16 + 2^-21
+    # sdm4 never has
     ("sdm4", {2: 1, 4: 1}, Fraction(1, 4), Fraction(2057, 2**19)),
     # {0, 100, 1010, 1011}: the freed mass 1/8 goes to two programs of
-    # length 4, which literal never has; its tail would claim Z(1/2) < 0.271
+    # length 4, which literal never has
     ("literal", {1: 1, 3: 1}, Fraction(1, 2), Fraction(35, 128)),
 ])
 def test_census_one_count_off_gets_the_census_slack(tmp_path, kind, census,
@@ -332,9 +391,12 @@ def test_census_one_count_off_gets_the_census_slack(tmp_path, kind, census,
     assert snap.machine is None
     ev = eval_limit(snap, T)
     assert ev.Z.hi.as_fraction() >= consistent_Z
+    # bound to the machine, the file would get the machine's own Z from
+    # its generating function (sdm4: 0.003937 at 1/4; literal: 2/7 at
+    # 1/2), which excludes the consistent domain's Z
     claimed = eval_limit(EnsembleSnapshot(kind, 1, maxlen, [], census,
                                           MACHINES[kind]), T)
-    assert claimed.Z.hi.as_fraction() < consistent_Z
+    assert not claimed.Z.contains(consistent_Z)
     custom = eval_limit(_write_snapshot(tmp_path / "b.snap", "custom",
                                         maxlen, census), T)
     for q in QUANTITIES:
@@ -429,9 +491,32 @@ def _reference_sums(items, T: Fraction, orders, p: int) -> dict:
     return sums
 
 
+def _round_significand(q: Fraction, n: int, up: bool) -> Dyadic:
+    """The dyadic with an n-bit significand next to q > 0 from below, or
+    from above."""
+    e = q.numerator.bit_length() - q.denominator.bit_length() - n
+    while q / Fraction(2) ** e >= 2**n:
+        e += 1
+    while q / Fraction(2) ** e < 2 ** (n - 1):
+        e -= 1
+    scaled = q / Fraction(2) ** e
+    return Dyadic(ceil(scaled) if up else floor(scaled), e)
+
+
 def _reference_limit(snap, T: Fraction, orders, p: int) -> dict:
-    """Census sums to the cutoff plus [0, tail], each order's tail bounded
-    on its own."""
+    """On the generating-function path, each moment's closed form in
+    Fractions at the two ends of exp2(-1/T) at p + 16 bits, rounded outward
+    to p + 32 significant bits; otherwise census sums to the cutoff plus
+    [0, tail], each order's tail bounded on its own."""
+    if snap.series:
+        x = exp2_enclosure(Fraction(-1) / T, p + 16)
+        return {j: Enclosure(
+            _round_significand(_closed_tail(snap.ensemble_id,
+                                            x.lo.as_fraction(), 0, j),
+                               p + 32, False),
+            _round_significand(_closed_tail(snap.ensemble_id,
+                                            x.hi.as_fraction(), 0, j),
+                               p + 32, True)) for j in orders}
     L = _census_cutoff(snap, T, 4, p)
     items = [(l, c) for l, c in sorted(snap.census.items()) if l <= L]
     sums = _reference_sums(items, T, orders, p)
