@@ -12,7 +12,7 @@ class BitString:
     __slots__ = ("bits",)
 
     def __init__(self, bits: str = ""):
-        if any(c not in "01" for c in bits):
+        if bits.strip("01"):
             raise ValueError(f"not a binary string: {bits!r}")
         object.__setattr__(self, "bits", bits)
 
@@ -43,9 +43,6 @@ class BitString:
 
     def __repr__(self):
         return f"BitString({self.bits!r})"
-
-    def is_prefix_of(self, other: "BitString") -> bool:
-        return other.bits.startswith(self.bits)
 
     def render(self) -> str:
         """ASCII form used in snapshot files; the empty string renders '-'."""

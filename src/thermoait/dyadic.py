@@ -180,16 +180,7 @@ def _coerce(x) -> Dyadic:
     raise TypeError(f"cannot mix Dyadic with {type(x).__name__}")
 
 
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-
-
-def from_rational_floor(p: int, q: int, precision_bits: int) -> Dyadic:
-    """Largest dyadic with 2**-precision_bits resolution that is <= p/q (q > 0)."""
-    n = precision_bits
-    return Dyadic((p << n) // q, -n)
-
-
 def from_rational_ceil(p: int, q: int, precision_bits: int) -> Dyadic:
+    """Least dyadic with 2**-precision_bits resolution that is >= p/q (q > 0)."""
     n = precision_bits
     return Dyadic(-((-p << n) // q), -n)

@@ -155,9 +155,6 @@ class Enclosure:
         q = _as_fraction(x)
         return self.lo.as_fraction() <= q <= self.hi.as_fraction()
 
-    def contains_enclosure(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Enclosure") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
 
@@ -212,25 +209,6 @@ def _coerce(x) -> Enclosure:
     raise TypeError(f"cannot mix Enclosure with {type(x).__name__}")
 
 
-def round_down(d: Dyadic, n: int) -> Dyadic:
-    """Largest dyadic with an n-bit significand that is <= d."""
-    excess = abs(d.m).bit_length() - n
-    if excess <= 0:
-        return d
-    return Dyadic(d.m >> excess, d.e + excess)
-
-
-def round_up(d: Dyadic, n: int) -> Dyadic:
-    excess = abs(d.m).bit_length() - n
-    if excess <= 0:
-        return d
-    return Dyadic(-((-d.m) >> excess), d.e + excess)
-
-
-def round_outward(e: Enclosure, n: int) -> Enclosure:
-    return Enclosure(round_down(e.lo, n), round_up(e.hi, n))
-
-
 # ---------------------------------------------------------------------------
 # division (outward rounded)
 # ---------------------------------------------------------------------------
@@ -265,10 +243,6 @@ def div(a: Enclosure, b: Enclosure, precision_bits: int = DEFAULT_PRECISION) -> 
             quots_lo.append(_div_dyadic(x, y, n, up=False))
             quots_hi.append(_div_dyadic(x, y, n, up=True))
     return Enclosure(min(quots_lo), max(quots_hi))
-
-
-def inv(b: Enclosure, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
-    return div(Enclosure.point(1), b, precision_bits)
 
 
 # ---------------------------------------------------------------------------

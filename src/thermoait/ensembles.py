@@ -24,6 +24,7 @@ lengths).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -73,8 +74,9 @@ class EnsembleSnapshot:
         return 1 - kraft_slack(self.census.items(), max(self.census, default=0))
 
     def program_kraft(self) -> Fraction:
-        return sum((Fraction(1, 1 << len(r.program)) for r in self.programs),
-                   Fraction(0))
+        """Exact Kraft sum over the enumerated records."""
+        by_len = Counter(len(r.program) for r in self.programs)
+        return 1 - kraft_slack(by_len.items(), max(by_len, default=0))
 
     def length_counts_up_to(self, k: int) -> list[tuple[int, int]]:
         """(length, count) pairs covering |p_1|..|p_k|, ascending in length
@@ -93,26 +95,18 @@ class EnsembleSnapshot:
                 f"census covers only {k - left} programs, {k} requested")
         return out
 
-    def lengths_up_to(self, k: int) -> list[int]:
-        """Lengths |p_1|..|p_k| from the census."""
-        return [l for l, c in self.length_counts_up_to(k) for _ in range(c)]
-
     def validate(self) -> None:
-        by_len: dict[int, int] = {}
-        prev: ProgramRecord | None = None
-        for rec in self.programs:
-            by_len[len(rec.program)] = by_len.get(len(rec.program), 0) + 1
-            if prev is not None and rec.program < prev.program:
-                raise InvariantViolation("programs not in canonical (length, lex) order")
-            prev = rec
+        progs = [r.program for r in self.programs]
+        if any(b < a for a, b in zip(progs, progs[1:])):
+            raise InvariantViolation("programs not in canonical (length, lex) order")
         # prefix-freeness: in plain lex order a prefix sorts immediately
         # before its extensions, so adjacent pairs suffice
-        by_lex = sorted(r.program.bits for r in self.programs)
+        by_lex = sorted(p.bits for p in progs)
         for a, b in zip(by_lex, by_lex[1:]):
             if b.startswith(a):
                 msg = "duplicate program" if a == b else "prefix-free violation"
                 raise InvariantViolation(f"{msg}: {a!r} / {b!r}")
-        for l, n in by_len.items():
+        for l, n in Counter(map(len, progs)).items():
             if self.census.get(l, 0) < n:
                 raise InvariantViolation(
                     f"census({l}) = {self.census.get(l, 0)} below enumerated count {n}")
@@ -318,15 +312,6 @@ def kraft_tail_bounds(census, L: int, T: Fraction, orders,
         out[j] = from_rational_ceil(bound.numerator, bound.denominator,
                                     precision_bits + 32)
     return out
-
-
-def census_decay(growth: float, T: Fraction) -> float:
-    """Bits per length by which the terms of a census growing by growth
-    bits per length shrink; it picks census cutoffs.  Below the Kraft
-    bound's 1, growth is priced at 9/10 of the rate: near T = 1, where the
-    terms shrink slowly, the sum runs a little longer."""
-    decay = 1 / float(T) - growth
-    return 0.9 * decay if 0 < growth < 1 else decay
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,6 @@ class QuantityHandle:
     def max_depth(self) -> int:
         return min(sum(self.snapshot.census.values()), MAX_DEPTH_CAP)
 
-    def lengths(self, k: int) -> list[int]:
-        return self.snapshot.lengths_up_to(k)
-
     def g(self, x: Fraction, k: int) -> Enclosure:
         """Depth-k value at temperature x."""
         x = Fraction(x)
@@ -556,6 +553,9 @@ def _verify_certificate(handle: QuantityHandle,
 # resolve differences of about slope * tol/32 between the final probes
 SOLVE_GUARD_BITS = 24
 
+# the temperatures solve_temperature searches
+SOLVE_BRACKET = (Fraction(1, 64), Fraction(63, 64))
+
 
 def _mid(e: Enclosure) -> Fraction:
     return (e.lo + e.hi).scale2(-1).as_fraction()
@@ -605,14 +605,11 @@ def _unresolved(target: Enclosure, overlap: Optional[Enclosure], p: int,
 
 
 def solve_temperature(handle: QuantityHandle, target: Enclosure,
-                      tol: Dyadic,
-                      bracket: tuple[Fraction, Fraction] = (Fraction(1, 64),
-                                                            Fraction(63, 64)),
-                      ) -> Enclosure:
+                      tol: Dyadic) -> Enclosure:
     """Invert the increasing limit function: returns a temperature
-    enclosure [a, b] of width <= tol that contains every x in the bracket
-    whose image meets the target (a rational target is rounded outward at
-    the working precision).
+    enclosure [a, b] of width <= tol that contains every x in
+    SOLVE_BRACKET whose image meets the target (a rational target is
+    rounded outward at the working precision).
 
     One bracket is shared by both edges.  a is the bracket's low end or a
     probe whose value is certifiably below the target; b is the high end
@@ -647,7 +644,7 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
     aim_mid, aim_lo, aim_hi = (_mid(target), target.lo.as_fraction(),
                                target.hi.as_fraction())
 
-    ends = (Dyadic.from_fraction(bracket[0]), Dyadic.from_fraction(bracket[1]))
+    ends = tuple(map(Dyadic.from_fraction, SOLVE_BRACKET))
     a, b = ends
     unchecked = set(ends)  # bracket ends not yet probed
     core: Optional[tuple[Dyadic, Dyadic]] = None  # hull of overlapping probes
@@ -679,9 +676,11 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
         if core is not None and (core[0] < a or b < core[1]):
             core = None  # an overlap that a certified probe has outranged
         if b == ends[0]:
-            raise RangeError(f"target below the quantity's range on {bracket}")
+            raise RangeError(
+                f"target below the quantity's range on {SOLVE_BRACKET}")
         if a == ends[1]:
-            raise RangeError(f"target above the quantity's range on {bracket}")
+            raise RangeError(
+                f"target above the quantity's range on {SOLVE_BRACKET}")
 
     halvings = ceil((ends[1] - ends[0]).as_fraction()
                     / goal.as_fraction()).bit_length()
@@ -879,29 +878,33 @@ def _next_or_exhausted(it: Iterator[Dyadic], name: str) -> Dyadic:
 # certified evaluator at increasing precision)
 # ---------------------------------------------------------------------------
 
-def descending_upper_oracle(handle: QuantityHandle, steps: int = 64):
+# values each oracle stream yields (the grid oracle one more)
+ORACLE_STEPS = 64
+
+
+def descending_upper_oracle(handle: QuantityHandle):
     """Dyadics >= f(T), descending toward it."""
     best = None
-    for m in range(steps):
+    for m in range(ORACLE_STEPS):
         v = handle.f(precision_bits=16 + 8 * m).hi
         best = v if best is None else min(best, v)
         yield best
 
 
-def ascending_lower_oracle(handle: QuantityHandle, steps: int = 64):
+def ascending_lower_oracle(handle: QuantityHandle):
     """Dyadics <= f(T), ascending toward it."""
     best = None
-    for m in range(steps):
+    for m in range(ORACLE_STEPS):
         v = handle.f(precision_bits=16 + 8 * m).lo
         best = v if best is None else max(best, v)
         yield best
 
 
-def approach_oracle(handle: QuantityHandle, steps: int = 64):
+def approach_oracle(handle: QuantityHandle):
     """Dyadics in (T, t), descending to T: A_l = T + (t - T) 2^-l."""
     span = Dyadic.from_fraction(handle.t - handle.T)
     T_dy = Dyadic.from_fraction(handle.T)
-    for l in range(1, steps + 1):
+    for l in range(1, ORACLE_STEPS + 1):
         yield T_dy + span.scale2(-l)
 
 
@@ -913,8 +916,8 @@ def file_oracle(path):
             yield Dyadic.parse(line)
 
 
-def grid_oracle(handle: QuantityHandle, step: Dyadic, steps: int = 64):
+def grid_oracle(handle: QuantityHandle, step: Dyadic):
     """Coarse upper oracle: f(T) rounded up to the grid, descending."""
     base = handle.f(precision_bits=32).hi
-    for m in range(steps, -1, -1):
+    for m in range(ORACLE_STEPS, -1, -1):
         yield base + step * m

@@ -46,9 +46,7 @@ from .enclosure import (
     DEFAULT_PRECISION, Enclosure, certified_gt, div, exp2_enclosure,
     ln2_enclosure, log2_enclosure,
 )
-from .ensembles import (
-    EnsembleSnapshot, census_decay, get_machine, kraft_tail_bounds,
-)
+from .ensembles import EnsembleSnapshot, get_machine, kraft_tail_bounds
 from .errors import RangeError, SpecError
 
 QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
@@ -115,7 +113,7 @@ class WeightChain:
         n = self.precision_bits + _CHAIN_GUARD
         a, ea, b, eb = chain[-1]
         for _ in range(len(chain), length + 1):
-            # round_outward to n significant bits: floor below, ceil above
+            # round outward to n significant bits: floor below, ceil above
             a *= xa
             ea += xea
             excess = a.bit_length() - n
@@ -266,27 +264,22 @@ def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict
 
 
 # ---------------------------------------------------------------------------
-# tail bounds
+# census cutoffs
 # ---------------------------------------------------------------------------
-
-def moment_tail_bound(snapshot: EnsembleSnapshot, L: int, T: Fraction,
-                      j, precision_bits: int = DEFAULT_PRECISION):
-    """Certified upper bound on sum over |p| > L of |p|^j 2^(-|p|/T), from
-    the census Kraft slack.  For a tuple j of orders, a dict of the bound
-    of each order, sharing the work that does not depend on the order."""
-    orders = (j,) if isinstance(j, int) else j
-    bounds = kraft_tail_bounds(snapshot.census, L, T, orders, precision_bits)
-    return bounds[j] if isinstance(j, int) else bounds
-
 
 def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
                    precision_bits: int) -> int:
     """Length beyond which the certified tail bound is already below the
     working precision, so summing further census terms cannot tighten the
     result.  Float arithmetic here only picks the cutoff; certification
-    comes from the tail bound itself."""
-    machine = snapshot.machine
-    delta = census_decay(machine.growth if machine else 1, T)
+    comes from the tail bound itself.  The terms of a census growing by
+    `growth` bits per length shrink by delta bits per length; below the
+    Kraft bound's 1, growth is priced at 9/10 of the rate: near T = 1,
+    where the terms shrink slowly, the sum runs a little longer."""
+    growth = snapshot.machine.growth if snapshot.machine else 1
+    delta = 1 / float(T) - growth
+    if 0 < growth < 1:
+        delta = 0.9 * delta
     if delta <= 0:
         return snapshot.max_length
     target = precision_bits + 12
@@ -303,7 +296,13 @@ def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
     the sums at one (snapshot, T, precision) agree)."""
     if k != "limit":
         return snapshot.length_counts_up_to(int(k))
-    L = _census_cutoff(snapshot, T, 4, precision_bits)
+    return _census_through(snapshot,
+                           _census_cutoff(snapshot, T, 4, precision_bits))
+
+
+def _census_through(snapshot: EnsembleSnapshot,
+                    L: int) -> list[tuple[int, int]]:
+    """The census's (length, count) pairs of length at most L, ascending."""
     return sorted((l, c) for l, c in snapshot.census.items() if l <= L)
 
 
@@ -316,9 +315,9 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
         return (series_moments(snapshot.series, T, orders, precision_bits),
                 {j: Dyadic(0) for j in orders})
     L = _census_cutoff(snapshot, T, 4, precision_bits)
-    sums = moment_sums(summed_lengths(snapshot, T, "limit", precision_bits),
-                       T, orders, precision_bits)
-    tails = moment_tail_bound(snapshot, L, T, tuple(orders), precision_bits)
+    sums = moment_sums(_census_through(snapshot, L), T, orders,
+                       precision_bits)
+    tails = kraft_tail_bounds(snapshot.census, L, T, orders, precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails
 

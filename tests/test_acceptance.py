@@ -174,7 +174,8 @@ def test_criterion_08_fixed_point_machinery():
     rep = witness_search(handle, bits_prefix(Dyadic(1, -1), 20),
                          descending_upper_oracle(handle))
     assert rep.verified_through == 10 * rep.k_e
-    lengths = handle.lengths(rep.verified_through)
+    lengths = [l for l, c in handle.snapshot.length_counts_up_to(
+        rep.verified_through) for _ in range(c)]
     assert all(Dyadic(l) > rep.length_threshold
                for l in lengths[rep.k_e:])
 

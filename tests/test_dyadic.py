@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from thermoait.dyadic import Dyadic, from_rational_ceil, from_rational_floor
+from thermoait.dyadic import Dyadic, from_rational_ceil
 from thermoait.errors import SpecError
 
 dyadics = st.builds(Dyadic,
@@ -40,10 +40,11 @@ def test_floor_scaled():
 
 
 def test_directed_rational_rounding():
-    lo = from_rational_floor(1, 3, 8)
-    hi = from_rational_ceil(1, 3, 8)
-    assert lo.as_fraction() <= Fraction(1, 3) <= hi.as_fraction()
-    assert (hi - lo).as_fraction() <= Fraction(1, 256)
+    # the least multiple of 2^-8 at or above p/q
+    for p, q in ((1, 3), (-1, 3), (3, 4), (0, 5)):
+        hi = from_rational_ceil(p, q, 8).as_fraction()
+        assert hi - Fraction(1, 256) < Fraction(p, q) <= hi
+        assert (hi * 256).denominator == 1
 
 
 @given(dyadics, dyadics)

@@ -15,9 +15,9 @@ from thermoait.bitstring import BitString, LAMBDA
 from thermoait.cli import main
 from thermoait.dyadic import fraction_text, int_from_text
 from thermoait.ensembles import (
-    BUDGET, DIVERGE, HALT, MACHINES, builtin_snapshot, gamma_code,
-    gamma_literal_length, kraft_slack, load_snapshot, run_sdm4, replay_check,
-    save_snapshot, sdm4_census_count,
+    BUDGET, DEFAULT_PROGRAM_CAP, DIVERGE, HALT, MACHINES, builtin_snapshot,
+    gamma_code, gamma_literal_length, kraft_slack, load_snapshot, run_sdm4,
+    replay_check, save_snapshot, sdm4_census_count,
 )
 from thermoait.errors import InvariantViolation, SnapshotError, SpecError
 from thermoait.thermo import eval_limit
@@ -101,7 +101,7 @@ def test_sdm4_canonical_order_and_prefix_freeness():
     assert progs == sorted(progs)
     for i, a in enumerate(progs):
         for b in progs[i + 1:]:
-            assert not a.is_prefix_of(b)
+            assert not b.bits.startswith(a.bits)
 
 
 def test_sdm4_kraft_converges_to_four_fifths():
@@ -139,7 +139,7 @@ def test_gamma_literal_enumeration():
     assert progs == sorted(progs)
     for i, a in enumerate(progs):
         for b in progs[i + 1:]:
-            assert not a.is_prefix_of(b)
+            assert not b.bits.startswith(a.bits)
     assert snap.kraft_partial() == Fraction(2, 4) + Fraction(4, 32) + Fraction(8, 64)
 
 
@@ -156,6 +156,24 @@ def test_spec_validation():
         builtin_snapshot("geometric", 0)
     with pytest.raises(SpecError):
         builtin_snapshot("sdm4", 4, step_budget=0)
+
+
+def test_bitstring_rejects_non_binary_characters():
+    assert BitString("") == LAMBDA and len(BitString("")) == 0
+    for bad in ("201", "0a1", "012", "x", "0 1", "1\n", "\u0661"):
+        with pytest.raises(ValueError, match="not a binary string"):
+            BitString(bad)
+
+
+@pytest.mark.parametrize("kind", sorted(MACHINES))
+def test_program_kraft_is_the_exact_record_sum(kind):
+    # the reference adds one Fraction per record
+    for cap in (0, 1, 7, 64, DEFAULT_PROGRAM_CAP):
+        snap = builtin_snapshot(kind, 30, program_cap=cap)
+        want = sum((Fraction(1, 1 << len(r.program)) for r in snap.programs),
+                   Fraction(0))
+        assert snap.program_kraft() == want, cap
+        assert (want == 0) == (not snap.programs)
 
 
 # -- census slack ------------------------------------------------------
@@ -342,6 +360,7 @@ def test_mutated_snapshot_loads_or_is_snapshot_error(tmp_path):
 
 def test_lengths_up_to():
     snap = builtin_snapshot("sdm4", 6)
-    assert snap.lengths_up_to(4) == [2, 4, 4, 6]
+    assert [l for l, c in snap.length_counts_up_to(4)
+            for _ in range(c)] == [2, 4, 4, 6]
     with pytest.raises(InvariantViolation):
-        snap.lengths_up_to(99)
+        snap.length_counts_up_to(99)

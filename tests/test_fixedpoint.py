@@ -183,7 +183,9 @@ def _reference_increments(h):
     Z = W = Enclosure.point(0)
     n = min(len(h.snapshot.programs), h.max_depth)
     out = []
-    for k, l in enumerate(h.snapshot.lengths_up_to(n)):
+    lengths = [l for l, c in h.snapshot.length_counts_up_to(n)
+               for _ in range(c)]
+    for k, l in enumerate(lengths):
         w = weights[l]
         if k >= h.k0:
             if h.quantity == "Z":
@@ -432,14 +434,14 @@ def test_precision_error_names_the_working_precision():
     # grid of its Kraft-slack tail leaves the comparisons unresolved; 160
     # bits resolve them
     snap = builtin_snapshot("gamma_literal", 600, program_cap=512)
-    Tstar, bracket = Fraction(1, 48), (Fraction(1, 64), Fraction(1, 32))
+    Tstar = Fraction(1, 48)
     h = certify(snap, "Z", HALF)
     target = h.f(Tstar, precision_bits=300)
     with pytest.raises(PrecisionError,
                        match="at 64 bits of working precision"):
-        solve_temperature(h, target, Dyadic(1, -30), bracket)
+        solve_temperature(h, target, Dyadic(1, -30))
     h160 = certify(snap, "Z", HALF, precision_bits=160)
-    enc = solve_temperature(h160, target, Dyadic(1, -30), bracket)
+    enc = solve_temperature(h160, target, Dyadic(1, -30))
     assert enc.contains(Tstar)
 
 
@@ -454,7 +456,8 @@ def test_witness_geometric_Z(handles):
         HALF * (20 - h.a - h.b))
     assert rep.verified_through == 10 * rep.k_e
     # every program past k_e within the verified window is longer
-    lengths = h.lengths(rep.verified_through)
+    lengths = [l for l, c in h.snapshot.length_counts_up_to(
+        rep.verified_through) for _ in range(c)]
     assert all(Dyadic(l) > rep.length_threshold
                for l in lengths[rep.k_e:])
     # geometric outputs are binary numerals, never the empty string

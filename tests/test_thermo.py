@@ -17,18 +17,16 @@ from hypothesis import given, settings, strategies as st
 
 import thermoait.thermo as thermo
 from thermoait.dyadic import Dyadic
-from thermoait.enclosure import (
-    Enclosure, exp2_enclosure, round_outward,
-)
+from thermoait.enclosure import Enclosure, exp2_enclosure
 from thermoait.ensembles import (
-    MACHINES, EnsembleSnapshot, builtin_snapshot, load_snapshot,
-    save_snapshot,
+    MACHINES, EnsembleSnapshot, builtin_snapshot, kraft_tail_bounds,
+    load_snapshot, save_snapshot,
 )
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
     QUANTITIES, CensusWalk, WeightChain, _census_cutoff, _RunningWalk,
     divergence_probe, eval_limit, eval_partial, evaluate, limit_moments,
-    moment_sums, moment_tail_bound, power_sum, series_moments,
+    moment_sums, power_sum, series_moments,
     summed_lengths, sweep,
 )
 
@@ -150,7 +148,7 @@ def test_limit_tail_bounds_cover_true_tail():
     x = mpmath.power(2, mpmath.mpf(-4) / 3)
     for j in (0, 1, 2):
         true_tail = mpmath.nsum(lambda l: l**j * x**l, [61, mpmath.inf])
-        bound = moment_tail_bound(GEO60, 60, T, j)
+        bound = kraft_tail_bounds(GEO60.census, 60, T, (j,), 64)[j]
         assert mpmath.mpf(0) < true_tail <= as_mp(bound)
         assert as_mp(bound) < 4 * true_tail  # not wildly loose
 
@@ -233,7 +231,7 @@ def _check_census_tail(kind, snap):
 
 def test_limit_requires_subcritical_temperature():
     with pytest.raises(RangeError):
-        moment_tail_bound(SDM, 200, Fraction(1, 1), 0)
+        kraft_tail_bounds(SDM.census, 200, Fraction(1, 1), (0,), 64)
     # the generating functions hold up to each machine's pole (sdm4's at
     # T = 2/log2 3), but limits are served for T < 1 only
     for kind in ("sdm4", "literal", "geometric"):
@@ -469,13 +467,33 @@ def test_divergence_probe_guards():
 
 # -- the integer kernel is bit-identical to object-level arithmetic -----
 
+def _round_down(d: Dyadic, n: int) -> Dyadic:
+    """Largest dyadic with an n-bit significand that is <= d."""
+    excess = abs(d.m).bit_length() - n
+    if excess <= 0:
+        return d
+    return Dyadic(d.m >> excess, d.e + excess)
+
+
+def _round_up(d: Dyadic, n: int) -> Dyadic:
+    """Least dyadic with an n-bit significand that is >= d."""
+    excess = abs(d.m).bit_length() - n
+    if excess <= 0:
+        return d
+    return Dyadic(-((-d.m) >> excess), d.e + excess)
+
+
+def _round_outward(e: Enclosure, n: int) -> Enclosure:
+    return Enclosure(_round_down(e.lo, n), _round_up(e.hi, n))
+
+
 def _reference_chain(T: Fraction, p: int, length: int) -> list:
     """The weight chain built from Enclosure products, as the kernel
-    promises to reproduce: entry l = round_outward(entry(l-1) * entry 1,
+    promises to reproduce: entry l = _round_outward(entry(l-1) * entry 1,
     p + 32), entry 1 = exp2(-1/T)."""
     chain = [Enclosure.point(1), exp2_enclosure(Fraction(-1) / T, p)]
     while len(chain) <= length:
-        chain.append(round_outward(chain[-1] * chain[1], p + 32))
+        chain.append(_round_outward(chain[-1] * chain[1], p + 32))
     return chain
 
 
@@ -520,9 +538,9 @@ def _reference_limit(snap, T: Fraction, orders, p: int) -> dict:
     L = _census_cutoff(snap, T, 4, p)
     items = [(l, c) for l, c in sorted(snap.census.items()) if l <= L]
     sums = _reference_sums(items, T, orders, p)
-    return {j: sums[j] + Enclosure(Dyadic(0),
-                                   moment_tail_bound(snap, L, T, j, p))
-            for j in orders}
+    tails = {j: kraft_tail_bounds(snap.census, L, T, (j,), p)[j]
+             for j in orders}
+    return {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
 
 
 def _endpoints(e: Enclosure) -> tuple:
