@@ -4,6 +4,11 @@ An Enclosure is a pair of dyadics [lo, hi] guaranteed to contain an exact
 real value.  Ring operations on dyadic endpoints are exact; division and
 the two transcendental kernels (exp2, log2) round outward.
 
+Products and quotients pick their endpoints by sign (Moore, Kearfott & Cloud
+2009, ch. 2): nonnegative factors give [lo*lo, hi*hi].  Division negates both
+operands of a negative divisor, then rounds two quotients outward:
+a.lo / (b.hi if a.lo >= 0 else b.lo) and a.hi / (b.lo if a.hi >= 0 else b.hi).
+
 The kernels work on integers scaled by 2**W (W = precision_bits + guard):
 exp2 splits off the integer exponent and sums exp(f*ln2) with an explicit
 tail bound; log2 normalises into [1,2) and uses ln(u) = 2*atanh((u-1)/(u+1)),
@@ -85,15 +90,6 @@ def _ln2_fixed(w: int) -> tuple[int, int]:
         lo, hi = _atanh_fixed(scale // 3, scale // 3 + 1, w)
         _LN2_CACHE[w] = (2 * lo, 2 * hi)
     return _LN2_CACHE[w]
-
-
-def _ln_unit_fixed(u: Fraction, w: int) -> tuple[int, int]:
-    """Enclose ln(u) for rational u in [1, 2)."""
-    z = (u - 1) / (u + 1)  # in [0, 1/3)
-    z_lo = (z.numerator << w) // z.denominator
-    z_hi = _div_int_up(z.numerator << w, z.denominator)
-    lo, hi = _atanh_fixed(z_lo, z_hi, w)
-    return 2 * lo, 2 * hi
 
 
 def _exp_fixed(y_lo: int, y_hi: int, w: int) -> tuple[int, int]:
@@ -181,6 +177,8 @@ class Enclosure:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if self.lo.m >= 0 and other.lo.m >= 0:
+            return Enclosure(self.lo * other.lo, self.hi * other.hi)
         prods = [self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi]
         return Enclosure(min(prods), max(prods))
@@ -214,7 +212,9 @@ def _coerce(x) -> Enclosure:
 # ---------------------------------------------------------------------------
 
 def _div_dyadic(a: Dyadic, b: Dyadic, n: int, up: bool) -> Dyadic:
-    """a/b rounded to n significant bits, directed."""
+    """a/b rounded in the given direction to at least n significant bits,
+    more when a's mantissa is wider than b's: the grid depends on the pair,
+    so a nearer exact quotient can round to a farther dyadic."""
     if a.m == 0:
         return Dyadic(0)
     num, den = a.m, b.m
@@ -232,17 +232,14 @@ def _div_dyadic(a: Dyadic, b: Dyadic, n: int, up: bool) -> Dyadic:
 
 def div(a: Enclosure, b: Enclosure, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
     a, b = _coerce(a), _coerce(b)
-    zero = Dyadic(0)
-    if b.lo <= zero <= b.hi:
+    if b.lo.m <= 0 <= b.hi.m:
         raise PrecisionError("division by an interval containing 0")
+    if b.hi.m < 0:
+        a, b = -a, -b
     n = precision_bits + _GUARD
-    quots_lo = []
-    quots_hi = []
-    for x in (a.lo, a.hi):
-        for y in (b.lo, b.hi):
-            quots_lo.append(_div_dyadic(x, y, n, up=False))
-            quots_hi.append(_div_dyadic(x, y, n, up=True))
-    return Enclosure(min(quots_lo), max(quots_hi))
+    lo = _div_dyadic(a.lo, b.hi if a.lo.m >= 0 else b.lo, n, up=False)
+    hi = _div_dyadic(a.hi, b.lo if a.hi.m >= 0 else b.hi, n, up=True)
+    return Enclosure(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +273,13 @@ def _log2_dyadic(d: Dyadic, w: int) -> tuple[Dyadic, Dyadic]:
         raise PrecisionError("log2 of a nonpositive value")
     bl = d.m.bit_length()
     g = d.e + bl - 1
-    u = Fraction(d.m, 1 << (bl - 1))  # in [1, 2)
-    lnu_lo, lnu_hi = _ln_unit_fixed(u, w)
+    # ln(m/h) = 2 atanh(z), z = (m - h)/(m + h) in [0, 1/3), with m/h in [1, 2)
+    h = 1 << (bl - 1)
+    num, den = (d.m - h) << w, d.m + h
+    z_lo, z_hi = _atanh_fixed(num // den, _div_int_up(num, den), w)
     l2_lo, l2_hi = _ln2_fixed(w)
-    lo = (lnu_lo << w) // l2_hi
-    hi = _div_int_up(lnu_hi << w, l2_lo)
+    lo = (z_lo << (w + 1)) // l2_hi
+    hi = _div_int_up(z_hi << (w + 1), l2_lo)
     return Dyadic(g) + Dyadic(lo, -w), Dyadic(g) + Dyadic(hi, -w)
 
 

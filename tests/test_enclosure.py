@@ -1,7 +1,9 @@
 """Containment and width contracts of the certified interval layer.
 
-mpmath at 300 bits serves as the independent reference for exp2 and log2;
-every enclosure must contain the reference value and meet its width bound.
+mpmath serves as the independent reference for exp2 and log2, at 300 bits
+or 64 bits above the drawn precision; every enclosure must contain the
+reference value and meet its width bound.  Products and quotients are
+checked against exact Fraction corners.
 """
 
 import random
@@ -9,9 +11,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermoait.bitstring import BitString
 from thermoait.dyadic import Dyadic
+import thermoait.enclosure as enclosure
 from thermoait.enclosure import (
     Enclosure, bits_prefix, certified_lt, certified_positive,
     div, exp2_enclosure, ln2_enclosure, log2_enclosure,
@@ -40,16 +44,18 @@ def test_exp2_width_contract():
         assert ref_contains(e, mpmath.power(2, mpmath.mpf(-5) / 3))
 
 
-def test_exp2_random_containment():
-    rng = random.Random(20260826)
-    for _ in range(300):
-        p = rng.randint(-600, 200)
-        q = rng.randint(1, 97)
-        x = Fraction(p, q)
-        e = exp2_enclosure(x, 64)
-        ref = mpmath.power(2, mpmath.mpf(p) / q)
-        assert ref_contains(e, ref)
-        assert e.width().as_fraction() <= Fraction(1, 2**64) * max(1, 2**(x.numerator // x.denominator + 1))
+PRECISIONS = st.integers(16, 1024)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(st.integers(-600, 200), st.integers(1, 97), PRECISIONS)
+def test_exp2_random_containment(p, q, prec):
+    x = Fraction(p, q)
+    e = exp2_enclosure(x, prec)
+    with mpmath.workprec(prec + 64):
+        assert ref_contains(e, mpmath.power(2, mpmath.mpf(p) / q))
+    assert e.width().as_fraction() <= Fraction(1, 2**prec) * max(1, 2**(x.numerator // x.denominator + 1))
 
 
 def test_log2_exact_power_of_two():
@@ -57,16 +63,15 @@ def test_log2_exact_power_of_two():
     assert e.lo == e.hi == Dyadic(-2)
 
 
-def test_log2_random_containment():
-    rng = random.Random(7)
-    for _ in range(300):
-        m = rng.randint(1, 10**9)
-        ex = rng.randint(-40, 40)
-        d = Dyadic(m, ex)
-        e = log2_enclosure(Enclosure.point(d), 64)
-        ref = mpmath.log(mpmath.mpf(m), 2) + ex
-        assert ref_contains(e, ref)
-        assert e.width().as_fraction() <= Fraction(1, 2**60)
+@PROPERTY
+@given(st.integers(1, 2**400), st.integers(-40, 40), PRECISIONS)
+def test_log2_random_containment(m, ex, prec):
+    # mantissas up to 2^400 are far wider than the 2^w scale the atanh
+    # argument (m - h)/(m + h) is rounded to
+    e = log2_enclosure(Enclosure.point(Dyadic(m, ex)), prec)
+    with mpmath.workprec(max(prec, m.bit_length()) + 64):
+        assert ref_contains(e, mpmath.log(mpmath.mpf(m), 2) + ex)
+    assert e.width().as_fraction() <= Fraction(1, 2**(prec - 4))
 
 
 def test_log2_rejects_nonpositive():
@@ -84,13 +89,51 @@ def test_div_contract():
         div(a, Enclosure(Dyadic(-1), Dyadic(1)))
 
 
-def test_div_random_containment():
-    rng = random.Random(99)
-    for _ in range(200):
-        a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
-        b = Fraction(rng.randint(1, 10**6), rng.randint(1, 999))
-        q = div(Enclosure.from_rational(a), Enclosure.from_rational(b), 64)
-        assert q.contains(a / b)
+MANTISSAS = st.integers(-2**300, 2**300)
+DYADICS = st.builds(Dyadic, st.just(0) | MANTISSAS, st.integers(-300, 300))
+NONNEGATIVE = st.builds(Dyadic, st.just(0) | st.integers(1, 2**300),
+                        st.integers(-300, 300))
+POSITIVE = st.builds(Dyadic, st.integers(1, 2**300), st.integers(-300, 300))
+
+
+def _sorted_enclosure(x, y):
+    return Enclosure(min(x, y), max(x, y))
+
+
+# every sign case: nonnegative, nonpositive, straddling 0, zero endpoints
+INTERVALS = (st.builds(_sorted_enclosure, NONNEGATIVE, NONNEGATIVE)
+             | st.builds(lambda e: -e, st.builds(_sorted_enclosure,
+                                                 NONNEGATIVE, NONNEGATIVE))
+             | st.builds(lambda x, y: Enclosure(-x, y), NONNEGATIVE, NONNEGATIVE)
+             | st.builds(_sorted_enclosure, DYADICS, DYADICS))
+DIVISORS = (st.builds(_sorted_enclosure, POSITIVE, POSITIVE)
+            | st.builds(lambda e: -e, st.builds(_sorted_enclosure,
+                                                POSITIVE, POSITIVE)))
+
+
+def _corners(a, b, op):
+    return [op(x.as_fraction(), y.as_fraction())
+            for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+
+
+def _eight_quotient_hull(a, b, n):
+    """The reference division: every directed quotient of the four
+    endpoint pairs, keeping the extremes."""
+    lo = min(enclosure._div_dyadic(x, y, n, up=False)
+             for x in (a.lo, a.hi) for y in (b.lo, b.hi))
+    hi = max(enclosure._div_dyadic(x, y, n, up=True)
+             for x in (a.lo, a.hi) for y in (b.lo, b.hi))
+    return lo, hi
+
+
+@PROPERTY
+@given(INTERVALS, DIVISORS, PRECISIONS)
+def test_div_random_containment(a, b, prec):
+    q = div(a, b, prec)
+    for exact in _corners(a, b, lambda x, y: x / y):
+        assert q.contains(exact)
+    lo, hi = _eight_quotient_hull(a, b, prec + enclosure._GUARD)
+    assert lo <= q.lo and q.hi <= hi
 
 
 def test_inv_refines_monotonically():
@@ -143,14 +186,19 @@ def test_bits_prefix_bracket_property():
         assert p.as_fraction() <= a.as_fraction() < (p + Dyadic(1, -n)).as_fraction()
 
 
-def test_enclosure_arithmetic_containment():
-    a = Enclosure(Dyadic(1, -2), Dyadic(1, -1))
-    b = Enclosure(Dyadic(-1), Dyadic(2))
-    for x in (Fraction(1, 4), Fraction(3, 8)):
-        for y in (Fraction(-1), Fraction(0), Fraction(2)):
-            assert (a + b).contains(x + y)
-            assert (a - b).contains(x - y)
-            assert (a * b).contains(x * y)
+@PROPERTY
+@given(INTERVALS, INTERVALS)
+def test_enclosure_arithmetic_containment(a, b):
+    # ring operations are exact: the product is the hull of the four
+    # corner products, whichever sign case picks its endpoints
+    products = _corners(a, b, lambda x, y: x * y)
+    c = a * b
+    assert (c.lo.as_fraction(), c.hi.as_fraction()) == (min(products), max(products))
+    s, d = a + b, a - b
+    assert s.lo.as_fraction() == a.lo.as_fraction() + b.lo.as_fraction()
+    assert s.hi.as_fraction() == a.hi.as_fraction() + b.hi.as_fraction()
+    assert d.lo.as_fraction() == a.lo.as_fraction() - b.hi.as_fraction()
+    assert d.hi.as_fraction() == a.hi.as_fraction() - b.lo.as_fraction()
 
 
 def test_clamp_nonnegative():

@@ -15,6 +15,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thermoait.enclosure as enclosure
 import thermoait.thermo as thermo
 from thermoait.dyadic import Dyadic
 from thermoait.enclosure import Enclosure, exp2_enclosure
@@ -339,6 +340,23 @@ def test_generating_function_limits_walk_no_census(monkeypatch):
             limit_moments(KERNEL_SNAPSHOTS[kind], T, range(5), 64)
     with pytest.raises(AssertionError, match="census walk"):
         eval_limit(KERNEL_SNAPSHOTS["gamma_literal"], Fraction(1, 2))
+
+
+def test_derive_quantities_makes_two_quotients_per_division(monkeypatch):
+    # E, S and the two factors of C take one div each, and a divisor of
+    # known sign needs two directed quotients; enumerating every corner
+    # took 8 per div, 32 in all
+    ev = eval_limit(SDM, Fraction(1, 2))
+    calls = []
+    quotient = enclosure._div_dyadic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quotient(*args, **kwargs)
+
+    monkeypatch.setattr(enclosure, "_div_dyadic", counted)
+    thermo.derive_quantities(ev.Z, ev.W, ev.Y, Fraction(1, 2), 64)
+    assert len(calls) == 8
 
 
 # -- the tail comes from the machine, never from the label ---------------
