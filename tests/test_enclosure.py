@@ -66,8 +66,8 @@ def test_log2_exact_power_of_two():
 @PROPERTY
 @given(st.integers(1, 2**400), st.integers(-40, 40), PRECISIONS)
 def test_log2_random_containment(m, ex, prec):
-    # mantissas up to 2^400 are far wider than the 2^w scale the atanh
-    # argument (m - h)/(m + h) is rounded to
+    # a mantissa wider than the working scale 2^w is the wide case of the
+    # integer reduction z = (m - h)/(m + h)
     e = log2_enclosure(Enclosure.point(Dyadic(m, ex)), prec)
     with mpmath.workprec(max(prec, m.bit_length()) + 64):
         assert ref_contains(e, mpmath.log(mpmath.mpf(m), 2) + ex)
@@ -89,8 +89,8 @@ def test_div_contract():
         div(a, Enclosure(Dyadic(-1), Dyadic(1)))
 
 
-MANTISSAS = st.integers(-2**300, 2**300)
-DYADICS = st.builds(Dyadic, st.just(0) | MANTISSAS, st.integers(-300, 300))
+DYADICS = st.builds(Dyadic, st.just(0) | st.integers(-2**300, 2**300),
+                    st.integers(-300, 300))
 NONNEGATIVE = st.builds(Dyadic, st.just(0) | st.integers(1, 2**300),
                         st.integers(-300, 300))
 POSITIVE = st.builds(Dyadic, st.integers(1, 2**300), st.integers(-300, 300))
