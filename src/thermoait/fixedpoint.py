@@ -15,16 +15,20 @@ of explicit constants:
 The constants are computed from enclosures (never guessed) and then
 re-verified on every enumerated increment; a violation is a hard
 CertificationError, not a tuning knob.  The re-check walks one census
-length group at a time: within a group each increment of Z is w itself,
-so its bracket is the exact inequality l^c 2^-b <= 1 <= l^b 2^c, and each
-increment of -F, E and S falls as the group's programs are added (Z_k
-grows, Z_k l - W_k stays fixed), so the lower bound binds at the group's
-last program and the upper bound at its first.  See _verify_certificate.
+length group at a time: each increment of Z is w itself, so its bracket
+is the exact inequality l^c 2^-b <= 1 <= l^b 2^c, monotone in l, and
+each increment of -F, E and S falls as the group's programs are added
+(Z_k grows, Z_k l - W_k stays fixed), so the lower bound binds at the
+group's last program and the upper bound at its first, each decided by
+one integer cross-multiplication.  The heat-capacity bound behind the
+slopes of E and S is the pair form of the variance, which rises with the
+temperature.  See _verify_certificate and _min_capacity_on_window.
 
 Every sum is thermo's, exact and in integers: certify's depth sets come
-from one thermo.CensusWalk per temperature, and whatever goes one census
-group at a time (the re-check, the procedures' depths) from thermo's
-lazy running walk, which stops where its reader stops.
+from one thermo.CensusWalk per temperature, the re-check reads the
+integer sums before each group from the same walk at T, and the
+procedures' depths come from thermo's lazy running walk, which stops
+where its reader stops.
 
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
@@ -221,10 +225,20 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
 def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                             precision_bits: int,
                             at_T: dict[int, Enclosure]) -> Dyadic:
-    """Certified positive lower bound on C_{k0} over [T, t], by subdividing
-    the window until interval evaluation resolves the sign.  A piece's
-    moments are the hull [lo at x0, hi at x1] (every 2^(-l/x) rises with
-    x); each point, at_T's moments at T among them, is summed once."""
+    """Certified positive lower bound on C_{k0} over [T, t], piece by piece
+    in the pair form of the variance.  With P = Z Y - W^2, C = ln2 P /
+    (x^2 Z^2), and by the Lagrange identity
+
+      P = 1/2 sum_a sum_b c_a c_b w_a w_b (l_a - l_b)^2
+
+    over length groups a, b with counts c and weights w = 2^(-l/x).  Every
+    pair term rises with x and with each weight, and so does x^2 Z^2, so
+    on [x0, x1] C >= ln2 P(x0) / (x1^2 Z(x1)^2).  The identity holds for
+    any weights, so Z Y - W^2 of the exact lower-endpoint sums at x0 is the
+    pair sum at weights below the true ones, a lower bound on P(x0); Z(x1)
+    is bounded by the upper-endpoint sum.  A piece's bound is positive
+    exactly when that P is: the pieces resolve unless the first k0
+    programs share one length.  Each point is summed once (at_T at T)."""
     p = precision_bits
     ln2 = ln2_enclosure(p)
     groups = snapshot.length_counts_up_to(k0)
@@ -236,24 +250,20 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
         return points[x]
 
     for pieces in (4, 8, 16, 32):
-        lo_min: Optional[Dyadic] = None
-        ok = True
+        bounds = []
         for i in range(pieces):
             x0 = T + (t - T) * Fraction(i, pieces)
             x1 = T + (t - T) * Fraction(i + 1, pieces)
-            lo, hi = at(x0), at(x1)
-            mu = {j: Enclosure(lo[j].lo, hi[j].hi) for j in (0, 1, 2)}
-            m1 = div(mu[1], mu[0], p)
-            v = div(mu[2], mu[0], p) - m1 * m1
-            tau2 = Enclosure(Enclosure.from_rational(x0 * x0, p).lo,
-                             Enclosure.from_rational(x1 * x1, p).hi)
-            C = div(ln2 * v, tau2, p)
-            if C.lo.sign <= 0:
-                ok = False
+            Z, W, Y = (at(x0)[j].lo for j in (0, 1, 2))
+            P = Z * Y - W * W
+            if P.sign <= 0:
                 break
-            lo_min = C.lo if lo_min is None else min(lo_min, C.lo)
-        if ok:
-            return lo_min
+            Z1 = at(x1)[0].hi
+            bounds.append(div(ln2 * Enclosure.point(P),
+                              Enclosure.from_rational(x1 * x1, p)
+                              * Enclosure.point(Z1 * Z1), p).lo)
+        else:
+            return min(bounds)
     raise CertificationError(
         f"cannot certify positive heat capacity on [{T}, {t}] at k0={k0}")
 
@@ -349,99 +359,28 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     return handle
 
 
-# The increment re-check holds each rational as (m, e, d), the value
-# m 2^e / d with integers m and d > 0, so a bound is a few integer
-# products and a comparison one cross-multiplication.
-
-def _mul(*xs: tuple[int, int, int]) -> tuple[int, int, int]:
-    m, e, d = 1, 0, 1
-    for xm, xe, xd in xs:
-        m, e, d = m * xm, e + xe, d * xd
-    return m, e, d
-
-
-def _inv(x: tuple[int, int, int]) -> tuple[int, int, int]:
-    m, e, d = x
-    return d, -e, m
-
-
-def _add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    (xm, xe, xd), (ym, ye, yd) = x, y
-    e = min(xe, ye)
-    return ((xm * yd) << (xe - e)) + ((ym * xd) << (ye - e)), e, xd * yd
-
-
-def _less(x: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
-    (xm, xe, xd), (ym, ye, yd) = x, y
-    u, v = xm * yd, ym * xd
-    return u << (xe - ye) < v if xe >= ye else u < v << (ye - xe)
-
-
-def _order(x, y) -> Optional[bool]:
-    """certified_lt for intervals x = (lo, hi) and y = (lo, hi)."""
-    if _less(x[1], y[0]):
-        return True
-    if not _less(x[0], y[1]):
-        return False
-    return None
-
-
-def _rounded(m: int, e: int, bits: int, up: bool) -> tuple[int, int, int]:
-    """m 2^e, m >= 0, rounded down or up to `bits` significant bits."""
-    excess = m.bit_length() - bits
-    if excess <= 0:
-        return m, e, 1
-    return (-(-m >> excess) if up else m >> excess), e + excess, 1
-
-
-def _power(l: int, j: int) -> tuple[int, int, int]:
-    """l^j for an integer j of either sign."""
-    return (l**j, 0, 1) if j >= 0 else (1, 0, l**-j)
-
-
-def _increment_bracket(quantity: str, T, ln2, w, Z, Z_next, N, bits: int):
-    """(lo, hi) bounds on g(T,k+1) - g(T,k) for a program of weight w, from
-    the (lo, hi) intervals of ln 2, w, Z_k, Z_{k+1} and N = Z_k l - W_k.
-    log2(1 + q), q = w/Z_k <= 1, lies in [q - q^2/2, q] / ln 2, and
-    q - q^2/2 rises on [0, 1]."""
-    (w_lo, w_hi), (Z_lo, Z_hi) = w, Z
-    if quantity != "E":
-        two_Z_hi = _mul((2, 0, 1), Z_hi)
-        gap = _add(two_Z_hi, (-w_lo[0], w_lo[1], 1))  # 2 Z_hi - w_lo > 0
-        dlog = (_mul(w_lo, _rounded(gap[0], gap[1], bits, False),
-                     _inv(_mul(two_Z_hi, Z_hi, ln2[1]))),
-                _mul(w_hi, _inv(_mul(Z_lo, ln2[0]))))
-        if quantity == "-F":
-            return _mul(T, dlog[0]), _mul(T, dlog[1])
-    dE = (_mul(N[0], w_lo, _inv(_mul(Z_next[1], Z_hi))),
-          _mul(N[1], w_hi, _inv(_mul(Z_next[0], Z_lo))))
-    if quantity == "E":
-        return dE
-    return (_add(_mul(dE[0], _inv(T)), dlog[0]),  # S: dE/T + dlog
-            _add(_mul(dE[1], _inv(T)), dlog[1]))
-
-
 def _verify_certificate(handle: QuantityHandle,
                         walk: Optional[CensusWalk] = None) -> None:
     """Re-check the increment bracket at every enumerated depth k0 <= k <
     n (n the enumerated programs, at most max_depth), then sample the
     slope bounds on (T, t).
 
-    walk is the CensusWalk at T over at least the first n programs (built
-    here when not given); the slope check reads its sums, and the re-check
-    walks its weight chain.
+    walk is the CensusWalk at T over at least the first n programs, as
+    certify built it (built here when not given): the re-check reads its
+    sums before each group up to n, and the slope check its groups and
+    its sums at the checked depths.
 
-    The depths are walked one census length group (l, count) at a time
-    by a thermo running walk: the exact sums Z_K, W_K over the K programs
-    before the group, and one program's weight w, so Z_k = Z_K + (k - K) w.
-    The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on l alone.
-    Within a group every increment depends only on l and on (Z_k, W_k),
-    and it falls as k runs over the group, because Z_k grows by w at each
+    The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
+    length l and weight w alone, so the depths are checked one census
+    length group (l, count) at a time, from the exact sums Z_K, W_K over
+    the K programs before the group; Z_k = Z_K + (k - K) w.  Within a group
+    every increment falls as k grows, because Z_k grows by w at each
     program:
 
       Z   the increment is w itself, so the bracket is the inequality
-          l^c 2^(-b) <= 1 <= l^b 2^c, decided exactly once per group
-          without reading a weight;
+          l^c 2^(-b) <= 1 <= l^b 2^c, read at no weight; each side is
+          monotone in l, so it holds at every checked length when it
+          holds at the shortest and the longest;
       -F  T log2(1 + w/Z_k) falls as Z_k grows;
       E   w (Z_k l - W_k) / (Z_k Z_{k+1}): Z_k l - W_k = sum (l - l_i) w_i
           is the same at every k in the group, and Z_k Z_{k+1} grows;
@@ -449,12 +388,13 @@ def _verify_certificate(handle: QuantityHandle,
 
     So the lower bound binds at the group's last checked depth and the
     upper bound at its first, and one comparison each decides the whole
-    group.  The comparisons are exact integer cross-multiplications,
-    after Z_k, Z_{k+1}, Z_k l - W_k and 2 Z_k - w are rounded outward to
-    precision + 32 significant bits; ln 2 comes from ln2_enclosure.  A
-    falsified bound raises CertificationError, an unresolved one
-    PrecisionError; the first group with either decides, and within it a
-    falsified bound outranks an unresolved one.
+    group.  Each comparison is one integer cross-multiplication, after
+    Z_k, Z_{k+1}, Z_k l - W_k and 2 Z_k - w are rounded outward to
+    precision + 32 significant bits, with the ends of ln2_enclosure and T
+    as numerator over denominator.  A falsified bound raises
+    CertificationError, an unresolved one PrecisionError; the first group
+    with either decides, and within it a falsified bound outranks an
+    unresolved one.
     """
     snapshot, quantity = handle.snapshot, handle.quantity
     k0, b, c = handle.k0, handle.b, handle.c
@@ -466,63 +406,25 @@ def _verify_certificate(handle: QuantityHandle,
         raise PrecisionError("increment bound unresolved at k=0: g(T, 0) "
                              "is undefined")
     p = handle.precision_bits
-    groups = snapshot.length_counts_up_to(n_programs)
     if walk is None:
-        walk = CensusWalk(groups, handle.T, p)
-    bits = p + _RECHECK_GUARD
-    Tq = (handle.T.numerator, 0, handle.T.denominator)
-    ln2 = ln2_enclosure(p)
-    ln2 = ((ln2.lo.m, ln2.lo.e, 1), (ln2.hi.m, ln2.hi.e, 1))
-    one = (1, 0, 1)
-    # a Z increment is w itself, so its bracket reads no sums
-    running = groups if quantity == "Z" else _RunningWalk(groups, walk.chain,
-                                                          (0, 1))
+        walk = CensusWalk(snapshot.length_counts_up_to(n_programs), handle.T,
+                          p)
+    if quantity == "Z":
+        def holds(l: int) -> bool:
+            return (Fraction(l) ** c <= Fraction(2) ** b
+                    and Fraction(l) ** b * Fraction(2) ** c >= 1)
 
-    def increment_at(Z_k, w, N):
-        """Bounds on the increment at the depth k where the walk's sum is
-        Z_k = (m_lo, e, m_hi, e), the same e as w's; Z_{k+1} = Z_k + w."""
-        lo, e, hi, _ = Z_k
-        (w_lo, _, _), (w_hi, _, _) = w
-        Z = (_rounded(lo, e, bits, False), _rounded(hi, e, bits, True))
-        Z_next = (_rounded(lo + w_lo, e, bits, False),
-                  _rounded(hi + w_hi, e, bits, True))
-        return _increment_bracket(quantity, Tq, ln2, w, Z, Z_next, N, bits)
-
-    K = 0  # the programs before the group
-    for l, count in running:
-        first, last = max(k0 - K, 0), count - 1
-        if first <= last:
-            lower_factor = _mul(_power(l, c), (1, -b, 1))
-            upper_factor = _mul(_power(l, b), (1, c, 1))
-            if quantity == "Z":
-                if _less(one, lower_factor) or _less(upper_factor, one):
-                    raise CertificationError("increment bound falsified at "
-                                             f"k={K + first}, length {l}")
-            else:
-                Z_K = running.exact(0)
-                Z_lo, e, Z_hi, _ = Z_K
-                W_lo, _, W_hi, _ = running.exact(1)
-                w_lo, _, w_hi, _ = running.term(0)
-                w = ((w_lo, e, 1), (w_hi, e, 1))
-                N = (_rounded(l * Z_lo - W_lo, e, bits, False),
-                     _rounded(l * Z_hi - W_hi, e, bits, True))
-                at_first = increment_at(
-                    running.exact(0, first) if first else Z_K, w, N)
-                at_last = (at_first if last == first
-                           else increment_at(running.exact(0, last), w, N))
-                ok_hi = _order(at_first, (_mul(w[0], upper_factor),
-                                          _mul(w[1], upper_factor)))
-                ok_lo = _order((_mul(w[0], lower_factor),
-                                _mul(w[1], lower_factor)), at_last)
-                if ok_hi is False or ok_lo is False:
-                    k = K + (first if ok_hi is False else last)
-                    raise CertificationError(
-                        f"increment bound falsified at k={k}, length {l}")
-                if ok_hi is None or ok_lo is None:
-                    k = K + (first if ok_hi is None else last)
-                    raise PrecisionError(
-                        f"increment bound unresolved at k={k}; raise precision")
-        K += count
+        checked, K = [], 0  # (first checked depth, l) per group
+        for l, count in walk.groups:
+            if k0 < K + count and K < n_programs:
+                checked.append((max(K, k0), l))
+            K += count
+        if not (holds(checked[0][1]) and holds(checked[-1][1])):
+            k, l = next((k, l) for k, l in checked if not holds(l))
+            raise CertificationError(
+                f"increment bound falsified at k={k}, length {l}")
+    else:
+        _check_increments(handle, walk.prefixes(n_programs))
 
     # the slope bounds at depths k0, k0 + 1, 2 k0 + 2 and n, at sample
     # points of (T, t); one walk per point gives all four depths
@@ -530,12 +432,14 @@ def _verify_certificate(handle: QuantityHandle,
     ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n_programs), n_programs})
     xs = [T + (t - T) * Fraction(i, SLOPE_SAMPLES + 1)
           for i in range(1, SLOPE_SAMPLES + 1)]
-    at_T = walk.sums((0, 1), ks)
-    at_x = [CensusWalk(groups, x, p).sums((0, 1), ks) for x in xs]
+    orders = (0,) if quantity in ("Z", "-F") else (0, 1)
+    at_T = walk.sums(orders, ks)
+    at_x = [CensusWalk(walk.groups, x, p).sums(orders, ks) for x in xs]
     for i, k in enumerate(ks):
-        gT = _g_from_moments(quantity, at_T[i][0], at_T[i][1], T, p)
+        gT = _g_from_moments(quantity, at_T[i][0], at_T[i].get(1), T, p)
         for x, mu in zip(xs, at_x):
-            diff = _g_from_moments(quantity, mu[i][0], mu[i][1], x, p) - gT
+            diff = _g_from_moments(quantity, mu[i][0], mu[i].get(1), x,
+                                   p) - gT
             dx = Enclosure.from_rational(x - T, p)
             if certified_lt(dx.scale2(handle.a), diff):
                 raise CertificationError(
@@ -543,6 +447,85 @@ def _verify_certificate(handle: QuantityHandle,
             if certified_lt(diff, dx.scale2(-handle.a_lower)):
                 raise CertificationError(
                     f"slope lower bound falsified at k={k}, x={x}")
+
+
+def _check_increments(handle: QuantityHandle, prefixes) -> None:
+    """The increment brackets of a -F, E or S handle over the groups of
+    CensusWalk.prefixes; see _verify_certificate.
+
+    Per unit of its weight w, an increment is r = (cL dlog + cN dE) / cD:
+    T dlog for -F, dE for E and dE/T + dlog for S, with dE = (Z_k l - W_k)
+    / (Z_k Z_{k+1}) and dlog = log2(1 + q) / q, q = w/Z_k <= 1.  log2(1 +
+    q) lies in [q - q^2/2, q] / ln 2, and q - q^2/2 rises on [0, 1], so
+    dlog lies in [(2 Z_k - w_lo) / (2 Z_k^2 ln 2), 1 / (Z_k ln 2)], taken
+    at the upper and the lower ends of Z_k and ln 2.  The increment lies
+    in [w_lo r_lo, w_hi r_hi], so with rho = w_hi/w_lo the upper bound
+    l^b 2^c w holds when r_hi rho < l^b 2^c and is falsified when r_lo >=
+    rho l^b 2^c; the lower bound l^c 2^-b w holds when rho l^c 2^-b < r_lo
+    and is falsified when l^c 2^-b >= rho r_hi."""
+    quantity, k0, b, c = handle.quantity, handle.k0, handle.b, handle.c
+    bits = handle.precision_bits + _RECHECK_GUARD
+    tn, td = handle.T.numerator, handle.T.denominator
+    cL, cN, cD = {"-F": (tn, 0, td), "E": (0, 1, 1),
+                  "S": (tn, td, tn)}[quantity]
+    ln2 = ln2_enclosure(handle.precision_bits)
+    l0, e0, l1, e1 = ln2.lo.m, ln2.lo.e, ln2.hi.m, ln2.hi.e
+
+    def rounded(m: int, up: bool) -> tuple[int, int]:
+        # (r, x): m rounded down or up to r 2^x, r of `bits` bits at most
+        x = m.bit_length() - bits
+        if x <= 0:
+            return m, 0
+        return (-(-m >> x) if up else m >> x), x
+
+    def below(u: int, v: int, s: int) -> bool:  # u 2^s < v
+        return u << s < v if s >= 0 else u < v << -s
+
+    def ratio(i: int, up: bool) -> tuple[int, int, int]:
+        """(num, den, e): r_hi if up, else r_lo, as num 2^e / den at the
+        group's program i, from the lower ends of Z_k, Z_{k+1} and ln 2
+        and the upper end of N = Z_k l - W_k if up, else the other ends."""
+        w = A if up else B
+        Z = (Z_lo if up else Z_hi) + i * w
+        z, xz = rounded(Z, not up)
+        zn, xn = rounded(Z + w, not up) if cN else (1, 0)
+        n, xN = N[up]
+        if up:  # r = (cL / L + cN N / Zn) / (cD Z)
+            u, U, L = -e0, cL * zn, l0
+        elif cL:  # with 2 Z - w_lo over 2 Z in place of 1
+            g, xg = rounded((z << xz + 1) - A, False)
+            u, U, L = xg - xz - e1 - 1, cL * g * zn, l1 * z
+        else:
+            u, U, L = 0, 0, l1 * z
+        v = xN - xn
+        s = u if u < v else v
+        return ((U << u - s) + (cN * n * L << v - s), cD * z * L * zn,
+                s - xz - base)
+
+    for K, l, count, base, (A, B), (Z_lo, Z_hi), (W_lo, W_hi) in prefixes:
+        first, last = max(k0 - K, 0), count - 1
+        if first > last:
+            continue
+        N = ((rounded(l * Z_lo - W_lo, False),
+              rounded(l * Z_hi - W_hi, True)) if cN else ((0, 0),) * 2)
+        Un, Ud = (l**b, 1) if b >= 0 else (1, l**-b)  # l^b 2^c
+        Ln, Ld = (l**c, 1) if c >= 0 else (1, l**-c)  # l^c 2^-b
+        num, den, e = ratio(first, True)  # rho = B / A
+        hi_ok = below(num * B * Ud, den * A * Un, e - c)
+        num, den, e = ratio(last, False)
+        lo_ok = below(B * Ln * den, num * A * Ld, -b - e)
+        if not (hi_ok and lo_ok):
+            num, den, e = ratio(first, False)
+            hi_bad = not (hi_ok or below(num * A * Ud, den * B * Un, e - c))
+            num, den, e = ratio(last, True)
+            lo_bad = not (lo_ok or below(Ln * A * den, B * num * Ld, -e - b))
+            if hi_bad or lo_bad:
+                k = K + (first if hi_bad else last)
+                raise CertificationError(
+                    f"increment bound falsified at k={k}, length {l}")
+            k = K + (last if hi_ok else first)
+            raise PrecisionError(
+                f"increment bound unresolved at k={k}; raise precision")
 
 
 # ---------------------------------------------------------------------------

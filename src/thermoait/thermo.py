@@ -23,9 +23,11 @@ as raw (mantissa, exponent) integer pairs for the lower and upper
 endpoints, with exact point weights where l/T is an integer.  Two integer
 kernels sum count(l) * l^j times each endpoint exactly, bit for bit alike:
 CensusWalk, the fast one, aligns a list of groups once and gives the sums
-at known depths (moment_sums is its last prefix); _RunningWalk draws groups
-lazily for readers that stop early or act once per group, where an eager
-walk would weigh every group up to the cap and align it to the last one.
+at known depths (moment_sums is its last prefix) or the integer sums
+before each group (prefixes, for the certificate re-check); _RunningWalk
+draws groups lazily for readers that stop early or act once per group,
+where an eager walk would weigh every group up to the cap and align it to
+the last one.
 A Kraft-slack limit bounds the tails of all its orders in one call, which
 computes the census slack tau once, as (2^L - sum_{l<=L} census(l)
 2^(L-l)) / 2^L in integers.  Every chain belongs to the call that builds
@@ -139,15 +141,14 @@ class CensusWalk:
     to the smallest exponent of each endpoint.  So the sum over the first
     k programs is one integer per endpoint at any k, inside a group too,
     and equals moment_sums over those programs bit for bit (the sums are
-    exact and Dyadic is canonical).  chain is that WeightChain, so that a
-    _RunningWalk over the same groups reuses its weights."""
+    exact and Dyadic is canonical)."""
 
-    __slots__ = ("groups", "lengths", "chain", "weights", "e_lo", "e_hi")
+    __slots__ = ("groups", "lengths", "weights", "e_lo", "e_hi")
 
     def __init__(self, length_counts, T: Fraction, precision_bits: int):
         self.groups = length_counts
         self.lengths = lengths = [l for l, _ in length_counts]
-        self.chain = chain = WeightChain(T, precision_bits)
+        chain = WeightChain(T, precision_bits)
         if lengths and chain.T.numerator > 1:
             chain._extend(max(lengths))
         self.weights = [chain.raw(l) for l in lengths]
@@ -196,6 +197,22 @@ class CensusWalk:
                 sums[j] = Enclosure(Dyadic(part_lo, e_lo),
                                     Dyadic(part_hi, e_hi))
         return out
+
+    def prefixes(self, n: int):
+        """For each group holding one of the first n programs, (K, l, count,
+        e, w, Z, W): K the programs before it, count cut at n, and as (lo,
+        hi) integer pairs at 2^e, its weight w and the exact sums Z and W of
+        2^(-l/T) and l 2^(-l/T) over the first K programs."""
+        e = min(self.e_lo, self.e_hi)
+        K = Z_lo = Z_hi = W_lo = W_hi = 0
+        for (l, count), (a, ea, b, eb) in zip(self.groups, self.weights):
+            if K >= n:
+                return
+            a, b = a << ea - e, b << eb - e
+            yield K, l, min(count, n - K), e, (a, b), (Z_lo, Z_hi), (W_lo, W_hi)
+            K += count
+            Z_lo, Z_hi = Z_lo + count * a, Z_hi + count * b
+            W_lo, W_hi = W_lo + count * l * a, W_hi + count * l * b
 
 
 # a _RunningWalk shifts its sums this many bits below a new lowest weight

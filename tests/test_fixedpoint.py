@@ -9,6 +9,7 @@ from itertools import islice
 from math import ceil, log2
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,33 +102,33 @@ CERTIFICATE_SNAPSHOTS = {
 }
 TEMPERATURES = tuple(Fraction(n, 8) for n in (2, 3, 4, 5, 6))
 
-# certify's CertificationError messages; CAP's window is [T, (T+1)/2]
+# certify's CertificationError messages
 NO_INDEX = "no enumerated index satisfies the certificate precondition"
 FEW = "not enough enumerated programs to verify beyond k0 = "
-CAP = "cannot certify positive heat capacity on [{T}, {t}] at k0="
 _GEOMETRIC = {
     "Z": [(1, 4, 4, 0, 0), (1, 3, 3, 0, 0), (1, 2, 2, 0, 0), (1, 2, 2, 0, 0),
           (1, 1, 2, 0, 0)],
     "-F": [(5, 1, 2, 1, 0), (3, 1, 1, 1, 0), (2, 1, 1, 1, 0), (2, 1, 1, 1, 0),
            (2, 1, 1, 1, 0)],
-    "E": [CAP + "7", CAP + "3", (2, 5, 4, 2, 1), (2, 5, 4, 2, 1),
-          (3, 4, 6, 2, 1)],
-    "S": [CAP + "7", CAP + "3", (2, 6, 3, 3, 1), (2, 5, 4, 3, 1),
-          (3, 5, 6, 3, 1)],
+    "E": [(7, 9, 4, 2, 1), (3, 6, 2, 2, 1), (2, 5, 3, 2, 1), (2, 5, 3, 2, 1),
+          (3, 4, 2, 2, 1)],
+    "S": [(7, 11, 3, 3, 1), (3, 8, 2, 3, 1), (2, 6, 2, 3, 1), (2, 5, 3, 3, 1),
+          (3, 5, 2, 3, 1)],
 }
 _SDM4 = {
     "Z": [(1, 3, 7, 0, 0), (1, 2, 4, 0, 0), (1, 2, 3, 0, 0), (1, 2, 3, 0, 0),
           (1, 2, 2, 0, 0)],
     "-F": [NO_INDEX, FEW + "22143", (91, 2, 1, 1, 0), (30, 2, 0, 1, 0),
            (10, 3, 0, 1, 0)],
-    "E": [NO_INDEX, CAP + "22143", CAP + "10", (3, 8, 3, 2, 1),
-          (10, 8, 3, 2, 1)],
-    "S": [NO_INDEX, CAP + "22143", CAP + "10", (3, 8, 2, 3, 1),
-          (10, 8, 3, 3, 1)],
+    "E": [NO_INDEX, FEW + "22143", (10, 8, 1, 2, 1), (3, 8, 1, 2, 1),
+          (10, 8, 0, 2, 1)],
+    "S": [NO_INDEX, FEW + "22143", (10, 9, 0, 3, 1), (3, 8, 1, 3, 1),
+          (10, 8, 0, 3, 1)],
 }
 # (k0, a, a_lower, b, c), or the message of the CertificationError certify
-# raises, per snapshot, quantity and T in TEMPERATURES: 160 handles, as
-# certify gave them when it summed each depth and sample point separately
+# raises, per snapshot, quantity and T in TEMPERATURES: 160 handles.  The
+# pair-form capacity bound made E and S certify at the 26 handles where
+# its interval hull raised, and left 38 with a smaller a_lower
 PINNED_CERTIFICATES = {
     "geometric 80": _GEOMETRIC,
     "geometric 300": _GEOMETRIC,
@@ -141,20 +142,20 @@ PINNED_CERTIFICATES = {
               (1, 2, 2, 0, 0), (1, 2, 2, 0, 0)],
         "-F": [(7, 1, 4, 1, 0), (3, 1, 2, 1, 0), (2, 1, 2, 1, 0),
                (2, 2, 2, 1, 0), (2, 2, 1, 1, 0)],
-        "E": [CAP + "15", CAP + "3", (2, 6, 6, 2, 1), (3, 5, 2, 2, 1),
-              (3, 5, 2, 2, 1)],
-        "S": [CAP + "15", CAP + "3", (2, 7, 6, 3, 1), (3, 6, 2, 3, 1),
-              (3, 6, 2, 3, 1)],
+        "E": [(15, 9, 5, 2, 1), (3, 7, 2, 2, 1), (2, 6, 2, 2, 1),
+              (3, 5, 1, 2, 1), (3, 5, 1, 2, 1)],
+        "S": [(15, 11, 5, 3, 1), (3, 8, 2, 3, 1), (2, 7, 2, 3, 1),
+              (3, 6, 1, 3, 1), (3, 6, 1, 3, 1)],
     },
     "gamma_literal 40": {
         "Z": [(1, 3, 7, 0, 0), (1, 3, 4, 0, 0), (1, 2, 3, 0, 0),
               (1, 2, 3, 0, 0), (1, 2, 2, 0, 0)],
         "-F": [NO_INDEX, FEW + "32766", (126, 2, 0, 1, 0), (14, 2, 0, 1, 0),
                (14, 2, 0, 1, 0)],
-        "E": [NO_INDEX, CAP + "16382", CAP + "14", CAP + "3",
-              (6, 8, 6, 2, 1)],
-        "S": [NO_INDEX, CAP + "16382", CAP + "14", CAP + "3",
-              (6, 8, 5, 3, 1)],
+        "E": [NO_INDEX, FEW + "16382", (14, 8, 1, 2, 1), (3, 8, 3, 2, 1),
+              (6, 8, 1, 2, 1)],
+        "S": [NO_INDEX, FEW + "16382", (14, 9, 1, 3, 1), (3, 8, 3, 3, 1),
+              (6, 8, 1, 3, 1)],
     },
 }
 
@@ -234,22 +235,16 @@ def _verdict(h):
 
 @pytest.fixture(scope="module")
 def recheck_handles():
-    out = []
-    for name, snap in RECHECK_SNAPSHOTS.items():
-        for quantity in ("-F", "E", "S"):
-            for T in TEMPERATURES[2:]:
-                try:
-                    out.append((name, certify(snap, quantity, T)))
-                except CertificationError:
-                    pass  # sdm4 E and S at 1/2, pinned above
-    return out
+    return [(name, certify(snap, quantity, T))
+            for name, snap in RECHECK_SNAPSHOTS.items()
+            for quantity in ("-F", "E", "S") for T in TEMPERATURES[2:]]
 
 
 def test_recheck_matches_the_per_program_reference(recheck_handles,
                                                    monkeypatch):
     # only the increment check differs between the two; no slope samples
     monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
-    assert len(recheck_handles) == 16
+    assert len(recheck_handles) == 18
     verdicts = set()
     for name, h in recheck_handles:
         increments = _reference_increments(h)
@@ -294,18 +289,146 @@ def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
 
 
 def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
-    for _, h in recheck_handles:
+    # the least shift of c that the per-program reference falsifies: 2
+    # for every handle but sdm4 cap 512 S at 1/2, whose lower bound holds
+    # at c + 2 over all 263 increments and fails at c + 3 (first at k = 10)
+    least = {}
+    for name, h in recheck_handles:
+        increments = _reference_increments(h)
+        dc = 2
+        while _reference_verdict(replace(h, c=h.c + dc), increments) is None:
+            dc += 1
+        assert _reference_verdict(replace(h, c=h.c + dc),
+                                  increments) is CertificationError
         with pytest.raises(CertificationError,
                            match="increment bound falsified"):
-            fixedpoint._verify_certificate(replace(h, c=h.c + 2))
+            fixedpoint._verify_certificate(replace(h, c=h.c + dc))
+        least[name, h.quantity, h.T] = dc
+    assert least == {**dict.fromkeys(least, 2),
+                     ("sdm4 1500 cap 512", "S", HALF): 3}
 
 
-def test_recheck_Z_is_the_stated_inequality():
-    # the increment of Z is w itself: w/2 <= w <= w holds; w <= w/2 fails
-    h = certify(RECHECK_SNAPSHOTS["sdm4 1500 cap 512"], "Z", HALF)
-    fixedpoint._verify_certificate(replace(h, b=1))
-    with pytest.raises(CertificationError, match="falsified at k=1, length"):
-        fixedpoint._verify_certificate(replace(h, c=-1))
+def _first_failure(h):
+    """(error type, k named in its message), or (None, None)."""
+    try:
+        fixedpoint._verify_certificate(h)
+    except (CertificationError, PrecisionError) as exc:
+        return type(exc), int(str(exc).split("k=")[1].split(",")[0])
+    return None, None
+
+
+def test_recheck_Z_is_the_stated_inequality(monkeypatch):
+    # the increment of Z is w itself, so its bracket is l^c 2^-b <= 1 <=
+    # l^b 2^c, decided at the shortest and longest checked lengths; the
+    # message names the reference's first failing increment, from the
+    # exact point weights at T = 1/2
+    monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
+    outcomes = Counter()
+    for name, snap in RECHECK_SNAPSHOTS.items():
+        h = certify(snap, "Z", HALF)
+        increments = _reference_increments(h)
+        for b in range(-2, 3):
+            for c in range(-2, 3):
+                want = None, None
+                for k, l, w, delta in increments:
+                    assert w.lo == w.hi == delta.lo == delta.hi
+                    w = w.lo.as_fraction()
+                    if not (Fraction(l) ** c * w / Fraction(2) ** b <= w
+                            <= Fraction(l) ** b * w * Fraction(2) ** c):
+                        want = CertificationError, k
+                        break
+                got = _first_failure(replace(h, b=b, c=c))
+                assert got == want, (name, b, c)
+                outcomes[want[0]] += 1
+    assert outcomes[None] and outcomes[CertificationError]
+
+
+# -- the heat-capacity bound -------------------------------------------
+
+CAPACITY_SNAPSHOTS = ("geometric 300", "literal 40", "sdm4 1500 cap 512",
+                      "gamma_literal 40")
+# one program of length 6 and 1000 of length 10: from T = 1/2 on, most of
+# Z sits at length 10 and gathers there as x grows, so the variance of
+# the length, and C, fall across the window
+TOP_HEAVY = EnsembleSnapshot("top-heavy", 0, 10, [], {6: 1, 10: 1000})
+
+
+def _capacity_cases(monkeypatch):
+    """(snapshot, k0, T, t) for every k0 at which certify bounds C for E
+    and S on CAPACITY_SNAPSHOTS at TEMPERATURES, and TOP_HEAVY at 1/2, 5/8
+    and 3/4 at its 1000th program."""
+    cases = {}
+    bound = fixedpoint._min_capacity_on_window
+
+    def recorded(snapshot, k0, T, t, p, at_T):
+        cases[snapshot.ensemble_id, k0, T] = snapshot, k0, T, t
+        return bound(snapshot, k0, T, t, p, at_T)
+
+    monkeypatch.setattr(fixedpoint, "_min_capacity_on_window", recorded)
+    for name in CAPACITY_SNAPSHOTS:
+        snap = CERTIFICATE_SNAPSHOTS[name]()
+        for T in TEMPERATURES:
+            for quantity in ("E", "S"):
+                try:
+                    certify(snap, quantity, T)
+                except CertificationError:
+                    pass  # NO_INDEX before the bound, FEW after it
+    monkeypatch.undo()
+    assert len(cases) == 18
+    return [*cases.values(), *((TOP_HEAVY, 1000, T, (T + 1) / 2)
+                               for T in TEMPERATURES[2:])]
+
+
+def test_capacity_bound_is_below_the_exact_capacity(monkeypatch):
+    # at k0 and k0 +- 1, on the certificate's window at 64 bits, and on a
+    # window 2^-30 wide at 8 bits, where the pieces leave no slack and
+    # only the choice of weight ends keeps the bound sound
+    for snap, k0, T, t in _capacity_cases(monkeypatch):
+        for t, p in ((t, 64), (T + Fraction(1, 1 << 30), 8)):
+            bounds, prefixes = {}, {}
+            for k in (k0 - 1, k0, k0 + 1):
+                groups = snap.length_counts_up_to(k)
+                try:
+                    bounds[k] = fixedpoint._min_capacity_on_window(
+                        snap, k, T, t, p,
+                        thermo.moment_sums(groups, T, (0, 1, 2), p))
+                except CertificationError:  # P = 0: a single length
+                    assert len(groups) == 1
+                    continue
+                prefixes[k] = groups
+            with mpmath.workprec(256):
+                for i in range(64):
+                    x = T + (t - T) * Fraction(i, 63)
+                    x = mpmath.mpf(x.numerator) / x.denominator
+                    weight = {l: mpmath.mpf(2) ** (-l / x)
+                              for l, _ in prefixes[max(prefixes)]}
+                    for k, groups in prefixes.items():
+                        w = [c * weight[l] for l, c in groups]
+                        Z = mpmath.fsum(w)
+                        W = mpmath.fsum(l * v for (l, _), v in zip(groups, w))
+                        Y = mpmath.fsum(l * l * v
+                                        for (l, _), v in zip(groups, w))
+                        C = mpmath.ln(2) * (Z * Y - W * W) / (x * x * Z * Z)
+                        b = bounds[k]
+                        assert mpmath.ldexp(b.m, b.e) <= C, (
+                            snap.ensemble_id, k, T, t, p, i)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(census=st.dictionaries(st.integers(1, 40), st.integers(1, 50),
+                              min_size=1, max_size=6),
+       T=st.sampled_from(TEMPERATURES), p=st.sampled_from((8, 64)))
+def test_pair_form_of_the_lower_sums(census, T, p):
+    # Z Y - W^2 of the exact lower-endpoint sums is the Lagrange pair sum
+    # 1/2 sum_a sum_b c_a c_b w_a w_b (l_a - l_b)^2 at the lower weights
+    groups = sorted(census.items())
+    Z, W, Y = (s.lo.as_fraction() for s in thermo.moment_sums(
+        groups, T, (0, 1, 2), p).values())
+    chain = thermo.WeightChain(T, p)
+    w = {l: chain[l].lo.as_fraction() for l in census}
+    pairs = sum(ca * cb * w[la] * w[lb] * (la - lb) ** 2
+                for la, ca in groups for lb, cb in groups) / 2
+    assert Z * Y - W * W == pairs
 
 
 # -- solve_temperature -------------------------------------------------
@@ -631,11 +754,11 @@ PINNED_RECONSTRUCTIONS = {
           (14, "134217729*2^-28", "1*2^-22")],
     "-F": [(5, "1025*2^-11", "1*2^-5"), (11, "268435457*2^-29", "1*2^-15"),
            (14, "274877906945*2^-39", "1*2^-23")],
-    "E": [(5, "2049*2^-12", "1*2^-1"), (11, "4294967297*2^-33", "1*2^-11"),
-          (14, "8796093022209*2^-44", "1*2^-19")],
-    "S": [(5, "1048577*2^-21", "1*2^-2"),
-          (11, "549755813889*2^-40", "1*2^-12"),
-          (14, "35184372088833*2^-46", "1*2^-20")],
+    "E": [(5, "2049*2^-12", "1*2^-2"), (11, "4294967297*2^-33", "1*2^-12"),
+          (14, "8796093022209*2^-44", "1*2^-20")],
+    "S": [(5, "1048577*2^-21", "1*2^-3"),
+          (11, "549755813889*2^-40", "1*2^-13"),
+          (14, "35184372088833*2^-46", "1*2^-21")],
 }
 
 
@@ -685,10 +808,11 @@ def test_running_depth_values_match_the_depth_evaluations():
 def test_certify_builds_few_weight_chains(monkeypatch):
     # per certify on geometric 300 at T = 1/2: one walk at T shared by the
     # precondition, the re-check and the slope check, one walk per slope
-    # sample, and for E and S one per capacity subdivision point past T
-    # (32); the two limit evaluations come from the generating function
-    # and build none; summing each depth and point separately took 20, 21,
-    # 90 and 90, and census limits 6, 6, 38 and 38
+    # sample, and for E and S one per capacity piece end past T (4); the
+    # two limit evaluations come from the generating function and build
+    # none; the interval hull of the capacity refined to 32 pieces (36 for
+    # E and S), summing each depth and point separately took 20, 21, 90
+    # and 90, and census limits 6, 6, 38 and 38
     built = Counter()
     init = thermo.WeightChain.__init__
 
@@ -699,4 +823,4 @@ def test_certify_builds_few_weight_chains(monkeypatch):
     monkeypatch.setattr(thermo.WeightChain, "__init__", counted)
     for quantity in ("Z", "-F", "E", "S"):
         certify(GEO300, quantity, HALF)
-    assert built == {"Z": 4, "-F": 4, "E": 36, "S": 36}
+    assert built == {"Z": 4, "-F": 4, "E": 8, "S": 8}
