@@ -7,11 +7,9 @@ inversion, witness search, reconstruction) built on certified monotone
 handles, and machine-relative program-size complexity tables.
 """
 
+import importlib
+
 from .bitstring import BitString, LAMBDA, successor
-from .complexity import (
-    ComplexityTable, InvarianceGap, ProfileEntry, build_table,
-    invariance_gap, profile,
-)
 from .dyadic import Dyadic
 from .enclosure import (
     DEFAULT_PRECISION, Enclosure, bits_prefix, certified_gt, certified_lt,
@@ -27,19 +25,33 @@ from .errors import (
     CertificationError, InvariantViolation, OracleExhausted, PrecisionError,
     RangeError, SnapshotError, SpecError, ThermoAITError,
 )
-from .fixedpoint import (
-    QuantityHandle, ReconstructionReport, WitnessReport, approach_oracle,
-    ascending_lower_oracle, certify, descending_upper_oracle, file_oracle,
-    grid_oracle, reconstruct_T, semidecide_above, solve_temperature,
-    witness_search,
-)
-from .relations import (
-    CheckResult, RelationReport, check_derivative, check_identities,
-    check_monotone, check_positivity, third_derivative_bound,
-)
 from .thermo import (
     QUANTITIES, ThermoEvaluation, divergence_probe, eval_limit, eval_partial,
     evaluate, power_sum, sweep,
 )
 
+# name -> module of the modules only some commands call, imported on first use
+_LAZY = {name: module for module, names in {
+    "complexity": "ComplexityTable InvarianceGap ProfileEntry build_table "
+                  "invariance_gap profile",
+    "fixedpoint": "QuantityHandle ReconstructionReport WitnessReport "
+                  "approach_oracle ascending_lower_oracle certify "
+                  "descending_upper_oracle file_oracle grid_oracle "
+                  "reconstruct_T semidecide_above solve_temperature "
+                  "witness_search",
+    "relations": "CheckResult RelationReport check_derivative "
+                 "check_identities check_monotone check_positivity "
+                 "third_derivative_bound",
+}.items() for name in names.split()}
+
+# every public name: those imported above and the lazy ones
+__all__ = [name for name, value in globals().items()
+           if name[0] != "_" and type(value) is not type(importlib)] + [*_LAZY]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

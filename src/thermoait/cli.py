@@ -17,22 +17,19 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .bitstring import BitString
-from .complexity import build_table, profile as complexity_profile
 from .dyadic import Dyadic, fraction_text, int_text
 from .enclosure import (
     DEFAULT_PRECISION, Enclosure, bits_prefix, parse_temperature_text,
 )
 from .ensembles import (
-    MACHINES, EnsembleSnapshot, builtin_snapshot, load_snapshot, save_snapshot,
+    DEFAULT_PROGRAM_CAP, MACHINES, EnsembleSnapshot, builtin_snapshot,
+    load_snapshot, save_snapshot,
 )
 from .errors import ThermoAITError
-from .fixedpoint import (
-    approach_oracle, ascending_lower_oracle, certify, descending_upper_oracle,
-    file_oracle, grid_oracle, reconstruct_T, solve_temperature, witness_search,
-)
-from .relations import _identities_and_positivity, check_monotone
 from .thermo import QUANTITIES, eval_limit, eval_partial
+
+# fixedpoint, relations and complexity are imported inside the commands
+# that call them, so that a command compiles only the modules it runs
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
 
@@ -137,18 +134,24 @@ _fraction_arg = _argument_type(_parse_fraction)
 _grid_arg = _argument_type(_parse_grid)
 
 
-def _load(args) -> EnsembleSnapshot:
+def _load(args, program_cap: int = DEFAULT_PROGRAM_CAP) -> EnsembleSnapshot:
+    """The snapshot, with up to program_cap records if built (0: none)."""
     if getattr(args, "snapshot", None):
         return load_snapshot(args.snapshot)
     if not args.machine:
         raise ThermoAITError("need --machine or --snapshot")
     return builtin_snapshot(args.machine, args.maxlen,
-                            step_budget=getattr(args, "budget", None))
+                            step_budget=getattr(args, "budget", None),
+                            program_cap=program_cap)
 
 
 def _make_oracle(spec: str, handle, kind: str):
     """kind: 'upper' (descending to f(T)), 'lower' (ascending to f(T)),
     or 'approach' (descending to T from inside (T, t))."""
+    from .fixedpoint import (
+        approach_oracle, ascending_lower_oracle, descending_upper_oracle,
+        file_oracle, grid_oracle,
+    )
     if spec == "closed-form":
         if kind == "upper":
             return descending_upper_oracle(handle)
@@ -275,7 +278,7 @@ def _thermo_rows(ev, temperature: Fraction):
 
 
 def _cmd_thermo(args, emit, precision) -> int:
-    snap = _load(args)
+    snap = _load(args, program_cap=0)
     if (args.T is None) == (args.grid is None):
         raise ThermoAITError("need exactly one of --T or --grid")
     temps = args.grid if args.grid else [args.T.as_fraction()]
@@ -298,7 +301,8 @@ def _cmd_thermo(args, emit, precision) -> int:
 
 
 def _cmd_verify(args, emit, precision) -> int:
-    snap = _load(args)
+    from .relations import _identities_and_positivity, check_monotone
+    snap = _load(args, program_cap=0)
     checks = [(fraction_text(T), str(k), chk)
               for T in args.grid for k in (args.k, "limit")
               for rep in _identities_and_positivity(snap, T, k, precision)
@@ -317,6 +321,7 @@ def _cmd_verify(args, emit, precision) -> int:
 
 
 def _cmd_solve(args, emit, precision) -> int:
+    from .fixedpoint import certify, solve_temperature
     snap = _load(args)
     quantity = "-F" if args.quantity == "F" else args.quantity
     handle = certify(snap, quantity, Fraction(1, 2), precision)
@@ -331,6 +336,7 @@ def _cmd_solve(args, emit, precision) -> int:
 
 
 def _cmd_witness(args, emit, precision) -> int:
+    from .fixedpoint import certify, witness_search
     snap = _load(args)
     handle = certify(snap, "Z", args.T.as_fraction(), precision)
     bits = bits_prefix(args.T, args.n)
@@ -349,6 +355,7 @@ def _cmd_witness(args, emit, precision) -> int:
 
 
 def _cmd_reconstruct(args, emit, precision) -> int:
+    from .fixedpoint import certify, reconstruct_T
     from .thermo import limit_moments
     snap = _load(args)
     handle = certify(snap, "Z", args.T.as_fraction(), precision)
@@ -375,6 +382,7 @@ def _cmd_reconstruct(args, emit, precision) -> int:
 
 
 def _cmd_complexity(args, emit) -> int:
+    from .complexity import build_table
     snap = _load(args)
     table = build_table(snap)
     items = sorted(table.entries.items())
@@ -393,12 +401,13 @@ def _resolve_alpha(spec: str, precision: int):
         if qname not in QUANTITIES:
             raise ThermoAITError(f"unknown quantity {qname!r} in --alpha")
         T = parse_temperature_text(t_text).as_fraction()
-        snap = builtin_snapshot("geometric", 200)
+        snap = builtin_snapshot("geometric", 200, program_cap=0)
         return eval_limit(snap, T, precision_bits=precision).quantity(qname)
     return _parse_dyadic(spec)
 
 
 def _cmd_profile(args, emit, precision) -> int:
+    from .complexity import build_table, profile as complexity_profile
     snap = _load(args)
     table = build_table(snap)
     alpha = _resolve_alpha(args.alpha, precision)

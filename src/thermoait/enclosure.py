@@ -268,29 +268,33 @@ def exp2_enclosure(x: RationalLike, precision_bits: int = DEFAULT_PRECISION) -> 
     return Enclosure(Dyadic(s_lo, n - w), Dyadic(s_hi, n - w))
 
 
-def _log2_dyadic(d: Dyadic, w: int) -> tuple[Dyadic, Dyadic]:
-    if d.sign <= 0:
-        raise PrecisionError("log2 of a nonpositive value")
+def _binade(d: Dyadic, w: int) -> tuple[int, int, int]:
+    """(g, z_lo, z_hi) for d > 0: d = 2^g m/h with m/h in [1, 2), and
+    ln(m/h) = 2 atanh(z), z = (m - h)/(m + h) in [0, 1/3) rounded down and
+    up at scale 2^w."""
     bl = d.m.bit_length()
-    g = d.e + bl - 1
-    # ln(m/h) = 2 atanh(z), z = (m - h)/(m + h) in [0, 1/3), with m/h in [1, 2)
     h = 1 << (bl - 1)
     num, den = (d.m - h) << w, d.m + h
-    z_lo, z_hi = _atanh_fixed(num // den, _div_int_up(num, den), w)
-    l2_lo, l2_hi = _ln2_fixed(w)
-    lo = (z_lo << (w + 1)) // l2_hi
-    hi = _div_int_up(z_hi << (w + 1), l2_lo)
-    return Dyadic(g) + Dyadic(lo, -w), Dyadic(g) + Dyadic(hi, -w)
+    return d.e + bl - 1, num // den, _div_int_up(num, den)
 
 
 def log2_enclosure(v: Enclosure | Dyadic, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
+    """Ends in one binade share one atanh series over [z(lo), z(hi)]: its
+    upper end reads z(hi) alone, and its lower end sums at least the terms
+    that a series of z(lo) alone would."""
     v = _coerce(v)
     if v.lo.sign <= 0:
         raise PrecisionError("log2 requires a certified-positive input")
     w = precision_bits + _GUARD
-    lo, _ = _log2_dyadic(v.lo, w)
-    _, hi = _log2_dyadic(v.hi, w)
-    return Enclosure(lo, hi)
+    g_lo, z_lo, z_lo_up = _binade(v.lo, w)
+    g_hi, z_hi_dn, z_hi = _binade(v.hi, w)
+    s_lo, s_hi = _atanh_fixed(z_lo, z_hi if g_lo == g_hi else z_lo_up, w)
+    if g_lo != g_hi:
+        s_hi = _atanh_fixed(z_hi_dn, z_hi, w)[1]
+    l2_lo, l2_hi = _ln2_fixed(w)
+    lo = (s_lo << (w + 1)) // l2_hi
+    hi = _div_int_up(s_hi << (w + 1), l2_lo)
+    return Enclosure(Dyadic(g_lo) + Dyadic(lo, -w), Dyadic(g_hi) + Dyadic(hi, -w))
 
 
 _LN2_ENCL_CACHE: dict[int, Enclosure] = {}

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from math import ceil, inf
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -93,8 +92,8 @@ def _ceil_log2(d: Dyadic) -> int:
     return f if d.m == 1 else f + 1  # canonical mantissa is 1 iff power of 2
 
 
-def _g_from_moments(quantity: str, Z: Enclosure, W: Enclosure, x: Fraction,
-                    precision_bits: int) -> Enclosure:
+def _g_from_moments(quantity: str, Z: Enclosure, W: Optional[Enclosure],
+                    x: Fraction, precision_bits: int) -> Enclosure:
     if quantity == "Z":
         return Z
     p = precision_bits
@@ -130,11 +129,16 @@ class QuantityHandle:
     def max_depth(self) -> int:
         return min(sum(self.snapshot.census.values()), MAX_DEPTH_CAP)
 
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """The moments the quantity reads: W only for E and S."""
+        return (0,) if self.quantity in ("Z", "-F") else (0, 1)
+
     def g(self, x: Fraction, k: int) -> Enclosure:
         """Depth-k value at temperature x."""
         x = Fraction(x)
-        sums, _ = moments(self.snapshot, x, k, (0, 1), self.precision_bits)
-        return _g_from_moments(self.quantity, sums[0], sums[1], x,
+        mu, _ = moments(self.snapshot, x, k, self.orders, self.precision_bits)
+        return _g_from_moments(self.quantity, mu[0], mu.get(1), x,
                                self.precision_bits)
 
     def f(self, x: Optional[Fraction] = None,
@@ -142,8 +146,8 @@ class QuantityHandle:
         """Limit value at temperature x (default: the certified T)."""
         x = self.T if x is None else Fraction(x)
         p = self.precision_bits if precision_bits is None else precision_bits
-        mu, _ = moments(self.snapshot, x, "limit", (0, 1), p)
-        return _g_from_moments(self.quantity, mu[0], mu[1], x, p)
+        mu, _ = moments(self.snapshot, x, "limit", self.orders, p)
+        return _g_from_moments(self.quantity, mu[0], mu.get(1), x, p)
 
     def radius(self, n: int) -> Dyadic:
         return Dyadic(1, self.a_lower + self.c - n)
@@ -174,16 +178,16 @@ class ReconstructionReport:
 # ---------------------------------------------------------------------------
 
 def _depth_values(handle: QuantityHandle, x: Fraction
-                  ) -> Iterator[tuple[int, Callable[[], Enclosure]]]:
-    """(k, g) for k = k0, k0 + 1, ..., max_depth, where g() is g(x, k),
-    computed at its first call from one running walk's exact sums."""
+                  ) -> Iterator[tuple[int, Enclosure]]:
+    """(k, g(x, k)) for k = k0, k0 + 1, ..., max_depth, each value from
+    one running walk's exact sums, computed as its depth is drawn."""
     k0, p = handle.k0, handle.precision_bits
     walk = _RunningWalk(handle.snapshot.length_counts_up_to(handle.max_depth),
-                        WeightChain(x, p), (0, 1))
+                        WeightChain(x, p), handle.orders)
 
-    def g(i: int) -> Callable[[], Enclosure]:
-        return cache(partial(_g_from_moments, handle.quantity, walk.at(0, i),
-                             walk.at(1, i), x, p))
+    def g(i: int) -> Enclosure:
+        mu = {j: walk.at(j, i) for j in handle.orders}
+        return _g_from_moments(handle.quantity, mu[0], mu.get(1), x, p)
 
     k = 0
     for _, count in walk:
@@ -207,9 +211,9 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
     for h in upper_oracle:
         while probes < budget:
             probes += 1
-            if certified_gt(g(), Enclosure.point(h)):
+            if certified_gt(g, Enclosure.point(h)):
                 return k
-            deeper = next(values, None)
+            deeper = next(values, None) if probes < budget else None
             if deeper is None:
                 break
             k, g = deeper
@@ -225,9 +229,9 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
 def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                             precision_bits: int,
                             at_T: dict[int, Enclosure]) -> Dyadic:
-    """Certified positive lower bound on C_{k0} over [T, t], piece by piece
-    in the pair form of the variance.  With P = Z Y - W^2, C = ln2 P /
-    (x^2 Z^2), and by the Lagrange identity
+    """Certified positive lower bound on C_{k0} over [T, t], on four equal
+    pieces, in the pair form of the variance.  With P = Z Y - W^2,
+    C = ln2 P / (x^2 Z^2), and by the Lagrange identity
 
       P = 1/2 sum_a sum_b c_a c_b w_a w_b (l_a - l_b)^2
 
@@ -237,8 +241,9 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
     any weights, so Z Y - W^2 of the exact lower-endpoint sums at x0 is the
     pair sum at weights below the true ones, a lower bound on P(x0); Z(x1)
     is bounded by the upper-endpoint sum.  A piece's bound is positive
-    exactly when that P is: the pieces resolve unless the first k0
-    programs share one length.  Each point is summed once (at_T at T)."""
+    exactly when that P is, that is when the first k0 programs have two
+    lengths, on every piece alike: finer pieces would resolve nothing that
+    four do not.  Each point is summed once (at_T at T)."""
     p = precision_bits
     ln2 = ln2_enclosure(p)
     groups = snapshot.length_counts_up_to(k0)
@@ -249,23 +254,19 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
             points[x] = moment_sums(groups, x, (0, 1, 2), p)
         return points[x]
 
-    for pieces in (4, 8, 16, 32):
-        bounds = []
-        for i in range(pieces):
-            x0 = T + (t - T) * Fraction(i, pieces)
-            x1 = T + (t - T) * Fraction(i + 1, pieces)
-            Z, W, Y = (at(x0)[j].lo for j in (0, 1, 2))
-            P = Z * Y - W * W
-            if P.sign <= 0:
-                break
-            Z1 = at(x1)[0].hi
-            bounds.append(div(ln2 * Enclosure.point(P),
-                              Enclosure.from_rational(x1 * x1, p)
-                              * Enclosure.point(Z1 * Z1), p).lo)
-        else:
-            return min(bounds)
-    raise CertificationError(
-        f"cannot certify positive heat capacity on [{T}, {t}] at k0={k0}")
+    bounds = []
+    for i in range(4):
+        x0, x1 = T + (t - T) * Fraction(i, 4), T + (t - T) * Fraction(i + 1, 4)
+        Z, W, Y = (at(x0)[j].lo for j in (0, 1, 2))
+        P = Z * Y - W * W
+        if P.sign <= 0:
+            raise CertificationError(f"cannot certify positive heat capacity"
+                                     f" on [{T}, {t}] at k0={k0}")
+        Z1 = at(x1)[0].hi
+        bounds.append(div(ln2 * Enclosure.point(P),
+                          Enclosure.from_rational(x1 * x1, p)
+                          * Enclosure.point(Z1 * Z1), p).lo)
+    return min(bounds)
 
 
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
@@ -432,9 +433,8 @@ def _verify_certificate(handle: QuantityHandle,
     ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n_programs), n_programs})
     xs = [T + (t - T) * Fraction(i, SLOPE_SAMPLES + 1)
           for i in range(1, SLOPE_SAMPLES + 1)]
-    orders = (0,) if quantity in ("Z", "-F") else (0, 1)
-    at_T = walk.sums(orders, ks)
-    at_x = [CensusWalk(walk.groups, x, p).sums(orders, ks) for x in xs]
+    at_T = walk.sums(handle.orders, ks)
+    at_x = [CensusWalk(walk.groups, x, p).sums(handle.orders, ks) for x in xs]
     for i, k in enumerate(ks):
         gT = _g_from_moments(quantity, at_T[i][0], at_T[i].get(1), T, p)
         for x, mu in zip(xs, at_x):

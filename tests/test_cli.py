@@ -2,14 +2,22 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from thermoait.cli import main
 from thermoait.dyadic import Dyadic, int_text
-from thermoait.ensembles import get_machine
+from thermoait.ensembles import builtin_snapshot, get_machine
+from thermoait.relations import _identities_and_positivity, check_monotone
+from thermoait.thermo import eval_limit, eval_partial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -322,3 +330,60 @@ def test_profile_quantity_alpha():
     doc = json.loads(out)
     assert doc["profile"][-1]["bits"] == "010101"  # 1/3 = 0.0101...
     assert all(e["status"] == "ok" for e in doc["profile"])
+
+
+# -- what a command loads and builds -----------------------------------
+
+# every command loads the package's core modules and the CLI
+CORE = {"bitstring", "cli", "dyadic", "enclosure", "ensembles", "errors",
+        "thermo"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("thermo --machine geometric --maxlen 60 --T 1/2 --limit", set()),
+    ("enumerate --machine geometric --budget 10 --maxlen 24 --save {tmp}",
+     set()),
+    ("verify --machine geometric --maxlen 40 --grid 1/2:1/2:1",
+     {"relations"}),
+    ("solve --quantity E --target 4/3 --tol 1*2^-10", {"fixedpoint"}),
+    ("witness --T 1/2 --n 12", {"fixedpoint"}),
+    ("reconstruct --T 1/2 --u 3/4 --n 16", {"fixedpoint"}),
+    ("complexity --machine literal --maxlen 7", {"complexity"}),
+    ("profile --alpha Z@1/2 --machine literal --maxlen 11 --N 4",
+     {"complexity"}),
+], ids=lambda v: v.split()[0] if isinstance(v, str) else "")
+def test_a_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
+    child = ("import contextlib, io, sys\n"
+             "from thermoait.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(sys.argv[1:])\n"
+             "print(code, *sorted(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", child,
+         *argv.format(tmp=tmp_path / "snap.txt").split()],
+        env=env, capture_output=True, text=True, timeout=120)
+    code, *modules = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert {m.split(".", 1)[1] for m in modules
+            if m.startswith("thermoait.")} == CORE | loads
+
+
+@pytest.mark.parametrize("kind, maxlen", [
+    ("sdm4", 400), ("literal", 200), ("geometric", 600),
+    ("gamma_literal", 300),
+])
+def test_census_commands_read_no_records(kind, maxlen):
+    # thermo and verify build their snapshots without program records:
+    # the evaluations and the relation reports are the same with them
+    full = builtin_snapshot(kind, maxlen)
+    bare = builtin_snapshot(kind, maxlen, program_cap=0)
+    assert full.programs and not bare.programs
+    T = Fraction(3, 8)
+    assert repr(eval_limit(full, T)) == repr(eval_limit(bare, T))
+    assert repr(eval_partial(full, T, 40)) == repr(eval_partial(bare, T, 40))
+    for k in (4, "limit"):
+        assert (repr(_identities_and_positivity(full, T, k, 64))
+                == repr(_identities_and_positivity(bare, T, k, 64)))
+    assert (repr(check_monotone(full, Fraction(1, 2), 12))
+            == repr(check_monotone(bare, Fraction(1, 2), 12)))

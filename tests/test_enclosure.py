@@ -74,6 +74,43 @@ def test_log2_random_containment(m, ex, prec):
     assert e.width().as_fraction() <= Fraction(1, 2**(prec - 4))
 
 
+def _two_series_log2(v, prec):
+    # the reference: one atanh series per end, each over its own end's z
+    w = prec + enclosure._GUARD
+    l2_lo, l2_hi = enclosure._ln2_fixed(w)
+    (g_lo, z_lo, z_lo_up), (g_hi, z_hi_dn, z_hi) = (
+        enclosure._binade(d, w) for d in (v.lo, v.hi))
+    s_lo = enclosure._atanh_fixed(z_lo, z_lo_up, w)[0]
+    s_hi = enclosure._atanh_fixed(z_hi_dn, z_hi, w)[1]
+    return Enclosure(
+        Dyadic(g_lo) + Dyadic((s_lo << (w + 1)) // l2_hi, -w),
+        Dyadic(g_hi) + Dyadic(-(-(s_hi << (w + 1)) // l2_lo), -w))
+
+
+@PROPERTY
+@given(st.integers(1, 2**200), st.integers(-40, 40), st.integers(0, 2**64),
+       st.integers(0, 1100), st.booleans(), PRECISIONS)
+def test_log2_one_series_per_binade(m, ex, gap, shift, straddle, prec):
+    # [m 2^ex, m 2^ex + gap 2^(ex - shift)], or with straddle an interval
+    # from just below the power of two 2^top to just above it
+    if straddle:
+        top = ex + m.bit_length()
+        lo = Dyadic(1, top) - Dyadic(gap + 1, top - shift - 66)
+        hi = Dyadic(1, top) + Dyadic(m, top - shift - 202)
+    else:
+        lo = Dyadic(m, ex)
+        hi = lo + Dyadic(gap, ex - shift)
+    v = Enclosure(lo, hi)
+    e, ref = log2_enclosure(v, prec), _two_series_log2(v, prec)
+    assert e.hi == ref.hi
+    assert ref.lo <= e.lo
+    bits = max(prec, lo.m.bit_length(), hi.m.bit_length()) + 64
+    with mpmath.workprec(bits):
+        lo_ref = mpmath.log(mpmath.mpf(lo.m) * mpmath.power(2, lo.e), 2)
+        hi_ref = mpmath.log(mpmath.mpf(hi.m) * mpmath.power(2, hi.e), 2)
+        assert ref_contains(e, lo_ref) and ref_contains(e, hi_ref)
+
+
 def test_log2_rejects_nonpositive():
     with pytest.raises(PrecisionError):
         log2_enclosure(Enclosure.point(Dyadic(0)))

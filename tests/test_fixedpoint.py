@@ -802,7 +802,7 @@ def test_running_depth_values_match_the_depth_evaluations():
             x = Fraction(37, 64)
             for k, g in islice(fixedpoint._depth_values(h, x), 40):
                 want = h.g(x, k)
-                assert (g().lo, g().hi) == (want.lo, want.hi), (quantity, k)
+                assert (g.lo, g.hi) == (want.lo, want.hi), (quantity, k)
 
 
 def test_certify_builds_few_weight_chains(monkeypatch):
