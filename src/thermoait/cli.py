@@ -4,7 +4,9 @@ Every number leaves this module as an exact dyadic (``m*2^e`` plus a
 finite decimal rendering) or an exact fraction, never a bare float, so
 identical invocations are byte-identical and fit for regression capture.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+3 a certificate that cannot be established (CertificationError), 4 a
+result unresolved at the working precision (PrecisionError).
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from .ensembles import (
     DEFAULT_PROGRAM_CAP, MACHINES, EnsembleSnapshot, builtin_snapshot,
     load_snapshot, save_snapshot,
 )
-from .errors import ThermoAITError
+from .errors import CertificationError, PrecisionError, ThermoAITError
 from .thermo import QUANTITIES, eval_limit, eval_partial
 
 # fixedpoint, relations and complexity are imported inside the commands
 # that call them, so that a command compiles only the modules it runs
 
-EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CERTIFY, EXIT_PRECISION = 0, 1, 2, 3, 4
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def _thermo_rows(ev, temperature: Fraction):
     rows, entries = [], []
     for q in QUANTITIES:
         enc = ev.quantity(q)
-        tail = ev.tail_bounds.get(q, Dyadic(0)) if ev.tail_bounds else Dyadic(0)
+        tail = ev.tail_bounds.get(q, Dyadic(0))
         entries.append({"quantity": q, "value": _enc(enc),
                         "tail_bound": _dy(tail)})
         rows.append([fraction_text(temperature), q, str(ev.k),
@@ -459,6 +461,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         raise ThermoAITError(f"unknown command {args.command!r}")
     except ThermoAITError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, CertificationError):
+            return EXIT_CERTIFY
+        if isinstance(exc, PrecisionError):
+            return EXIT_PRECISION
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

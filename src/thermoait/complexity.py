@@ -12,9 +12,8 @@ concrete program in the snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .bitstring import BitString
 from .dyadic import Dyadic
@@ -31,8 +30,7 @@ ABSENT = "absent"
 UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class ComplexityTable:
+class ComplexityTable(NamedTuple):
     snapshot: EnsembleSnapshot
     entries: dict[BitString, tuple[int, BitString]]
     exactness: str
@@ -42,8 +40,7 @@ class ComplexityTable:
         return entry[0] if entry is not None else None
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(NamedTuple):
     n: int
     bits: Optional[BitString]
     H: Optional[int]
@@ -51,8 +48,7 @@ class ProfileEntry:
     status: str
 
 
-@dataclass(frozen=True)
-class InvarianceGap:
+class InvarianceGap(NamedTuple):
     max_abs: int
     max_a_minus_b: int
     max_b_minus_a: int

@@ -25,13 +25,12 @@ lengths).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 from math import ceil, floor, log2
-from pathlib import Path
-from typing import Callable, Iterator
+from os import PathLike
+from typing import Callable, Iterator, NamedTuple
 
 from .bitstring import BitString
 from .dyadic import (
@@ -48,15 +47,13 @@ DEFAULT_PROGRAM_CAP = 4096
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProgramRecord:
+class ProgramRecord(NamedTuple):
     program: BitString
     output: BitString
     steps: int  # interpreter steps to halt; 0 for synthetic ensembles
 
 
-@dataclass
-class EnsembleSnapshot:
+class EnsembleSnapshot(NamedTuple):
     ensemble_id: str
     step_budget: int
     max_length: int
@@ -127,8 +124,7 @@ HALT, DIVERGE, BUDGET = "halt", "diverge", "budget_exhausted"
 _REPEAT_COUNT = {"00": 1, "01": 2, "10": 3}
 
 
-@dataclass(frozen=True)
-class SDM4Result:
+class SDM4Result(NamedTuple):
     status: str  # HALT / DIVERGE / BUDGET
     output: BitString | None = None
     steps: int = 0
@@ -318,8 +314,7 @@ def kraft_tail_bounds(census, L: int, T: Fraction, orders,
 # the builtin machines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(NamedTuple):
     """One builtin prefix-free machine.  census(max_length) lazily yields
     the nonzero (length, count) pairs up to max_length, ascending;
     programs(length, count, step_budget) yields the domain elements of one
@@ -395,7 +390,7 @@ def builtin_snapshot(kind: str, max_length: int,
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_snapshot(snapshot: EnsembleSnapshot, path: str | Path) -> None:
+def save_snapshot(snapshot: EnsembleSnapshot, path: str | PathLike) -> None:
     kraft = snapshot.kraft_partial()
     lines = [SNAPSHOT_MAGIC,
              f"ensemble={snapshot.ensemble_id} budget={snapshot.step_budget} "
@@ -406,12 +401,14 @@ def save_snapshot(snapshot: EnsembleSnapshot, path: str | Path) -> None:
         lines.append(f"P {i} {rec.program.render()} {rec.output.render()} {rec.steps}")
     lines.append(f"KRAFT {int_text(kraft.numerator)}/"
                  f"{int_text(kraft.denominator)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
-def load_snapshot(path: str | Path) -> EnsembleSnapshot:
+def load_snapshot(path: str | PathLike) -> EnsembleSnapshot:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
         text = data.decode("utf-8")
     except OSError as exc:
         raise SnapshotError(f"cannot read {path}: {exc}") from exc

@@ -50,10 +50,9 @@ On top of the handle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .bitstring import BitString, successor
 from .dyadic import Dyadic
@@ -66,7 +65,7 @@ from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
 from .thermo import (
-    CensusWalk, WeightChain, _RunningWalk, _temp_frac, moment_sums, moments,
+    CensusWalk, WeightChain, _RunningWalk, _temp_frac, moments,
 )
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
@@ -112,8 +111,7 @@ def _g_from_moments(quantity: str, Z: Enclosure, W: Optional[Enclosure],
 # handle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuantityHandle:
+class QuantityHandle(NamedTuple):
     snapshot: EnsembleSnapshot
     quantity: str
     T: Fraction
@@ -153,8 +151,7 @@ class QuantityHandle:
         return Dyadic(1, self.a_lower + self.c - n)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     T: Fraction
     n: int
     k_e: int
@@ -163,8 +160,7 @@ class WitnessReport:
     verified_through: int
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     T_true: Fraction
     n: int
     u: Fraction
@@ -228,7 +224,7 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
 
 def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                             precision_bits: int,
-                            at_T: dict[int, Enclosure]) -> Dyadic:
+                            walks: dict[Fraction, CensusWalk]) -> Dyadic:
     """Certified positive lower bound on C_{k0} over [T, t], on four equal
     pieces, in the pair form of the variance.  With P = Z Y - W^2,
     C = ln2 P / (x^2 Z^2), and by the Lagrange identity
@@ -243,15 +239,21 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
     is bounded by the upper-endpoint sum.  A piece's bound is positive
     exactly when that P is, that is when the first k0 programs have two
     lengths, on every piece alike: finer pieces would resolve nothing that
-    four do not.  Each point is summed once (at_T at T)."""
+    four do not.
+
+    walks maps temperatures to CensusWalks over at least the first k0
+    programs (certify's at T and at the slope samples, which the piece
+    ends at T + (t - T) i/4 meet); a piece end that none covers is summed
+    over the first k0 programs alone.  Each point is summed once."""
     p = precision_bits
     ln2 = ln2_enclosure(p)
     groups = snapshot.length_counts_up_to(k0)
-    points = {T: at_T}
+    points = {}
 
     def at(x: Fraction) -> dict[int, Enclosure]:
         if x not in points:
-            points[x] = moment_sums(groups, x, (0, 1, 2), p)
+            walk = walks.get(x) or CensusWalk(groups, x, p)
+            points[x] = walk.sums((0, 1, 2), (k0,))[0]
         return points[x]
 
     bounds = []
@@ -267,6 +269,12 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                           Enclosure.from_rational(x1 * x1, p)
                           * Enclosure.point(Z1 * Z1), p).lo)
     return min(bounds)
+
+
+def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
+    """The points of (T, t) at which the slope check samples g."""
+    return [T + (t - T) * Fraction(i, SLOPE_SAMPLES + 1)
+            for i in range(1, SLOPE_SAMPLES + 1)]
 
 
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
@@ -288,6 +296,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
     walk = CensusWalk(groups, Tf, p)  # the one walk at T; the check reuses it
+    walks = {Tf: walk}
     l1, first_distinct = groups[0]  # |p_k| = l1 for k <= first_distinct
     w1 = walk.sums((0,), (1,))[0][0]
     Z1_lo = w1.lo
@@ -345,8 +354,11 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         c_up = div(ln2 * lim_t[2],
                    Enclosure.from_rational(Tf * Tf, p)
                    * Enclosure.point(Z1_lo), p).hi
-        c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p,
-                                       walk.sums((0, 1, 2), (k0,))[0])
+        # the slope samples' walks, built once for the capacity pieces
+        # that end at them and for the slope check
+        walks.update((x, CensusWalk(groups, x, p))
+                     for x in _slope_points(Tf, t))
+        c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p, walks)
         if quantity == "S":
             c_up = div(Enclosure.point(c_up),
                        Enclosure.from_rational(Tf, p), p).hi
@@ -356,20 +368,21 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, walk)
+    _verify_certificate(handle, walks)
     return handle
 
 
 def _verify_certificate(handle: QuantityHandle,
-                        walk: Optional[CensusWalk] = None) -> None:
+                        walks: Optional[dict[Fraction, CensusWalk]] = None
+                        ) -> None:
     """Re-check the increment bracket at every enumerated depth k0 <= k <
     n (n the enumerated programs, at most max_depth), then sample the
     slope bounds on (T, t).
 
-    walk is the CensusWalk at T over at least the first n programs, as
-    certify built it (built here when not given): the re-check reads its
-    sums before each group up to n, and the slope check its groups and
-    its sums at the checked depths.
+    walks maps T, and any of the slope samples, to its CensusWalk over at
+    least the first n programs, as certify built them (the rest are built
+    here): the re-check reads the sums before each group up to n of the
+    walk at T, and the slope check every walk's sums at the checked depths.
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -407,9 +420,9 @@ def _verify_certificate(handle: QuantityHandle,
         raise PrecisionError("increment bound unresolved at k=0: g(T, 0) "
                              "is undefined")
     p = handle.precision_bits
-    if walk is None:
-        walk = CensusWalk(snapshot.length_counts_up_to(n_programs), handle.T,
-                          p)
+    walks = walks or {}
+    walk = walks.get(handle.T) or CensusWalk(
+        snapshot.length_counts_up_to(n_programs), handle.T, p)
     if quantity == "Z":
         def holds(l: int) -> bool:
             return (Fraction(l) ** c <= Fraction(2) ** b
@@ -431,10 +444,10 @@ def _verify_certificate(handle: QuantityHandle,
     # points of (T, t); one walk per point gives all four depths
     T, t = handle.T, handle.t
     ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n_programs), n_programs})
-    xs = [T + (t - T) * Fraction(i, SLOPE_SAMPLES + 1)
-          for i in range(1, SLOPE_SAMPLES + 1)]
+    xs = _slope_points(T, t)
     at_T = walk.sums(handle.orders, ks)
-    at_x = [CensusWalk(walk.groups, x, p).sums(handle.orders, ks) for x in xs]
+    at_x = [(walks.get(x) or CensusWalk(walk.groups, x, p)).sums(
+        handle.orders, ks) for x in xs]
     for i, k in enumerate(ks):
         gT = _g_from_moments(quantity, at_T[i][0], at_T[i].get(1), T, p)
         for x, mu in zip(xs, at_x):
@@ -892,8 +905,9 @@ def approach_oracle(handle: QuantityHandle):
 
 
 def file_oracle(path):
-    from pathlib import Path
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    for line in lines:
         line = line.strip()
         if line:
             yield Dyadic.parse(line)

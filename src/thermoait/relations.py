@@ -31,9 +31,8 @@ hull of the two endpoint evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dyadic import Dyadic, from_rational_ceil
 from .enclosure import (
@@ -53,8 +52,7 @@ RICHARDSON_LO = Fraction(5, 2)
 RICHARDSON_HI = Fraction(6)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: Optional[bool]  # None: unresolved at this precision (not a failure)
     lhs: Optional[Enclosure] = None
@@ -62,13 +60,12 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     kind: str
     ensemble_id: str
     temperature: Fraction
     k: object
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:

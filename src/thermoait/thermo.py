@@ -37,11 +37,11 @@ it; nothing is cached at module level.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, log2
 from operator import mul
+from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .enclosure import (
@@ -292,7 +292,9 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
     comes from the tail bound itself.  The terms of a census growing by
     `growth` bits per length shrink by delta bits per length; below the
     Kraft bound's 1, growth is priced at 9/10 of the rate: near T = 1,
-    where the terms shrink slowly, the sum runs a little longer."""
+    where the terms shrink slowly, the sum runs a little longer.  The sum
+    reaches the shortest census length at least, so that Z is certifiably
+    positive however small its terms are."""
     growth = snapshot.machine.growth if snapshot.machine else 1
     delta = 1 / float(T) - growth
     if 0 < growth < 1:
@@ -302,7 +304,9 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
     target = precision_bits + 12
     L = (target + 8) / delta
     L = (target + max_order * log2(max(2.0, L))) / delta
-    return min(snapshot.max_length, max(8, ceil(L)))
+    return min(snapshot.max_length,
+               max(8, ceil(L), min((l for l, c in snapshot.census.items()
+                                    if c), default=0)))
 
 
 def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
@@ -422,8 +426,7 @@ def moment_hull(snapshot: EnsembleSnapshot, t_lo: Fraction, t_hi: Fraction,
 # evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThermoEvaluation:
+class ThermoEvaluation(NamedTuple):
     ensemble_id: str
     temperature: Fraction
     k: int | str  # a depth, or "limit"
@@ -435,7 +438,7 @@ class ThermoEvaluation:
     E: Enclosure
     S: Enclosure
     C: Enclosure
-    tail_bounds: dict = field(default_factory=dict)  # quantity -> Dyadic, limit only
+    tail_bounds: dict  # quantity -> Dyadic, limit only (empty at a depth)
 
     def quantity(self, name: str) -> Enclosure:
         if name not in QUANTITIES:
@@ -470,7 +473,7 @@ def eval_partial(snapshot: EnsembleSnapshot, T, k: int,
     Z, W, Y = sums[0], sums[1], sums[2]
     F, E, S, C = derive_quantities(Z, W, Y, Tf, precision_bits)
     return ThermoEvaluation(snapshot.ensemble_id, Tf, k, precision_bits,
-                            Z, W, Y, F, E, S, C)
+                            Z, W, Y, F, E, S, C, {})
 
 
 def eval_limit(snapshot: EnsembleSnapshot, T,

@@ -60,6 +60,29 @@ def test_bad_argument_value_is_usage_error(argv):
     assert "Traceback" not in err
 
 
+def test_certification_error_exits_3():
+    # literal up to length 1 has one program length: no slope certifies
+    code, out, err = run("solve", "--machine", "literal", "--maxlen", "1",
+                         "--quantity", "Z", "--target", "1/2", "--tol",
+                         "1*2^-10")
+    assert (code, out) == (3, "")
+    assert err == ("error: ensemble has a single program length; slopes "
+                   "cannot be certified\n")
+
+
+def test_precision_error_exits_4():
+    # on gamma_literal Z is about 2^-95 near T = 1/48: the rounding grid
+    # of its Kraft-slack tail leaves the solver's comparisons unresolved
+    # at 64 bits, and 160 bits resolve them
+    argv = ("solve", "--machine", "gamma_literal", "--maxlen", "200",
+            "--quantity", "Z", "--target", f"1/{1 << 95}", "--tol",
+            "1*2^-30")
+    code, out, err = run(*argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: at 64 bits of working precision ")
+    assert run("--precision", "160", *argv)[0] == 0
+
+
 def test_thermo_needs_T_or_grid_not_both():
     base = ("thermo", "--machine", "geometric")
     assert run(*base)[0] == 2
@@ -338,6 +361,27 @@ def test_profile_quantity_alpha():
 CORE = {"bitstring", "cli", "dyadic", "enclosure", "ensembles", "errors",
         "thermo"}
 
+# standard-library modules no command needs: the first two cost a fresh
+# process 10-13 ms to import, pathlib about 9 ms where site does not
+# import it already
+UNNEEDED = {"dataclasses", "inspect", "pathlib"}
+
+
+def _child_output(code: str, *argv: str) -> list[str]:
+    """stdout of `python -c code argv`, split, with the package on the
+    path and no bytecode written (as a fresh command compiles it)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """The modules a bare interpreter has loaded, in the same environment."""
+    return set(_child_output("import sys; print(*sys.modules)"))
+
 
 @pytest.mark.parametrize("argv, loads", [
     ("thermo --machine geometric --maxlen 60 --T 1/2 --limit", set()),
@@ -352,21 +396,19 @@ CORE = {"bitstring", "cli", "dyadic", "enclosure", "ensembles", "errors",
     ("profile --alpha Z@1/2 --machine literal --maxlen 11 --N 4",
      {"complexity"}),
 ], ids=lambda v: v.split()[0] if isinstance(v, str) else "")
-def test_a_command_loads_only_the_modules_it_calls(tmp_path, argv, loads):
+def test_a_command_loads_only_the_modules_it_calls(tmp_path, bare_modules,
+                                                   argv, loads):
     child = ("import contextlib, io, sys\n"
              "from thermoait.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(sys.argv[1:])\n"
              "print(code, *sorted(sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", child,
-         *argv.format(tmp=tmp_path / "snap.txt").split()],
-        env=env, capture_output=True, text=True, timeout=120)
-    code, *modules = proc.stdout.split()
-    assert code == "0", proc.stderr
+    code, *modules = _child_output(
+        child, *argv.format(tmp=tmp_path / "snap.txt").split())
+    assert code == "0"
     assert {m.split(".", 1)[1] for m in modules
             if m.startswith("thermoait.")} == CORE | loads
+    assert not UNNEEDED & (set(modules) - bare_modules)
 
 
 @pytest.mark.parametrize("kind, maxlen", [

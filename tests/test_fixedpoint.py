@@ -3,7 +3,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from math import ceil, log2
@@ -250,7 +249,7 @@ def test_recheck_matches_the_per_program_reference(recheck_handles,
         increments = _reference_increments(h)
         for db in (-2, -1, 0, 1):
             for dc in (-1, 0, 1, 2):
-                mutated = replace(h, b=h.b + db, c=h.c + dc)
+                mutated = h._replace(b=h.b + db, c=h.c + dc)
                 want = _reference_verdict(mutated, increments)
                 assert _verdict(mutated) is want, (name, h.quantity, h.T,
                                                    db, dc)
@@ -274,7 +273,7 @@ def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
         increments = _reference_increments(h)
         for b in range(-1, 6):
             for c in range(-1, 6):
-                mutated = replace(h, b=b, c=c)
+                mutated = h._replace(b=b, c=c)
                 # within one group a bound falsified anywhere outranks one
                 # left unresolved elsewhere
                 checks = [ok for pair in _reference_checks(mutated, increments)
@@ -284,7 +283,7 @@ def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
                 assert _verdict(mutated) is want, (quantity, b, c)
                 verdicts[want] += 1
         with pytest.raises(PrecisionError, match="k=0"):  # Z_0 = 0
-            fixedpoint._verify_certificate(replace(h, k0=0))
+            fixedpoint._verify_certificate(h._replace(k0=0))
     assert verdicts[None] and verdicts[CertificationError]
 
 
@@ -296,13 +295,13 @@ def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
     for name, h in recheck_handles:
         increments = _reference_increments(h)
         dc = 2
-        while _reference_verdict(replace(h, c=h.c + dc), increments) is None:
+        while _reference_verdict(h._replace(c=h.c + dc), increments) is None:
             dc += 1
-        assert _reference_verdict(replace(h, c=h.c + dc),
+        assert _reference_verdict(h._replace(c=h.c + dc),
                                   increments) is CertificationError
         with pytest.raises(CertificationError,
                            match="increment bound falsified"):
-            fixedpoint._verify_certificate(replace(h, c=h.c + dc))
+            fixedpoint._verify_certificate(h._replace(c=h.c + dc))
         least[name, h.quantity, h.T] = dc
     assert least == {**dict.fromkeys(least, 2),
                      ("sdm4 1500 cap 512", "S", HALF): 3}
@@ -337,7 +336,7 @@ def test_recheck_Z_is_the_stated_inequality(monkeypatch):
                             <= Fraction(l) ** b * w * Fraction(2) ** c):
                         want = CertificationError, k
                         break
-                got = _first_failure(replace(h, b=b, c=c))
+                got = _first_failure(h._replace(b=b, c=c))
                 assert got == want, (name, b, c)
                 outcomes[want[0]] += 1
     assert outcomes[None] and outcomes[CertificationError]
@@ -360,9 +359,9 @@ def _capacity_cases(monkeypatch):
     cases = {}
     bound = fixedpoint._min_capacity_on_window
 
-    def recorded(snapshot, k0, T, t, p, at_T):
+    def recorded(snapshot, k0, T, t, p, walks):
         cases[snapshot.ensemble_id, k0, T] = snapshot, k0, T, t
-        return bound(snapshot, k0, T, t, p, at_T)
+        return bound(snapshot, k0, T, t, p, walks)
 
     monkeypatch.setattr(fixedpoint, "_min_capacity_on_window", recorded)
     for name in CAPACITY_SNAPSHOTS:
@@ -390,8 +389,7 @@ def test_capacity_bound_is_below_the_exact_capacity(monkeypatch):
                 groups = snap.length_counts_up_to(k)
                 try:
                     bounds[k] = fixedpoint._min_capacity_on_window(
-                        snap, k, T, t, p,
-                        thermo.moment_sums(groups, T, (0, 1, 2), p))
+                        snap, k, T, t, p, {})
                 except CertificationError:  # P = 0: a single length
                     assert len(groups) == 1
                     continue
@@ -776,7 +774,7 @@ def _witness(handle, n):
 def test_procedures_are_pinned(quantity):
     h = GEO300_HANDLES[quantity]
     for n, want in PINNED_WITNESSES[quantity].items():
-        assert (_witness(h, n), _witness(replace(h, a=h.a - 40), n)) == want
+        assert (_witness(h, n), _witness(h._replace(a=h.a - 40), n)) == want
     for r, least in zip((Dyadic(9, -4), Dyadic(33, -6), Dyadic(129, -8),
                          Dyadic(1025, -11)),
                         PINNED_SEMIDECISION_BUDGETS[quantity]):
@@ -808,11 +806,13 @@ def test_running_depth_values_match_the_depth_evaluations():
 def test_certify_builds_few_weight_chains(monkeypatch):
     # per certify on geometric 300 at T = 1/2: one walk at T shared by the
     # precondition, the re-check and the slope check, one walk per slope
-    # sample, and for E and S one per capacity piece end past T (4); the
-    # two limit evaluations come from the generating function and build
-    # none; the interval hull of the capacity refined to 32 pieces (36 for
-    # E and S), summing each depth and point separately took 20, 21, 90
-    # and 90, and census limits 6, 6, 38 and 38
+    # sample, which for E and S also gives the capacity pieces' sums at
+    # the three piece ends inside (T, t), and for E and S one more at t;
+    # the two limit evaluations come from the generating function and
+    # build none; summing the capacity pieces' ends apart from the slope
+    # samples took 8 for E and S, the interval hull of the capacity
+    # refined to 32 pieces 36, summing each depth and point separately
+    # 20, 21, 90 and 90, and census limits 6, 6, 38 and 38
     built = Counter()
     init = thermo.WeightChain.__init__
 
@@ -823,4 +823,4 @@ def test_certify_builds_few_weight_chains(monkeypatch):
     monkeypatch.setattr(thermo.WeightChain, "__init__", counted)
     for quantity in ("Z", "-F", "E", "S"):
         certify(GEO300, quantity, HALF)
-    assert built == {"Z": 4, "-F": 4, "E": 8, "S": 8}
+    assert built == {"Z": 4, "-F": 4, "E": 5, "S": 5}

@@ -13,15 +13,16 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import thermoait.enclosure as enclosure
 import thermoait.thermo as thermo
+from thermoait.bitstring import BitString
 from thermoait.dyadic import Dyadic
 from thermoait.enclosure import Enclosure, exp2_enclosure
 from thermoait.ensembles import (
-    MACHINES, EnsembleSnapshot, builtin_snapshot, kraft_tail_bounds,
-    load_snapshot, save_snapshot,
+    MACHINES, EnsembleSnapshot, ProgramRecord, builtin_snapshot,
+    kraft_tail_bounds, load_snapshot, save_snapshot,
 )
 from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
@@ -673,6 +674,73 @@ def test_running_walk_matches_moment_sums_on_random_censuses(census, T, p):
                 assert _endpoints(got[j]) == _endpoints(want[j]), (k, j)
                 exact = mpmath.fsum(c * l**j * weight[l] for l, c in items)
                 assert _close_to_inside(got[j], exact), (k, j)
+
+
+@st.composite
+def random_domains(draw):
+    """(census, programs): a census with Kraft sum at most 1, each drawn
+    count cut to the Kraft mass the shorter lengths leave, and a
+    prefix-free domain with that census: the canonical code of its lengths
+    with every word XORed by the same drawn mask's first bits, which keeps
+    it prefix-free."""
+    wanted = draw(st.dictionaries(st.integers(1, 24), st.integers(1, 40),
+                                  min_size=1, max_size=8))
+    census, left = {}, Fraction(1)
+    for l in sorted(wanted):
+        count = min(wanted[l], floor(left * 2**l))
+        if count:
+            census[l] = count
+            left -= Fraction(count, 2**l)
+    top = max(census)
+    mask = draw(st.integers(0, 2**top - 1))
+    words, code, prev = [], 0, min(census)
+    for l in sorted(census):
+        code <<= l - prev
+        prev = l
+        for _ in range(census[l]):
+            words.append(format(code ^ mask >> top - l, f"0{l}b"))
+            code += 1
+    programs = sorted(BitString(w) for w in words)
+    return census, [ProgramRecord(p, p, 0) for p in programs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_domains(), st.integers(0, 16),
+       st.integers(1, 255).map(lambda n: Fraction(n, 256)),
+       st.sampled_from([24, 64]))
+# the limit's cutoff, 8 here, once fell short of the only length: Z was
+# [0, tail] and log2 raised PrecisionError
+@example(({9: 1}, [ProgramRecord(BitString("0" * 9), BitString(), 0)]), 0,
+         Fraction(1, 256), 24)
+def test_finite_domain_truth_is_enclosed(domain, extra, T, p):
+    # the domain is all there is, so its exact Z, F, E, S and C are the
+    # limit's: the Kraft-slack path on the bare census must contain them,
+    # and so must the depth evaluation over every program
+    census, programs = domain
+    snap = EnsembleSnapshot("random", 0, max(census) + extra, programs,
+                            census)
+    snap.validate()
+    with mpmath.workprec(300):
+        x = mpmath.power(2, -mpmath.mpf(T.denominator) / T.numerator)
+        groups = [(l, c, x**l) for l, c in sorted(census.items())]
+        Z = mpmath.fsum(c * w for _, c, w in groups)
+        E = mpmath.fsum(c * l * w for l, c, w in groups) / Z
+        truth = {
+            "Z": Z, "F": -T * mpmath.log(Z, 2), "E": E,
+            # Gibbs and pair forms: sums of nonnegative terms, exactly 0
+            # where the domain has one program or one length
+            "S": mpmath.fsum(-c * w / Z * mpmath.log(w / Z, 2)
+                             for _, c, w in groups),
+            "C": mpmath.log(2) / T**2 * mpmath.fsum(
+                ca * cb * wa * wb * (la - lb) ** 2 for la, ca, wa in groups
+                for lb, cb, wb in groups) / (2 * Z * Z),
+        }
+        bare = snap._replace(programs=[])
+        for ev in (eval_limit(bare, T, p),
+                   eval_partial(snap, T, len(programs), p)):
+            for name, value in truth.items():
+                assert _close_to_inside(ev.quantity(name), value), (
+                    ev.k, name)
 
 
 def test_thermo_has_no_module_level_cache():
