@@ -19,7 +19,7 @@ from .enclosure import (
 from .ensembles import (
     MACHINES, EnsembleSnapshot, Machine, ProgramRecord, builtin_snapshot,
     gamma_literal_length, load_snapshot, replay_check, run_sdm4,
-    save_snapshot, sdm4_census_count,
+    save_snapshot,
 )
 from .errors import (
     CertificationError, InvariantViolation, OracleExhausted, PrecisionError,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .thermo import (
     QUANTITIES, ThermoEvaluation, divergence_probe, eval_limit, eval_partial,
-    evaluate, power_sum, sweep,
+    evaluate, power_sum,
 )
 
 # name -> module of the modules only some commands call, imported on first use

@@ -48,21 +48,6 @@ def _enc(e: Enclosure) -> dict:
     return {"lo": _dy(e.lo), "hi": _dy(e.hi)}
 
 
-class _Emitter:
-    def __init__(self, out_format: str, stream):
-        self.out_format = out_format
-        self.stream = stream
-
-    def emit(self, payload: dict, csv_rows: tuple[list[str], list[list[str]]]):
-        if self.out_format == "json":
-            self.stream.write(_json_text(payload) + "\n")
-        else:
-            header, rows = csv_rows
-            self.stream.write(",".join(header) + "\n")
-            for row in rows:
-                self.stream.write(",".join(row) + "\n")
-
-
 def _json_text(value, level: int = 0) -> str:
     """json.dumps(value, indent=2), except that ints are rendered through
     int_text: json renders them with repr, which refuses an int past the
@@ -84,10 +69,6 @@ def _json_text(value, level: int = 0) -> str:
         ends = "[]"
     return (ends[0] + pad + ("," + pad).join(items) + "\n" + "  " * level
             + ends[1])
-
-
-def _csv_num(d: Dyadic) -> str:
-    return d.serialize()
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +166,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--maxlen", type=int, default=default_maxlen)
 
     sp = sub.add_parser("enumerate")
+    sp.set_defaults(run=_cmd_enumerate)
     sp.add_argument("--machine", choices=MACHINES, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--maxlen", type=int, required=True)
     sp.add_argument("--save", required=True)
 
     sp = sub.add_parser("thermo")
+    sp.set_defaults(run=_cmd_thermo)
     machine_flags(sp, 120)
     sp.add_argument("--T", type=_dyadic_arg)
     sp.add_argument("--grid", type=_grid_arg)
@@ -199,42 +182,41 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--limit", action="store_true")
 
     sp = sub.add_parser("verify")
+    sp.set_defaults(run=_cmd_verify)
     machine_flags(sp, 120)
     sp.add_argument("--grid", type=_grid_arg, required=True)
     sp.add_argument("--k", type=int, default=4)
 
     sp = sub.add_parser("solve")
     machine_flags(sp, 600)
-    sp.set_defaults(machine="geometric")
+    sp.set_defaults(run=_cmd_solve, machine="geometric")
     sp.add_argument("--quantity", choices=("Z", "F", "E", "S"), required=True)
     sp.add_argument("--target", type=_fraction_arg, required=True)
     sp.add_argument("--tol", type=_dyadic_arg, required=True)
 
     sp = sub.add_parser("witness")
     machine_flags(sp, 600)
-    sp.set_defaults(machine="geometric")
+    sp.set_defaults(run=_cmd_witness, machine="geometric")
     sp.add_argument("--T", type=_dyadic_arg, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--oracle", default="closed-form")
 
     sp = sub.add_parser("reconstruct")
     machine_flags(sp, 600)
-    sp.set_defaults(machine="geometric")
+    sp.set_defaults(run=_cmd_reconstruct, machine="geometric")
     sp.add_argument("--T", type=_dyadic_arg, required=True)
     sp.add_argument("--u", type=_dyadic_arg, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--b", type=int, default=0,
-                    help="exponent of the beta power sum; must match the "
-                         "certified handle")
     sp.add_argument("--oracle-A", default="closed-form")
     sp.add_argument("--oracle-B", default="closed-form")
 
     sp = sub.add_parser("complexity")
+    sp.set_defaults(run=_cmd_complexity)
     machine_flags(sp, 16)
 
     sp = sub.add_parser("profile")
     machine_flags(sp, 21)
-    sp.set_defaults(machine="literal")
+    sp.set_defaults(run=_cmd_profile, machine="literal")
     sp.add_argument("--alpha", required=True,
                     help="a dyadic, or quantity@T (e.g. Z@1/2) evaluated "
                          "on the geometric ensemble")
@@ -274,12 +256,12 @@ def _thermo_rows(ev, temperature: Fraction):
         entries.append({"quantity": q, "value": _enc(enc),
                         "tail_bound": _dy(tail)})
         rows.append([fraction_text(temperature), q, str(ev.k),
-                     _csv_num(enc.lo), enc.lo.decimal(),
-                     _csv_num(enc.hi), enc.hi.decimal(), _csv_num(tail)])
+                     enc.lo.serialize(), enc.lo.decimal(),
+                     enc.hi.serialize(), enc.hi.decimal(), tail.serialize()])
     return rows, entries
 
 
-def _cmd_thermo(args, emit, precision) -> int:
+def _cmd_thermo(args, emit) -> int:
     snap = _load(args, program_cap=0)
     if (args.T is None) == (args.grid is None):
         raise ThermoAITError("need exactly one of --T or --grid")
@@ -288,26 +270,26 @@ def _cmd_thermo(args, emit, precision) -> int:
     results, rows = [], []
     for T in temps:
         if use_limit:
-            ev = eval_limit(snap, T, precision_bits=precision)
+            ev = eval_limit(snap, T, precision_bits=args.precision)
         else:
-            ev = eval_partial(snap, T, args.k, precision_bits=precision)
+            ev = eval_partial(snap, T, args.k, precision_bits=args.precision)
         r, entries = _thermo_rows(ev, T)
         rows.extend(r)
         results.append({"T": fraction_text(T), "k": str(ev.k),
                         "quantities": entries})
-    emit({"ensemble": snap.ensemble_id, "precision_bits": precision,
+    emit({"ensemble": snap.ensemble_id, "precision_bits": args.precision,
           "results": results},
          (["T", "quantity", "k", "value_lo", "value_lo_dec", "value_hi",
            "value_hi_dec", "tail_bound"], rows))
     return EXIT_OK
 
 
-def _cmd_verify(args, emit, precision) -> int:
+def _cmd_verify(args, emit) -> int:
     from .relations import _identities_and_positivity, check_monotone
     snap = _load(args, program_cap=0)
     checks = [(fraction_text(T), str(k), chk)
               for T in args.grid for k in (args.k, "limit")
-              for rep in _identities_and_positivity(snap, T, k, precision)
+              for rep in _identities_and_positivity(snap, T, k, args.precision)
               for chk in rep.checks]
     mono = check_monotone(snap, Fraction(1, 2),
                           min(12, sum(snap.census.values())))
@@ -322,25 +304,25 @@ def _cmd_verify(args, emit, precision) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _cmd_solve(args, emit, precision) -> int:
+def _cmd_solve(args, emit) -> int:
     from .fixedpoint import certify, solve_temperature
     snap = _load(args)
     quantity = "-F" if args.quantity == "F" else args.quantity
-    handle = certify(snap, quantity, Fraction(1, 2), precision)
+    handle = certify(snap, quantity, Fraction(1, 2), args.precision)
     target = args.target if args.quantity != "F" else -args.target
     enc = solve_temperature(handle, target, args.tol)
     emit({"quantity": args.quantity, "target": fraction_text(args.target),
           "temperature": _enc(enc), "width": _dy(enc.width())},
          (["quantity", "target", "T_lo", "T_lo_dec", "T_hi", "T_hi_dec"],
-          [[args.quantity, fraction_text(args.target), _csv_num(enc.lo),
-            enc.lo.decimal(), _csv_num(enc.hi), enc.hi.decimal()]]))
+          [[args.quantity, fraction_text(args.target), enc.lo.serialize(),
+            enc.lo.decimal(), enc.hi.serialize(), enc.hi.decimal()]]))
     return EXIT_OK
 
 
-def _cmd_witness(args, emit, precision) -> int:
+def _cmd_witness(args, emit) -> int:
     from .fixedpoint import certify, witness_search
     snap = _load(args)
-    handle = certify(snap, "Z", args.T.as_fraction(), precision)
+    handle = certify(snap, "Z", args.T.as_fraction(), args.precision)
     bits = bits_prefix(args.T, args.n)
     oracle = _make_oracle(args.oracle, handle, "upper")
     rep = witness_search(handle, bits, oracle)
@@ -351,22 +333,19 @@ def _cmd_witness(args, emit, precision) -> int:
          (["T", "n", "k_e", "length_threshold", "witness",
            "verified_through"],
           [[fraction_text(rep.T), str(rep.n), str(rep.k_e),
-            _csv_num(rep.length_threshold), rep.witness.render(),
+            rep.length_threshold.serialize(), rep.witness.render(),
             str(rep.verified_through)]]))
     return EXIT_OK
 
 
-def _cmd_reconstruct(args, emit, precision) -> int:
+def _cmd_reconstruct(args, emit) -> int:
     from .fixedpoint import certify, reconstruct_T
     from .thermo import limit_moments
     snap = _load(args)
-    handle = certify(snap, "Z", args.T.as_fraction(), precision)
-    if args.b != handle.b:
-        raise ThermoAITError(
-            f"--b {args.b} does not match the certified exponent {handle.b}")
+    handle = certify(snap, "Z", args.T.as_fraction(), args.precision)
     u = args.u.as_fraction()
     bits_needed = int(-((-handle.T * args.n) // u))
-    beta, _ = limit_moments(snap, u, (handle.b,), precision + 32)
+    beta, _ = limit_moments(snap, u, (handle.b,), args.precision + 32)
     prefix = bits_prefix(beta[handle.b], bits_needed)
     rep = reconstruct_T(handle, u, args.n, prefix,
                         _make_oracle(args.oracle_A, handle, "approach"),
@@ -378,8 +357,8 @@ def _cmd_reconstruct(args, emit, precision) -> int:
          (["T_true", "n", "u", "beta_bits", "candidate", "candidate_dec",
            "radius"],
           [[fraction_text(rep.T_true), str(rep.n), fraction_text(rep.u),
-            str(rep.beta_bits_used), _csv_num(rep.candidate),
-            rep.candidate.decimal(), _csv_num(rep.radius)]]))
+            str(rep.beta_bits_used), rep.candidate.serialize(),
+            rep.candidate.decimal(), rep.radius.serialize()]]))
     return EXIT_OK
 
 
@@ -408,11 +387,11 @@ def _resolve_alpha(spec: str, precision: int):
     return _parse_dyadic(spec)
 
 
-def _cmd_profile(args, emit, precision) -> int:
+def _cmd_profile(args, emit) -> int:
     from .complexity import build_table, profile as complexity_profile
     snap = _load(args)
     table = build_table(snap)
-    alpha = _resolve_alpha(args.alpha, precision)
+    alpha = _resolve_alpha(args.alpha, args.precision)
     prof = complexity_profile(alpha, args.N, table)
     rows, entries = [], []
     for e in prof:
@@ -437,28 +416,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse signals usage errors with code 2
         return EXIT_USAGE if exc.code else EXIT_OK
-    emitter = _Emitter(args.out_format, sys.stdout)
-    emit = emitter.emit
+
+    def emit(payload: dict, csv_rows: tuple[list[str], list[list[str]]]):
+        if args.out_format == "json":
+            sys.stdout.write(_json_text(payload) + "\n")
+        else:
+            header, rows = csv_rows
+            for row in (header, *rows):
+                sys.stdout.write(",".join(row) + "\n")
+
     try:
         if args.precision < 16:
             raise ThermoAITError("precision must be at least 16 bits")
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, emit)
-        if args.command == "thermo":
-            return _cmd_thermo(args, emit, args.precision)
-        if args.command == "verify":
-            return _cmd_verify(args, emit, args.precision)
-        if args.command == "solve":
-            return _cmd_solve(args, emit, args.precision)
-        if args.command == "witness":
-            return _cmd_witness(args, emit, args.precision)
-        if args.command == "reconstruct":
-            return _cmd_reconstruct(args, emit, args.precision)
-        if args.command == "complexity":
-            return _cmd_complexity(args, emit)
-        if args.command == "profile":
-            return _cmd_profile(args, emit, args.precision)
-        raise ThermoAITError(f"unknown command {args.command!r}")
+        return args.run(args, emit)
     except ThermoAITError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CertificationError):

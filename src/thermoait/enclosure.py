@@ -39,24 +39,10 @@ def _as_fraction(x: RationalLike) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # fixed-point kernels (integers scaled by 2**W; all values nonnegative)
+#
+# A product rescales as a * b >> w, rounded down, or -(-a * b >> w), rounded
+# up; a quotient as a // n or -(-a // n).
 # ---------------------------------------------------------------------------
-
-def _mul_dn(a: int, b: int, w: int) -> int:
-    return (a * b) >> w
-
-
-def _mul_up(a: int, b: int, w: int) -> int:
-    p = a * b
-    return -((-p) >> w)
-
-
-def _div_int_dn(a: int, n: int) -> int:
-    return a // n
-
-
-def _div_int_up(a: int, n: int) -> int:
-    return -((-a) // n)
-
 
 def _atanh_fixed(z_lo: int, z_hi: int, w: int) -> tuple[int, int]:
     """Enclose atanh(z) for z in [z_lo, z_hi]*2**-w, requiring z <= ~1/3.
@@ -66,16 +52,16 @@ def _atanh_fixed(z_lo: int, z_hi: int, w: int) -> tuple[int, int]:
     """
     if z_hi == 0:
         return 0, 0
-    z2_lo = _mul_dn(z_lo, z_lo, w)
-    z2_hi = _mul_up(z_hi, z_hi, w)
+    z2_lo = z_lo * z_lo >> w
+    z2_hi = -(-z_hi * z_hi >> w)
     p_lo, p_hi = z_lo, z_hi
     s_lo, s_hi = z_lo, z_hi
     k = 1
     while p_hi > 4:
-        p_lo = _mul_dn(p_lo, z2_lo, w)
-        p_hi = _mul_up(p_hi, z2_hi, w)
-        s_lo += _div_int_dn(p_lo, 2 * k + 1)
-        s_hi += _div_int_up(p_hi, 2 * k + 1)
+        p_lo = p_lo * z2_lo >> w
+        p_hi = -(-p_hi * z2_hi >> w)
+        s_lo += p_lo // (2 * k + 1)
+        s_hi += -(-p_hi // (2 * k + 1))
         k += 1
     return s_lo, s_hi + p_hi + 2
 
@@ -103,8 +89,8 @@ def _exp_fixed(y_lo: int, y_hi: int, w: int) -> tuple[int, int]:
     s_lo = s_hi = scale
     k = 1
     while t_hi > 4:
-        t_lo = _div_int_dn(_mul_dn(t_lo, y_lo, w), k)
-        t_hi = _div_int_up(_mul_up(t_hi, y_hi, w), k)
+        t_lo = (t_lo * y_lo >> w) // k
+        t_hi = -((-t_hi * y_hi >> w) // k)
         s_lo += t_lo
         s_hi += t_hi
         k += 1
@@ -260,10 +246,10 @@ def exp2_enclosure(x: RationalLike, precision_bits: int = DEFAULT_PRECISION) -> 
         return Enclosure.point(Dyadic(1, n))
     w = precision_bits + _GUARD
     f_lo = (f.numerator << w) // f.denominator
-    f_hi = _div_int_up(f.numerator << w, f.denominator)
+    f_hi = -((-f.numerator << w) // f.denominator)
     l2_lo, l2_hi = _ln2_fixed(w)
-    y_lo = _mul_dn(f_lo, l2_lo, w)
-    y_hi = _mul_up(f_hi, l2_hi, w)
+    y_lo = f_lo * l2_lo >> w
+    y_hi = -(-f_hi * l2_hi >> w)
     s_lo, s_hi = _exp_fixed(y_lo, y_hi, w)
     return Enclosure(Dyadic(s_lo, n - w), Dyadic(s_hi, n - w))
 
@@ -275,7 +261,7 @@ def _binade(d: Dyadic, w: int) -> tuple[int, int, int]:
     bl = d.m.bit_length()
     h = 1 << (bl - 1)
     num, den = (d.m - h) << w, d.m + h
-    return d.e + bl - 1, num // den, _div_int_up(num, den)
+    return d.e + bl - 1, num // den, -(-num // den)
 
 
 def log2_enclosure(v: Enclosure | Dyadic, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
@@ -293,7 +279,7 @@ def log2_enclosure(v: Enclosure | Dyadic, precision_bits: int = DEFAULT_PRECISIO
         s_hi = _atanh_fixed(z_hi_dn, z_hi, w)[1]
     l2_lo, l2_hi = _ln2_fixed(w)
     lo = (s_lo << (w + 1)) // l2_hi
-    hi = _div_int_up(s_hi << (w + 1), l2_lo)
+    hi = -((-s_hi << (w + 1)) // l2_lo)
     return Enclosure(Dyadic(g_lo) + Dyadic(lo, -w), Dyadic(g_hi) + Dyadic(hi, -w))
 
 

@@ -9,12 +9,13 @@ Builtin machines (``MACHINES``, one ``Machine`` each):
 * ``gamma_literal`` -- programs gamma(|x|) x (Elias gamma length header).
 * ``geometric``     -- one program 1^(l-1) 0 per length l, output l in binary.
 
-A Machine holds its census closed form, its canonical program enumerator
-and (sdm4, literal, geometric) the rational generating function that
-gives a limit with no census sum and no tail.  A snapshot built from a
-machine carries it; one loaded from disk only when its census equals the
-named machine's closed form exactly.  gamma_literal and any other
-snapshot (an anonymous census) take their tails from the Kraft slack.
+A Machine holds its canonical program enumerator and either the rational
+generating function N(x)/D(x) (sdm4, literal, geometric), whose power
+series is its census and which gives a limit with no census sum and no
+tail, or its own census (gamma_literal).  A snapshot built from a machine
+carries it; one loaded from disk only when its census equals the named
+machine's census exactly.  gamma_literal and any other snapshot (an
+anonymous census) take their tails from the Kraft slack.
 
 Enumeration order is canonical: ascending (length, lex).  The census maps
 length -> count of *all* domain elements of that length, which can exceed
@@ -28,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import ceil, floor, log2
+from math import ceil, floor, gcd, log2
 from os import PathLike
 from typing import Callable, Iterator, NamedTuple
 
@@ -182,23 +183,6 @@ def _sdm4_bodies(nbits: int):
             yield "10" + arg + rest
 
 
-def _sdm4_census(max_length: int) -> Iterator[tuple[int, int]]:
-    d_prev, d = 0, 1  # d(-1), d(0)
-    for length in range(2, max_length + 1, 2):
-        yield length, d
-        d_prev, d = d, 2 * d + 3 * d_prev
-
-
-def sdm4_census_count(length: int) -> int:
-    """Number of SDM-4 domain elements of the given length: d(m) for
-    length = 2m + 2, where d(m) = 2 d(m-1) + 3 d(m-2), d(-1) = 0, d(0) = 1
-    has the closed form (3^(m+1) + (-1)^m) / 4; no odd length occurs."""
-    if length < 2 or length % 2:
-        return 0
-    m = length // 2 - 1
-    return (3 ** (m + 1) + (1 if m % 2 == 0 else -1)) // 4
-
-
 def _sdm4_programs(length: int, count: int,
                    step_budget: int) -> Iterator[ProgramRecord]:
     for body in _sdm4_bodies(length - 2):
@@ -227,12 +211,7 @@ def gamma_literal_length(n: int) -> int:
     return n + 2 * (n.bit_length() - 1) + 1
 
 
-def _literal_census(max_length: int) -> Iterator[tuple[int, int]]:
-    for n in range((max_length + 1) // 2):
-        yield 2 * n + 1, 1 << n
-
-
-def _gamma_literal_census(max_length: int) -> Iterator[tuple[int, int]]:
+def _gamma_literal_counts(max_length: int) -> Iterator[tuple[int, int]]:
     n = 1
     while gamma_literal_length(n) <= max_length:
         yield gamma_literal_length(n), 1 << n
@@ -251,11 +230,6 @@ def _payload_programs(header, length: int, count: int,
     for v in range(count):
         x = BitString.from_int(v, n)
         yield ProgramRecord(head + x, x, 0)
-
-
-def _geometric_census(max_length: int) -> Iterator[tuple[int, int]]:
-    for length in range(1, max_length + 1):
-        yield length, 1
 
 
 def _geometric_programs(length: int, count: int,
@@ -315,39 +289,61 @@ def kraft_tail_bounds(census, L: int, T: Fraction, orders,
 # ---------------------------------------------------------------------------
 
 class Machine(NamedTuple):
-    """One builtin prefix-free machine.  census(max_length) lazily yields
-    the nonzero (length, count) pairs up to max_length, ascending;
-    programs(length, count, step_budget) yields the domain elements of one
-    length in lex order, stopping where the step budget runs out; run is
-    the (program, step_budget) interpreter of a machine-backed ensemble;
-    growth is log2 of the census's growth per length.  series, if any, is
-    the generating function sum_l census(l) x^l = N(x)/D(x) as the integer
-    coefficients (N, D) in ascending powers; D(0) = 1 and D's others are
-    at most 0, so D falls on x >= 0 and is positive below the pole."""
+    """One builtin prefix-free machine.  programs(length, count,
+    step_budget) yields the domain elements of one length in lex order,
+    stopping where the step budget runs out; run is the (program,
+    step_budget) interpreter of a machine-backed ensemble; growth is log2
+    of the census's growth per length.  series, if any, is the generating
+    function sum_l census(l) x^l = N(x)/D(x) as the integer coefficients
+    (N, D) in ascending powers; D(0) = 1 and D's others are at most 0, so D
+    falls on x >= 0 and is positive below the pole.  counts is the census
+    of a machine without one."""
 
     name: str
-    census: Callable[[int], Iterator[tuple[int, int]]]
     programs: Callable[[int, int, int], Iterator[ProgramRecord]]
     run: Callable[[BitString, int], SDM4Result] | None = None
     growth: float = 1.0
     series: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    counts: Callable[[int], Iterator[tuple[int, int]]] | None = None
+
+    def census(self, max_length: int) -> Iterator[tuple[int, int]]:
+        """The nonzero (length, count) pairs up to max_length, ascending:
+        counts', or the power series of N/D, c_l = N_l - sum_{i>=1} D_i
+        c_(l-i).  Each length is computed when it is read, so a reader that
+        stops early pays nothing for a huge max_length."""
+        if self.series is None:
+            yield from self.counts(max_length)
+            return
+        N, D = self.series
+        # only lengths r + g k can count, r the lowest power in N and g the
+        # gcd of D's powers and of N's distances from r: walk just those
+        r = next(i for i, n in enumerate(N) if n)
+        g = gcd(*(i for i, d in enumerate(D) if d),
+                *(i - r for i, n in enumerate(N) if n))
+        lags = [(-i // g, d) for i, d in enumerate(D) if i and d]
+        c = [0] * len(D)  # zeros below r; c[-i // g] is c_(l-i) below
+        for l in range(r, max_length + 1, g):
+            v = N[l] if l < len(N) else 0
+            for i, d in lags:
+                v -= d * c[i]
+            c.append(v)
+            if v:
+                yield l, v
 
 
 MACHINES: dict[str, Machine] = {m.name: m for m in (
     # d(m) programs of length 2m+2, d(m) = 2 d(m-1) + 3 d(m-2), d(0) = 1:
     # Z = x^2 / (1 - 2x^2 - 3x^4)
-    Machine("sdm4", _sdm4_census, _sdm4_programs, run_sdm4, log2(3) / 2,
+    Machine("sdm4", _sdm4_programs, run_sdm4, log2(3) / 2,
             ((0, 0, 1), (1, 0, -2, 0, -3))),
     # 2^n programs of length 2n+1: Z = x / (1 - 2x^2)
-    Machine("literal", _literal_census,
-            partial(_payload_programs, _unary_code), None, 1 / 2,
+    Machine("literal", partial(_payload_programs, _unary_code), None, 1 / 2,
             ((0, 1), (1, 0, -2))),
     # no rational generating function: the census Kraft slack
-    Machine("gamma_literal", _gamma_literal_census,
-            partial(_payload_programs, gamma_code)),
+    Machine("gamma_literal", partial(_payload_programs, gamma_code),
+            counts=_gamma_literal_counts),
     # one program per length: Z = x / (1 - x)
-    Machine("geometric", _geometric_census, _geometric_programs, None, 0.0,
-            ((0, 1), (1, -1))),
+    Machine("geometric", _geometric_programs, None, 0.0, ((0, 1), (1, -1))),
 )}
 
 

@@ -508,12 +508,6 @@ def power_sum(snapshot: EnsembleSnapshot, T, n: int, k,
     return moments(snapshot, Tf, k, (0,), precision_bits)[0][0]
 
 
-def sweep(snapshot: EnsembleSnapshot, temperatures, k="limit",
-          precision_bits: int = DEFAULT_PRECISION) -> list[ThermoEvaluation]:
-    """Evaluate at each temperature in turn (deterministic order)."""
-    return [evaluate(snapshot, T, k, precision_bits) for T in temperatures]
-
-
 def divergence_probe(kind: str, T, threshold, length_cap: int,
                      precision_bits: int = DEFAULT_PRECISION) -> tuple[int, Enclosure]:
     """At a temperature above 1, grow the partial partition sum length by

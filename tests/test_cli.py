@@ -276,9 +276,12 @@ def test_reconstruct_cli():
 
 
 def test_reconstruct_b_mismatch():
-    code, _, err = run("reconstruct", "--T", "1/2", "--u", "3/4", "--n",
-                       "16", "--b", "5")
-    assert code == 2 and "certified exponent" in err
+    # reconstruct certifies the Z handle, whose b is always 0: there is no
+    # --b to choose, and argparse rejects one
+    code, out, err = run("reconstruct", "--T", "1/2", "--u", "3/4", "--n",
+                         "16", "--b", "5")
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --b 5" in err
 
 
 def test_witness_file_oracle(tmp_path):
@@ -429,3 +432,21 @@ def test_census_commands_read_no_records(kind, maxlen):
                 == repr(_identities_and_positivity(bare, T, k, 64)))
     assert (repr(check_monotone(full, Fraction(1, 2), 12))
             == repr(check_monotone(bare, Fraction(1, 2), 12)))
+
+
+def test_a_huge_header_maxlen_costs_only_the_files_census(tmp_path):
+    # load_snapshot compares the file's census with the machine's series
+    # expansion, which must stop where the file's census stops: an
+    # expansion up to the header's maxlen exhausts a 2 GiB address space
+    path = tmp_path / "huge.snap"
+    path.write_text("THERMOAIT-SNAPSHOT v1\n"
+                    "ensemble=sdm4 budget=1 maxlen=100000000000\n"
+                    "L 2 1\nKRAFT 1/4\n", encoding="utf-8")
+    child = ("import contextlib, io, resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from thermoait.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(sys.argv[1:])\n"
+             "print(code)")
+    assert _child_output(child, "thermo", "--snapshot", str(path), "--T",
+                         "1/2", "--limit") == ["0"]

@@ -7,6 +7,7 @@ Closed forms used as oracles:
 """
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from math import ceil, comb, floor
 from pathlib import Path
@@ -29,7 +30,7 @@ from thermoait.thermo import (
     QUANTITIES, CensusWalk, WeightChain, _census_cutoff, _RunningWalk,
     divergence_probe, eval_limit, eval_partial, evaluate, limit_moments,
     moment_sums, power_sum, series_moments,
-    summed_lengths, sweep,
+    summed_lengths,
 )
 
 mpmath.mp.prec = 200
@@ -258,20 +259,30 @@ SERIES_TEMPERATURES = [Fraction(1, 64), Fraction(1, 16), Fraction(1, 2),
                        Fraction(7, 8), Fraction(63, 64)]
 
 
+# the closed forms of the series machines' censuses up to length 2000:
+# (3^(m+1) + (-1)^m)/4 programs of length 2m+2, 2^n of length 2n+1, and
+# one of each length
+CLOSED_CENSUS = {
+    "sdm4": {2 * m + 2: (3 ** (m + 1) + (-1) ** m) // 4 for m in range(1000)},
+    "literal": {2 * n + 1: 1 << n for n in range(1000)},
+    "geometric": {l: 1 for l in range(1, 2001)},
+}
+# a max_length to which builtin_snapshot enumerates the whole domain
+ENUMERATED = {"sdm4": 16, "literal": 15, "geometric": 60}
+
+
 @pytest.mark.parametrize("kind", SERIES_KINDS)
 def test_series_expands_to_the_census(kind):
     # D(0) = 1 and D's other coefficients are at most 0, so D falls on
-    # x >= 0 (the pole check rests on it); the power series of N/D,
-    # c_l = N_l - sum_{i>=1} D_i c_(l-i), is the census
+    # x >= 0 (the pole check rests on it); the census is the power series
+    # of N/D, checked against the closed forms and against the lengths of
+    # the enumerated domain, never against an expansion of its own
     N, D = MACHINES[kind].series
     assert D[0] == 1 and all(d <= 0 for d in D[1:])
-    coeffs = []
-    for l in range(200):
-        coeffs.append((N[l] if l < len(N) else 0)
-                      - sum(D[i] * coeffs[l - i]
-                            for i in range(1, min(l, len(D) - 1) + 1)))
-    census = dict(MACHINES[kind].census(199))
-    assert coeffs == [census.get(l, 0) for l in range(200)]
+    assert dict(MACHINES[kind].census(2000)) == CLOSED_CENSUS[kind]
+    snap = builtin_snapshot(kind, ENUMERATED[kind])
+    assert (Counter(len(r.program) for r in snap.programs)
+            == dict(MACHINES[kind].census(ENUMERATED[kind])))
 
 
 def _check_series_moments(kind, T, p):
@@ -462,8 +473,8 @@ def test_power_sum_n1_is_z():
 
 def test_sweep_is_deterministic():
     temps = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    a = sweep(GEO60, temps, k=10)
-    b = sweep(GEO60, temps, k=10)
+    a = [evaluate(GEO60, T, 10) for T in temps]
+    b = [evaluate(GEO60, T, 10) for T in temps]
     assert [(e.Z.lo, e.Z.hi) for e in a] == [(e.Z.lo, e.Z.hi) for e in b]
     # Z grows with temperature
     assert a[0].Z.hi < a[1].Z.lo <= a[1].Z.hi < a[2].Z.lo
