@@ -5,8 +5,10 @@ real value.  Ring operations on dyadic endpoints are exact; division and
 the two transcendental kernels (exp2, log2) round outward.
 
 Products and quotients pick their endpoints by sign (Moore, Kearfott & Cloud
-2009, ch. 2): nonnegative factors give [lo*lo, hi*hi].  Division negates both
-operands of a negative divisor, then rounds two quotients outward:
+2009, ch. 2).  With one factor a >= 0 a product is two products, b.lo and
+b.hi each times the end of a that its sign picks; otherwise it is the hull
+of the four corner products.  Division negates both operands of a negative
+divisor, then rounds two quotients outward:
 a.lo / (b.hi if a.lo >= 0 else b.lo) and a.hi / (b.lo if a.hi >= 0 else b.hi).
 
 The kernels work on integers scaled by 2**W (W = precision_bits + guard):
@@ -162,11 +164,15 @@ class Enclosure:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if self.lo.m >= 0 and other.lo.m >= 0:
-            return Enclosure(self.lo * other.lo, self.hi * other.hi)
-        prods = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
+        a, b = self, _coerce(other)
+        if b.lo.m >= 0:
+            a, b = b, a
+        if a.lo.m >= 0:
+            # a >= 0, so a * y rises with y: the ends come from b's ends,
+            # each with the end of a that its sign picks
+            return Enclosure((a.lo if b.lo.m >= 0 else a.hi) * b.lo,
+                             (a.hi if b.hi.m >= 0 else a.lo) * b.hi)
+        prods = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
         return Enclosure(min(prods), max(prods))
 
     __rmul__ = __mul__

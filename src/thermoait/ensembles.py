@@ -81,13 +81,17 @@ class EnsembleSnapshot(NamedTuple):
         (canonical order is nondecreasing in length)."""
         out: list[tuple[int, int]] = []
         left = k
-        for l in sorted(self.census):
-            if left == 0:
+        census = self.census
+        for l in sorted(census):
+            count = census[l]
+            if count >= left:  # the last group, cut at k
+                if left:
+                    out.append((l, left))
+                    left = 0
                 break
-            take = min(self.census[l], left)
-            if take:
-                out.append((l, take))
-                left -= take
+            if count:
+                out.append((l, count))
+                left -= count
         if left:
             raise InvariantViolation(
                 f"census covers only {k - left} programs, {k} requested")

@@ -24,11 +24,12 @@ one integer cross-multiplication.  The heat-capacity bound behind the
 slopes of E and S is the pair form of the variance, which rises with the
 temperature.  See _verify_certificate and _min_capacity_on_window.
 
-Every sum is thermo's, exact and in integers: certify's depth sets come
-from one thermo.CensusWalk per temperature, the re-check reads the
-integer sums before each group from the same walk at T, and the
-procedures' depths come from thermo's lazy running walk, which stops
-where its reader stops.
+Every sum is thermo's: certify's depth sets come from one exact integer
+thermo.CensusWalk per temperature, except the deepest slope sample,
+which the generating function gives where walking to it would cost more
+(thermo.series_moments_through); the re-check reads the integer sums
+before each group from the walk at T, and the procedures' depths come
+from thermo's lazy running walk, which stops where its reader stops.
 
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
@@ -66,6 +67,7 @@ from .errors import (
 )
 from .thermo import (
     CensusWalk, WeightChain, _RunningWalk, _temp_frac, moments,
+    series_moments_through,
 )
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
@@ -242,17 +244,17 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
     four do not.
 
     walks maps temperatures to CensusWalks over at least the first k0
-    programs (certify's at T and at the slope samples, which the piece
-    ends at T + (t - T) i/4 meet); a piece end that none covers is summed
-    over the first k0 programs alone.  Each point is summed once."""
+    programs (certify's at T, at t and at the slope samples, which the
+    piece ends at T + (t - T) i/4 meet); a piece end that none covers is
+    summed over the first k0 programs alone.  Each point is summed once."""
     p = precision_bits
     ln2 = ln2_enclosure(p)
-    groups = snapshot.length_counts_up_to(k0)
     points = {}
 
     def at(x: Fraction) -> dict[int, Enclosure]:
         if x not in points:
-            walk = walks.get(x) or CensusWalk(groups, x, p)
+            walk = walks.get(x) or CensusWalk(
+                snapshot.length_counts_up_to(k0), x, p)
             points[x] = walk.sums((0, 1, 2), (k0,))[0]
         return points[x]
 
@@ -269,6 +271,46 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                           Enclosure.from_rational(x1 * x1, p)
                           * Enclosure.point(Z1 * Z1), p).lo)
     return min(bounds)
+
+
+def _first_programs(groups, k: int) -> list[tuple[int, int]]:
+    """The (length, count) groups of the first k programs, cut from census
+    groups that cover at least k."""
+    out = []
+    for l, count in groups:
+        if k <= 0:
+            break
+        out.append((l, count if count < k else k))
+        k -= count
+    return out
+
+
+# the length groups a walk from depth 2 k0 + 2 to n must add before the
+# slope sample at n is read from the generating function (_walk_reach)
+_SERIES_MIN_GROUPS = 48
+
+
+def _walk_reach(snapshot: EnsembleSnapshot, groups, k0: int, n: int) -> int:
+    """How many programs the slope check's walks cover: n, or only the
+    first 2 k0 + 2 when the sample at depth n is read as the generating
+    function's limit less its tail past the last length (groups are the
+    census groups of the first n programs).  That needs a generating
+    function and an n that ends a length group, and it pays only where
+    the walks would add many groups past 2 k0 + 2.  Measured at 64 bits
+    (T = 9/16 and 85/128, best of 15): series_moments_through costs 55-85
+    us with one order and 85-120 us with two, and a walk 1.1-1.4 us per
+    group it adds on geometric and 1.7-2.0 us on sdm4 and literal, so the
+    two break even at 45-60 added groups."""
+    deep = min(2 * k0 + 2, n)
+    if not (snapshot.series and groups
+            and groups[-1][1] == snapshot.census[groups[-1][0]]):
+        return n
+    K = 0
+    for g, (_, count) in enumerate(groups):
+        K += count
+        if K >= deep:
+            break
+    return deep if len(groups) - 1 - g >= _SERIES_MIN_GROUPS else n
 
 
 def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
@@ -295,7 +337,18 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
-    walk = CensusWalk(groups, Tf, p)  # the one walk at T; the check reuses it
+    # the enumerated programs, as far as _verify_certificate checks them
+    n_programs = min(len(snapshot.programs), n)
+    checked = _first_programs(groups, n_programs)
+
+    def reach(k0: int) -> int:  # programs the slope samples' walks cover
+        return max(k0, _walk_reach(snapshot, checked, k0, n_programs))
+
+    # the one walk at T, which the check reuses: over every group for the
+    # precondition and the re-check of -F, E and S, over the slope check's
+    # reach for Z (k0 = 1)
+    walk = CensusWalk(_first_programs(groups, reach(1)) if quantity == "Z"
+                      else groups, Tf, p)
     walks = {Tf: walk}
     l1, first_distinct = groups[0]  # |p_k| = l1 for k <= first_distinct
     w1 = walk.sums((0,), (1,))[0][0]
@@ -355,9 +408,12 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
                    Enclosure.from_rational(Tf * Tf, p)
                    * Enclosure.point(Z1_lo), p).hi
         # the slope samples' walks, built once for the capacity pieces
-        # that end at them and for the slope check
-        walks.update((x, CensusWalk(groups, x, p))
+        # that end at them and for the slope check, and the last piece
+        # end's over the first k0 programs
+        sampled = _first_programs(groups, reach(k0))
+        walks.update((x, CensusWalk(sampled, x, p))
                      for x in _slope_points(Tf, t))
+        walks[t] = CensusWalk(_first_programs(groups, k0), t, p)
         c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p, walks)
         if quantity == "S":
             c_up = div(Enclosure.point(c_up),
@@ -368,21 +424,26 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, walks)
+    _verify_certificate(handle, walks, checked)
     return handle
 
 
 def _verify_certificate(handle: QuantityHandle,
-                        walks: Optional[dict[Fraction, CensusWalk]] = None
+                        walks: Optional[dict[Fraction, CensusWalk]] = None,
+                        groups: Optional[list[tuple[int, int]]] = None
                         ) -> None:
     """Re-check the increment bracket at every enumerated depth k0 <= k <
     n (n the enumerated programs, at most max_depth), then sample the
     slope bounds on (T, t).
 
-    walks maps T, and any of the slope samples, to its CensusWalk over at
-    least the first n programs, as certify built them (the rest are built
-    here): the re-check reads the sums before each group up to n of the
-    walk at T, and the slope check every walk's sums at the checked depths.
+    groups are the census groups of the first n programs, and walks maps
+    T, and any of the slope samples, to its CensusWalk, as certify built
+    them (the rest are built here).  The slope samples' walks cover the
+    first _walk_reach programs, and so does the walk at T of a Z handle;
+    that of a -F, E or S handle covers all n, because the re-check reads
+    the sums before each of its groups.  The slope check reads every
+    walk's sums at the checked depths it covers, and the depth n past
+    them from series_moments_through.
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -421,16 +482,20 @@ def _verify_certificate(handle: QuantityHandle,
                              "is undefined")
     p = handle.precision_bits
     walks = walks or {}
+    if groups is None:
+        groups = snapshot.length_counts_up_to(n_programs)
+    sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0,
+                                                  n_programs))
     walk = walks.get(handle.T) or CensusWalk(
-        snapshot.length_counts_up_to(n_programs), handle.T, p)
+        sampled if quantity == "Z" else groups, handle.T, p)
     if quantity == "Z":
         def holds(l: int) -> bool:
             return (Fraction(l) ** c <= Fraction(2) ** b
                     and Fraction(l) ** b * Fraction(2) ** c >= 1)
 
         checked, K = [], 0  # (first checked depth, l) per group
-        for l, count in walk.groups:
-            if k0 < K + count and K < n_programs:
+        for l, count in groups:
+            if k0 < K + count:
                 checked.append((max(K, k0), l))
             K += count
         if not (holds(checked[0][1]) and holds(checked[-1][1])):
@@ -441,13 +506,21 @@ def _verify_certificate(handle: QuantityHandle,
         _check_increments(handle, walk.prefixes(n_programs))
 
     # the slope bounds at depths k0, k0 + 1, 2 k0 + 2 and n, at sample
-    # points of (T, t); one walk per point gives all four depths
+    # points of (T, t); one walk per point gives the depths it reaches, and
+    # the generating function the depth n past them
     T, t = handle.T, handle.t
     ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n_programs), n_programs})
     xs = _slope_points(T, t)
-    at_T = walk.sums(handle.orders, ks)
-    at_x = [(walks.get(x) or CensusWalk(walk.groups, x, p)).sums(
-        handle.orders, ks) for x in xs]
+
+    def sums_at(x: Fraction, given: Optional[CensusWalk]) -> list[dict]:
+        given = given or CensusWalk(sampled, x, p)
+        if sum(count for _, count in given.groups) >= n_programs:
+            return given.sums(handle.orders, ks)
+        return given.sums(handle.orders, ks[:-1]) + [series_moments_through(
+            snapshot, x, groups[-1][0], handle.orders, p)]
+
+    at_T = sums_at(T, walk)
+    at_x = [sums_at(x, walks.get(x)) for x in xs]
     for i, k in enumerate(ks):
         gT = _g_from_moments(quantity, at_T[i][0], at_T[i].get(1), T, p)
         for x, mu in zip(xs, at_x):

@@ -173,6 +173,53 @@ def test_certificates_are_pinned(snapshot):
                 assert str(raised.value) == want.format(T=T, t=(T + 1) / 2)
 
 
+def _outcome(snap, quantity, T):
+    """The certificate's constants, or the error certify raises."""
+    try:
+        h = certify(snap, quantity, T)
+    except (CertificationError, PrecisionError) as exc:
+        return type(exc), str(exc)
+    return h.k0, h.a, h.a_lower, h.b, h.c
+
+
+def test_deepest_slope_sample_from_the_series_or_a_walk(monkeypatch):
+    # the slope check reads depth n from the generating function only
+    # where the walks would add at least _SERIES_MIN_GROUPS length groups:
+    # on geometric 300 at every sample, and at T for Z, whose walk at T
+    # is short too; sdm4 1500 cap 512 adds 6 groups and gamma_literal has
+    # no generating function, so both walk to n.  Either source gives
+    # every pinned outcome of the series snapshots alike
+    reads = Counter()
+    through = fixedpoint.series_moments_through
+
+    def counted(*args):
+        reads[name, quantity] += 1
+        return through(*args)
+
+    monkeypatch.setattr(fixedpoint, "series_moments_through", counted)
+    for name in ("geometric 300", "sdm4 1500 cap 512", "gamma_literal 40"):
+        for quantity in ("Z", "-F", "E", "S"):
+            certify(CERTIFICATE_SNAPSHOTS[name](), quantity, HALF)
+    assert reads == {("geometric 300", "Z"): 4, ("geometric 300", "-F"): 3,
+                     ("geometric 300", "E"): 3, ("geometric 300", "S"): 3}
+    for name in ("geometric 80", "sdm4 200 cap 64", "sdm4 1500 cap 512",
+                 "literal 40"):
+        snap = CERTIFICATE_SNAPSHOTS[name]()
+        outcomes = []
+        for least in (0, 1 << 30):
+            monkeypatch.setattr(fixedpoint, "_SERIES_MIN_GROUPS", least)
+            outcomes.append([_outcome(snap, quantity, T)
+                             for quantity in ("Z", "-F", "E", "S")
+                             for T in TEMPERATURES])
+        assert outcomes[0] == outcomes[1], name
+    # a record count that ends inside a length group is walked to
+    groups = [(2, 1), (4, 2), (6, 7)]  # sdm4's census through length 6
+    snap = CERTIFICATE_SNAPSHOTS["sdm4 200 cap 64"]()
+    monkeypatch.setattr(fixedpoint, "_SERIES_MIN_GROUPS", 0)
+    assert fixedpoint._walk_reach(snap, groups, 1, 10) == 4
+    assert fixedpoint._walk_reach(snap, groups[:2] + [(6, 6)], 1, 9) == 9
+
+
 def _reference_increments(h):
     """(k, l, w, increment) for k0 <= k < n, summed one program at a time
     in Enclosures, as the re-check did before it walked length groups:
@@ -812,15 +859,25 @@ def test_certify_builds_few_weight_chains(monkeypatch):
     # build none; summing the capacity pieces' ends apart from the slope
     # samples took 8 for E and S, the interval hull of the capacity
     # refined to 32 pieces 36, summing each depth and point separately
-    # 20, 21, 90 and 90, and census limits 6, 6, 38 and 38
-    built = Counter()
+    # 20, 21, 90 and 90, and census limits 6, 6, 38 and 38.
+    # The chains' entries: every l/T is an integer at T = 1/2, so the walk
+    # at T extends none; the slope samples' walks reach 2 k0 + 2 programs
+    # (k0 = 1 for Z, 2 for the others), because the deepest sample, at
+    # depth 300, comes from the generating function, and E and S add k0
+    # entries at t; walking the samples to depth 300 took 900, 900, 902
+    # and 902
+    built, chains = Counter(), {q: [] for q in ("Z", "-F", "E", "S")}
     init = thermo.WeightChain.__init__
 
     def counted(self, *args):
         built[quantity] += 1
+        chains[quantity].append(self)
         init(self, *args)
 
     monkeypatch.setattr(thermo.WeightChain, "__init__", counted)
     for quantity in ("Z", "-F", "E", "S"):
         certify(GEO300, quantity, HALF)
     assert built == {"Z": 4, "-F": 4, "E": 5, "S": 5}
+    entries = {q: sum(len(chain._chain) - 1 for chain in built_chains)
+               for q, built_chains in chains.items()}
+    assert entries == {"Z": 12, "-F": 18, "E": 20, "S": 20}
