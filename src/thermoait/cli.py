@@ -306,7 +306,7 @@ def _cmd_verify(args, emit) -> int:
 
 def _cmd_solve(args, emit) -> int:
     from .fixedpoint import certify, solve_temperature
-    snap = _load(args)
+    snap = _load(args, program_cap=0)
     quantity = "-F" if args.quantity == "F" else args.quantity
     handle = certify(snap, quantity, Fraction(1, 2), args.precision)
     target = args.target if args.quantity != "F" else -args.target
@@ -341,7 +341,7 @@ def _cmd_witness(args, emit) -> int:
 def _cmd_reconstruct(args, emit) -> int:
     from .fixedpoint import certify, reconstruct_T
     from .thermo import limit_moments
-    snap = _load(args)
+    snap = _load(args, program_cap=0)
     handle = certify(snap, "Z", args.T.as_fraction(), args.precision)
     u = args.u.as_fraction()
     bits_needed = int(-((-handle.T * args.n) // u))

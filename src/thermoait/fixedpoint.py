@@ -13,7 +13,8 @@ of explicit constants:
   t        validity window (T, t), t = (T+1)/2
 
 The constants are computed from enclosures (never guessed) and then
-re-verified on every enumerated increment; a violation is a hard
+re-verified on every increment of the census's first max_depth programs,
+whatever program records the snapshot stores; a violation is a hard
 CertificationError, not a tuning knob.  The re-check walks one census
 length group at a time: each increment of Z is w itself, so its bracket
 is the exact inequality l^c 2^-b <= 1 <= l^b 2^c, monotone in l, and
@@ -82,6 +83,11 @@ SLOPE_SAMPLES = 3
 _RECHECK_GUARD = 32
 
 
+def _max_depth(snapshot: EnsembleSnapshot) -> int:
+    """The programs certify checks: the census's, at most MAX_DEPTH_CAP."""
+    return min(sum(snapshot.census.values()), MAX_DEPTH_CAP)
+
+
 def _floor_log2(d: Dyadic) -> int:
     if d.sign <= 0:
         raise ValueError("log2 of nonpositive dyadic")
@@ -127,7 +133,7 @@ class QuantityHandle(NamedTuple):
 
     @property
     def max_depth(self) -> int:
-        return min(sum(self.snapshot.census.values()), MAX_DEPTH_CAP)
+        return _max_depth(self.snapshot)
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -322,7 +328,7 @@ def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
             precision_bits: int = DEFAULT_PRECISION) -> QuantityHandle:
     """Compute the certificate constants from enclosures, then re-verify
-    every claimed inequality on all enumerated increments."""
+    every claimed inequality on the census's first max_depth programs."""
     if quantity not in QUANTITY_CHOICES:
         raise SpecError(f"quantity must be one of {QUANTITY_CHOICES}")
     Tf = _temp_frac(T)
@@ -332,23 +338,16 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     lim_T, _ = moments(snapshot, Tf, "limit", (0, 1, 2), p)
     lim_t, _ = moments(snapshot, t, "limit", (0, 1, 2), p)
     Z_T, W_T = lim_T[0], lim_T[1]
-    n = min(sum(snapshot.census.values()), MAX_DEPTH_CAP)
+    n = _max_depth(snapshot)
     groups = snapshot.length_counts_up_to(n)
     if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
-    # the enumerated programs, as far as _verify_certificate checks them
-    n_programs = min(len(snapshot.programs), n)
-    checked = _first_programs(groups, n_programs)
-
-    def reach(k0: int) -> int:  # programs the slope samples' walks cover
-        return max(k0, _walk_reach(snapshot, checked, k0, n_programs))
-
     # the one walk at T, which the check reuses: over every group for the
     # precondition and the re-check of -F, E and S, over the slope check's
     # reach for Z (k0 = 1)
-    walk = CensusWalk(_first_programs(groups, reach(1)) if quantity == "Z"
-                      else groups, Tf, p)
+    walk = CensusWalk(groups if quantity != "Z" else _first_programs(
+        groups, _walk_reach(snapshot, groups, 1, n)), Tf, p)
     walks = {Tf: walk}
     l1, first_distinct = groups[0]  # |p_k| = l1 for k <= first_distinct
     w1 = walk.sums((0,), (1,))[0][0]
@@ -410,7 +409,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         # the slope samples' walks, built once for the capacity pieces
         # that end at them and for the slope check, and the last piece
         # end's over the first k0 programs
-        sampled = _first_programs(groups, reach(k0))
+        sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0, n))
         walks.update((x, CensusWalk(sampled, x, p))
                      for x in _slope_points(Tf, t))
         walks[t] = CensusWalk(_first_programs(groups, k0), t, p)
@@ -424,26 +423,23 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, walks, checked)
+    _verify_certificate(handle, walks)
     return handle
 
 
 def _verify_certificate(handle: QuantityHandle,
-                        walks: Optional[dict[Fraction, CensusWalk]] = None,
-                        groups: Optional[list[tuple[int, int]]] = None
+                        walks: Optional[dict[Fraction, CensusWalk]] = None
                         ) -> None:
-    """Re-check the increment bracket at every enumerated depth k0 <= k <
-    n (n the enumerated programs, at most max_depth), then sample the
-    slope bounds on (T, t).
+    """Re-check the increment bracket at every depth k0 <= k < n of the
+    census (n = max_depth), then sample the slope bounds on (T, t).
 
-    groups are the census groups of the first n programs, and walks maps
-    T, and any of the slope samples, to its CensusWalk, as certify built
-    them (the rest are built here).  The slope samples' walks cover the
-    first _walk_reach programs, and so does the walk at T of a Z handle;
-    that of a -F, E or S handle covers all n, because the re-check reads
-    the sums before each of its groups.  The slope check reads every
-    walk's sums at the checked depths it covers, and the depth n past
-    them from series_moments_through.
+    walks maps T, and any of the slope samples, to its CensusWalk, as
+    certify built them (the rest are built here).  The slope samples'
+    walks cover the first _walk_reach programs, and so does the walk at T
+    of a Z handle; that of a -F, E or S handle covers all n, because the
+    re-check reads the sums before each of its groups.  The slope check
+    reads every walk's sums at the checked depths it covers, and the depth
+    n past them from series_moments_through.
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -473,19 +469,17 @@ def _verify_certificate(handle: QuantityHandle,
     """
     snapshot, quantity = handle.snapshot, handle.quantity
     k0, b, c = handle.k0, handle.b, handle.c
-    n_programs = min(len(snapshot.programs), handle.max_depth)
-    if n_programs <= k0:
-        raise CertificationError("not enough enumerated programs to verify "
-                                 f"beyond k0 = {k0}")
+    n = handle.max_depth
+    if n <= k0:
+        raise CertificationError(f"census check depth {n} is not beyond "
+                                 f"k0 = {k0}; nothing to verify")
     if k0 < 1 and quantity != "Z":
         raise PrecisionError("increment bound unresolved at k=0: g(T, 0) "
                              "is undefined")
     p = handle.precision_bits
     walks = walks or {}
-    if groups is None:
-        groups = snapshot.length_counts_up_to(n_programs)
-    sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0,
-                                                  n_programs))
+    groups = snapshot.length_counts_up_to(n)
+    sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0, n))
     walk = walks.get(handle.T) or CensusWalk(
         sampled if quantity == "Z" else groups, handle.T, p)
     if quantity == "Z":
@@ -503,18 +497,18 @@ def _verify_certificate(handle: QuantityHandle,
             raise CertificationError(
                 f"increment bound falsified at k={k}, length {l}")
     else:
-        _check_increments(handle, walk.prefixes(n_programs))
+        _check_increments(handle, walk.prefixes(n))
 
     # the slope bounds at depths k0, k0 + 1, 2 k0 + 2 and n, at sample
     # points of (T, t); one walk per point gives the depths it reaches, and
     # the generating function the depth n past them
     T, t = handle.T, handle.t
-    ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n_programs), n_programs})
+    ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n), n})
     xs = _slope_points(T, t)
 
     def sums_at(x: Fraction, given: Optional[CensusWalk]) -> list[dict]:
         given = given or CensusWalk(sampled, x, p)
-        if sum(count for _, count in given.groups) >= n_programs:
+        if sum(count for _, count in given.groups) >= n:
             return given.sums(handle.orders, ks)
         return given.sums(handle.orders, ks[:-1]) + [series_moments_through(
             snapshot, x, groups[-1][0], handle.orders, p)]
@@ -840,10 +834,11 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
                 f"program {k_e + 1} has length {l} <= threshold "
                 f"{threshold.serialize()}; certificate falsified")
 
-    if len(handle.snapshot.programs) < k_e:
-        raise RangeError("snapshot stores too few programs to list outputs")
-    outputs = {rec.output for rec in handle.snapshot.programs[:k_e]
-               if rec.output is not None}
+    records = handle.snapshot.programs
+    if len(records) < k_e:
+        raise RangeError(f"snapshot stores {len(records)} program records; "
+                         f"listing outputs needs the first k_e = {k_e}")
+    outputs = {rec.output for rec in records[:k_e] if rec.output is not None}
     s = BitString("")
     while s in outputs:
         s = successor(s)

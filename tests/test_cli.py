@@ -13,7 +13,7 @@ import pytest
 
 from thermoait.cli import main
 from thermoait.dyadic import Dyadic, int_text
-from thermoait.ensembles import builtin_snapshot, get_machine
+from thermoait.ensembles import builtin_snapshot, get_machine, save_snapshot
 from thermoait.relations import _identities_and_positivity, check_monotone
 from thermoait.thermo import eval_limit, eval_partial
 
@@ -306,6 +306,16 @@ def test_witness_grid_oracle():
     assert doc["length_threshold"] == json.loads(closed)["length_threshold"]
     assert (doc["T"], doc["n"], doc["witness"]) == ("1/2", 20, "-")
     assert 1 <= doc["k_e"] <= doc["verified_through"] <= 10 * doc["k_e"]
+
+
+def test_witness_past_the_stored_records_is_usage_error(tmp_path):
+    path = tmp_path / "sdm4.snap"
+    save_snapshot(builtin_snapshot("sdm4", 200, program_cap=64), path)
+    code, out, err = run("witness", "--snapshot", str(path), "--T", "1/2",
+                         "--n", "20")
+    assert (code, out) == (2, "")
+    assert err == ("error: snapshot stores 30 program records; listing "
+                   "outputs needs the first k_e = 912\n")
 
 
 def test_reconstruct_grid_oracle_is_usage_error():

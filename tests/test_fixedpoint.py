@@ -103,7 +103,6 @@ TEMPERATURES = tuple(Fraction(n, 8) for n in (2, 3, 4, 5, 6))
 
 # certify's CertificationError messages
 NO_INDEX = "no enumerated index satisfies the certificate precondition"
-FEW = "not enough enumerated programs to verify beyond k0 = "
 _GEOMETRIC = {
     "Z": [(1, 4, 4, 0, 0), (1, 3, 3, 0, 0), (1, 2, 2, 0, 0), (1, 2, 2, 0, 0),
           (1, 1, 2, 0, 0)],
@@ -117,11 +116,11 @@ _GEOMETRIC = {
 _SDM4 = {
     "Z": [(1, 3, 7, 0, 0), (1, 2, 4, 0, 0), (1, 2, 3, 0, 0), (1, 2, 3, 0, 0),
           (1, 2, 2, 0, 0)],
-    "-F": [NO_INDEX, FEW + "22143", (91, 2, 1, 1, 0), (30, 2, 0, 1, 0),
+    "-F": [NO_INDEX, (22143, 2, 2, 1, 0), (91, 2, 1, 1, 0), (30, 2, 0, 1, 0),
            (10, 3, 0, 1, 0)],
-    "E": [NO_INDEX, FEW + "22143", (10, 8, 1, 2, 1), (3, 8, 1, 2, 1),
+    "E": [NO_INDEX, (22143, 10, 3, 2, 1), (10, 8, 1, 2, 1), (3, 8, 1, 2, 1),
           (10, 8, 0, 2, 1)],
-    "S": [NO_INDEX, FEW + "22143", (10, 9, 0, 3, 1), (3, 8, 1, 3, 1),
+    "S": [NO_INDEX, (22143, 11, 2, 3, 1), (10, 9, 0, 3, 1), (3, 8, 1, 3, 1),
           (10, 8, 0, 3, 1)],
 }
 # (k0, a, a_lower, b, c), or the message of the CertificationError certify
@@ -132,8 +131,7 @@ PINNED_CERTIFICATES = {
     "geometric 80": _GEOMETRIC,
     "geometric 300": _GEOMETRIC,
     "geometric 600": _GEOMETRIC,
-    "sdm4 200 cap 64": {**_SDM4, "-F": [NO_INDEX, FEW + "22143", FEW + "91",
-                                        FEW + "30", (10, 3, 0, 1, 0)]},
+    "sdm4 200 cap 64": _SDM4,
     "sdm4 1500 cap 512": _SDM4,
     "sdm4 1500": _SDM4,
     "literal 40": {
@@ -149,12 +147,12 @@ PINNED_CERTIFICATES = {
     "gamma_literal 40": {
         "Z": [(1, 3, 7, 0, 0), (1, 3, 4, 0, 0), (1, 2, 3, 0, 0),
               (1, 2, 3, 0, 0), (1, 2, 2, 0, 0)],
-        "-F": [NO_INDEX, FEW + "32766", (126, 2, 0, 1, 0), (14, 2, 0, 1, 0),
-               (14, 2, 0, 1, 0)],
-        "E": [NO_INDEX, FEW + "16382", (14, 8, 1, 2, 1), (3, 8, 3, 2, 1),
-              (6, 8, 1, 2, 1)],
-        "S": [NO_INDEX, FEW + "16382", (14, 9, 1, 3, 1), (3, 8, 3, 3, 1),
-              (6, 8, 1, 3, 1)],
+        "-F": [NO_INDEX, (32766, 2, 0, 1, 0), (126, 2, 0, 1, 0),
+               (14, 2, 0, 1, 0), (14, 2, 0, 1, 0)],
+        "E": [NO_INDEX, (16382, 10, 4, 2, 1), (14, 8, 1, 2, 1),
+              (3, 8, 3, 2, 1), (6, 8, 1, 2, 1)],
+        "S": [NO_INDEX, (16382, 11, 3, 3, 1), (14, 9, 1, 3, 1),
+              (3, 8, 3, 3, 1), (6, 8, 1, 3, 1)],
     },
 }
 
@@ -180,6 +178,31 @@ def _outcome(snap, quantity, T):
     except (CertificationError, PrecisionError) as exc:
         return type(exc), str(exc)
     return h.k0, h.a, h.a_lower, h.b, h.c
+
+
+def test_the_record_count_is_not_an_input():
+    # certify checks the census's first max_depth programs, so however many
+    # program records a snapshot stores, every outcome is the same
+    for machine, maxlen, caps in (("sdm4", 200, (0, 64, 512)),
+                                  ("sdm4", 1500, (0, 64, 512)),
+                                  ("gamma_literal", 40, (0,)),
+                                  ("literal", 40, (0,))):
+        snaps = [builtin_snapshot(machine, maxlen)] + [
+            builtin_snapshot(machine, maxlen, program_cap=cap) for cap in caps]
+        outcomes = [[_outcome(snap, quantity, T)
+                     for quantity in fixedpoint.QUANTITY_CHOICES
+                     for T in TEMPERATURES] for snap in snaps]
+        assert all(o == outcomes[0] for o in outcomes[1:]), (machine, maxlen)
+
+
+def test_verify_needs_a_census_depth_past_k0():
+    # certify's k0 lies below the census's check depth, so only a hand-made
+    # handle reaches this guard
+    h = certify(CERTIFICATE_SNAPSHOTS["geometric 80"](), "E", HALF)
+    with pytest.raises(CertificationError) as raised:
+        fixedpoint._verify_certificate(h._replace(k0=80))
+    assert str(raised.value) == ("census check depth 80 is not beyond k0 = 80;"
+                                 " nothing to verify")
 
 
 def test_deepest_slope_sample_from_the_series_or_a_walk(monkeypatch):
@@ -220,32 +243,42 @@ def test_deepest_slope_sample_from_the_series_or_a_walk(monkeypatch):
     assert fixedpoint._walk_reach(snap, groups[:2] + [(6, 6)], 1, 9) == 9
 
 
+# the programs the reference takes one at a time; past them it takes each
+# length group's first and last checked program
+PER_PROGRAM = 512
+
+
 def _reference_increments(h):
-    """(k, l, w, increment) for k0 <= k < n, summed one program at a time
-    in Enclosures, as the re-check did before it walked length groups:
-    log2(1 + q) is bracketed by [q - q^2/2, q] / ln 2."""
+    """(k, l, w, increment) in Enclosures for k0 <= k < max_depth, every
+    depth the re-check covers, as the re-check did before it walked length
+    groups: log2(1 + q) is bracketed by [q - q^2/2, q] / ln 2.  Each k
+    below PER_PROGRAM is taken; past it, each group's first and last
+    checked k, where the upper and the lower bound bind, with Z_k = Z_K + i
+    w and W_k = W_K + i w l from the exact sums over the K programs before
+    the group."""
     p = h.precision_bits
     Tq = Enclosure.from_rational(h.T, p)
     weights = thermo.WeightChain(h.T, p)
     Z = W = Enclosure.point(0)
-    n = min(len(h.snapshot.programs), h.max_depth)
-    out = []
-    lengths = [l for l, c in h.snapshot.length_counts_up_to(n)
-               for _ in range(c)]
-    for k, l in enumerate(lengths):
+    K, out = 0, []
+    for l, count in h.snapshot.length_counts_up_to(h.max_depth):
         w = weights[l]
-        if k >= h.k0:
+        checked = range(max(h.k0 - K, 0), count)
+        each = checked[:max(PER_PROGRAM - K, 0)]
+        rest = checked[len(each):]
+        for i in [*each, *sorted({rest[0], rest[-1]} if rest else ())]:
+            Zk, Wk = Z + w * i, W + w * (i * l)
             if h.quantity == "Z":
                 delta = w
             else:
-                q = div(w, Z, p)
+                q = div(w, Zk, p)
                 ln1p = Enclosure(q.lo - (q.lo * q.lo).scale2(-1), q.hi)
                 dlog = div(ln1p, ln2_enclosure(p), p)
-                dE = div((Z * l - W) * w, (Z + w) * Z, p)
+                dE = div((Zk * l - Wk) * w, (Zk + w) * Zk, p)
                 delta = {"-F": Tq * dlog, "E": dE,
                          "S": div(dE, Tq, p) + dlog}[h.quantity]
-            out.append((k, l, w, delta))
-        Z, W = Z + w, W + w * l
+            out.append((K + i, l, w, delta))
+        Z, W, K = Z + w * count, W + w * (count * l), K + count
     return out
 
 
@@ -335,9 +368,10 @@ def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
 
 
 def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
-    # the least shift of c that the per-program reference falsifies: 2
-    # for every handle but sdm4 cap 512 S at 1/2, whose lower bound holds
-    # at c + 2 over all 263 increments and fails at c + 3 (first at k = 10)
+    # the least shift of c that the reference falsifies: 2 for every
+    # handle.  sdm4 cap 512 S at 1/2 read 3 while the check stopped at its
+    # 273 records: at c + 2 its lower bound holds over the 263 increments
+    # they give and fails from k = 273 on, at the first program of length 14
     least = {}
     for name, h in recheck_handles:
         increments = _reference_increments(h)
@@ -350,8 +384,7 @@ def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
                            match="increment bound falsified"):
             fixedpoint._verify_certificate(h._replace(c=h.c + dc))
         least[name, h.quantity, h.T] = dc
-    assert least == {**dict.fromkeys(least, 2),
-                     ("sdm4 1500 cap 512", "S", HALF): 3}
+    assert least == dict.fromkeys(least, 2)
 
 
 def _first_failure(h):
@@ -418,7 +451,7 @@ def _capacity_cases(monkeypatch):
                 try:
                     certify(snap, quantity, T)
                 except CertificationError:
-                    pass  # NO_INDEX before the bound, FEW after it
+                    pass  # NO_INDEX, before the bound
     monkeypatch.undo()
     assert len(cases) == 18
     return [*cases.values(), *((TOP_HEAVY, 1000, T, (T + 1) / 2)
@@ -647,6 +680,17 @@ def test_witness_n_below_n0(handles):
     with pytest.raises(RangeError):
         witness_search(handles["Z"], bits_prefix(Dyadic(1, -1), 1),
                        descending_upper_oracle(handles["Z"]))
+
+
+def test_witness_names_the_records_it_lacks():
+    # the outputs come from the stored records; sdm4 200 cap 64 stores the
+    # 30 programs up to length 8, and n = 20 bits of 1/2 put k_e at 912
+    h = certify(CERTIFICATE_SNAPSHOTS["sdm4 200 cap 64"](), "Z", HALF)
+    with pytest.raises(RangeError) as raised:
+        witness_search(h, bits_prefix(Dyadic(1, -1), 20),
+                       descending_upper_oracle(h))
+    assert str(raised.value) == ("snapshot stores 30 program records; "
+                                 "listing outputs needs the first k_e = 912")
 
 
 def test_witness_oracle_exhausted(handles):
