@@ -13,24 +13,33 @@ of explicit constants:
   t        validity window (T, t), t = (T+1)/2
 
 The constants are computed from enclosures (never guessed) and then
-re-verified on every increment of the census's first max_depth programs,
-whatever program records the snapshot stores; a violation is a hard
-CertificationError, not a tuning knob.  The re-check walks one census
-length group at a time: each increment of Z is w itself, so its bracket
-is the exact inequality l^c 2^-b <= 1 <= l^b 2^c, monotone in l, and
-each increment of -F, E and S falls as the group's programs are added
-(Z_k grows, Z_k l - W_k stays fixed), so the lower bound binds at the
-group's last program and the upper bound at its first, each decided by
-one integer cross-multiplication.  The heat-capacity bound behind the
+re-verified on the increments of the census, whatever program records
+the snapshot stores; a violation is a hard CertificationError, not a
+tuning knob.  The re-check walks one census length group at a time: each
+increment of Z is w itself, so its bracket is the exact inequality
+l^c 2^-b <= 1 <= l^b 2^c, monotone in l, checked over the first
+max_depth programs; each increment of -F, E and S falls as the group's
+programs are added (Z_k grows, Z_k l - W_k stays fixed), so the lower
+bound binds at the group's last program and the upper bound at its
+first, each decided by one integer cross-multiplication.  Where the
+walk at T ends at a depth K short of max_depth, a closed argument covers
+every later program of -F, E and S at once: from Z_K <= Z_k <= Z_lim
+and W_k <= W_lim, each increment per unit weight lies between bounds
+linear in the length l, whose comparison with l^c 2^-b and l^b 2^c
+holds at every longer length once it holds, with its slope, at the
+first unchecked one (b >= 1, c <= 1); where it does not, the groups up
+to max_depth are checked in turn.  The heat-capacity bound behind the
 slopes of E and S is the pair form of the variance, which rises with the
-temperature.  See _verify_certificate and _min_capacity_on_window.
+temperature.  See _verify_certificate, _increments_close and
+_min_capacity_on_window.
 
 Every sum is thermo's: certify's depth sets come from one exact integer
-thermo.CensusWalk per temperature, except the deepest slope sample,
-which the generating function gives where walking to it would cost more
-(thermo.series_moments_through); the re-check reads the integer sums
-before each group from the walk at T, and the procedures' depths come
-from thermo's lazy running walk, which stops where its reader stops.
+thermo.CensusWalk per temperature, each over the slope check's reach,
+except the deepest slope sample, which the generating function gives
+where walking to it would cost more (thermo.series_moments_through); the
+re-check reads the integer sums before each group from the walk at T,
+and the procedures' depths come from thermo's lazy running walk, which
+stops where its reader stops.
 
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
@@ -328,7 +337,7 @@ def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
             precision_bits: int = DEFAULT_PRECISION) -> QuantityHandle:
     """Compute the certificate constants from enclosures, then re-verify
-    every claimed inequality on the census's first max_depth programs."""
+    every claimed inequality on the census (_verify_certificate)."""
     if quantity not in QUANTITY_CHOICES:
         raise SpecError(f"quantity must be one of {QUANTITY_CHOICES}")
     Tf = _temp_frac(T)
@@ -343,15 +352,21 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
-    # the one walk at T, which the check reuses: over every group for the
-    # precondition and the re-check of -F, E and S, over the slope check's
-    # reach for Z (k0 = 1)
-    walk = CensusWalk(groups if quantity != "Z" else _first_programs(
-        groups, _walk_reach(snapshot, groups, 1, n)), Tf, p)
-    walks = {Tf: walk}
+    # the chain at T: its first weight sets k0, and k0 sets how far the
+    # walk at T, which extends the same chain, reaches
+    chain = WeightChain(Tf, p)
     l1, first_distinct = groups[0]  # |p_k| = l1 for k <= first_distinct
-    w1 = walk.sums((0,), (1,))[0][0]
+    w1 = chain[l1]
     Z1_lo = w1.lo
+    walks = {}
+
+    def walk_over_reach(k0: int, *xs: Fraction) -> CensusWalk:
+        # the walks over the slope check's reach: the one at T, which the
+        # re-check and the slope check reuse, and one at each of xs
+        sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0, n))
+        walks[Tf] = CensusWalk(sampled, Tf, p, chain)
+        walks.update((x, CensusWalk(sampled, x, p)) for x in xs)
+        return walks[Tf]
 
     def first_k(cond: Callable[[int], bool]) -> int:
         # smallest k > first_distinct, k < n - 1, with cond(|p_{k+1}|)
@@ -367,6 +382,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     if quantity == "Z":
         b = c = 0
         k0 = 1
+        walk_over_reach(k0)
         # slope: Z' = (ln2/x^2) W(x), between (ln2/t^2) W_1(T) and
         # (ln2/T^2) W(t)
         up = div(ln2 * lim_t[1], Enclosure.from_rational(Tf * Tf, p), p)
@@ -383,7 +399,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
                 Enclosure.point(Z1_lo) * ln2, p).hi
         k0 = first_k(lambda l: Fraction(l) ** b >= U.as_fraction())
         # slope is S_k(x): between S_{k0}(T) and S_lim(t)
-        mu = walk.sums((0, 1), (k0,))[0]
+        mu = walk_over_reach(k0).sums((0, 1), (k0,))[0]
         s_lo = _g_from_moments("S", mu[0], mu[1], Tf, p)
         if not certified_positive(s_lo):
             raise CertificationError("entropy at k0 not certifiably positive")
@@ -409,9 +425,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         # the slope samples' walks, built once for the capacity pieces
         # that end at them and for the slope check, and the last piece
         # end's over the first k0 programs
-        sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0, n))
-        walks.update((x, CensusWalk(sampled, x, p))
-                     for x in _slope_points(Tf, t))
+        walk_over_reach(k0, *_slope_points(Tf, t))
         walks[t] = CensusWalk(_first_programs(groups, k0), t, p)
         c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p, walks)
         if quantity == "S":
@@ -423,23 +437,25 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, walks)
+    _verify_certificate(handle, walks, lim_T)
     return handle
 
 
 def _verify_certificate(handle: QuantityHandle,
-                        walks: Optional[dict[Fraction, CensusWalk]] = None
+                        walks: Optional[dict[Fraction, CensusWalk]] = None,
+                        limit: Optional[dict[int, Enclosure]] = None
                         ) -> None:
-    """Re-check the increment bracket at every depth k0 <= k < n of the
-    census (n = max_depth), then sample the slope bounds on (T, t).
+    """Re-check the increment bracket at every depth k0 <= k < n (n =
+    max_depth), and for -F, E and S at every k >= n too where the closed
+    argument holds, then sample the slope bounds on (T, t).
 
     walks maps T, and any of the slope samples, to its CensusWalk, as
-    certify built them (the rest are built here).  The slope samples'
-    walks cover the first _walk_reach programs, and so does the walk at T
-    of a Z handle; that of a -F, E or S handle covers all n, because the
-    re-check reads the sums before each of its groups.  The slope check
-    reads every walk's sums at the checked depths it covers, and the depth
-    n past them from series_moments_through.
+    certify built them (the rest are built here), and limit holds the
+    limit moments at T of orders 0 and 1, as certify computed them (or
+    they are computed here).  Every walk covers the first _walk_reach
+    programs.  The slope check reads every walk's sums at the checked
+    depths it covers, and the depth n past them from
+    series_moments_through.
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -459,10 +475,11 @@ def _verify_certificate(handle: QuantityHandle,
 
     So the lower bound binds at the group's last checked depth and the
     upper bound at its first, and one comparison each decides the whole
-    group.  Each comparison is one integer cross-multiplication, after
-    Z_k, Z_{k+1}, Z_k l - W_k and 2 Z_k - w are rounded outward to
-    precision + 32 significant bits, with the ends of ln2_enclosure and T
-    as numerator over denominator.  A falsified bound raises
+    group (_check_increments).  A -F, E or S handle checks the groups of
+    the walk at T so, up to the depth K where it ends; where K < n,
+    _increments_close then tries to prove the bracket at every k >= K by
+    argument, past MAX_DEPTH_CAP too, and where that fails the groups from
+    K to n are checked in turn.  A falsified bound raises
     CertificationError, an unresolved one PrecisionError; the first group
     with either decides, and within it a falsified bound outranks an
     unresolved one.
@@ -480,8 +497,7 @@ def _verify_certificate(handle: QuantityHandle,
     walks = walks or {}
     groups = snapshot.length_counts_up_to(n)
     sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0, n))
-    walk = walks.get(handle.T) or CensusWalk(
-        sampled if quantity == "Z" else groups, handle.T, p)
+    walk = walks.get(handle.T) or CensusWalk(sampled, handle.T, p)
     if quantity == "Z":
         def holds(l: int) -> bool:
             return (Fraction(l) ** c <= Fraction(2) ** b
@@ -497,7 +513,17 @@ def _verify_certificate(handle: QuantityHandle,
             raise CertificationError(
                 f"increment bound falsified at k={k}, length {l}")
     else:
-        _check_increments(handle, walk.prefixes(n))
+        # the groups of the walk at T, then the argument past its K
+        # programs, or else the groups from K to n
+        _check_increments(handle, walk.prefixes(n), k0)
+        K = sum(count for _, count in walk.groups)
+        if K < n:
+            limit = limit or moments(snapshot, handle.T, "limit", (0, 1), p)[0]
+            l = _first_programs(groups, K + 1)[-1][0]  # |p_{K+1}|
+            if not _increments_close(handle, limit, walk.sums((0,))[-1][0].lo,
+                                     l):
+                _check_increments(
+                    handle, CensusWalk(groups, handle.T, p).prefixes(n), K)
 
     # the slope bounds at depths k0, k0 + 1, 2 k0 + 2 and n, at sample
     # points of (T, t); one walk per point gives the depths it reaches, and
@@ -529,13 +555,13 @@ def _verify_certificate(handle: QuantityHandle,
                     f"slope lower bound falsified at k={k}, x={x}")
 
 
-def _check_increments(handle: QuantityHandle, prefixes) -> None:
-    """The increment brackets of a -F, E or S handle over the groups of
-    CensusWalk.prefixes; see _verify_certificate.
+def _check_increments(handle: QuantityHandle, prefixes, start: int) -> None:
+    """The increment brackets of a -F, E or S handle at the depths k >=
+    start of the groups of CensusWalk.prefixes; see _verify_certificate.
 
     Per unit of its weight w, an increment is r = (cL dlog + cN dE) / cD:
     T dlog for -F, dE for E and dE/T + dlog for S, with dE = (Z_k l - W_k)
-    / (Z_k Z_{k+1}) and dlog = log2(1 + q) / q, q = w/Z_k <= 1.  log2(1 +
+    / (Z_k Z_{k+1}) and dlog = log2(1 + q) / w, q = w/Z_k <= 1.  log2(1 +
     q) lies in [q - q^2/2, q] / ln 2, and q - q^2/2 rises on [0, 1], so
     dlog lies in [(2 Z_k - w_lo) / (2 Z_k^2 ln 2), 1 / (Z_k ln 2)], taken
     at the upper and the lower ends of Z_k and ln 2.  The increment lies
@@ -543,7 +569,7 @@ def _check_increments(handle: QuantityHandle, prefixes) -> None:
     l^b 2^c w holds when r_hi rho < l^b 2^c and is falsified when r_lo >=
     rho l^b 2^c; the lower bound l^c 2^-b w holds when rho l^c 2^-b < r_lo
     and is falsified when l^c 2^-b >= rho r_hi."""
-    quantity, k0, b, c = handle.quantity, handle.k0, handle.b, handle.c
+    quantity, b, c = handle.quantity, handle.b, handle.c
     bits = handle.precision_bits + _RECHECK_GUARD
     tn, td = handle.T.numerator, handle.T.denominator
     cL, cN, cD = {"-F": (tn, 0, td), "E": (0, 1, 1),
@@ -583,7 +609,7 @@ def _check_increments(handle: QuantityHandle, prefixes) -> None:
                 s - xz - base)
 
     for K, l, count, base, (A, B), (Z_lo, Z_hi), (W_lo, W_hi) in prefixes:
-        first, last = max(k0 - K, 0), count - 1
+        first, last = max(start - K, 0), count - 1
         if first > last:
             continue
         N = ((rounded(l * Z_lo - W_lo, False),
@@ -605,7 +631,64 @@ def _check_increments(handle: QuantityHandle, prefixes) -> None:
                     f"increment bound falsified at k={k}, length {l}")
             k = K + (last if hi_ok else first)
             raise PrecisionError(
-                f"increment bound unresolved at k={k}; raise precision")
+                f"increment bound unresolved at k={k}, with "
+                f"{handle.precision_bits} bits of working precision; raise "
+                f"precision")
+
+
+def _increment_bounds(handle: QuantityHandle, limit: dict[int, Enclosure],
+                      Z_K: Dyadic
+                      ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(alpha, beta, gamma, delta) such that, per unit of weight, every
+    increment of a -F, E or S handle at a depth k >= K, whose program k + 1
+    has length l, lies in [alpha l + beta, gamma l + delta].  They come
+    from Z_K <= Z_k <= Z_{k+1} <= Z_lim and W_k <= W_lim: Z_K is a lower
+    end of the sum over the first K programs, Z_lim and W_lim the upper
+    ends of limit (the limit moments at T).  With dE and dlog as in
+    _check_increments, and the ends of ln2_enclosure taken outward:
+
+      E   [(Z_K l - W_lim) / Z_lim^2, l / Z_K]: Z_k l - W_k is at least 0
+          (no earlier program is longer) and at least Z_K l - W_lim, and
+          Z_k Z_{k+1} <= Z_lim^2;
+      -F  T dlog, with dlog in [1 / (Z_lim ln 2), 1 / (Z_K ln 2)], since
+          q / (1 + q) <= ln(1 + q) <= q and Z_k + w = Z_{k+1};
+      S   the bounds of E divided by T, plus dlog."""
+    T, Z_K = handle.T, Z_K.as_fraction()
+    ln2 = ln2_enclosure(handle.precision_bits)
+    Z_lim = limit[0].hi.as_fraction()
+    dlog_lo = 1 / (Z_lim * ln2.hi.as_fraction())
+    dlog_hi = 1 / (Z_K * ln2.lo.as_fraction())
+    if handle.quantity == "-F":
+        return Fraction(0), T * dlog_lo, Fraction(0), T * dlog_hi
+    W_lim = limit[1].hi.as_fraction()
+    alpha, beta = Z_K / (Z_lim * Z_lim), -W_lim / (Z_lim * Z_lim)
+    if handle.quantity == "E":
+        return alpha, beta, 1 / Z_K, Fraction(0)
+    return alpha / T, beta / T + dlog_lo, 1 / (Z_K * T), dlog_hi
+
+
+def _increments_close(handle: QuantityHandle, limit: dict[int, Enclosure],
+                      Z_K: Dyadic, l: int) -> bool:
+    """Whether every increment of a -F, E or S handle at a depth k >= K
+    provably lies in its bracket, by an argument closed in the length:
+    Z_K and limit are as in _increment_bounds, and l is the length of
+    program K + 1, at most every later one.  The lower bound l^c 2^-b
+    holds at every length past l when alpha l + beta >= l^c 2^-b and
+    alpha >= c l^(c-1) 2^-b, because for c <= 1 the slope of their
+    difference never falls below the smaller of its value at l and alpha
+    >= 0; the upper bound l^b 2^c when gamma l + delta <= l^b 2^c and
+    gamma <= b l^(b-1) 2^c, because for b >= 1 the slope of l^b 2^c never
+    falls.  For b < 1 or c >= 2 the argument is declined (False), and so
+    it is wherever a condition fails."""
+    b, c = handle.b, handle.c
+    if b < 1 or c > 1:
+        return False
+    alpha, beta, gamma, delta = _increment_bounds(handle, limit, Z_K)
+    two, l = Fraction(2), Fraction(l)
+    return (l ** c / two ** b <= alpha * l + beta
+            and c * l ** (c - 1) / two ** b <= alpha
+            and gamma * l + delta <= l ** b * two ** c
+            and gamma <= b * l ** (b - 1) * two ** c)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +965,8 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     beta = beta_lim[handle.b]
     floor_lo = beta.lo.floor_scaled(0)
     if beta.hi.floor_scaled(0) != floor_lo:
-        raise PrecisionError("integer part of beta unresolved")
+        raise PrecisionError(f"integer part of beta unresolved at {p} bits "
+                             f"of working precision")
     target = Enclosure.point(Dyadic(floor_lo) + prefix_value(beta_prefix))
 
     # step 1: the first depth k >= k0 whose beta partial sum certifiably

@@ -143,14 +143,17 @@ class CensusWalk:
     to the smallest exponent of each endpoint.  So the sum over the first
     k programs is one integer per endpoint at any k, inside a group too,
     and equals moment_sums over those programs bit for bit (the sums are
-    exact and Dyadic is canonical)."""
+    exact and Dyadic is canonical).  chain, when given, is the caller's
+    WeightChain at the same T and precision, which the walk extends."""
 
     __slots__ = ("groups", "lengths", "weights", "e_lo", "e_hi")
 
-    def __init__(self, length_counts, T: Fraction, precision_bits: int):
+    def __init__(self, length_counts, T: Fraction, precision_bits: int,
+                 chain: WeightChain | None = None):
         self.groups = length_counts
         self.lengths = lengths = [l for l, _ in length_counts]
-        chain = WeightChain(T, precision_bits)
+        if chain is None:
+            chain = WeightChain(T, precision_bits)
         if lengths and chain.T.numerator > 1:
             chain._extend(max(lengths))
         self.weights = [chain.raw(l) for l in lengths]

@@ -10,7 +10,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thermoait import fixedpoint, thermo
 from thermoait.bitstring import BitString, LAMBDA
@@ -208,10 +208,12 @@ def test_verify_needs_a_census_depth_past_k0():
 def test_deepest_slope_sample_from_the_series_or_a_walk(monkeypatch):
     # the slope check reads depth n from the generating function only
     # where the walks would add at least _SERIES_MIN_GROUPS length groups:
-    # on geometric 300 at every sample, and at T for Z, whose walk at T
-    # is short too; sdm4 1500 cap 512 adds 6 groups and gamma_literal has
-    # no generating function, so both walk to n.  Either source gives
-    # every pinned outcome of the series snapshots alike
+    # on geometric 300 at every sample and at T, whose walk covers the
+    # slope check's reach for every quantity (the increment re-check of
+    # -F, E and S closes by argument where it ends); sdm4 1500 cap 512's
+    # n = 2^20 ends inside the last of its 14 length groups and
+    # gamma_literal has no generating function, so both walk to n.  Either
+    # source gives every pinned outcome of the series snapshots alike
     reads = Counter()
     through = fixedpoint.series_moments_through
 
@@ -223,8 +225,8 @@ def test_deepest_slope_sample_from_the_series_or_a_walk(monkeypatch):
     for name in ("geometric 300", "sdm4 1500 cap 512", "gamma_literal 40"):
         for quantity in ("Z", "-F", "E", "S"):
             certify(CERTIFICATE_SNAPSHOTS[name](), quantity, HALF)
-    assert reads == {("geometric 300", "Z"): 4, ("geometric 300", "-F"): 3,
-                     ("geometric 300", "E"): 3, ("geometric 300", "S"): 3}
+    assert reads == {("geometric 300", "Z"): 4, ("geometric 300", "-F"): 4,
+                     ("geometric 300", "E"): 4, ("geometric 300", "S"): 4}
     for name in ("geometric 80", "sdm4 200 cap 64", "sdm4 1500 cap 512",
                  "literal 40"):
         snap = CERTIFICATE_SNAPSHOTS[name]()
@@ -420,6 +422,140 @@ def test_recheck_Z_is_the_stated_inequality(monkeypatch):
                 assert got == want, (name, b, c)
                 outcomes[want[0]] += 1
     assert outcomes[None] and outcomes[CertificationError]
+
+
+# -- the closed argument past the walk ---------------------------------
+
+# the shifts (db, dc) of a certificate's (b, c) that the re-check tests try
+SHIFTS = [(db, dc) for db in (-2, -1, 0, 1) for dc in (-1, 0, 1, 2)]
+
+
+def _argument_inputs(h, K):
+    """(Z_K, l) for _increments_close at depth K: the lower end of the
+    exact sum over the first K programs and the length of program K + 1,
+    each computed on its own."""
+    Z_K = thermo.moment_sums(h.snapshot.length_counts_up_to(K), h.T, (0,),
+                             h.precision_bits)[0].lo
+    return Z_K, h.snapshot.length_counts_up_to(K + 1)[-1][0]
+
+
+def _first_falsified(h, increments):
+    """The first depth at which the reference falsifies a bound, or None."""
+    return next((k for (k, *_), (ok_lo, ok_hi)
+                 in zip(increments, _reference_checks(h, increments))
+                 if ok_lo is False or ok_hi is False), None)
+
+
+def _closes_only_where_sound(h, depths, shifts):
+    """At each depth K (ascending): check that no reference increment at a
+    depth >= K certifiably leaves _increment_bounds, and try the argument
+    for each shift of h's (b, c), which must not close where the reference
+    falsifies a bound at a depth >= K.  The bounds tighten as Z_K grows, so
+    each increment is checked against those of the last K at or below it.
+    Returns how often the argument closed, and how often it was tried at
+    or before a falsified depth."""
+    limit = limit_moments(h.snapshot, h.T, (0, 1), h.precision_bits)[0]
+    increments = _reference_increments(h)
+    mutated = [h._replace(b=h.b + db, c=h.c + dc) for db, dc in shifts]
+    firsts = [(m, _first_falsified(m, increments)) for m in mutated]
+    closed = guarded = 0
+    for K, K_next in zip(depths, [*depths[1:], None]):
+        args = _argument_inputs(h, K)
+        alpha, beta, gamma, delta = fixedpoint._increment_bounds(
+            h, limit, args[0])
+        for k, l, w, d in increments:
+            if K <= k and (K_next is None or k < K_next):
+                lower, upper = alpha * l + beta, gamma * l + delta
+                w_lo, w_hi = w.lo.as_fraction(), w.hi.as_fraction()
+                assert d.hi.as_fraction() >= lower * (w_lo if lower >= 0
+                                                      else w_hi), (K, k)
+                assert d.lo.as_fraction() <= upper * w_hi, (K, k)
+        for m, bad in firsts:
+            closes = fixedpoint._increments_close(m, limit, *args)
+            if bad is not None and K <= bad:
+                assert not closes, (h.snapshot.ensemble_id, h.quantity, h.T,
+                                    m.b, m.c, K, bad)
+                guarded += 1
+            closed += closes
+    return closed, guarded
+
+
+def test_argument_closes_only_where_no_later_bound_fails(recheck_handles):
+    # at the depths k0 to k0 + 7, at 2 k0 + 1 to 2 k0 + 3, where the walk
+    # at T of a series snapshot ends, and at each power of two up to 2^12,
+    # for the 16 shifts of each re-checked certificate
+    closed = guarded = 0
+    for name, h in recheck_handles:
+        depths = sorted(K for K in {*range(h.k0, h.k0 + 8),
+                                    *range(2 * h.k0 + 1, 2 * h.k0 + 4),
+                                    *(1 << i for i in range(13))}
+                        if h.k0 <= K < h.max_depth)
+        c, g = _closes_only_where_sound(h, depths, SHIFTS)
+        closed, guarded = closed + c, guarded + g
+    assert closed and guarded
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(first=st.integers(1, 3),
+       later=st.dictionaries(st.integers(4, 40), st.integers(1, 20),
+                             min_size=1, max_size=6),
+       quantity=st.sampled_from(("-F", "E", "S")),
+       T=st.sampled_from(TEMPERATURES))
+def test_argument_is_sound_on_anonymous_censuses(first, later, quantity, T):
+    # valid censuses (Kraft sum at most 1), with one shortest program so
+    # that most certify, whose limits carry the census slack's tail: at
+    # every depth from k0 on, for all 16 shifts
+    census = {first: 1, **later}
+    assume(sum(Fraction(c, 1 << l) for l, c in census.items()) <= 1)
+    snap = EnsembleSnapshot("anonymous", 0, max(census), [], census)
+    try:
+        h = certify(snap, quantity, T)
+    except CertificationError:
+        return
+    _closes_only_where_sound(h, list(range(h.k0, h.max_depth)), SHIFTS)
+
+
+def test_a_bound_that_fails_past_the_walk_still_raises(recheck_handles):
+    # where the walk at T stops short of the census, the argument is tried
+    # at its end K; a shifted bound that the reference first falsifies at
+    # or past K is found by the groups the re-check goes on to, and the
+    # error names the reference's depth
+    late = 0
+    for name, h in recheck_handles:
+        groups = h.snapshot.length_counts_up_to(h.max_depth)
+        K = fixedpoint._walk_reach(h.snapshot, groups, h.k0, h.max_depth)
+        if K == h.max_depth:
+            continue  # the walk covers the census; nothing is argued
+        increments = _reference_increments(h)
+        for db, dc in SHIFTS:
+            mutated = h._replace(b=h.b + db, c=h.c + dc)
+            bad = _first_falsified(mutated, increments)
+            if bad is not None and bad >= K:
+                assert _first_failure(mutated) == (CertificationError, bad)
+                late += 1
+    assert late == 21
+
+
+def test_recheck_and_reconstruct_errors_name_the_precision():
+    # the re-check's unresolved bound: -F on "00" and six programs of
+    # length 3 at T = 1/2, with b = c = 4
+    programs = [ProgramRecord(BitString(s), BitString(""), 0)
+                for s in ("00", "010", "011", "100", "101", "110", "111")]
+    snap = EnsembleSnapshot("two groups", 0, 3, programs, {2: 1, 3: 6})
+    h = QuantityHandle(snap, "-F", HALF, Fraction(3, 4), 0, 0, 4, 4, 1, 64)
+    with pytest.raises(PrecisionError) as raised:
+        fixedpoint._verify_certificate(h)
+    assert str(raised.value) == ("increment bound unresolved at k=6, with 64 "
+                                 "bits of working precision; raise precision")
+    # reconstruct's beta: gamma_literal 40's Kraft-slack tail leaves its
+    # second moment at u = 859/1024 in [10.78, 11.01]
+    h = certify(CERTIFICATE_SNAPSHOTS["gamma_literal 40"](), "E", HALF)
+    u, n = Fraction(859, 1024), 8
+    with pytest.raises(PrecisionError) as raised:
+        reconstruct_T(h, u, n, BitString("0" * 5), approach_oracle(h),
+                      ascending_lower_oracle(h))
+    assert str(raised.value) == ("integer part of beta unresolved at 64 bits "
+                                 "of working precision")
 
 
 # -- the heat-capacity bound -------------------------------------------
@@ -925,3 +1061,38 @@ def test_certify_builds_few_weight_chains(monkeypatch):
     entries = {q: sum(len(chain._chain) - 1 for chain in built_chains)
                for q, built_chains in chains.items()}
     assert entries == {"Z": 12, "-F": 18, "E": 20, "S": 20}
+
+
+def test_certify_walks_the_census_only_to_the_slope_reach(monkeypatch):
+    # per certify on geometric 300 at T = 21/64, where only l/T with 21 | l
+    # is an integer, so every chain is extended to the longest length its
+    # walk covers: the walk at T, which shares its chain with the first
+    # weight, reaches the slope check's 2 k0 + 2 programs (k0 = 1, 3, 4
+    # and 4), like the three slope samples' walks, and E and S add k0
+    # entries at t.  The -F, E and S re-checks visit the groups of the walk
+    # at T, where the closed argument ends them; walking the census at T
+    # took 16, 324, 334 and 334 entries and visited 0, 300, 300 and 300
+    # groups
+    built, entries, visited = Counter(), Counter(), Counter()
+    init, prefixes = thermo.WeightChain.__init__, thermo.CensusWalk.prefixes
+    chains = []
+
+    def counted(self, *args):
+        chains.append(self)
+        init(self, *args)
+
+    def visiting(self, n):
+        for group in prefixes(self, n):
+            visited[quantity] += 1
+            yield group
+
+    monkeypatch.setattr(thermo.WeightChain, "__init__", counted)
+    monkeypatch.setattr(thermo.CensusWalk, "prefixes", visiting)
+    for quantity in ("Z", "-F", "E", "S"):
+        chains.clear()
+        certify(GEO300, quantity, Fraction(21, 64))
+        built[quantity] = len(chains)
+        entries[quantity] = sum(len(chain._chain) - 1 for chain in chains)
+    assert built == {"Z": 4, "-F": 4, "E": 5, "S": 5}
+    assert entries == {"Z": 16, "-F": 32, "E": 44, "S": 44}
+    assert visited == {"-F": 8, "E": 10, "S": 10}
