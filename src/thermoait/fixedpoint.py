@@ -13,33 +13,41 @@ of explicit constants:
   t        validity window (T, t), t = (T+1)/2
 
 The constants are computed from enclosures (never guessed) and then
-re-verified on the increments of the census, whatever program records
-the snapshot stores; a violation is a hard CertificationError, not a
-tuning knob.  The re-check walks one census length group at a time: each
-increment of Z is w itself, so its bracket is the exact inequality
-l^c 2^-b <= 1 <= l^b 2^c, monotone in l, checked over the first
-max_depth programs; each increment of -F, E and S falls as the group's
-programs are added (Z_k grows, Z_k l - W_k stays fixed), so the lower
-bound binds at the group's last program and the upper bound at its
-first, each decided by one integer cross-multiplication.  Where the
-walk at T ends at a depth K short of max_depth, a closed argument covers
-every later program of -F, E and S at once: from Z_K <= Z_k <= Z_lim
-and W_k <= W_lim, each increment per unit weight lies between bounds
-linear in the length l, whose comparison with l^c 2^-b and l^b 2^c
-holds at every longer length once it holds, with its slope, at the
-first unchecked one (b >= 1, c <= 1); where it does not, the groups up
-to max_depth are checked in turn.  The heat-capacity bound behind the
-slopes of E and S is the pair form of the variance, which rises with the
-temperature.  See _verify_certificate, _increments_close and
-_min_capacity_on_window.
+re-verified on the census, whatever program records the snapshot stores;
+a violation is a hard CertificationError, not a tuning knob.  Each
+inequality is proved at every depth k >= k0, past the census too, along
+one path (_verify_certificate):
+
+  increments  the increment of Z is w itself, so its bracket is the
+              inequality l^c 2^-b <= 1 <= l^b 2^c, monotone in l and so
+              checked at the census's shortest and longest lengths, and
+              past the census by c <= 0 <= b.  The increments of -F, E
+              and S fall across a length group (Z_k grows, Z_k l - W_k
+              stays fixed), so one integer cross-multiplication at each
+              end decides a group.  The walk at T checks the groups up to
+              the slope reach, the first group end at or past 2 k0 + 2,
+              and a closed argument covers the depths past it: from Z_K
+              <= Z_k <= Z_lim and W_k <= W_lim, each increment per unit
+              weight lies between bounds linear in the length l, whose
+              comparison with l^c 2^-b and l^b 2^c holds at every longer
+              length once it holds, with its slope, at the first
+              unchecked one (b >= 1, c <= 1).  Where it fails, the walk
+              checks one more group and tries again; at the census end l
+              is the last census length + 1, unless no program can follow.
+  slopes      Z' = ln2 W_k/x^2 and (-F)' = S_k rise with k and x, so their
+              bounds at depth k0 (or 1) and in the limit hold at every
+              depth.  For E and S, C_k <= ln2 Y_lim(t) / (T^2 Z_1(T)), and
+              C_k is bounded below in the pair form of the variance, whose
+              pair sum rises with the temperature and with the depth, split
+              at K = 2 k0 + 2 between Z_K and Z_lim
+              (_min_capacity_on_window).
+              Samples at depths k0, k0 + 1 and 2 k0 + 2 cross-check all
+              four bounds.
 
 Every sum is thermo's: certify's depth sets come from one exact integer
-thermo.CensusWalk per temperature, each over the slope check's reach,
-except the deepest slope sample, which the generating function gives
-where walking to it would cost more (thermo.series_moments_through); the
-re-check reads the integer sums before each group from the walk at T,
-and the procedures' depths come from thermo's lazy running walk, which
-stops where its reader stops.
+thermo.CensusWalk per temperature, each over the slope reach; the
+increment re-check and the procedures' depths come from thermo's lazy
+running walk over the whole census, which stops where its reader stops.
 
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
@@ -75,14 +83,9 @@ from .ensembles import EnsembleSnapshot
 from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
-from .thermo import (
-    CensusWalk, WeightChain, _RunningWalk, _temp_frac, moments,
-    series_moments_through,
-)
+from .thermo import CensusWalk, WeightChain, _RunningWalk, _temp_frac, moments
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
-
-MAX_DEPTH_CAP = 1 << 20
 
 # points sampled in (T, t) at each checked depth of the slope check
 SLOPE_SAMPLES = 3
@@ -92,9 +95,10 @@ SLOPE_SAMPLES = 3
 _RECHECK_GUARD = 32
 
 
-def _max_depth(snapshot: EnsembleSnapshot) -> int:
-    """The programs certify checks: the census's, at most MAX_DEPTH_CAP."""
-    return min(sum(snapshot.census.values()), MAX_DEPTH_CAP)
+def _census_groups(snapshot: EnsembleSnapshot) -> list[tuple[int, int]]:
+    """The census's (length, count) groups, ascending, the empty ones left
+    out: every program the snapshot's census holds."""
+    return [group for group in sorted(snapshot.census.items()) if group[1]]
 
 
 def _floor_log2(d: Dyadic) -> int:
@@ -139,10 +143,6 @@ class QuantityHandle(NamedTuple):
     c: int
     k0: int
     precision_bits: int
-
-    @property
-    def max_depth(self) -> int:
-        return _max_depth(self.snapshot)
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -192,11 +192,12 @@ class ReconstructionReport(NamedTuple):
 
 def _depth_values(handle: QuantityHandle, x: Fraction
                   ) -> Iterator[tuple[int, Enclosure]]:
-    """(k, g(x, k)) for k = k0, k0 + 1, ..., max_depth, each value from
-    one running walk's exact sums, computed as its depth is drawn."""
+    """(k, g(x, k)) for k = k0, k0 + 1, ... up to the census total, each
+    value from one running walk's exact sums, computed as its depth is
+    drawn."""
     k0, p = handle.k0, handle.precision_bits
-    walk = _RunningWalk(handle.snapshot.length_counts_up_to(handle.max_depth),
-                        WeightChain(x, p), handle.orders)
+    walk = _RunningWalk(_census_groups(handle.snapshot), WeightChain(x, p),
+                        handle.orders)
 
     def g(i: int) -> Enclosure:
         mu = {j: walk.at(j, i) for j in handle.orders}
@@ -241,91 +242,78 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
 
 def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                             precision_bits: int,
-                            walks: dict[Fraction, CensusWalk]) -> Dyadic:
-    """Certified positive lower bound on C_{k0} over [T, t], on four equal
-    pieces, in the pair form of the variance.  With P = Z Y - W^2,
-    C = ln2 P / (x^2 Z^2), and by the Lagrange identity
+                            walks: dict[Fraction, CensusWalk],
+                            Z_t: Optional[Enclosure] = None) -> Dyadic:
+    """Certified positive lower bound on C_k over [T, t] at every depth k
+    >= k0, on four equal pieces, in the pair form of the variance.  With
+    P = Z Y - W^2, C = ln2 P / (x^2 Z^2), and by the Lagrange identity
 
       P = 1/2 sum_a sum_b c_a c_b w_a w_b (l_a - l_b)^2
 
     over length groups a, b with counts c and weights w = 2^(-l/x).  Every
-    pair term rises with x and with each weight, and so does x^2 Z^2, so
-    on [x0, x1] C >= ln2 P(x0) / (x1^2 Z(x1)^2).  The identity holds for
-    any weights, so Z Y - W^2 of the exact lower-endpoint sums at x0 is the
-    pair sum at weights below the true ones, a lower bound on P(x0); Z(x1)
-    is bounded by the upper-endpoint sum.  A piece's bound is positive
-    exactly when that P is, that is when the first k0 programs have two
-    lengths, on every piece alike: finer pieces would resolve nothing that
-    four do not.
+    pair term is nonnegative and rises with x and with each weight, and so
+    does x^2 Z^2; a deeper sum only adds pair terms and weights.  So on a
+    piece [x0, x1], with K = 2 k0 + 2 (at most the census total),
 
-    walks maps temperatures to CensusWalks over at least the first k0
-    programs (certify's at T, at t and at the slope samples, which the
-    piece ends at T + (t - T) i/4 meet); a piece end that none covers is
-    summed over the first k0 programs alone.  Each point is summed once."""
+      C_k >= ln2 / x1^2 min(P_k0(x0) / Z_K(x1)^2, P_K(x0) / Z_lim(x1)^2),
+
+    the first term for k0 <= k <= K and the second for k >= K.  The
+    identity holds for any weights, so Z Y - W^2 of the exact lower-endpoint
+    sums at x0 is the pair sum at weights below the true ones, a lower
+    bound on P(x0); Z_K(x1) and Z_lim(x1) are bounded by upper endpoints.
+    A piece's bound is positive exactly when P_k0 is, that is when the
+    first k0 programs have two lengths, on every piece alike.
+
+    walks maps temperatures to CensusWalks over the slope reach
+    (certify's at T, at t and at the slope samples, which the piece ends
+    T + (t - T) i/4 meet); a piece end that none covers is summed over the
+    slope reach too, taken from the census if T has no walk.  Z_lim is one
+    limit evaluation of order 0 per piece end, except that Z_t, the limit
+    of Z at t, serves at t if given.  Each point is summed once."""
     p = precision_bits
     ln2 = ln2_enclosure(p)
+    reach = (walks[T].groups if T in walks
+             else _slope_reach(_census_groups(snapshot), k0))
+    K = min(2 * k0 + 2, sum(count for _, count in reach))
     points = {}
 
-    def at(x: Fraction) -> dict[int, Enclosure]:
+    def at(x: Fraction) -> list[dict[int, Enclosure]]:
         if x not in points:
-            walk = walks.get(x) or CensusWalk(
-                snapshot.length_counts_up_to(k0), x, p)
-            points[x] = walk.sums((0, 1, 2), (k0,))[0]
+            walk = walks.get(x) or CensusWalk(reach, x, p)
+            points[x] = walk.sums((0, 1, 2), (k0, K))
         return points[x]
 
     bounds = []
     for i in range(4):
         x0, x1 = T + (t - T) * Fraction(i, 4), T + (t - T) * Fraction(i + 1, 4)
-        Z, W, Y = (at(x0)[j].lo for j in (0, 1, 2))
-        P = Z * Y - W * W
-        if P.sign <= 0:
+        P_k0, P_K = (mu[0].lo * mu[2].lo - mu[1].lo * mu[1].lo
+                     for mu in at(x0))
+        if P_k0.sign <= 0:
             raise CertificationError(f"cannot certify positive heat capacity"
                                      f" on [{T}, {t}] at k0={k0}")
-        Z1 = at(x1)[0].hi
+        Z_K = at(x1)[1][0].hi
+        Z_lim = (Z_t if x1 == t and Z_t is not None
+                 else moments(snapshot, x1, "limit", (0,), p)[0][0]).hi
+        # the smaller of P_k0 / Z_K^2 and P_K / Z_lim^2, compared exactly
+        P, Z = ((P_k0, Z_K) if P_k0 * Z_lim * Z_lim <= P_K * Z_K * Z_K
+                else (P_K, Z_lim))
         bounds.append(div(ln2 * Enclosure.point(P),
                           Enclosure.from_rational(x1 * x1, p)
-                          * Enclosure.point(Z1 * Z1), p).lo)
+                          * Enclosure.point(Z * Z), p).lo)
     return min(bounds)
 
 
-def _first_programs(groups, k: int) -> list[tuple[int, int]]:
-    """The (length, count) groups of the first k programs, cut from census
-    groups that cover at least k."""
-    out = []
-    for l, count in groups:
-        if k <= 0:
-            break
-        out.append((l, count if count < k else k))
-        k -= count
-    return out
-
-
-# the length groups a walk from depth 2 k0 + 2 to n must add before the
-# slope sample at n is read from the generating function (_walk_reach)
-_SERIES_MIN_GROUPS = 48
-
-
-def _walk_reach(snapshot: EnsembleSnapshot, groups, k0: int, n: int) -> int:
-    """How many programs the slope check's walks cover: n, or only the
-    first 2 k0 + 2 when the sample at depth n is read as the generating
-    function's limit less its tail past the last length (groups are the
-    census groups of the first n programs).  That needs a generating
-    function and an n that ends a length group, and it pays only where
-    the walks would add many groups past 2 k0 + 2.  Measured at 64 bits
-    (T = 9/16 and 85/128, best of 15): series_moments_through costs 55-85
-    us with one order and 85-120 us with two, and a walk 1.1-1.4 us per
-    group it adds on geometric and 1.7-2.0 us on sdm4 and literal, so the
-    two break even at 45-60 added groups."""
-    deep = min(2 * k0 + 2, n)
-    if not (snapshot.series and groups
-            and groups[-1][1] == snapshot.census[groups[-1][0]]):
-        return n
+def _slope_reach(groups, k0: int) -> list[tuple[int, int]]:
+    """The census groups through the first group end at or past depth
+    2 k0 + 2, the slope check's deepest sample (all of them where the census
+    is shorter): what every walk certify builds covers.  A walk ends at a
+    group end because the re-check decides each group at its extremes."""
     K = 0
     for g, (_, count) in enumerate(groups):
         K += count
-        if K >= deep:
-            break
-    return deep if len(groups) - 1 - g >= _SERIES_MIN_GROUPS else n
+        if K >= 2 * k0 + 2:
+            return groups[:g + 1]
+    return groups
 
 
 def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
@@ -347,8 +335,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     lim_T, _ = moments(snapshot, Tf, "limit", (0, 1, 2), p)
     lim_t, _ = moments(snapshot, t, "limit", (0, 1, 2), p)
     Z_T, W_T = lim_T[0], lim_T[1]
-    n = _max_depth(snapshot)
-    groups = snapshot.length_counts_up_to(n)
+    groups = _census_groups(snapshot)
     if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
@@ -361,21 +348,22 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     walks = {}
 
     def walk_over_reach(k0: int, *xs: Fraction) -> CensusWalk:
-        # the walks over the slope check's reach: the one at T, which the
-        # re-check and the slope check reuse, and one at each of xs
-        sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0, n))
-        walks[Tf] = CensusWalk(sampled, Tf, p, chain)
-        walks.update((x, CensusWalk(sampled, x, p)) for x in xs)
+        # the walks over the slope reach: the one at T, which the re-check
+        # and the slope check reuse, and one at each of xs
+        reach = _slope_reach(groups, k0)
+        walks[Tf] = CensusWalk(reach, Tf, p, chain)
+        walks.update((x, CensusWalk(reach, x, p)) for x in xs)
         return walks[Tf]
 
     def first_k(cond: Callable[[int], bool]) -> int:
-        # smallest k > first_distinct, k < n - 1, with cond(|p_{k+1}|)
+        # smallest k > first_distinct, k < n - 1 (n the census total), with
+        # cond(|p_{k+1}|)
         K = 0
-        for l, count in groups:
+        for g, (l, count) in enumerate(groups):
             k = max(K, first_distinct + 1)
-            if k < min(K + count, n - 1) and cond(l):
-                return k
             K += count
+            if k < K - (g == len(groups) - 1) and cond(l):
+                return k
         raise CertificationError("no enumerated index satisfies the "
                                  "certificate precondition")
 
@@ -418,16 +406,16 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
                  / Z1_lo.as_fraction())
             k0 = first_k(lambda l: l >= need and Fraction(l) ** 2 >= D / 2)
         # slope is C_k(x) (or C_k(x)/x for S): uniform upper bound
-        # (ln2/T^2) Y_lim(t)/Z_1(T), lower bound min C_{k0} on [T, t]
+        # (ln2/T^2) Y_lim(t)/Z_1(T), lower bound min C_k on [T, t] over
+        # every k >= k0
         c_up = div(ln2 * lim_t[2],
                    Enclosure.from_rational(Tf * Tf, p)
                    * Enclosure.point(Z1_lo), p).hi
-        # the slope samples' walks, built once for the capacity pieces
-        # that end at them and for the slope check, and the last piece
-        # end's over the first k0 programs
-        walk_over_reach(k0, *_slope_points(Tf, t))
-        walks[t] = CensusWalk(_first_programs(groups, k0), t, p)
-        c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p, walks)
+        # the slope samples' walks and the one at t, built once for the
+        # capacity pieces that end at them and for the slope check
+        walk_over_reach(k0, *_slope_points(Tf, t), t)
+        c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p, walks,
+                                       lim_t[0])
         if quantity == "S":
             c_up = div(Enclosure.point(c_up),
                        Enclosure.from_rational(Tf, p), p).hi
@@ -437,25 +425,22 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, walks, lim_T)
+    _verify_certificate(handle, groups, walks, lim_T)
     return handle
 
 
 def _verify_certificate(handle: QuantityHandle,
+                        groups: Optional[list[tuple[int, int]]] = None,
                         walks: Optional[dict[Fraction, CensusWalk]] = None,
                         limit: Optional[dict[int, Enclosure]] = None
                         ) -> None:
-    """Re-check the increment bracket at every depth k0 <= k < n (n =
-    max_depth), and for -F, E and S at every k >= n too where the closed
-    argument holds, then sample the slope bounds on (T, t).
+    """Re-check the increment bracket at every depth k >= k0, then sample
+    the slope bounds on (T, t).
 
-    walks maps T, and any of the slope samples, to its CensusWalk, as
-    certify built them (the rest are built here), and limit holds the
-    limit moments at T of orders 0 and 1, as certify computed them (or
-    they are computed here).  Every walk covers the first _walk_reach
-    programs.  The slope check reads every walk's sums at the checked
-    depths it covers, and the depth n past them from
-    series_moments_through.
+    groups are the census groups (_census_groups), walks maps T, and any of
+    the slope samples, to its CensusWalk over the slope reach, and limit
+    holds the limit moments at T of orders 0 and 1, as certify built them
+    (whatever is not given is built here).
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -466,81 +451,73 @@ def _verify_certificate(handle: QuantityHandle,
 
       Z   the increment is w itself, so the bracket is the inequality
           l^c 2^(-b) <= 1 <= l^b 2^c, read at no weight; each side is
-          monotone in l, so it holds at every checked length when it
-          holds at the shortest and the longest;
+          monotone in l, so it holds at every census length when it holds
+          at the shortest and the longest, and at every longer length too
+          when c <= 0 <= b;
       -F  T log2(1 + w/Z_k) falls as Z_k grows;
       E   w (Z_k l - W_k) / (Z_k Z_{k+1}): Z_k l - W_k = sum (l - l_i) w_i
           is the same at every k in the group, and Z_k Z_{k+1} grows;
       S   dE/T + log2(1 + w/Z_k), and both terms fall.
 
-    So the lower bound binds at the group's last checked depth and the
-    upper bound at its first, and one comparison each decides the whole
-    group (_check_increments).  A -F, E or S handle checks the groups of
-    the walk at T so, up to the depth K where it ends; where K < n,
-    _increments_close then tries to prove the bracket at every k >= K by
-    argument, past MAX_DEPTH_CAP too, and where that fails the groups from
-    K to n are checked in turn.  A falsified bound raises
-    CertificationError, an unresolved one PrecisionError; the first group
-    with either decides, and within it a falsified bound outranks an
-    unresolved one.
+    So the upper bound binds at the group's first checked depth and the
+    lower bound at its last, and one comparison each decides the whole
+    group (_check_increments).  A -F, E or S handle's groups come from a
+    running walk at T over the census (_argued_groups): up to the slope
+    reach every group is checked, and from there on _increments_close is
+    tried at each group's start, which proves the bracket at every later
+    depth at once; where it fails that group is checked too.  A falsified
+    bound raises CertificationError, an unresolved one PrecisionError; the
+    first group with either decides, and within it a falsified bound
+    outranks an unresolved one.  A bracket left unproved past the census
+    raises CertificationError too, unless no program can follow the census
+    (_census_is_the_domain).
     """
     snapshot, quantity = handle.snapshot, handle.quantity
     k0, b, c = handle.k0, handle.b, handle.c
-    n = handle.max_depth
-    if n <= k0:
-        raise CertificationError(f"census check depth {n} is not beyond "
+    groups = groups or _census_groups(snapshot)
+    reach = _slope_reach(groups, k0)
+    depth = sum(count for _, count in reach)  # the census total if < 2 k0 + 2
+    if depth <= k0:
+        raise CertificationError(f"census check depth {depth} is not beyond "
                                  f"k0 = {k0}; nothing to verify")
     if k0 < 1 and quantity != "Z":
         raise PrecisionError("increment bound unresolved at k=0: g(T, 0) "
                              "is undefined")
     p = handle.precision_bits
     walks = walks or {}
-    groups = snapshot.length_counts_up_to(n)
-    sampled = _first_programs(groups, _walk_reach(snapshot, groups, k0, n))
-    walk = walks.get(handle.T) or CensusWalk(sampled, handle.T, p)
+    walk = walks.get(handle.T) or CensusWalk(reach, handle.T, p)
     if quantity == "Z":
         def holds(l: int) -> bool:
             return (Fraction(l) ** c <= Fraction(2) ** b
                     and Fraction(l) ** b * Fraction(2) ** c >= 1)
 
-        checked, K = [], 0  # (first checked depth, l) per group
-        for l, count in groups:
-            if k0 < K + count:
-                checked.append((max(K, k0), l))
-            K += count
-        if not (holds(checked[0][1]) and holds(checked[-1][1])):
-            k, l = next((k, l) for k, l in checked if not holds(l))
-            raise CertificationError(
-                f"increment bound falsified at k={k}, length {l}")
+        K = g = 0  # the programs before group g, which holds depth k0
+        while K + groups[g][1] <= k0:
+            K, g = K + groups[g][1], g + 1
+        if not (holds(groups[g][0]) and holds(groups[-1][0])):
+            for l, count in groups[g:]:
+                if not holds(l):
+                    raise CertificationError(
+                        f"increment bound falsified at k={max(K, k0)}, "
+                        f"length {l}")
+                K += count
+        if (c > 0 or b < 0) and not _census_is_the_domain(snapshot):
+            raise _unproved_past_census(sum(count for _, count in groups),
+                                        groups[-1][0])
     else:
-        # the groups of the walk at T, then the argument past its K
-        # programs, or else the groups from K to n
-        _check_increments(handle, walk.prefixes(n), k0)
-        K = sum(count for _, count in walk.groups)
-        if K < n:
-            limit = limit or moments(snapshot, handle.T, "limit", (0, 1), p)[0]
-            l = _first_programs(groups, K + 1)[-1][0]  # |p_{K+1}|
-            if not _increments_close(handle, limit, walk.sums((0,))[-1][0].lo,
-                                     l):
-                _check_increments(
-                    handle, CensusWalk(groups, handle.T, p).prefixes(n), K)
+        limit = limit or moments(snapshot, handle.T, "limit", (0, 1), p)[0]
+        running = _RunningWalk(groups, walk.chain, (0, 1))
+        _check_increments(
+            handle, _argued_groups(handle, running, depth, limit), k0)
 
-    # the slope bounds at depths k0, k0 + 1, 2 k0 + 2 and n, at sample
-    # points of (T, t); one walk per point gives the depths it reaches, and
-    # the generating function the depth n past them
+    # the slope bounds at depths k0, k0 + 1 and 2 k0 + 2, at sample points
+    # of (T, t), from one walk per point
     T, t = handle.T, handle.t
-    ks = sorted({k0, k0 + 1, min(2 * k0 + 2, n), n})
+    ks = sorted({k0, k0 + 1, min(2 * k0 + 2, depth)})
     xs = _slope_points(T, t)
-
-    def sums_at(x: Fraction, given: Optional[CensusWalk]) -> list[dict]:
-        given = given or CensusWalk(sampled, x, p)
-        if sum(count for _, count in given.groups) >= n:
-            return given.sums(handle.orders, ks)
-        return given.sums(handle.orders, ks[:-1]) + [series_moments_through(
-            snapshot, x, groups[-1][0], handle.orders, p)]
-
-    at_T = sums_at(T, walk)
-    at_x = [sums_at(x, walks.get(x)) for x in xs]
+    at_T = walk.sums(handle.orders, ks)
+    at_x = [(walks.get(x) or CensusWalk(reach, x, p)).sums(handle.orders, ks)
+            for x in xs]
     for i, k in enumerate(ks):
         gT = _g_from_moments(quantity, at_T[i][0], at_T[i].get(1), T, p)
         for x, mu in zip(xs, at_x):
@@ -555,9 +532,48 @@ def _verify_certificate(handle: QuantityHandle,
                     f"slope lower bound falsified at k={k}, x={x}")
 
 
+def _argued_groups(handle: QuantityHandle, walk: _RunningWalk, reach: int,
+                   limit: dict[int, Enclosure]):
+    """The census groups that the -F, E or S increments of handle need
+    checked, as _check_increments reads them: (K, l, count, e, w, Z, W),
+    with K the programs before the group and, as (lo, hi) integer pairs at
+    2^e, its weight w and the exact sums Z and W of 2^(-l/T) and l 2^(-l/T)
+    over the first K programs, from walk, a running walk at T with orders
+    0 and 1.  Every group up to depth reach is drawn; past it, a group is
+    drawn only where _increments_close fails at its start, with l its
+    length.  At the census end l is the last length + 1, and a failure there
+    raises CertificationError, unless no program can follow the census
+    (_census_is_the_domain)."""
+    K = l = 0
+    for l, count in walk:
+        Z_lo, e, Z_hi, _ = walk.exact(0)
+        if K >= reach and _increments_close(handle, limit, Dyadic(Z_lo, e), l):
+            return
+        a, _, b, _ = walk.term(0)
+        W_lo, _, W_hi, _ = walk.exact(1)
+        yield K, l, count, e, (a, b), (Z_lo, Z_hi), (W_lo, W_hi)
+        K += count
+    Z_lo, e, _, _ = walk.exact(0)
+    if not (_increments_close(handle, limit, Dyadic(Z_lo, e), l + 1)
+            or _census_is_the_domain(handle.snapshot)):
+        raise _unproved_past_census(K, l)
+
+
+def _census_is_the_domain(snapshot: EnsembleSnapshot) -> bool:
+    """Whether no program can follow the census: without a generating
+    function, a census whose Kraft sum is 1 is a complete prefix code."""
+    return snapshot.series is None and snapshot.kraft_partial() == 1
+
+
+def _unproved_past_census(n: int, l: int) -> CertificationError:
+    return CertificationError(f"increment bound unproved at k={n}, past the "
+                              f"census's last length {l}")
+
+
 def _check_increments(handle: QuantityHandle, prefixes, start: int) -> None:
     """The increment brackets of a -F, E or S handle at the depths k >=
-    start of the groups of CensusWalk.prefixes; see _verify_certificate.
+    start of the groups of prefixes (_argued_groups); see
+    _verify_certificate.
 
     Per unit of its weight w, an increment is r = (cL dlog + cN dE) / cD:
     T dlog for -F, dE for E and dE/T + dlog for S, with dE = (Z_k l - W_k)
@@ -568,7 +584,10 @@ def _check_increments(handle: QuantityHandle, prefixes, start: int) -> None:
     in [w_lo r_lo, w_hi r_hi], so with rho = w_hi/w_lo the upper bound
     l^b 2^c w holds when r_hi rho < l^b 2^c and is falsified when r_lo >=
     rho l^b 2^c; the lower bound l^c 2^-b w holds when rho l^c 2^-b < r_lo
-    and is falsified when l^c 2^-b >= rho r_hi."""
+    and is falsified when l^c 2^-b >= rho r_hi.  A falsified upper bound
+    is named at the group's first checked program; a falsified lower
+    bound at the first program where it fails, found by bisection, since
+    r_hi falls across the group."""
     quantity, b, c = handle.quantity, handle.b, handle.c
     bits = handle.precision_bits + _RECHECK_GUARD
     tn, td = handle.T.numerator, handle.T.denominator
@@ -621,14 +640,19 @@ def _check_increments(handle: QuantityHandle, prefixes, start: int) -> None:
         num, den, e = ratio(last, False)
         lo_ok = below(B * Ln * den, num * A * Ld, -b - e)
         if not (hi_ok and lo_ok):
+            def lo_bad_at(i: int) -> bool:
+                num, den, e = ratio(i, True)
+                return not below(Ln * A * den, B * num * Ld, -e - b)
+
             num, den, e = ratio(first, False)
             hi_bad = not (hi_ok or below(num * A * Ud, den * B * Un, e - c))
-            num, den, e = ratio(last, True)
-            lo_bad = not (lo_ok or below(Ln * A * den, B * num * Ld, -e - b))
-            if hi_bad or lo_bad:
-                k = K + (first if hi_bad else last)
+            if hi_bad or not lo_ok and lo_bad_at(last):
+                i, j = first, last  # the lower bound fails from i on
+                while not hi_bad and i < j:
+                    mid = (i + j) // 2
+                    i, j = (i, mid) if lo_bad_at(mid) else (mid + 1, j)
                 raise CertificationError(
-                    f"increment bound falsified at k={k}, length {l}")
+                    f"increment bound falsified at k={K + i}, length {l}")
             k = K + (last if hi_ok else first)
             raise PrecisionError(
                 f"increment bound unresolved at k={k}, with "
@@ -908,7 +932,7 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
         raise OracleExhausted("oracle ended before g(r, k) exceeded it")
 
     threshold = Dyadic.from_fraction(handle.T * (n - handle.a - handle.b))
-    verified_through = min(10 * k_e, handle.max_depth)
+    verified_through = min(10 * k_e, sum(handle.snapshot.census.values()))
     if k_e < verified_through:
         # lengths never fall, so program k_e + 1 is the shortest checked
         l = handle.snapshot.length_counts_up_to(k_e + 1)[-1][0]
@@ -972,8 +996,8 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     # step 1: the first depth k >= k0 whose beta partial sum certifiably
     # exceeds the prefix: its exact lower end after i programs of a group
     # is S + i w l^b, so one integer division finds the first such i
-    walk = _RunningWalk(handle.snapshot.length_counts_up_to(handle.max_depth),
-                        WeightChain(u, p), (handle.b,))
+    walk = _RunningWalk(_census_groups(handle.snapshot), WeightChain(u, p),
+                        (handle.b,))
     tm, te = target.lo.m, target.lo.e
     K = 0  # the programs before the group
     for _, count in walk:

@@ -15,9 +15,7 @@ domain: from the rational generating function of the snapshot's machine
 (sdm4, literal, geometric; series_moments), with no census sum and a tail
 bound of 0, or else (gamma_literal, an anonymous census) by summing the
 census up to a cutoff and adding a certified tail bound per order from
-the census Kraft slack, which holds for any prefix-free domain.  The
-generating function also gives the sum over the lengths up to any L, as
-the limit less a closed-form tail (series_moments_through).
+the census Kraft slack, which holds for any prefix-free domain.
 
 Only this module turns weights into sums.  The weights come from a
 WeightChain: 2^(-l/T) as the outward-rounded l-th power of 2^(-1/T), held
@@ -25,11 +23,10 @@ as raw (mantissa, exponent) integer pairs for the lower and upper
 endpoints, with exact point weights where l/T is an integer.  Two integer
 kernels sum count(l) * l^j times each endpoint exactly, bit for bit alike:
 CensusWalk, the fast one, aligns a list of groups once and gives the sums
-at known depths (moment_sums is its last prefix) or the integer sums
-before each group (prefixes, for the certificate re-check); _RunningWalk
-draws groups lazily for readers that stop early or act once per group,
-where an eager walk would weigh every group up to the cap and align it to
-the last one.
+at known depths (moment_sums is its last prefix); _RunningWalk draws
+groups lazily for readers that stop early or act once per group (the
+certificate re-check, the procedures), where an eager walk would weigh
+every group of the census and align it to the last one.
 A Kraft-slack limit bounds the tails of all its orders in one call, which
 computes the census slack tau once, as (2^L - sum_{l<=L} census(l)
 2^(L-l)) / 2^L in integers.  Every chain belongs to the call that builds
@@ -144,9 +141,10 @@ class CensusWalk:
     k programs is one integer per endpoint at any k, inside a group too,
     and equals moment_sums over those programs bit for bit (the sums are
     exact and Dyadic is canonical).  chain, when given, is the caller's
-    WeightChain at the same T and precision, which the walk extends."""
+    WeightChain at the same T and precision, which the walk extends and
+    keeps for a running walk that goes on past its groups."""
 
-    __slots__ = ("groups", "lengths", "weights", "e_lo", "e_hi")
+    __slots__ = ("groups", "lengths", "weights", "e_lo", "e_hi", "chain")
 
     def __init__(self, length_counts, T: Fraction, precision_bits: int,
                  chain: WeightChain | None = None):
@@ -154,6 +152,7 @@ class CensusWalk:
         self.lengths = lengths = [l for l, _ in length_counts]
         if chain is None:
             chain = WeightChain(T, precision_bits)
+        self.chain = chain
         if lengths and chain.T.numerator > 1:
             chain._extend(max(lengths))
         self.weights = [chain.raw(l) for l in lengths]
@@ -202,22 +201,6 @@ class CensusWalk:
                 sums[j] = Enclosure(Dyadic(part_lo, e_lo),
                                     Dyadic(part_hi, e_hi))
         return out
-
-    def prefixes(self, n: int):
-        """For each group holding one of the first n programs, (K, l, count,
-        e, w, Z, W): K the programs before it, count cut at n, and as (lo,
-        hi) integer pairs at 2^e, its weight w and the exact sums Z and W of
-        2^(-l/T) and l 2^(-l/T) over the first K programs."""
-        e = min(self.e_lo, self.e_hi)
-        K = Z_lo = Z_hi = W_lo = W_hi = 0
-        for (l, count), (a, ea, b, eb) in zip(self.groups, self.weights):
-            if K >= n:
-                return
-            a, b = a << ea - e, b << eb - e
-            yield K, l, min(count, n - K), e, (a, b), (Z_lo, Z_hi), (W_lo, W_hi)
-            K += count
-            Z_lo, Z_hi = Z_lo + count * a, Z_hi + count * b
-            W_lo, W_hi = W_lo + count * l * a, W_hi + count * l * b
 
 
 # a _RunningWalk shifts its sums this many bits below a new lowest weight
@@ -348,17 +331,17 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
     return moments, tails
 
 
-def _moment_numerators(series, top: int, shift: int = 0) -> list[list[int]]:
-    """P_0 .. P_top with (x d/dx)^j (x^shift N/D) = x^shift P_j / D^(j+1)
-    for series (N, D): P_0 = N and P_j = ((shift + x d/dx) P_(j-1)) D -
-    j P_(j-1) (x D'), in coefficients sum_(i+k) (i + shift - j k) a_i d_k."""
+def _moment_numerators(series, top: int) -> list[list[int]]:
+    """P_0 .. P_top with (x d/dx)^j (N/D) = P_j / D^(j+1) for series (N,
+    D): P_0 = N and P_j = (x d/dx P_(j-1)) D - j P_(j-1) (x D'), in
+    coefficients sum_(i+k) (i - j k) a_i d_k."""
     N, D = series
     out = [list(N)]
     for j in range(1, top + 1):
         P = [0] * (len(out[-1]) + len(D) - 1)
         for i, a in enumerate(out[-1]):
             for k, d in enumerate(D):
-                P[i + k] += (i + shift - j * k) * a * d
+                P[i + k] += (i - j * k) * a * d
         out.append(P)
     return out
 
@@ -381,12 +364,19 @@ def _rounded_quotient(num: int, den: int, e: int, n: int, up: bool) -> Dyadic:
     return Dyadic(q + (up and r > 0), e - shift)
 
 
-def _series_quotients(D, P, x: Enclosure, T: Fraction, orders,
-                      precision_bits: int) -> dict[int, Enclosure]:
-    """Enclosures of P[j](x) / D(x)^(j+1), j in orders, each a series with
-    nonnegative coefficients and so rising with x below the pole, where D
-    > 0: its exact values at the ends of x, rounded outward to
-    precision_bits + 32 significant bits."""
+def series_moments(series, T: Fraction, orders,
+                   precision_bits: int) -> dict[int, Enclosure]:
+    """Enclosures of the moments M_j = sum_l census(l) l^j x^l, x =
+    2^(-1/T) < 1/2, of the census with generating function series (N, D):
+    M_j = P_j / D^(j+1) (_moment_numerators), a series with nonnegative
+    coefficients and so rising with x below the pole, where D > 0.  Its
+    exact values at the ends of one exp2 enclosure of x are rounded outward
+    to precision_bits + 32 significant bits.  x is its only source of
+    width, so it is taken 16 bits finer than the working precision."""
+    if T >= 1:
+        raise RangeError("generating-function limits require T < 1")
+    x = exp2_enclosure(Fraction(-1) / T, precision_bits + 16)
+    D, P = series[1], _moment_numerators(series, max(orders))
     ends = []
     for end, up in ((x.lo, False), (x.hi, True)):
         m, s = end.m, -end.e  # poly(x) = _horner(poly, m, s) 2^(-s deg)
@@ -398,51 +388,6 @@ def _series_quotients(D, P, x: Enclosure, T: Fraction, orders,
             s * ((len(D) - 1) * (j + 1) - len(P[j]) + 1),
             precision_bits + _CHAIN_GUARD, up) for j in orders])
     return {j: Enclosure(lo, hi) for j, lo, hi in zip(orders, *ends)}
-
-
-def series_moments(series, T: Fraction, orders,
-                   precision_bits: int) -> dict[int, Enclosure]:
-    """Enclosures of the moments M_j = sum_l census(l) l^j x^l, x =
-    2^(-1/T) < 1/2, of the census with generating function series (N, D):
-    M_j = P_j / D^(j+1) (_moment_numerators), enclosed from one exp2
-    enclosure of x.  x is its only source of width, so it is taken 16 bits
-    finer than the working precision."""
-    if T >= 1:
-        raise RangeError("generating-function limits require T < 1")
-    x = exp2_enclosure(Fraction(-1) / T, precision_bits + 16)
-    return _series_quotients(series[1], _moment_numerators(series, max(orders)),
-                             x, T, orders, precision_bits)
-
-
-def series_moments_through(snapshot: EnsembleSnapshot, T: Fraction, L: int,
-                           orders, precision_bits: int) -> dict[int, Enclosure]:
-    """Enclosures of sum_{l<=L} census(l) l^j x^l, x = 2^(-1/T), for a
-    snapshot with a generating function (N, D): the limit (series_moments)
-    less the tail past L,
-
-      tail_j = x^(L+1) R_j(x) / D(x)^(j+1),
-
-    where R_0 = sum_m r_m x^m, r_m = N_(L+1+m) - sum_(i>m) D_i c_(L+1+m-i),
-    reads only the census up to L, and R_j follows by _moment_numerators'
-    recurrence shifted by L + 1.  R_j / D^(j+1) = sum_(l>L) c_l l^j
-    x^(l-L-1) has nonnegative coefficients, so it is enclosed as the limit
-    is, at the same x; x^(L+1) is one exp2 enclosure, not a power of x's
-    ends (at L = 300 and 64 bits the power of one end takes about 125 us,
-    the exp2 enclosure 18 us)."""
-    if T >= 1:
-        raise RangeError("generating-function limits require T < 1")
-    (N, D), census, s = snapshot.series, snapshot.census, L + 1
-    R = [(N[s + m] if s + m < len(N) else 0)
-         - sum(D[i] * census.get(s + m - i, 0) for i in range(m + 1, len(D)))
-         for m in range(max(len(D) - 1, len(N) - s))]
-    top = max(orders)
-    x = exp2_enclosure(Fraction(-1) / T, precision_bits + 16)
-    limit = _series_quotients(D, _moment_numerators((N, D), top), x, T,
-                              orders, precision_bits)
-    tail = _series_quotients(D, _moment_numerators((R, D), top, s), x, T,
-                             orders, precision_bits)
-    x_s = exp2_enclosure(Fraction(-s) / T, precision_bits + 16)
-    return {j: limit[j] - x_s * tail[j] for j in orders}
 
 
 def moments(snapshot: EnsembleSnapshot, T: Fraction, k, orders,

@@ -110,23 +110,26 @@ _GEOMETRIC = {
            (2, 1, 1, 1, 0)],
     "E": [(7, 9, 4, 2, 1), (3, 6, 2, 2, 1), (2, 5, 3, 2, 1), (2, 5, 3, 2, 1),
           (3, 4, 2, 2, 1)],
-    "S": [(7, 11, 3, 3, 1), (3, 8, 2, 3, 1), (2, 6, 2, 3, 1), (2, 5, 3, 3, 1),
+    "S": [(7, 11, 3, 3, 1), (3, 8, 2, 3, 1), (2, 6, 3, 3, 1), (2, 5, 3, 3, 1),
           (3, 5, 2, 3, 1)],
 }
 _SDM4 = {
     "Z": [(1, 3, 7, 0, 0), (1, 2, 4, 0, 0), (1, 2, 3, 0, 0), (1, 2, 3, 0, 0),
           (1, 2, 2, 0, 0)],
-    "-F": [NO_INDEX, (22143, 2, 2, 1, 0), (91, 2, 1, 1, 0), (30, 2, 0, 1, 0),
-           (10, 3, 0, 1, 0)],
-    "E": [NO_INDEX, (22143, 10, 3, 2, 1), (10, 8, 1, 2, 1), (3, 8, 1, 2, 1),
-          (10, 8, 0, 2, 1)],
-    "S": [NO_INDEX, (22143, 11, 2, 3, 1), (10, 9, 0, 3, 1), (3, 8, 1, 3, 1),
-          (10, 8, 0, 3, 1)],
+    "-F": [(3323601794869687910973, 1, 4, 1, 0), (22143, 2, 2, 1, 0),
+           (91, 2, 1, 1, 0), (30, 2, 0, 1, 0), (10, 3, 0, 1, 0)],
+    "E": [(429210477536564060582231136160, 13, 7, 2, 1), (22143, 10, 3, 2, 1),
+          (10, 8, 1, 2, 1), (3, 8, 2, 2, 1), (10, 8, 0, 2, 1)],
+    "S": [(429210477536564060582231136160, 15, 7, 3, 1), (22143, 11, 2, 3, 1),
+          (10, 9, 1, 3, 1), (3, 8, 1, 3, 1), (10, 8, 0, 3, 1)],
 }
 # (k0, a, a_lower, b, c), or the message of the CertificationError certify
 # raises, per snapshot, quantity and T in TEMPERATURES: 160 handles.  The
 # pair-form capacity bound made E and S certify at the 26 handles where
-# its interval hull raised, and left 38 with a smaller a_lower
+# its interval hull raised, and left 38 with a smaller a_lower.  Bounding
+# the capacity at every depth, not at k0 alone, raised a_lower by one at
+# geometric S 1/2 and sdm4 E 5/8 and S 1/2; with no depth cap, sdm4 at 1/4
+# finds its k0 past 2^20 programs, where it raised NO_INDEX
 PINNED_CERTIFICATES = {
     "geometric 80": _GEOMETRIC,
     "geometric 300": _GEOMETRIC,
@@ -181,7 +184,7 @@ def _outcome(snap, quantity, T):
 
 
 def test_the_record_count_is_not_an_input():
-    # certify checks the census's first max_depth programs, so however many
+    # certify checks the census, every one of its programs, so however many
     # program records a snapshot stores, every outcome is the same
     for machine, maxlen, caps in (("sdm4", 200, (0, 64, 512)),
                                   ("sdm4", 1500, (0, 64, 512)),
@@ -205,56 +208,20 @@ def test_verify_needs_a_census_depth_past_k0():
                                  " nothing to verify")
 
 
-def test_deepest_slope_sample_from_the_series_or_a_walk(monkeypatch):
-    # the slope check reads depth n from the generating function only
-    # where the walks would add at least _SERIES_MIN_GROUPS length groups:
-    # on geometric 300 at every sample and at T, whose walk covers the
-    # slope check's reach for every quantity (the increment re-check of
-    # -F, E and S closes by argument where it ends); sdm4 1500 cap 512's
-    # n = 2^20 ends inside the last of its 14 length groups and
-    # gamma_literal has no generating function, so both walk to n.  Either
-    # source gives every pinned outcome of the series snapshots alike
-    reads = Counter()
-    through = fixedpoint.series_moments_through
-
-    def counted(*args):
-        reads[name, quantity] += 1
-        return through(*args)
-
-    monkeypatch.setattr(fixedpoint, "series_moments_through", counted)
-    for name in ("geometric 300", "sdm4 1500 cap 512", "gamma_literal 40"):
-        for quantity in ("Z", "-F", "E", "S"):
-            certify(CERTIFICATE_SNAPSHOTS[name](), quantity, HALF)
-    assert reads == {("geometric 300", "Z"): 4, ("geometric 300", "-F"): 4,
-                     ("geometric 300", "E"): 4, ("geometric 300", "S"): 4}
-    for name in ("geometric 80", "sdm4 200 cap 64", "sdm4 1500 cap 512",
-                 "literal 40"):
-        snap = CERTIFICATE_SNAPSHOTS[name]()
-        outcomes = []
-        for least in (0, 1 << 30):
-            monkeypatch.setattr(fixedpoint, "_SERIES_MIN_GROUPS", least)
-            outcomes.append([_outcome(snap, quantity, T)
-                             for quantity in ("Z", "-F", "E", "S")
-                             for T in TEMPERATURES])
-        assert outcomes[0] == outcomes[1], name
-    # a record count that ends inside a length group is walked to
-    groups = [(2, 1), (4, 2), (6, 7)]  # sdm4's census through length 6
-    snap = CERTIFICATE_SNAPSHOTS["sdm4 200 cap 64"]()
-    monkeypatch.setattr(fixedpoint, "_SERIES_MIN_GROUPS", 0)
-    assert fixedpoint._walk_reach(snap, groups, 1, 10) == 4
-    assert fixedpoint._walk_reach(snap, groups[:2] + [(6, 6)], 1, 9) == 9
-
-
 # the programs the reference takes one at a time; past them it takes each
 # length group's first and last checked program
 PER_PROGRAM = 512
 
 
-def _reference_increments(h):
-    """(k, l, w, increment) in Enclosures for k0 <= k < max_depth, every
-    depth the re-check covers, as the re-check did before it walked length
+def _census_total(snapshot):
+    return sum(snapshot.census.values())
+
+
+def _reference_increments(h, per_program=PER_PROGRAM):
+    """(k, l, w, increment) in Enclosures for k0 <= k < the census total,
+    every depth the census holds, as the re-check did before it walked length
     groups: log2(1 + q) is bracketed by [q - q^2/2, q] / ln 2.  Each k
-    below PER_PROGRAM is taken; past it, each group's first and last
+    below per_program is taken; past it, each group's first and last
     checked k, where the upper and the lower bound bind, with Z_k = Z_K + i
     w and W_k = W_K + i w l from the exact sums over the K programs before
     the group."""
@@ -263,10 +230,10 @@ def _reference_increments(h):
     weights = thermo.WeightChain(h.T, p)
     Z = W = Enclosure.point(0)
     K, out = 0, []
-    for l, count in h.snapshot.length_counts_up_to(h.max_depth):
+    for l, count in h.snapshot.length_counts_up_to(_census_total(h.snapshot)):
         w = weights[l]
         checked = range(max(h.k0 - K, 0), count)
-        each = checked[:max(PER_PROGRAM - K, 0)]
+        each = checked[:max(per_program - K, 0)]
         rest = checked[len(each):]
         for i in [*each, *sorted({rest[0], rest[-1]} if rest else ())]:
             Zk, Wk = Z + w * i, W + w * (i * l)
@@ -295,15 +262,17 @@ def _reference_checks(h, increments):
         yield certified_lt(lower, delta), certified_lt(delta, upper)
 
 
-def _reference_verdict(h, increments):
-    """None, CertificationError or PrecisionError, from the first
-    increment whose bracket is not certified."""
-    for ok_lo, ok_hi in _reference_checks(h, increments):
-        if ok_lo is False or ok_hi is False:
-            return CertificationError
-        if ok_lo is None or ok_hi is None:
-            return PrecisionError
-    return None
+def _reference_outcome(h, increments):
+    """(verdict, first): None, CertificationError or PrecisionError, from
+    the first increment whose bracket is not certified, and the first depth
+    at which the reference falsifies a bound, or None."""
+    verdict = None
+    for (k, *_), oks in zip(increments, _reference_checks(h, increments)):
+        if verdict is None and oks != (True, True):
+            verdict = CertificationError if False in oks else PrecisionError
+        if False in oks:
+            return verdict, k
+    return verdict, None
 
 
 def _verdict(h):
@@ -314,11 +283,28 @@ def _verdict(h):
     return None
 
 
+# the shifts (db, dc) of a certificate's (b, c) that the re-check tests try
+SHIFTS = [(db, dc) for db in (-2, -1, 0, 1) for dc in (-1, 0, 1, 2)]
+
+
+def _reference_outcomes(h, increments):
+    """{(db, dc): _reference_outcome} of h with its (b, c) shifted by each
+    of SHIFTS."""
+    return {(db, dc): _reference_outcome(h._replace(b=h.b + db, c=h.c + dc),
+                                         increments) for db, dc in SHIFTS}
+
+
 @pytest.fixture(scope="module")
 def recheck_handles():
-    return [(name, certify(snap, quantity, T))
-            for name, snap in RECHECK_SNAPSHOTS.items()
-            for quantity in ("-F", "E", "S") for T in TEMPERATURES[2:]]
+    """(name, handle, its _reference_increments, its _reference_outcomes)."""
+    handles = [(name, certify(snap, quantity, T))
+               for name, snap in RECHECK_SNAPSHOTS.items()
+               for quantity in ("-F", "E", "S") for T in TEMPERATURES[2:]]
+    out = []
+    for name, h in handles:
+        increments = _reference_increments(h)
+        out.append((name, h, increments, _reference_outcomes(h, increments)))
+    return out
 
 
 def test_recheck_matches_the_per_program_reference(recheck_handles,
@@ -327,15 +313,11 @@ def test_recheck_matches_the_per_program_reference(recheck_handles,
     monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
     assert len(recheck_handles) == 18
     verdicts = set()
-    for name, h in recheck_handles:
-        increments = _reference_increments(h)
-        for db in (-2, -1, 0, 1):
-            for dc in (-1, 0, 1, 2):
-                mutated = h._replace(b=h.b + db, c=h.c + dc)
-                want = _reference_verdict(mutated, increments)
-                assert _verdict(mutated) is want, (name, h.quantity, h.T,
-                                                   db, dc)
-                verdicts.add(want)
+    for name, h, _, outcomes in recheck_handles:
+        for (db, dc), (want, _) in outcomes.items():
+            mutated = h._replace(b=h.b + db, c=h.c + dc)
+            assert _verdict(mutated) is want, (name, h.quantity, h.T, db, dc)
+            verdicts.add(want)
     assert verdicts == {None, CertificationError}
 
 
@@ -343,12 +325,14 @@ def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
     # "00" then six programs of length 3: at T = 1/2 the group more than
     # doubles Z, so the -F, E and S increments fall by factors of about 2,
     # 4.5 and 2.2 across it, and many of the brackets 3^c 2^-b w and
-    # 3^b 2^c w hold at one end of the group and fail at the other
+    # 3^b 2^c w hold at one end of the group and fail at the other; a
+    # falsified bound is named at the reference's first falsified depth,
+    # which for a lower bound lies inside the group (k = 2 to 5) too
     monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
     programs = [ProgramRecord(BitString(s), BitString(""), 0)
                 for s in ("00", "010", "011", "100", "101", "110", "111")]
     snap = EnsembleSnapshot("two groups", 0, 3, programs, {2: 1, 3: 6})
-    verdicts = Counter()
+    verdicts, inside = Counter(), 0
     for quantity in ("-F", "E", "S"):
         h = QuantityHandle(snap, quantity, HALF, Fraction(3, 4), 0, 0, 0, 0,
                            1, 64)
@@ -358,15 +342,21 @@ def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
                 mutated = h._replace(b=b, c=c)
                 # within one group a bound falsified anywhere outranks one
                 # left unresolved elsewhere
-                checks = [ok for pair in _reference_checks(mutated, increments)
-                          for ok in pair]
+                pairs = list(_reference_checks(mutated, increments))
+                checks = [ok for pair in pairs for ok in pair]
                 want = (CertificationError if False in checks
                         else PrecisionError if None in checks else None)
-                assert _verdict(mutated) is want, (quantity, b, c)
+                got, k = _first_failure(mutated)
+                assert got is want, (quantity, b, c)
+                if want is CertificationError:
+                    first = next(k for (k, *_), pair in zip(increments, pairs)
+                                 if False in pair)
+                    assert k == first, (quantity, b, c)
+                    inside += 1 < k < 6
                 verdicts[want] += 1
         with pytest.raises(PrecisionError, match="k=0"):  # Z_0 = 0
             fixedpoint._verify_certificate(h._replace(k0=0))
-    assert verdicts[None] and verdicts[CertificationError]
+    assert verdicts[None] and verdicts[CertificationError] and inside
 
 
 def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
@@ -375,13 +365,13 @@ def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
     # 273 records: at c + 2 its lower bound holds over the 263 increments
     # they give and fails from k = 273 on, at the first program of length 14
     least = {}
-    for name, h in recheck_handles:
-        increments = _reference_increments(h)
+    for name, h, increments, _ in recheck_handles:
         dc = 2
-        while _reference_verdict(h._replace(c=h.c + dc), increments) is None:
+        while _reference_outcome(h._replace(c=h.c + dc),
+                                 increments)[0] is None:
             dc += 1
-        assert _reference_verdict(h._replace(c=h.c + dc),
-                                  increments) is CertificationError
+        assert _reference_outcome(h._replace(c=h.c + dc),
+                                  increments)[0] is CertificationError
         with pytest.raises(CertificationError,
                            match="increment bound falsified"):
             fixedpoint._verify_certificate(h._replace(c=h.c + dc))
@@ -426,38 +416,33 @@ def test_recheck_Z_is_the_stated_inequality(monkeypatch):
 
 # -- the closed argument past the walk ---------------------------------
 
-# the shifts (db, dc) of a certificate's (b, c) that the re-check tests try
-SHIFTS = [(db, dc) for db in (-2, -1, 0, 1) for dc in (-1, 0, 1, 2)]
-
-
 def _argument_inputs(h, K):
     """(Z_K, l) for _increments_close at depth K: the lower end of the
     exact sum over the first K programs and the length of program K + 1,
-    each computed on its own."""
+    or past the census the last census length + 1, each computed on its
+    own."""
     Z_K = thermo.moment_sums(h.snapshot.length_counts_up_to(K), h.T, (0,),
                              h.precision_bits)[0].lo
+    if K == _census_total(h.snapshot):
+        return Z_K, max(h.snapshot.census) + 1
     return Z_K, h.snapshot.length_counts_up_to(K + 1)[-1][0]
 
 
-def _first_falsified(h, increments):
-    """The first depth at which the reference falsifies a bound, or None."""
-    return next((k for (k, *_), (ok_lo, ok_hi)
-                 in zip(increments, _reference_checks(h, increments))
-                 if ok_lo is False or ok_hi is False), None)
-
-
-def _closes_only_where_sound(h, depths, shifts):
+def _closes_only_where_sound(h, depths, increments=None, outcomes=None):
     """At each depth K (ascending): check that no reference increment at a
     depth >= K certifiably leaves _increment_bounds, and try the argument
-    for each shift of h's (b, c), which must not close where the reference
-    falsifies a bound at a depth >= K.  The bounds tighten as Z_K grows, so
-    each increment is checked against those of the last K at or below it.
-    Returns how often the argument closed, and how often it was tried at
-    or before a falsified depth."""
+    for each of SHIFTS of h's (b, c), which must not close where the
+    reference falsifies a bound at a depth >= K.  The bounds tighten as Z_K
+    grows, so each increment is checked against those of the last K at or
+    below it.  Returns how often the argument closed, and how often it was
+    tried at or before a falsified depth.  increments and outcomes are h's
+    _reference_increments and _reference_outcomes, if the caller holds
+    them."""
     limit = limit_moments(h.snapshot, h.T, (0, 1), h.precision_bits)[0]
-    increments = _reference_increments(h)
-    mutated = [h._replace(b=h.b + db, c=h.c + dc) for db, dc in shifts]
-    firsts = [(m, _first_falsified(m, increments)) for m in mutated]
+    increments = increments or _reference_increments(h)
+    outcomes = outcomes or _reference_outcomes(h, increments)
+    firsts = [(h._replace(b=h.b + db, c=h.c + dc), first)
+              for (db, dc), (_, first) in outcomes.items()]
     closed = guarded = 0
     for K, K_next in zip(depths, [*depths[1:], None]):
         args = _argument_inputs(h, K)
@@ -485,55 +470,121 @@ def test_argument_closes_only_where_no_later_bound_fails(recheck_handles):
     # at T of a series snapshot ends, and at each power of two up to 2^12,
     # for the 16 shifts of each re-checked certificate
     closed = guarded = 0
-    for name, h in recheck_handles:
+    for name, h, increments, outcomes in recheck_handles:
         depths = sorted(K for K in {*range(h.k0, h.k0 + 8),
                                     *range(2 * h.k0 + 1, 2 * h.k0 + 4),
                                     *(1 << i for i in range(13))}
-                        if h.k0 <= K < h.max_depth)
-        c, g = _closes_only_where_sound(h, depths, SHIFTS)
+                        if h.k0 <= K < _census_total(h.snapshot))
+        c, g = _closes_only_where_sound(h, depths, increments, outcomes)
         closed, guarded = closed + c, guarded + g
     assert closed and guarded
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(first=st.integers(1, 3),
-       later=st.dictionaries(st.integers(4, 40), st.integers(1, 20),
-                             min_size=1, max_size=6),
-       quantity=st.sampled_from(("-F", "E", "S")),
-       T=st.sampled_from(TEMPERATURES))
-def test_argument_is_sound_on_anonymous_censuses(first, later, quantity, T):
-    # valid censuses (Kraft sum at most 1), with one shortest program so
-    # that most certify, whose limits carry the census slack's tail: at
-    # every depth from k0 on, for all 16 shifts
+# anonymous censuses: one shortest program, so that most certify, and up
+# to six longer lengths (_anonymous_snapshot keeps the valid ones)
+ANONYMOUS_CENSUSES = {
+    "first": st.integers(1, 3),
+    "later": st.dictionaries(st.integers(4, 40), st.integers(1, 20),
+                             min_size=1, max_size=6)}
+
+
+def _anonymous_snapshot(first, later):
+    """The census {first: 1, **later}, if its Kraft sum is at most 1, as a
+    snapshot whose limits carry the census slack's tail."""
     census = {first: 1, **later}
     assume(sum(Fraction(c, 1 << l) for l, c in census.items()) <= 1)
-    snap = EnsembleSnapshot("anonymous", 0, max(census), [], census)
+    return EnsembleSnapshot("anonymous", 0, max(census), [], census)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**ANONYMOUS_CENSUSES, quantity=st.sampled_from(("-F", "E", "S")),
+       T=st.sampled_from(TEMPERATURES))
+def test_argument_is_sound_on_anonymous_censuses(first, later, quantity, T):
+    # at every depth from k0 on, the census end included, for all 16 shifts
+    snap = _anonymous_snapshot(first, later)
     try:
         h = certify(snap, quantity, T)
     except CertificationError:
         return
-    _closes_only_where_sound(h, list(range(h.k0, h.max_depth)), SHIFTS)
+    _closes_only_where_sound(h, list(range(h.k0, _census_total(snap) + 1)))
+
+
+# (machine, a short maxlen, a longer one)
+TRUNCATED = (("sdm4", 12, 60), ("literal", 9, 41), ("geometric", 8, 80),
+             ("gamma_literal", 12, 40))
+
+
+def test_brackets_argued_past_the_census_hold_on_a_longer_one(monkeypatch):
+    # each certificate of a short census, and each of its 16 shifts, that
+    # the re-check accepts holds at every depth of a longer census of the
+    # same machine, past the short census's end too, which only the
+    # argument covered (the reference takes each of the first 32 programs,
+    # then each group's extremes, where the bounds bind)
+    monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
+    accepted = 0
+    for machine, short, long in TRUNCATED:
+        snap = builtin_snapshot(machine, short, program_cap=0)
+        longer = builtin_snapshot(machine, long, program_cap=0)
+        for quantity in ("-F", "E", "S"):
+            for T in TEMPERATURES:
+                try:
+                    h = certify(snap, quantity, T)
+                except CertificationError:
+                    continue  # NO_INDEX
+                increments = _reference_increments(
+                    h._replace(snapshot=longer), 32)
+                for db, dc in SHIFTS:
+                    mutated = h._replace(b=h.b + db, c=h.c + dc)
+                    if _verdict(mutated) is None:
+                        assert _reference_outcome(
+                            mutated._replace(snapshot=longer),
+                            increments) == (None, None), (machine, quantity,
+                                                          T, db, dc)
+                        accepted += 1
+    assert accepted == 186
 
 
 def test_a_bound_that_fails_past_the_walk_still_raises(recheck_handles):
-    # where the walk at T stops short of the census, the argument is tried
-    # at its end K; a shifted bound that the reference first falsifies at
-    # or past K is found by the groups the re-check goes on to, and the
-    # error names the reference's depth
+    # the argument is tried at the slope reach K, where the walk at T ends;
+    # a shifted bound that the reference first falsifies at or past K is
+    # found by the groups the re-check goes on to, and the error names the
+    # reference's depth: where a lower bound fails across a group, its first
+    # falsified program, not the group's last, where the bound binds; 28 of
+    # them on sdm4 1500 cap 512, whose groups hold many programs
     late = 0
-    for name, h in recheck_handles:
-        groups = h.snapshot.length_counts_up_to(h.max_depth)
-        K = fixedpoint._walk_reach(h.snapshot, groups, h.k0, h.max_depth)
-        if K == h.max_depth:
-            continue  # the walk covers the census; nothing is argued
-        increments = _reference_increments(h)
-        for db, dc in SHIFTS:
+    for name, h, _, outcomes in recheck_handles:
+        groups = fixedpoint._census_groups(h.snapshot)
+        K = sum(count for _, count in fixedpoint._slope_reach(groups, h.k0))
+        for (db, dc), (_, bad) in outcomes.items():
             mutated = h._replace(b=h.b + db, c=h.c + dc)
-            bad = _first_falsified(mutated, increments)
             if bad is not None and bad >= K:
                 assert _first_failure(mutated) == (CertificationError, bad)
                 late += 1
-    assert late == 21
+    assert late == 49
+
+
+def test_a_bracket_unproved_past_the_census_raises(monkeypatch):
+    # brackets that hold at every census program but that nothing proves
+    # past the census: -F with c = 2, where the argument declines, and Z
+    # with c = 1, whose lower bound l 2^-3 passes 1 at length 9.  On a
+    # census with Kraft sum 7/8 a program of any greater length may follow;
+    # one more program of length 3 completes the code and none can
+    monkeypatch.setattr(fixedpoint, "SLOPE_SAMPLES", 0)
+    unproved = ("increment bound unproved at k=6, past the census's last "
+                "length 3")
+    for census, want in (({2: 1, 3: 5}, unproved), ({2: 1, 3: 6}, None)):
+        snap = EnsembleSnapshot("anonymous", 0, 3, [], census)
+        for quantity, b, c in (("-F", 5, 2), ("Z", 3, 1)):
+            h = QuantityHandle(snap, quantity, HALF, Fraction(3, 4), 0, 0, b,
+                               c, 1, 64)
+            assert _reference_outcome(h, _reference_increments(h)) == (
+                None, None)
+            try:
+                fixedpoint._verify_certificate(h)
+                got = None
+            except CertificationError as exc:
+                got = str(exc)
+            assert got == want, (census, quantity)
 
 
 def test_recheck_and_reconstruct_errors_name_the_precision():
@@ -575,9 +626,9 @@ def _capacity_cases(monkeypatch):
     cases = {}
     bound = fixedpoint._min_capacity_on_window
 
-    def recorded(snapshot, k0, T, t, p, walks):
+    def recorded(snapshot, k0, T, t, *rest):
         cases[snapshot.ensemble_id, k0, T] = snapshot, k0, T, t
-        return bound(snapshot, k0, T, t, p, walks)
+        return bound(snapshot, k0, T, t, *rest)
 
     monkeypatch.setattr(fixedpoint, "_min_capacity_on_window", recorded)
     for name in CAPACITY_SNAPSHOTS:
@@ -589,7 +640,7 @@ def _capacity_cases(monkeypatch):
                 except CertificationError:
                     pass  # NO_INDEX, before the bound
     monkeypatch.undo()
-    assert len(cases) == 18
+    assert len(cases) == 19
     return [*cases.values(), *((TOP_HEAVY, 1000, T, (T + 1) / 2)
                                for T in TEMPERATURES[2:])]
 
@@ -628,6 +679,23 @@ def test_capacity_bound_is_below_the_exact_capacity(monkeypatch):
                             snap.ensemble_id, k, T, t, p, i)
 
 
+def test_capacity_bound_holds_where_depth_lowers_the_capacity():
+    # TOP_HEAVY's first k0 programs hold one of length 6 and k0 - 1 of
+    # length 10; its other programs of length 10 gather the weight there,
+    # so from T = 5/8 on C_1001 falls below C_k0 at k0 = 64 and 257 (a
+    # bound on C_k0 alone read 1.60 at k0 = 64 and T = 5/8, where C_1001
+    # is 0.48); the bound at k0 holds at depths up to the census end
+    for k0 in (2, 64, 257):
+        depths = {k0, k0 + 1, 2 * k0 + 2, *range(k0, 1001, 50), 1001}
+        for T in TEMPERATURES:
+            t = (T + 1) / 2
+            b = fixedpoint._min_capacity_on_window(TOP_HEAVY, k0, T, t, 64,
+                                                   {})
+            ranges = _slope_ranges(TOP_HEAVY, T, t, depths)
+            assert all(mpmath.ldexp(b.m, b.e) <= ranges[k, "E"][0]
+                       for k in depths), (k0, T)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(census=st.dictionaries(st.integers(1, 40), st.integers(1, 50),
                               min_size=1, max_size=6),
@@ -643,6 +711,78 @@ def test_pair_form_of_the_lower_sums(census, T, p):
     pairs = sum(ca * cb * w[la] * w[lb] * (la - lb) ** 2
                 for la, ca in groups for lb, cb in groups) / 2
     assert Z * Y - W * W == pairs
+
+
+def _slope_ranges(snap, T, t, depths):
+    """{k: (least, greatest)} over the five piece ends x of [T, t] of C_k(x)
+    and C_k(x)/x, the slopes of E_k and of S_k, for each depth k, in mpmath
+    at 300 bits."""
+    ranges = {}
+    with mpmath.workprec(300):
+        for i in range(5):
+            x = T + (t - T) * Fraction(i, 4)
+            x = mpmath.mpf(x.numerator) / x.denominator
+            pending = sorted(depths)
+            Z = W = Y = 0
+            K = 0
+            for l, count in snap.length_counts_up_to(pending[-1]):
+                w = mpmath.mpf(2) ** (-l / x)
+                while pending and pending[0] <= K + count:
+                    k = pending.pop(0)
+                    z, v = Z + (k - K) * w, W + (k - K) * w * l
+                    y = Y + (k - K) * w * l * l
+                    C = mpmath.ln(2) * (z * y - v * v) / (x * x * z * z)
+                    for quantity, slope in (("E", C), ("S", C / x)):
+                        lo, hi = ranges.get((k, quantity), (slope, slope))
+                        ranges[k, quantity] = min(lo, slope), max(hi, slope)
+                Z, W = Z + count * w, W + count * w * l
+                Y += count * w * l * l
+                K += count
+    return ranges
+
+
+def _check_slope_bounds(snap, T):
+    """The E and S handles that certify at T keep 2^-a_lower <= C_k <= 2^a
+    (C_k/x for S) on [T, t] at depths past the slope check's deepest
+    sample 2 k0 + 2: 4 k0, 8 k0 and every group end from 2 k0 + 2 on, the
+    census end included.  Returns the handles checked."""
+    handles = []
+    for quantity in ("E", "S"):
+        try:
+            handles.append(certify(snap, quantity, T))
+        except CertificationError:
+            pass
+    if not handles:
+        return 0
+    total, ends, K = _census_total(snap), {_census_total(snap)}, 0
+    for _, count in fixedpoint._census_groups(snap):
+        K += count
+        ends.add(K)
+    depths = [[k for k in {4 * h.k0, 8 * h.k0, *ends}
+               if 2 * h.k0 + 2 <= k <= total or k == total] for h in handles]
+    ranges = _slope_ranges(snap, T, handles[0].t, set().union(*depths))
+    for h, ks in zip(handles, depths):
+        for k in ks:
+            lo, hi = ranges[k, h.quantity]
+            assert mpmath.ldexp(1, -h.a_lower) <= lo, (h.quantity, T, k)
+            assert hi <= mpmath.ldexp(1, h.a), (h.quantity, T, k)
+    return len(handles)
+
+
+# sdm4 1500 cap 512 shares sdm4 1500's census, which alone decides
+@pytest.mark.parametrize("snapshot", sorted(set(CERTIFICATE_SNAPSHOTS)
+                                            - {"sdm4 1500 cap 512"}))
+def test_slope_bounds_hold_past_the_slope_reach(snapshot):
+    # a_lower and a bound C_k at every depth, not at the sampled ones alone
+    snap = CERTIFICATE_SNAPSHOTS[snapshot]()
+    assert sum(_check_slope_bounds(snap, T) for T in TEMPERATURES)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**ANONYMOUS_CENSUSES, T=st.sampled_from(TEMPERATURES))
+def test_slope_bounds_hold_past_the_slope_reach_on_anonymous_censuses(
+        first, later, T):
+    _check_slope_bounds(_anonymous_snapshot(first, later), T)
 
 
 # -- solve_temperature -------------------------------------------------
@@ -973,7 +1113,8 @@ PINNED_WITNESSES = {
 PINNED_SEMIDECISION_BUDGETS = {"Z": [2, 3, 4, 5], "-F": [1, 2, 3, 5],
                                "E": [2, 3, 5, 6], "S": [3, 4, 5, 6]}
 # reconstruct_T at (u, n) = (5/8, 6), (3/4, 16), (7/8, 24): (beta bits
-# used, candidate, radius)
+# used, candidate, radius); S's radius 2^(a_lower + c - n) doubled when its
+# a_lower rose from 2 to 3 with the capacity bound at every depth
 PINNED_RECONSTRUCTIONS = {
     "Z": [(5, "129*2^-8", "1*2^-4"), (11, "524289*2^-20", "1*2^-14"),
           (14, "134217729*2^-28", "1*2^-22")],
@@ -981,9 +1122,9 @@ PINNED_RECONSTRUCTIONS = {
            (14, "274877906945*2^-39", "1*2^-23")],
     "E": [(5, "2049*2^-12", "1*2^-2"), (11, "4294967297*2^-33", "1*2^-12"),
           (14, "8796093022209*2^-44", "1*2^-20")],
-    "S": [(5, "1048577*2^-21", "1*2^-3"),
-          (11, "549755813889*2^-40", "1*2^-13"),
-          (14, "35184372088833*2^-46", "1*2^-21")],
+    "S": [(5, "1048577*2^-21", "1*2^-2"),
+          (11, "549755813889*2^-40", "1*2^-12"),
+          (14, "35184372088833*2^-46", "1*2^-20")],
 }
 
 
@@ -1031,21 +1172,22 @@ def test_running_depth_values_match_the_depth_evaluations():
 
 
 def test_certify_builds_few_weight_chains(monkeypatch):
-    # per certify on geometric 300 at T = 1/2: one walk at T shared by the
-    # precondition, the re-check and the slope check, one walk per slope
-    # sample, which for E and S also gives the capacity pieces' sums at
-    # the three piece ends inside (T, t), and for E and S one more at t;
-    # the two limit evaluations come from the generating function and
+    # per certify on geometric 300 at T = 1/2: one chain at T shared by the
+    # precondition, the walk at T, the re-check's running walk and the
+    # slope check, one walk per slope sample, which for E and S also gives
+    # the capacity pieces' sums at the three piece ends inside (T, t), and
+    # for E and S one more at t; the limit evaluations, the capacity's
+    # three at the piece ends too, come from the generating function and
     # build none; summing the capacity pieces' ends apart from the slope
     # samples took 8 for E and S, the interval hull of the capacity
     # refined to 32 pieces 36, summing each depth and point separately
     # 20, 21, 90 and 90, and census limits 6, 6, 38 and 38.
     # The chains' entries: every l/T is an integer at T = 1/2, so the walk
-    # at T extends none; the slope samples' walks reach 2 k0 + 2 programs
-    # (k0 = 1 for Z, 2 for the others), because the deepest sample, at
-    # depth 300, comes from the generating function, and E and S add k0
-    # entries at t; walking the samples to depth 300 took 900, 900, 902
-    # and 902
+    # at T extends none; every other walk reaches 2 k0 + 2 programs (k0 =
+    # 1 for Z, 2 for the others), the one at t of E and S too, which the
+    # capacity bound reads at that depth (it read k0 programs there, 20
+    # entries for E and S); a slope sample at depth 300 walked to took
+    # 900, 900, 902 and 902
     built, chains = Counter(), {q: [] for q in ("Z", "-F", "E", "S")}
     init = thermo.WeightChain.__init__
 
@@ -1060,39 +1202,43 @@ def test_certify_builds_few_weight_chains(monkeypatch):
     assert built == {"Z": 4, "-F": 4, "E": 5, "S": 5}
     entries = {q: sum(len(chain._chain) - 1 for chain in built_chains)
                for q, built_chains in chains.items()}
-    assert entries == {"Z": 12, "-F": 18, "E": 20, "S": 20}
+    assert entries == {"Z": 12, "-F": 18, "E": 24, "S": 24}
 
 
 def test_certify_walks_the_census_only_to_the_slope_reach(monkeypatch):
     # per certify on geometric 300 at T = 21/64, where only l/T with 21 | l
     # is an integer, so every chain is extended to the longest length its
     # walk covers: the walk at T, which shares its chain with the first
-    # weight, reaches the slope check's 2 k0 + 2 programs (k0 = 1, 3, 4
-    # and 4), like the three slope samples' walks, and E and S add k0
-    # entries at t.  The -F, E and S re-checks visit the groups of the walk
-    # at T, where the closed argument ends them; walking the census at T
-    # took 16, 324, 334 and 334 entries and visited 0, 300, 300 and 300
-    # groups
+    # weight and the re-check, reaches the slope check's 2 k0 + 2 programs
+    # (k0 = 1, 3, 4 and 4), like the three slope samples' walks and, for E
+    # and S, the one at t (k0 programs there took 44 entries for E and S).
+    # The -F, E and S re-checks check the groups of the slope reach, where
+    # the closed argument ends them; the running walk reads one more
+    # length, the argument's l, one more entry of the chain at T; walking
+    # the census at T took 16, 324, 334 and 334 entries and checked 0, 300,
+    # 300 and 300 groups
     built, entries, visited = Counter(), Counter(), Counter()
-    init, prefixes = thermo.WeightChain.__init__, thermo.CensusWalk.prefixes
+    init, check = thermo.WeightChain.__init__, fixedpoint._check_increments
     chains = []
 
     def counted(self, *args):
         chains.append(self)
         init(self, *args)
 
-    def visiting(self, n):
-        for group in prefixes(self, n):
-            visited[quantity] += 1
-            yield group
+    def visiting(handle, prefixes, start):
+        def groups():
+            for group in prefixes:
+                visited[quantity] += 1
+                yield group
+        check(handle, groups(), start)
 
     monkeypatch.setattr(thermo.WeightChain, "__init__", counted)
-    monkeypatch.setattr(thermo.CensusWalk, "prefixes", visiting)
+    monkeypatch.setattr(fixedpoint, "_check_increments", visiting)
     for quantity in ("Z", "-F", "E", "S"):
         chains.clear()
         certify(GEO300, quantity, Fraction(21, 64))
         built[quantity] = len(chains)
         entries[quantity] = sum(len(chain._chain) - 1 for chain in chains)
     assert built == {"Z": 4, "-F": 4, "E": 5, "S": 5}
-    assert entries == {"Z": 16, "-F": 32, "E": 44, "S": 44}
+    assert entries == {"Z": 16, "-F": 33, "E": 51, "S": 51}
     assert visited == {"-F": 8, "E": 10, "S": 10}

@@ -29,8 +29,7 @@ from thermoait.errors import RangeError, SpecError
 from thermoait.thermo import (
     QUANTITIES, CensusWalk, WeightChain, _census_cutoff, _RunningWalk,
     divergence_probe, eval_limit, eval_partial, evaluate, limit_moments,
-    moment_sums, power_sum, series_moments, series_moments_through,
-    summed_lengths,
+    moment_sums, power_sum, series_moments, summed_lengths,
 )
 
 mpmath.mp.prec = 200
@@ -334,44 +333,6 @@ def test_series_moments_reach_the_census_sum(kind):
             partial = Fraction(acc[j], 1 << s * top)
             assert limit[j].lo >= _round_significand(partial, 96, False), \
                 (T, j)
-
-
-# the series machines with a census length at max_length
-TAIL_SNAPSHOTS = {"sdm4": builtin_snapshot("sdm4", 1500, program_cap=0),
-                  "literal": builtin_snapshot("literal", 401, program_cap=0),
-                  "geometric": builtin_snapshot("geometric", 600,
-                                                program_cap=0)}
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(SERIES_KINDS),
-       T=st.fractions(Fraction(1, 32), Fraction(63, 64), max_denominator=4096),
-       at=st.integers(0, 10**6), p=st.sampled_from([32, 64, 200]))
-@example(kind="sdm4", T=Fraction(63, 64), at=0, p=64)
-@example(kind="literal", T=Fraction(1, 32), at=-1, p=64)
-@example(kind="geometric", T=Fraction(21, 64), at=-1, p=32)
-def test_series_tail_leaves_the_census_sum(kind, T, at, p):
-    # the limit less the generating function's tail past L, a census
-    # length (at 0 the shortest, at -1 max_length), encloses the census
-    # sum up to L at 300 bits, and is no wider than a walk over the same
-    # groups wherever the walk rounds (where every l/T is an integer its
-    # weights are exact and its width is 0)
-    snap = TAIL_SNAPSHOTS[kind]
-    lengths = sorted(snap.census)
-    L = lengths[at % len(lengths)]
-    assert lengths[-1] == snap.max_length
-    orders = (0, 1, 2)
-    got = series_moments_through(snap, T, L, orders, p)
-    groups = [(l, snap.census[l]) for l in lengths if l <= L]
-    walk = CensusWalk(groups, T, p).sums(orders)[-1]
-    with mpmath.workprec(300):
-        x = mpmath.power(2, -mpmath.mpf(T.denominator) / T.numerator)
-        terms = [c * x**l for l, c in groups]
-        for j in orders:
-            exact = mpmath.fsum(t * l**j for (l, _), t in zip(groups, terms))
-            assert contains(got[j], exact), (L, j)
-            if walk[j].width().sign:
-                assert got[j].width() <= walk[j].width(), (L, j)
 
 
 def test_generating_function_limits_walk_no_census(monkeypatch):
