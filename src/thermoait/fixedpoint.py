@@ -190,49 +190,68 @@ class ReconstructionReport(NamedTuple):
 # running partial sums (incremental in k)
 # ---------------------------------------------------------------------------
 
-def _depth_values(handle: QuantityHandle, x: Fraction
-                  ) -> Iterator[tuple[int, Enclosure]]:
-    """(k, g(x, k)) for k = k0, k0 + 1, ... up to the census total, each
-    value from one running walk's exact sums, computed as its depth is
-    drawn."""
+def _depth_runs(handle: QuantityHandle, x: Fraction
+                ) -> Iterator[tuple[int, int, Callable[[int], Enclosure]]]:
+    """(k, m, g) for each run of depths k, ..., k + m - 1 >= k0 inside one
+    census group, with g(i) = g(x, k + i) from one running walk's exact
+    sums, valid until the next run is drawn; the last run is the census
+    total alone."""
     k0, p = handle.k0, handle.precision_bits
     walk = _RunningWalk(_census_groups(handle.snapshot), WeightChain(x, p),
                         handle.orders)
 
-    def g(i: int) -> Enclosure:
+    def at(i: int) -> Enclosure:
         mu = {j: walk.at(j, i) for j in handle.orders}
         return _g_from_moments(handle.quantity, mu[0], mu.get(1), x, p)
 
     k = 0
     for _, count in walk:
-        for i in range(min(count, max(k0 - k, 0)), count):
-            yield k + i, g(i)  # the programs before k0 are skipped at once
+        first = min(count, max(k0 - k, 0))  # the programs before k0
+        if first < count:
+            yield k + first, count - first, lambda i, s=first: at(s + i)
         k += count
     if k < k0:
         raise RangeError("enumeration exhausted")
-    yield k, g(0)
+    yield k, 1, at
 
 
 def _exceeding_depth(handle: QuantityHandle, x: Fraction,
                      upper_oracle: Iterable[Dyadic], budget: float
                      ) -> Optional[int]:
     """The first depth k >= k0 with g(x, k) certifiably above the oracle's
-    value (the next one once the depths run out), or None if the oracle or
-    the budget of comparisons runs out first."""
-    values = _depth_values(handle, x)
-    k, g = next(values)
-    probes = 0
-    for h in upper_oracle:
-        while probes < budget:
-            probes += 1
-            if certified_gt(g, Enclosure.point(h)):
-                return k
-            deeper = next(values, None) if probes < budget else None
-            if deeper is None:
-                break
-            k, g = deeper
-        if probes >= budget:
-            break
+    first value, or None if the oracle is empty or budget depths are
+    compared first.  Once the depths run out, each later value is compared
+    at the census total, at one unit of budget each.
+
+    g(x, k) rises with k, so one comparison at a run's last depth stands
+    for the whole run, and bisection finds the first depth inside the run
+    that exceeds the value: a census group of any size costs about log2 of
+    its count comparisons.  Should rounding make an enclosure's lower end
+    fall within a run, the depth returned could only be a later one, and
+    it is certified all the same."""
+    values = iter(upper_oracle)
+    h = next(values, None)
+    if h is None:
+        return None
+    h = Enclosure.point(h)
+    spent = 0
+    for k, m, g in _depth_runs(handle, x):
+        m = min(m, budget - spent)
+        if m < 1:
+            return None
+        spent += m
+        if certified_gt(g(m - 1), h):
+            i, j = 0, m - 1  # depth k + j exceeds h
+            while i < j:
+                mid = (i + j) // 2
+                i, j = (i, mid) if certified_gt(g(mid), h) else (mid + 1, j)
+            return k + j
+    for h in values:  # at the census total k, where g(0) is the total
+        if spent >= budget:
+            return None
+        spent += 1
+        if certified_gt(g(0), Enclosure.point(h)):
+            return k
     return None
 
 
@@ -243,7 +262,7 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
 def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                             precision_bits: int,
                             walks: dict[Fraction, CensusWalk],
-                            Z_t: Optional[Enclosure] = None) -> Dyadic:
+                            Z_t: Enclosure) -> Dyadic:
     """Certified positive lower bound on C_k over [T, t] at every depth k
     >= k0, on four equal pieces, in the pair form of the variance.  With
     P = Z Y - W^2, C = ln2 P / (x^2 Z^2), and by the Lagrange identity
@@ -269,7 +288,7 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
     T + (t - T) i/4 meet); a piece end that none covers is summed over the
     slope reach too, taken from the census if T has no walk.  Z_lim is one
     limit evaluation of order 0 per piece end, except that Z_t, the limit
-    of Z at t, serves at t if given.  Each point is summed once."""
+    of Z at t, serves at t.  Each point is summed once."""
     p = precision_bits
     ln2 = ln2_enclosure(p)
     reach = (walks[T].groups if T in walks
@@ -292,7 +311,7 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
             raise CertificationError(f"cannot certify positive heat capacity"
                                      f" on [{T}, {t}] at k0={k0}")
         Z_K = at(x1)[1][0].hi
-        Z_lim = (Z_t if x1 == t and Z_t is not None
+        Z_lim = (Z_t if x1 == t
                  else moments(snapshot, x1, "limit", (0,), p)[0][0]).hi
         # the smaller of P_k0 / Z_K^2 and P_K / Z_lim^2, compared exactly
         P, Z = ((P_k0, Z_K) if P_k0 * Z_lim * Z_lim <= P_K * Z_K * Z_K
@@ -430,7 +449,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
 
 
 def _verify_certificate(handle: QuantityHandle,
-                        groups: Optional[list[tuple[int, int]]] = None,
+                        groups: list[tuple[int, int]],
                         walks: Optional[dict[Fraction, CensusWalk]] = None,
                         limit: Optional[dict[int, Enclosure]] = None
                         ) -> None:
@@ -474,7 +493,6 @@ def _verify_certificate(handle: QuantityHandle,
     """
     snapshot, quantity = handle.snapshot, handle.quantity
     k0, b, c = handle.k0, handle.b, handle.c
-    groups = groups or _census_groups(snapshot)
     reach = _slope_reach(groups, k0)
     depth = sum(count for _, count in reach)  # the census total if < 2 k0 + 2
     if depth <= k0:

@@ -5,7 +5,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from math import ceil, log2
+from math import ceil, inf, log2
 from unittest import mock
 
 import mpmath
@@ -203,7 +203,7 @@ def test_verify_needs_a_census_depth_past_k0():
     # handle reaches this guard
     h = certify(CERTIFICATE_SNAPSHOTS["geometric 80"](), "E", HALF)
     with pytest.raises(CertificationError) as raised:
-        fixedpoint._verify_certificate(h._replace(k0=80))
+        _verify(h._replace(k0=80))
     assert str(raised.value) == ("census check depth 80 is not beyond k0 = 80;"
                                  " nothing to verify")
 
@@ -275,9 +275,13 @@ def _reference_outcome(h, increments):
     return verdict, None
 
 
+def _verify(h):
+    fixedpoint._verify_certificate(h, fixedpoint._census_groups(h.snapshot))
+
+
 def _verdict(h):
     try:
-        fixedpoint._verify_certificate(h)
+        _verify(h)
     except (CertificationError, PrecisionError) as exc:
         return type(exc)
     return None
@@ -355,7 +359,7 @@ def test_recheck_binds_each_bound_at_its_group_extreme(monkeypatch):
                     inside += 1 < k < 6
                 verdicts[want] += 1
         with pytest.raises(PrecisionError, match="k=0"):  # Z_0 = 0
-            fixedpoint._verify_certificate(h._replace(k0=0))
+            _verify(h._replace(k0=0))
     assert verdicts[None] and verdicts[CertificationError] and inside
 
 
@@ -374,7 +378,7 @@ def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
                                   increments)[0] is CertificationError
         with pytest.raises(CertificationError,
                            match="increment bound falsified"):
-            fixedpoint._verify_certificate(h._replace(c=h.c + dc))
+            _verify(h._replace(c=h.c + dc))
         least[name, h.quantity, h.T] = dc
     assert least == dict.fromkeys(least, 2)
 
@@ -382,7 +386,7 @@ def test_recheck_falsifies_a_doubled_lower_bound(recheck_handles):
 def _first_failure(h):
     """(error type, k named in its message), or (None, None)."""
     try:
-        fixedpoint._verify_certificate(h)
+        _verify(h)
     except (CertificationError, PrecisionError) as exc:
         return type(exc), int(str(exc).split("k=")[1].split(",")[0])
     return None, None
@@ -580,7 +584,7 @@ def test_a_bracket_unproved_past_the_census_raises(monkeypatch):
             assert _reference_outcome(h, _reference_increments(h)) == (
                 None, None)
             try:
-                fixedpoint._verify_certificate(h)
+                _verify(h)
                 got = None
             except CertificationError as exc:
                 got = str(exc)
@@ -595,7 +599,7 @@ def test_recheck_and_reconstruct_errors_name_the_precision():
     snap = EnsembleSnapshot("two groups", 0, 3, programs, {2: 1, 3: 6})
     h = QuantityHandle(snap, "-F", HALF, Fraction(3, 4), 0, 0, 4, 4, 1, 64)
     with pytest.raises(PrecisionError) as raised:
-        fixedpoint._verify_certificate(h)
+        _verify(h)
     assert str(raised.value) == ("increment bound unresolved at k=6, with 64 "
                                  "bits of working precision; raise precision")
     # reconstruct's beta: gamma_literal 40's Kraft-slack tail leaves its
@@ -617,6 +621,11 @@ CAPACITY_SNAPSHOTS = ("geometric 300", "literal 40", "sdm4 1500 cap 512",
 # Z sits at length 10 and gathers there as x grows, so the variance of
 # the length, and C, fall across the window
 TOP_HEAVY = EnsembleSnapshot("top-heavy", 0, 10, [], {6: 1, 10: 1000})
+
+
+def _Z_limit(snapshot, t, p=64):
+    """The limit of Z at t, as certify hands it to the capacity bound."""
+    return thermo.moments(snapshot, t, "limit", (0,), p)[0][0]
 
 
 def _capacity_cases(monkeypatch):
@@ -656,7 +665,7 @@ def test_capacity_bound_is_below_the_exact_capacity(monkeypatch):
                 groups = snap.length_counts_up_to(k)
                 try:
                     bounds[k] = fixedpoint._min_capacity_on_window(
-                        snap, k, T, t, p, {})
+                        snap, k, T, t, p, {}, _Z_limit(snap, t, p))
                 except CertificationError:  # P = 0: a single length
                     assert len(groups) == 1
                     continue
@@ -690,7 +699,7 @@ def test_capacity_bound_holds_where_depth_lowers_the_capacity():
         for T in TEMPERATURES:
             t = (T + 1) / 2
             b = fixedpoint._min_capacity_on_window(TOP_HEAVY, k0, T, t, 64,
-                                                   {})
+                                                   {}, _Z_limit(TOP_HEAVY, t))
             ranges = _slope_ranges(TOP_HEAVY, T, t, depths)
             assert all(mpmath.ldexp(b.m, b.e) <= ranges[k, "E"][0]
                        for k in depths), (k0, T)
@@ -970,10 +979,35 @@ def test_witness_names_the_records_it_lacks():
 
 
 def test_witness_oracle_exhausted(handles):
-    # an oracle that never descends near f(T) cannot be beaten
-    with pytest.raises(OracleExhausted):
-        witness_search(handles["Z"], bits_prefix(Dyadic(1, -1), 20),
-                       iter([Dyadic(2), Dyadic(2), Dyadic(2)]))
+    # an oracle that never descends near f(T) cannot be beaten; Z never
+    # reaches 2, so every depth is passed, a length group at one
+    # comparison, also on sdm4 200 cap 64's census of about 10^47 programs
+    sdm4 = certify(CERTIFICATE_SNAPSHOTS["sdm4 200 cap 64"](), "Z", HALF)
+    for h in (handles["Z"], sdm4):
+        start = time.monotonic()
+        with pytest.raises(OracleExhausted):
+            witness_search(h, bits_prefix(Dyadic(1, -1), 20),
+                           iter([Dyadic(2), Dyadic(2), Dyadic(2)]))
+        assert time.monotonic() - start < 2.0
+
+
+def test_procedures_past_two_to_the_twenty_end_in_typed_errors():
+    # handles whose k0 lies far past 2^20 programs: witness_search finds
+    # k_e within a vast length group and names the records it lacks, and
+    # reconstruct_T's A oracle runs out; each within a second
+    snap = CERTIFICATE_SNAPSHOTS["sdm4 200 cap 64"]()
+    for quantity, T in (("-F", Fraction(7, 32)), ("E", Fraction(1, 4))):
+        h = certify(snap, quantity, T)
+        assert h.k0 > 10 ** 29, quantity
+        start = time.monotonic()
+        with pytest.raises(RangeError, match="listing outputs needs"):
+            witness_search(h, bits_prefix(Dyadic.from_fraction(T), 12),
+                           descending_upper_oracle(h))
+        u, n = Fraction(5, 8), 6
+        with pytest.raises(OracleExhausted, match="A oracle exhausted"):
+            reconstruct_T(h, u, n, BitString("0" * ceil(T * n / u)),
+                          approach_oracle(h), ascending_lower_oracle(h))
+        assert time.monotonic() - start < 1.0, quantity
 
 
 # -- semidecide_above --------------------------------------------------
@@ -1166,9 +1200,37 @@ def test_running_depth_values_match_the_depth_evaluations():
         for quantity in ("Z", "-F"):
             h = certify(snap, quantity, HALF)
             x = Fraction(37, 64)
-            for k, g in islice(fixedpoint._depth_values(h, x), 40):
+            for k, g in islice(_depths(h, x), 40):
                 want = h.g(x, k)
                 assert (g.lo, g.hi) == (want.lo, want.hi), (quantity, k)
+
+
+def _depths(h, x):
+    """(k, g(x, k)) for k = k0, k0 + 1, ..., from the procedures' runs."""
+    for k, m, g in fixedpoint._depth_runs(h, x):
+        for i in range(m):
+            yield k + i, g(i)
+
+
+def test_exceeding_depth_is_the_first_a_scan_of_every_depth_finds():
+    # the run ends and the bisection inside a run find the depth, and the
+    # budget, that comparing every depth in turn gives: at values between
+    # the lower ends of successive depths, on the first 300 depths
+    for snap in RECHECK_SNAPSHOTS.values():
+        for quantity in fixedpoint.QUANTITY_CHOICES:
+            h = certify(snap, quantity, HALF)
+            x = Fraction(37, 64)
+            lows = [(k, g.lo) for k, g in islice(_depths(h, x), 300)]
+            steps = [(below, k, above) for (_, below), (k, above)
+                     in zip(lows, lows[1:]) if below < above]
+            assert len(steps) > 5, quantity
+            for below, k, above in steps[::max(1, len(steps) // 40)]:
+                value = (below + above).scale2(-1)
+                want = next(k for k, lo in lows if value < lo)
+                spent = want - h.k0 + 1
+                got = [fixedpoint._exceeding_depth(h, x, [value], budget)
+                       for budget in (inf, spent, spent - 1)]
+                assert got == [want, want, None], (quantity, k)
 
 
 def test_certify_builds_few_weight_chains(monkeypatch):
