@@ -4,6 +4,12 @@ A dyadic rational is m * 2**e with unbounded integer mantissa m and signed
 integer exponent e.  Addition, subtraction, multiplication and scaling by
 powers of two are exact; division is not closed and lives in the enclosure
 layer, where it rounds outward.
+
+The comparisons <, <=, > and >= are defined directly, each one shift by
+the exponent difference and one integer compare.  A Dyadic operand of
+the arithmetic and the comparisons is read as it is; an int is
+converted first, and any other type (a Fraction too) raises TypeError,
+or for == compares unequal.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import SpecError
 
@@ -19,7 +24,6 @@ _DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
 _NUMERAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
-@total_ordering
 class Dyadic:
     """Exact number mantissa * 2**exponent, kept in canonical form
     (mantissa odd or zero; zero has exponent 0)."""
@@ -86,27 +90,30 @@ class Dyadic:
 
     # -- arithmetic (exact) -------------------------------------------
 
-    def _aligned(self, other: "Dyadic") -> tuple[int, int, int]:
-        e = min(self.e, other.e)
-        return self.m << (self.e - e), other.m << (other.e - e), e
-
     def __add__(self, other):
-        other = _coerce(other)
-        a, b, e = self._aligned(other)
-        return Dyadic(a + b, e)
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+        d = self.e - other.e
+        if d >= 0:
+            return Dyadic((self.m << d) + other.m, other.e)
+        return Dyadic(self.m + (other.m << -d), self.e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        a, b, e = self._aligned(other)
-        return Dyadic(a - b, e)
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+        d = self.e - other.e
+        if d >= 0:
+            return Dyadic((self.m << d) - other.m, other.e)
+        return Dyadic(self.m - (other.m << -d), self.e)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        if type(other) is not Dyadic:
+            other = _coerce(other)
         return Dyadic(self.m * other.m, self.e + other.e)
 
     __rmul__ = __mul__
@@ -124,15 +131,45 @@ class Dyadic:
     # -- comparisons --------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, (Dyadic, int)):
-            return NotImplemented
-        other = _coerce(other)
+        if type(other) is not Dyadic:
+            if not isinstance(other, (Dyadic, int)):
+                return NotImplemented
+            other = _coerce(other)
         return self.m == other.m and self.e == other.e
 
+    # each compares the mantissas shifted to the smaller exponent
+
     def __lt__(self, other):
-        other = _coerce(other)
-        a, b, _ = self._aligned(other)
-        return a < b
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+        d = self.e - other.e
+        if d >= 0:
+            return self.m << d < other.m
+        return self.m < other.m << -d
+
+    def __le__(self, other):
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+        d = self.e - other.e
+        if d >= 0:
+            return self.m << d <= other.m
+        return self.m <= other.m << -d
+
+    def __gt__(self, other):
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+        d = self.e - other.e
+        if d >= 0:
+            return self.m << d > other.m
+        return self.m > other.m << -d
+
+    def __ge__(self, other):
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+        d = self.e - other.e
+        if d >= 0:
+            return self.m << d >= other.m
+        return self.m >= other.m << -d
 
     def __hash__(self):
         return hash(self.as_fraction())

@@ -34,6 +34,8 @@ RationalLike = Fraction | int | Dyadic
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, Dyadic):
         return x.as_fraction()
     return Fraction(x)
@@ -109,7 +111,8 @@ class Enclosure:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Dyadic, hi: Dyadic):
-        if hi < lo:
+        d = hi.e - lo.e  # hi < lo, compared as Dyadic.__lt__ does
+        if (hi.m << d < lo.m) if d >= 0 else (hi.m < lo.m << -d):
             raise ValueError(f"inverted enclosure [{lo!r}, {hi!r}]")
         self.lo = lo
         self.hi = hi
@@ -121,10 +124,13 @@ class Enclosure:
 
     @classmethod
     def from_rational(cls, q: RationalLike, precision_bits: int = DEFAULT_PRECISION) -> "Enclosure":
+        if type(q) is Dyadic:
+            return cls(q, q)
         q = _as_fraction(q)
         d = q.denominator
         if d & (d - 1) == 0:
-            return cls.point(Dyadic.from_fraction(q))
+            x = Dyadic(q.numerator, 1 - d.bit_length())
+            return cls(x, x)
         n = precision_bits + _GUARD
         lo = Dyadic((q.numerator << n) // d, -n)
         hi = Dyadic(-((-q.numerator << n) // d), -n)
@@ -151,20 +157,24 @@ class Enclosure:
     # -- exact ring operations ----------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        if type(other) is not Enclosure:
+            other = _coerce(other)
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        if type(other) is not Enclosure:
+            other = _coerce(other)
         return Enclosure(self.lo - other.hi, self.hi - other.lo)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        a, b = self, _coerce(other)
+        a, b = self, other
+        if type(b) is not Enclosure:
+            b = _coerce(b)
         if b.lo.m >= 0:
             a, b = b, a
         if a.lo.m >= 0:
@@ -223,7 +233,10 @@ def _div_dyadic(a: Dyadic, b: Dyadic, n: int, up: bool) -> Dyadic:
 
 
 def div(a: Enclosure, b: Enclosure, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
-    a, b = _coerce(a), _coerce(b)
+    if type(a) is not Enclosure:
+        a = _coerce(a)
+    if type(b) is not Enclosure:
+        b = _coerce(b)
     if b.lo.m <= 0 <= b.hi.m:
         raise PrecisionError("division by an interval containing 0")
     if b.hi.m < 0:
@@ -306,7 +319,10 @@ def ln2_enclosure(precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
 
 def certified_lt(a: Enclosure, b: Enclosure) -> Optional[bool]:
     """True/False when the order is certain, None when unresolved."""
-    a, b = _coerce(a), _coerce(b)
+    if type(a) is not Enclosure:
+        a = _coerce(a)
+    if type(b) is not Enclosure:
+        b = _coerce(b)
     if a.hi < b.lo:
         return True
     if b.hi <= a.lo:

@@ -260,10 +260,14 @@ def kraft_tail_bounds(census, L: int, T: Fraction, orders,
     l^j 2^(-l/T) <= M_j (census(l) 2^-l) with
     M_j = max_{l>L} l^j 2^(-l(1/T - 1)); the max of that unimodal function
     is bracketed through rational bounds on its critical point
-    j T / ((1-T) ln 2)."""
+    j T / ((1-T) ln 2).  A census whose Kraft sum through L exceeds 1 is
+    no prefix-free domain and raises InvariantViolation."""
     if T >= 1:
         raise RangeError("census-slack tail bounds require T < 1")
     tau = kraft_slack(census.items(), L)
+    if tau < 0:
+        raise InvariantViolation(f"Kraft violation: the census sum through "
+                                 f"length {L} exceeds 1")
     if tau == 0:
         return {j: Dyadic(0) for j in orders}
     delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
@@ -300,8 +304,9 @@ class Machine(NamedTuple):
     of the census's growth per length.  series, if any, is the generating
     function sum_l census(l) x^l = N(x)/D(x) as the integer coefficients
     (N, D) in ascending powers; D(0) = 1 and D's others are at most 0, so D
-    falls on x >= 0 and is positive below the pole.  counts is the census
-    of a machine without one."""
+    falls on x >= 0 and is positive below the pole.  numerators holds P_0
+    .. P_4 of its moments (moment_numerators).  counts is the census of a
+    machine without one."""
 
     name: str
     programs: Callable[[int, int, int], Iterator[ProgramRecord]]
@@ -309,6 +314,7 @@ class Machine(NamedTuple):
     growth: float = 1.0
     series: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     counts: Callable[[int], Iterator[tuple[int, int]]] | None = None
+    numerators: tuple[tuple[int, ...], ...] = ()
 
     def census(self, max_length: int) -> Iterator[tuple[int, int]]:
         """The nonzero (length, count) pairs up to max_length, ascending:
@@ -335,19 +341,44 @@ class Machine(NamedTuple):
                 yield l, v
 
 
+def moment_numerators(series, top: int) -> tuple[tuple[int, ...], ...]:
+    """P_0 .. P_top with (x d/dx)^j (N/D) = P_j / D^(j+1) for series (N,
+    D): P_0 = N and P_j = (x d/dx P_(j-1)) D - j P_(j-1) (x D'), in
+    coefficients sum_(i+k) (i - j k) a_i d_k."""
+    N, D = series
+    out = [tuple(N)]
+    for j in range(1, top + 1):
+        P = [0] * (len(out[-1]) + len(D) - 1)
+        for i, a in enumerate(out[-1]):
+            for k, d in enumerate(D):
+                P[i + k] += (i - j * k) * a * d
+        out.append(tuple(P))
+    return tuple(out)
+
+
+def _series_machine(name: str, programs, run, growth: float,
+                    series) -> Machine:
+    """A machine with the generating function series, holding the
+    numerators of its moments through order 4 (the order that the census
+    cutoffs allow for); series_moments derives a higher one when asked."""
+    return Machine(name, programs, run, growth, series,
+                   numerators=moment_numerators(series, 4))
+
+
 MACHINES: dict[str, Machine] = {m.name: m for m in (
     # d(m) programs of length 2m+2, d(m) = 2 d(m-1) + 3 d(m-2), d(0) = 1:
     # Z = x^2 / (1 - 2x^2 - 3x^4)
-    Machine("sdm4", _sdm4_programs, run_sdm4, log2(3) / 2,
-            ((0, 0, 1), (1, 0, -2, 0, -3))),
+    _series_machine("sdm4", _sdm4_programs, run_sdm4, log2(3) / 2,
+                    ((0, 0, 1), (1, 0, -2, 0, -3))),
     # 2^n programs of length 2n+1: Z = x / (1 - 2x^2)
-    Machine("literal", partial(_payload_programs, _unary_code), None, 1 / 2,
-            ((0, 1), (1, 0, -2))),
+    _series_machine("literal", partial(_payload_programs, _unary_code), None,
+                    1 / 2, ((0, 1), (1, 0, -2))),
     # no rational generating function: the census Kraft slack
     Machine("gamma_literal", partial(_payload_programs, gamma_code),
             counts=_gamma_literal_counts),
     # one program per length: Z = x / (1 - x)
-    Machine("geometric", _geometric_programs, None, 0.0, ((0, 1), (1, -1))),
+    _series_machine("geometric", _geometric_programs, None, 0.0,
+                    ((0, 1), (1, -1))),
 )}
 
 

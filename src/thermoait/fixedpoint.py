@@ -349,6 +349,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         raise SpecError(f"quantity must be one of {QUANTITY_CHOICES}")
     Tf = _temp_frac(T)
     t = (Tf + 1) / 2
+    xs = _slope_points(Tf, t)
     p = precision_bits
     ln2 = ln2_enclosure(p)
     lim_T, _ = moments(snapshot, Tf, "limit", (0, 1, 2), p)
@@ -432,7 +433,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
                    * Enclosure.point(Z1_lo), p).hi
         # the slope samples' walks and the one at t, built once for the
         # capacity pieces that end at them and for the slope check
-        walk_over_reach(k0, *_slope_points(Tf, t), t)
+        walk_over_reach(k0, *xs, t)
         c_lo = _min_capacity_on_window(snapshot, k0, Tf, t, p, walks,
                                        lim_t[0])
         if quantity == "S":
@@ -444,22 +445,23 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, groups, walks, lim_T)
+    _verify_certificate(handle, groups, walks, lim_T, xs)
     return handle
 
 
 def _verify_certificate(handle: QuantityHandle,
                         groups: list[tuple[int, int]],
                         walks: Optional[dict[Fraction, CensusWalk]] = None,
-                        limit: Optional[dict[int, Enclosure]] = None
-                        ) -> None:
+                        limit: Optional[dict[int, Enclosure]] = None,
+                        xs: Optional[list[Fraction]] = None) -> None:
     """Re-check the increment bracket at every depth k >= k0, then sample
     the slope bounds on (T, t).
 
     groups are the census groups (_census_groups), walks maps T, and any of
-    the slope samples, to its CensusWalk over the slope reach, and limit
-    holds the limit moments at T of orders 0 and 1, as certify built them
-    (whatever is not given is built here).
+    the slope samples, to its CensusWalk over the slope reach, limit holds
+    the limit moments at T of orders 0 and 1, and xs are the slope samples
+    (_slope_points), as certify built them (whatever is not given is built
+    here).
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -529,23 +531,25 @@ def _verify_certificate(handle: QuantityHandle,
             handle, _argued_groups(handle, running, depth, limit), k0)
 
     # the slope bounds at depths k0, k0 + 1 and 2 k0 + 2, at sample points
-    # of (T, t), from one walk per point
+    # of (T, t), from one walk per point; each point's bounds dx 2^a and
+    # dx 2^(-a_lower), dx = x - T, serve all its depths
     T, t = handle.T, handle.t
     ks = sorted({k0, k0 + 1, min(2 * k0 + 2, depth)})
-    xs = _slope_points(T, t)
+    xs = xs or _slope_points(T, t)
     at_T = walk.sums(handle.orders, ks)
     at_x = [(walks.get(x) or CensusWalk(reach, x, p)).sums(handle.orders, ks)
             for x in xs]
+    slopes = [(dx.scale2(handle.a), dx.scale2(-handle.a_lower))
+              for dx in (Enclosure.from_rational(x - T, p) for x in xs)]
     for i, k in enumerate(ks):
         gT = _g_from_moments(quantity, at_T[i][0], at_T[i].get(1), T, p)
-        for x, mu in zip(xs, at_x):
+        for x, mu, (up, down) in zip(xs, at_x, slopes):
             diff = _g_from_moments(quantity, mu[i][0], mu[i].get(1), x,
                                    p) - gT
-            dx = Enclosure.from_rational(x - T, p)
-            if certified_lt(dx.scale2(handle.a), diff):
+            if certified_lt(up, diff):
                 raise CertificationError(
                     f"slope upper bound falsified at k={k}, x={x}")
-            if certified_lt(diff, dx.scale2(-handle.a_lower)):
+            if certified_lt(diff, down):
                 raise CertificationError(
                     f"slope lower bound falsified at k={k}, x={x}")
 

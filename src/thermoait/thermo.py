@@ -47,7 +47,10 @@ from .enclosure import (
     DEFAULT_PRECISION, Enclosure, certified_gt, div, exp2_enclosure,
     ln2_enclosure, log2_enclosure,
 )
-from .ensembles import EnsembleSnapshot, get_machine, kraft_tail_bounds
+from .ensembles import (
+    EnsembleSnapshot, Machine, get_machine, kraft_tail_bounds,
+    moment_numerators,
+)
 from .errors import RangeError, SpecError
 
 QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
@@ -321,29 +324,15 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
     each includes: from the machine's generating function (tails 0), or
     census sums up to a cutoff plus a [0, bound] Kraft-slack tail."""
     if snapshot.series:
-        return (series_moments(snapshot.series, T, orders, precision_bits),
+        return (series_moments(snapshot.machine, T, orders, precision_bits),
                 {j: Dyadic(0) for j in orders})
     L = _census_cutoff(snapshot, T, 4, precision_bits)
+    # the tails first: an over-full census raises there, before any sum
+    tails = kraft_tail_bounds(snapshot.census, L, T, orders, precision_bits)
     sums = moment_sums(_census_through(snapshot, L), T, orders,
                        precision_bits)
-    tails = kraft_tail_bounds(snapshot.census, L, T, orders, precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails
-
-
-def _moment_numerators(series, top: int) -> list[list[int]]:
-    """P_0 .. P_top with (x d/dx)^j (N/D) = P_j / D^(j+1) for series (N,
-    D): P_0 = N and P_j = (x d/dx P_(j-1)) D - j P_(j-1) (x D'), in
-    coefficients sum_(i+k) (i - j k) a_i d_k."""
-    N, D = series
-    out = [list(N)]
-    for j in range(1, top + 1):
-        P = [0] * (len(out[-1]) + len(D) - 1)
-        for i, a in enumerate(out[-1]):
-            for k, d in enumerate(D):
-                P[i + k] += (i - j * k) * a * d
-        out.append(P)
-    return out
 
 
 def _horner(poly, m: int, s: int) -> int:
@@ -364,19 +353,22 @@ def _rounded_quotient(num: int, den: int, e: int, n: int, up: bool) -> Dyadic:
     return Dyadic(q + (up and r > 0), e - shift)
 
 
-def series_moments(series, T: Fraction, orders,
+def series_moments(machine: Machine, T: Fraction, orders,
                    precision_bits: int) -> dict[int, Enclosure]:
     """Enclosures of the moments M_j = sum_l census(l) l^j x^l, x =
-    2^(-1/T) < 1/2, of the census with generating function series (N, D):
-    M_j = P_j / D^(j+1) (_moment_numerators), a series with nonnegative
-    coefficients and so rising with x below the pole, where D > 0.  Its
-    exact values at the ends of one exp2 enclosure of x are rounded outward
-    to precision_bits + 32 significant bits.  x is its only source of
-    width, so it is taken 16 bits finer than the working precision."""
+    2^(-1/T) < 1/2, of the census with generating function machine.series
+    (N, D): M_j = P_j / D^(j+1), with P_j the machine's numerators
+    (moment_numerators), a series with nonnegative coefficients and so
+    rising with x below the pole, where D > 0.  Its exact values at the
+    ends of one exp2 enclosure of x are rounded outward to precision_bits
+    + 32 significant bits.  x is its only source of width, so it is taken
+    16 bits finer than the working precision."""
     if T >= 1:
         raise RangeError("generating-function limits require T < 1")
     x = exp2_enclosure(Fraction(-1) / T, precision_bits + 16)
-    D, P = series[1], _moment_numerators(series, max(orders))
+    D, P = machine.series[1], machine.numerators
+    if len(P) <= max(orders):  # an order past those the machine holds
+        P = moment_numerators(machine.series, max(orders))
     ends = []
     for end, up in ((x.lo, False), (x.hi, True)):
         m, s = end.m, -end.e  # poly(x) = _horner(poly, m, s) 2^(-s deg)

@@ -1,9 +1,10 @@
 """Exactness and ordering of dyadic rationals."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from thermoait.dyadic import Dyadic, from_rational_ceil
 from thermoait.errors import SpecError
@@ -56,10 +57,39 @@ def test_ring_ops_exact(a, b):
     assert (-a).as_fraction() == -fa
 
 
-@given(dyadics, dyadics)
+def _value(x):
+    return x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+
+
+@given(dyadics, dyadics | st.integers(min_value=-2**40, max_value=2**40))
+@example(Dyadic(0), Dyadic(0))
+@example(Dyadic(0), 0)
+@example(Dyadic(-3, -2), Dyadic(0))
+@example(Dyadic(5, 3), 40)
+@example(Dyadic(-1, 40), -2**40)
 def test_order_matches_rationals(a, b):
-    assert (a < b) == (a.as_fraction() < b.as_fraction())
-    assert (a == b) == (a.as_fraction() == b.as_fraction())
+    # each comparison is defined on its own, so each is checked, with an
+    # int on either side
+    fa, fb = a.as_fraction(), _value(b)
+    for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+        assert (x < y) == (fx < fy)
+        assert (x <= y) == (fx <= fy)
+        assert (x > y) == (fx > fy)
+        assert (x >= y) == (fx >= fy)
+        assert (x == y) == (fx == fy)
+        assert (x != y) == (fx != fy)
+        assert _value(max(x, y)) == max(fx, fy)
+        assert _value(min(x, y)) == min(fx, fy)
+
+
+@given(dyadics, st.fractions())
+def test_mixing_with_a_fraction_raises(a, q):
+    for op in (operator.lt, operator.le, operator.gt, operator.ge,
+               operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(a, q)
+        with pytest.raises(TypeError):
+            op(q, a)
 
 
 @given(dyadics, st.integers(min_value=-40, max_value=40))

@@ -8,10 +8,11 @@ checked against exact Fraction corners.
 
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thermoait.bitstring import BitString
 from thermoait.dyadic import Dyadic
@@ -236,6 +237,54 @@ def test_enclosure_arithmetic_containment(a, b):
     assert s.hi.as_fraction() == a.hi.as_fraction() + b.hi.as_fraction()
     assert d.lo.as_fraction() == a.lo.as_fraction() - b.hi.as_fraction()
     assert d.hi.as_fraction() == a.hi.as_fraction() - b.lo.as_fraction()
+
+
+@PROPERTY
+@given(DYADICS, DYADICS)
+@example(Dyadic(3, -1), Dyadic(1))      # 3/2 > 1: hi's exponent larger
+@example(Dyadic(5), Dyadic(1, 2))       # 5 > 4: hi's exponent larger
+@example(Dyadic(1, 2), Dyadic(7, -1))   # 4 > 7/2: lo's exponent larger
+@example(Dyadic(1, 2), Dyadic(9, -1))   # 4 <= 9/2
+def test_inverted_enclosure_raises(lo, hi):
+    if hi.as_fraction() < lo.as_fraction():
+        with pytest.raises(ValueError, match="inverted"):
+            Enclosure(lo, hi)
+    else:
+        e = Enclosure(lo, hi)
+        assert (e.lo, e.hi) == (lo, hi)
+
+
+def _from_rational_reference(q: Fraction, prec: int):
+    """(lo, hi) as (m, e) pairs: q itself where it is dyadic, else q
+    rounded down and up to the grid 2^-(prec + guard), in Fractions."""
+    d = q.denominator
+    if d & (d - 1) == 0:
+        x = Dyadic.from_fraction(q)
+        return (x.m, x.e), (x.m, x.e)
+    n = prec + enclosure._GUARD
+    lo = Dyadic(floor(q * 2**n), -n)
+    hi = Dyadic(ceil(q * 2**n), -n)
+    return (lo.m, lo.e), (hi.m, hi.e)
+
+
+RATIONALS = (DYADICS | st.integers(-2**100, 2**100)
+             | st.fractions(max_denominator=2**70)
+             | st.builds(lambda m, k: Fraction(m, 1 << k),
+                         st.integers(-2**100, 2**100), st.integers(0, 200)))
+
+
+@PROPERTY
+@given(RATIONALS, PRECISIONS)
+@example(Dyadic(0), 64)
+@example(Dyadic(-3, -7), 64)
+@example(-5, 64)
+@example(Fraction(7, 8), 64)
+@example(Fraction(-1, 3), 16)
+def test_from_rational_matches_the_fraction_reference(q, prec):
+    e = Enclosure.from_rational(q, prec)
+    q = q.as_fraction() if isinstance(q, Dyadic) else Fraction(q)
+    assert ((e.lo.m, e.lo.e), (e.hi.m, e.hi.e)
+            ) == _from_rational_reference(q, prec)
 
 
 def test_clamp_nonnegative():

@@ -20,7 +20,8 @@ from thermoait.enclosure import (
 )
 from thermoait.ensembles import EnsembleSnapshot, ProgramRecord, builtin_snapshot
 from thermoait.errors import (
-    CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
+    CertificationError, InvariantViolation, OracleExhausted, PrecisionError,
+    RangeError, SpecError,
 )
 from thermoait.fixedpoint import (
     QuantityHandle, approach_oracle, ascending_lower_oracle, certify,
@@ -589,6 +590,18 @@ def test_a_bracket_unproved_past_the_census_raises(monkeypatch):
             except CertificationError as exc:
                 got = str(exc)
             assert got == want, (census, quantity)
+
+
+def test_an_over_full_census_raises_a_typed_error():
+    # Kraft sum 1/2 + 1/64 + 990/1024 > 1: no prefix-free domain has this
+    # census, and its Kraft slack is negative; load_snapshot rejects such a
+    # file, and a snapshot built directly is rejected by the limit
+    snap = EnsembleSnapshot("over-full", 0, 10, [], {1: 1, 6: 1, 10: 990})
+    with pytest.raises(InvariantViolation, match="Kraft"):
+        thermo.eval_limit(snap, HALF)
+    for quantity in ("Z", "-F", "E", "S"):
+        with pytest.raises(InvariantViolation, match="Kraft"):
+            certify(snap, quantity, HALF)
 
 
 def test_recheck_and_reconstruct_errors_name_the_precision():

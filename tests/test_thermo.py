@@ -22,7 +22,7 @@ from thermoait.bitstring import BitString
 from thermoait.dyadic import Dyadic
 from thermoait.enclosure import Enclosure, exp2_enclosure
 from thermoait.ensembles import (
-    MACHINES, EnsembleSnapshot, ProgramRecord, builtin_snapshot,
+    MACHINES, EnsembleSnapshot, Machine, ProgramRecord, builtin_snapshot,
     kraft_tail_bounds, load_snapshot, save_snapshot,
 )
 from thermoait.errors import RangeError, SpecError
@@ -245,7 +245,7 @@ def test_limit_requires_subcritical_temperature():
                 eval_limit(snap, T)
     # a census of 3^l programs per length has its pole at x = 1/3, which
     # 2^(-1/T) passes at T = 1/log2 3 = 0.63: past it D(x.hi) <= 0
-    steep = ((0, 1), (1, -3))
+    steep = Machine("steep", None, series=((0, 1), (1, -3)))
     assert series_moments(steep, Fraction(5, 8), (0,), 64)[0].lo.sign > 0
     with pytest.raises(RangeError, match="pole"):
         series_moments(steep, Fraction(3, 4), (0,), 64)
@@ -287,7 +287,7 @@ def test_series_expands_to_the_census(kind):
 def _check_series_moments(kind, T, p):
     """Each moment j <= 4 contains the 300-bit closed form, with a width
     of at most 2^-(p-8) of the moment."""
-    got = series_moments(MACHINES[kind].series, T, range(5), p)
+    got = series_moments(MACHINES[kind], T, range(5), p)
     with mpmath.workprec(300):
         x = mpmath.power(2, -mpmath.mpf(T.denominator) / T.numerator)
         for j in range(5):
