@@ -259,13 +259,14 @@ def exp2_enclosure(x: RationalLike, precision_bits: int = DEFAULT_PRECISION) -> 
     if precision_bits < 4:
         raise ValueError("precision_bits must be >= 4")
     x = _as_fraction(x)
-    n = x.numerator // x.denominator  # floor
-    f = x - n
-    if f == 0:
+    # x = n + r/den with 0 <= r < den, and r/den in lowest terms as x is
+    den = x.denominator
+    n, r = divmod(x.numerator, den)
+    if not r:
         return Enclosure.point(Dyadic(1, n))
     w = precision_bits + _GUARD
-    f_lo = (f.numerator << w) // f.denominator
-    f_hi = -((-f.numerator << w) // f.denominator)
+    f_lo = (r << w) // den
+    f_hi = -((-r << w) // den)
     l2_lo, l2_hi = _ln2_fixed(w)
     y_lo = f_lo * l2_lo >> w
     y_hi = -(-f_hi * l2_hi >> w)

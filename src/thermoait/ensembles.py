@@ -260,14 +260,25 @@ def kraft_tail_bounds(census, L: int, T: Fraction, orders,
     l^j 2^(-l/T) <= M_j (census(l) 2^-l) with
     M_j = max_{l>L} l^j 2^(-l(1/T - 1)); the max of that unimodal function
     is bracketed through rational bounds on its critical point
-    j T / ((1-T) ln 2).  A census whose Kraft sum through L exceeds 1 is
-    no prefix-free domain and raises InvariantViolation."""
+    j T / ((1-T) ln 2).  A census whose Kraft sum exceeds 1 is no
+    prefix-free domain and raises InvariantViolation; the sum is checked
+    to the census's last length, because the census past L must fit in
+    tau too."""
     if T >= 1:
         raise RangeError("census-slack tail bounds require T < 1")
-    tau = kraft_slack(census.items(), L)
-    if tau < 0:
-        raise InvariantViolation(f"Kraft violation: the census sum through "
-                                 f"length {L} exceeds 1")
+    # one pass over the census: its Kraft sum through L at 2^-L, and past
+    # L at 2^-top
+    top = max(max(census, default=L), L)
+    filled = past = 0
+    for l, c in census.items():
+        if l <= L:
+            filled += c << (L - l)
+        else:
+            past += c << (top - l)
+    free = (1 << L) - filled  # tau = free 2^-L
+    if free < 0 or past > free << (top - L):
+        raise InvariantViolation("Kraft violation: the census sum exceeds 1")
+    tau = Fraction(free, 1 << L)
     if tau == 0:
         return {j: Dyadic(0) for j in orders}
     delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)

@@ -113,18 +113,18 @@ def _ceil_log2(d: Dyadic) -> int:
 
 
 def _g_from_moments(quantity: str, Z: Enclosure, W: Optional[Enclosure],
-                    x: Fraction, precision_bits: int) -> Enclosure:
+                    x: Fraction | Dyadic, precision_bits: int) -> Enclosure:
     if quantity == "Z":
         return Z
     p = precision_bits
-    logZ = log2_enclosure(Z, p)
     if quantity == "-F":
-        return Enclosure.from_rational(x, p) * logZ
+        return Enclosure.from_rational(x, p) * log2_enclosure(Z, p)
     E = div(W, Z, p)
     if quantity == "E":
         return E
     if quantity == "S":
-        return div(E, Enclosure.from_rational(x, p), p) + logZ
+        return (div(E, Enclosure.from_rational(x, p), p)
+                + log2_enclosure(Z, p))
     raise SpecError(f"unknown quantity {quantity!r}")
 
 
@@ -151,7 +151,6 @@ class QuantityHandle(NamedTuple):
 
     def g(self, x: Fraction, k: int) -> Enclosure:
         """Depth-k value at temperature x."""
-        x = Fraction(x)
         mu, _ = moments(self.snapshot, x, k, self.orders, self.precision_bits)
         return _g_from_moments(self.quantity, mu[0], mu.get(1), x,
                                self.precision_bits)
@@ -159,7 +158,7 @@ class QuantityHandle(NamedTuple):
     def f(self, x: Optional[Fraction] = None,
           precision_bits: Optional[int] = None) -> Enclosure:
         """Limit value at temperature x (default: the certified T)."""
-        x = self.T if x is None else Fraction(x)
+        x = self.T if x is None else x
         p = self.precision_bits if precision_bits is None else precision_bits
         mu, _ = moments(self.snapshot, x, "limit", self.orders, p)
         return _g_from_moments(self.quantity, mu[0], mu.get(1), x, p)
@@ -303,8 +302,8 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
         return points[x]
 
     bounds = []
-    for i in range(4):
-        x0, x1 = T + (t - T) * Fraction(i, 4), T + (t - T) * Fraction(i + 1, 4)
+    ends = _window_points(T, t, 4)
+    for x0, x1 in zip(ends, ends[1:]):
         P_k0, P_K = (mu[0].lo * mu[2].lo - mu[1].lo * mu[1].lo
                      for mu in at(x0))
         if P_k0.sign <= 0:
@@ -335,10 +334,17 @@ def _slope_reach(groups, k0: int) -> list[tuple[int, int]]:
     return groups
 
 
+def _window_points(T: Fraction, t: Fraction, n: int) -> list[Fraction]:
+    """T + (t - T) i/n for i = 0, ..., n, each built from integers as
+    (a d n + i (c b - a d)) / (b d n), with T = a/b and t = c/d."""
+    a, b, c, d = T.numerator, T.denominator, t.numerator, t.denominator
+    base, step, den = a * d * n, c * b - a * d, b * d * n
+    return [Fraction(base + i * step, den) for i in range(n + 1)]
+
+
 def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
     """The points of (T, t) at which the slope check samples g."""
-    return [T + (t - T) * Fraction(i, SLOPE_SAMPLES + 1)
-            for i in range(1, SLOPE_SAMPLES + 1)]
+    return _window_points(T, t, SLOPE_SAMPLES + 1)[1:-1]
 
 
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
@@ -405,7 +411,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         b = max(1, -_floor_log2(factor_lo)) if factor_lo < Dyadic(1) else 1
         U = div(Enclosure.from_rational(Tf, p),
                 Enclosure.point(Z1_lo) * ln2, p).hi
-        k0 = first_k(lambda l: Fraction(l) ** b >= U.as_fraction())
+        k0 = first_k(lambda l: U <= l ** b)
         # slope is S_k(x): between S_{k0}(T) and S_lim(t)
         mu = walk_over_reach(k0).sums((0, 1), (k0,))[0]
         s_lo = _g_from_moments("S", mu[0], mu[1], Tf, p)
@@ -415,16 +421,24 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a = max(0, _ceil_log2(s_hi.hi))
         a_lower = max(0, -_floor_log2(s_lo.lo))
     else:  # E and S share the capacity-based slope machinery
-        E_sup = div(W_T, Z_T, p).hi.as_fraction()
-        need = max(2 * E_sup, Fraction(1, 2) / Z1_lo.as_fraction())
+        # l >= max(2 E_sup, 1 / (2 Z_1)), E_sup the upper end of E_lim(T),
+        # multiplied out
+        E_up = div(W_T, Z_T, p).hi.scale2(1)
+
+        def long_enough(l: int) -> bool:
+            return E_up <= l and Z1_lo * (2 * l) >= 1
+
         if quantity == "E":
             b, c = 2, 1
-            k0 = first_k(lambda l: l >= need)
+            k0 = first_k(long_enough)
         else:
             b, c = 3, 1
-            D = ((1 / Tf + div(Enclosure.point(1), ln2, p).hi.as_fraction())
-                 / Z1_lo.as_fraction())
-            k0 = first_k(lambda l: l >= need and Fraction(l) ** 2 >= D / 2)
+            # and l^2 >= (1/T + 1/ln2) / (2 Z_1), with T = tn/td and the
+            # upper end of 1/ln2: 2 l^2 Z_1 tn >= td + tn/ln2
+            tn, td = Tf.numerator, Tf.denominator
+            V = div(Enclosure.point(1), ln2, p).hi * tn + td
+            k0 = first_k(lambda l: long_enough(l)
+                         and Z1_lo * (2 * l * l * tn) >= V)
         # slope is C_k(x) (or C_k(x)/x for S): uniform upper bound
         # (ln2/T^2) Y_lim(t)/Z_1(T), lower bound min C_k on [T, t] over
         # every k >= k0
@@ -507,9 +521,8 @@ def _verify_certificate(handle: QuantityHandle,
     walks = walks or {}
     walk = walks.get(handle.T) or CensusWalk(reach, handle.T, p)
     if quantity == "Z":
-        def holds(l: int) -> bool:
-            return (Fraction(l) ** c <= Fraction(2) ** b
-                    and Fraction(l) ** b * Fraction(2) ** c >= 1)
+        def holds(l: int) -> bool:  # l^c 2^-b <= 1 <= l^b 2^c
+            return _at_most_one(l, c, -b) and _at_most_one(l, -b, -c)
 
         K = g = 0  # the programs before group g, which holds depth k0
         while K + groups[g][1] <= k0:
@@ -579,6 +592,11 @@ def _argued_groups(handle: QuantityHandle, walk: _RunningWalk, reach: int,
     if not (_increments_close(handle, limit, Dyadic(Z_lo, e), l + 1)
             or _census_is_the_domain(handle.snapshot)):
         raise _unproved_past_census(K, l)
+
+
+def _at_most_one(l: int, i: int, j: int) -> bool:
+    """Whether l^i 2^j <= 1, for a length l >= 1, in integers."""
+    return l ** max(i, 0) << max(j, 0) <= l ** max(-i, 0) << max(-j, 0)
 
 
 def _census_is_the_domain(snapshot: EnsembleSnapshot) -> bool:
@@ -684,13 +702,14 @@ def _check_increments(handle: QuantityHandle, prefixes, start: int) -> None:
 
 def _increment_bounds(handle: QuantityHandle, limit: dict[int, Enclosure],
                       Z_K: Dyadic
-                      ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(alpha, beta, gamma, delta) such that, per unit of weight, every
-    increment of a -F, E or S handle at a depth k >= K, whose program k + 1
-    has length l, lies in [alpha l + beta, gamma l + delta].  They come
-    from Z_K <= Z_k <= Z_{k+1} <= Z_lim and W_k <= W_lim: Z_K is a lower
-    end of the sum over the first K programs, Z_lim and W_lim the upper
-    ends of limit (the limit moments at T).  With dE and dlog as in
+                      ) -> tuple[tuple[Dyadic, Dyadic, Dyadic],
+                                 tuple[Dyadic, Dyadic, Dyadic]]:
+    """((A, B, P), (G, H, Q)), with P, Q > 0, such that, per unit of weight,
+    every increment of a -F, E or S handle at a depth k >= K, whose
+    program k + 1 has length l, lies in [(A l + B) / P, (G l + H) / Q].
+    They come from Z_K <= Z_k <= Z_{k+1} <= Z_lim and W_k <= W_lim: Z_K is
+    a lower end of the sum over the first K programs, Z_lim and W_lim the
+    upper ends of limit (the limit moments at T).  With dE and dlog as in
     _check_increments, and the ends of ln2_enclosure taken outward:
 
       E   [(Z_K l - W_lim) / Z_lim^2, l / Z_K]: Z_k l - W_k is at least 0
@@ -698,19 +717,23 @@ def _increment_bounds(handle: QuantityHandle, limit: dict[int, Enclosure],
           Z_k Z_{k+1} <= Z_lim^2;
       -F  T dlog, with dlog in [1 / (Z_lim ln 2), 1 / (Z_K ln 2)], since
           q / (1 + q) <= ln(1 + q) <= q and Z_k + w = Z_{k+1};
-      S   the bounds of E divided by T, plus dlog."""
-    T, Z_K = handle.T, Z_K.as_fraction()
+      S   the bounds of E divided by T, plus dlog.
+
+    Each pair is put over one denominator, with T = tn/td, so that every
+    end is exact in dyadics."""
+    tn, td = handle.T.numerator, handle.T.denominator
     ln2 = ln2_enclosure(handle.precision_bits)
-    Z_lim = limit[0].hi.as_fraction()
-    dlog_lo = 1 / (Z_lim * ln2.hi.as_fraction())
-    dlog_hi = 1 / (Z_K * ln2.lo.as_fraction())
+    L_lo, L_hi = ln2.lo, ln2.hi
+    Z_lim = limit[0].hi
+    zero = Dyadic(0)
     if handle.quantity == "-F":
-        return Fraction(0), T * dlog_lo, Fraction(0), T * dlog_hi
-    W_lim = limit[1].hi.as_fraction()
-    alpha, beta = Z_K / (Z_lim * Z_lim), -W_lim / (Z_lim * Z_lim)
+        return ((zero, Dyadic(tn), Z_lim * L_hi * td),
+                (zero, Dyadic(tn), Z_K * L_lo * td))
+    W_lim, Z2 = limit[1].hi, Z_lim * Z_lim
     if handle.quantity == "E":
-        return alpha, beta, 1 / Z_K, Fraction(0)
-    return alpha / T, beta / T + dlog_lo, 1 / (Z_K * T), dlog_hi
+        return (Z_K, -W_lim, Z2), (Dyadic(1), zero, Z_K)
+    return ((Z_K * L_hi * td, Z_lim * tn - W_lim * L_hi * td, Z2 * L_hi * tn),
+            (L_lo * td, Dyadic(tn), Z_K * L_lo * tn))
 
 
 def _increments_close(handle: QuantityHandle, limit: dict[int, Enclosure],
@@ -718,23 +741,24 @@ def _increments_close(handle: QuantityHandle, limit: dict[int, Enclosure],
     """Whether every increment of a -F, E or S handle at a depth k >= K
     provably lies in its bracket, by an argument closed in the length:
     Z_K and limit are as in _increment_bounds, and l is the length of
-    program K + 1, at most every later one.  The lower bound l^c 2^-b
-    holds at every length past l when alpha l + beta >= l^c 2^-b and
-    alpha >= c l^(c-1) 2^-b, because for c <= 1 the slope of their
-    difference never falls below the smaller of its value at l and alpha
-    >= 0; the upper bound l^b 2^c when gamma l + delta <= l^b 2^c and
+    program K + 1, at most every later one.  With the increment in
+    [alpha l + beta, gamma l + delta] (alpha = A/P and so on), the lower
+    bound l^c 2^-b holds at every length past l when alpha l + beta >=
+    l^c 2^-b and alpha >= c l^(c-1) 2^-b, because for c <= 1 the slope of
+    their difference never falls below the smaller of its value at l and
+    alpha >= 0; the upper bound l^b 2^c when gamma l + delta <= l^b 2^c and
     gamma <= b l^(b-1) 2^c, because for b >= 1 the slope of l^b 2^c never
-    falls.  For b < 1 or c >= 2 the argument is declined (False), and so
-    it is wherever a condition fails."""
+    falls.  Each condition is compared multiplied out by the positive P or
+    Q, 2^b and a power of l.  For b < 1 or c >= 2 the argument is declined
+    (False), and so it is wherever a condition fails."""
     b, c = handle.b, handle.c
     if b < 1 or c > 1:
         return False
-    alpha, beta, gamma, delta = _increment_bounds(handle, limit, Z_K)
-    two, l = Fraction(2), Fraction(l)
-    return (l ** c / two ** b <= alpha * l + beta
-            and c * l ** (c - 1) / two ** b <= alpha
-            and gamma * l + delta <= l ** b * two ** c
-            and gamma <= b * l ** (b - 1) * two ** c)
+    (A, B, P), (G, H, Q) = _increment_bounds(handle, limit, Z_K)
+    return (P * l ** max(c, 0) <= (A * l + B).scale2(b) * l ** max(-c, 0)
+            and P * c <= A.scale2(b) * l ** (1 - c)
+            and G * l + H <= (Q * l ** b).scale2(c)
+            and G <= (Q * (b * l ** (b - 1))).scale2(c))
 
 
 # ---------------------------------------------------------------------------
@@ -749,25 +773,45 @@ SOLVE_GUARD_BITS = 24
 SOLVE_BRACKET = (Fraction(1, 64), Fraction(63, 64))
 
 
-def _mid(e: Enclosure) -> Fraction:
-    return (e.lo + e.hi).scale2(-1).as_fraction()
+def _mid(e: Enclosure) -> Dyadic:
+    return (e.lo + e.hi).scale2(-1)
 
 
-def _slope_estimate(quantity: str, mu: dict[int, Enclosure], x: Fraction,
-                    value: Fraction, ln2: Fraction) -> Fraction:
-    """d/dx of the limit quantity at x, from the midpoints of the moments
-    the probe already summed: Z' = ln2 W/x^2, (-F)' = S, E' = C, S' = C/x.
-    It only picks probes; 0 means no usable estimate."""
+def _slope_estimate(quantity: str, mu: dict[int, Enclosure], x: Dyadic,
+                    value: Dyadic, ln2: Dyadic) -> tuple[Dyadic, Dyadic]:
+    """d/dx of the limit quantity at x as a quotient (num, den) of dyadics,
+    den > 0, from the midpoints Z, W, Y of the moments the probe already
+    summed and its value's midpoint v: Z' = ln2 W / x^2, (-F)' = S =
+    (W + v Z) / (Z x), E' = C = ln2 (Y Z - W^2) / (Z^2 x^2) and S' = C/x.
+    It only picks probes; num <= 0 means no usable estimate."""
     Z, W = _mid(mu[0]), _mid(mu[1])
     if quantity == "Z":
-        return ln2 * W / (x * x)
-    if Z <= 0:
-        return Fraction(0)
-    E = W / Z
+        return ln2 * W, x * x
+    if Z.m <= 0:
+        return Dyadic(0), Dyadic(1)
     if quantity == "-F":  # S = E/x + log2 Z, and the value is x log2 Z
-        return (E + value) / x
-    C = ln2 * (_mid(mu[2]) / Z - E * E) / (x * x)
-    return C if quantity == "E" else C / x
+        return W + value * Z, Z * x
+    num, den = ln2 * (_mid(mu[2]) * Z - W * W), Z * Z * x * x
+    return num, den if quantity == "E" else den * x
+
+
+def _newton_point(x: Dyadic, value: Dyadic, aim: Dyadic,
+                  slope: tuple[Dyadic, Dyadic], grid: int
+                  ) -> tuple[Dyadic, tuple[Dyadic, Dyadic]]:
+    """(on, size): the Newton point x* = x + (aim - value) den/num, for
+    slope = (num, den), rounded down to the 2^-grid by one integer floor
+    division, and the step |x* - x| as a quotient (dist, num) of dyadics.
+    A slope with num <= 0 is read as (0, 1), so x* = x."""
+    num, den = slope
+    if num.m > 0:
+        gap = (aim - value) * den
+    else:
+        num, gap = Dyadic(1), Dyadic(0)
+    N = x * num + gap  # x* = N / num
+    s = N.e - num.e + grid
+    on = Dyadic((N.m << s) // num.m if s >= 0 else N.m // (num.m << -s),
+                -grid)
+    return on, (abs(gap), num)
 
 
 def _window_probe(lo: Dyadic, hi: Dyadic, x: Dyadic, w: Dyadic) -> Dyadic:
@@ -829,34 +873,33 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
         target = Enclosure.from_rational(Fraction(target), p)
     quantity = handle.quantity
     orders = (0, 1, 2) if quantity in ("E", "S") else (0, 1)
-    ln2 = ln2_enclosure(p).lo.as_fraction()
+    ln2 = ln2_enclosure(p).lo
     goal = tol.scale2(-3)
     half = goal.scale2(-1)
     grid = max(0, 4 - _floor_log2(goal))  # Newton probes lie on 2^-grid
-    aim_mid, aim_lo, aim_hi = (_mid(target), target.lo.as_fraction(),
-                               target.hi.as_fraction())
+    aim_mid, aim_lo, aim_hi = _mid(target), target.lo, target.hi
 
     ends = tuple(map(Dyadic.from_fraction, SOLVE_BRACKET))
     a, b = ends
-    unchecked = set(ends)  # bracket ends not yet probed
+    unchecked = list(ends)  # bracket ends not yet probed (no Dyadic hash)
     core: Optional[tuple[Dyadic, Dyadic]] = None  # hull of overlapping probes
     overlap: Optional[Enclosure] = None  # the last overlapping value
     # the last probe's (x, value midpoint, slope estimate), and its Newton
-    # step if it was a Newton probe
-    last: Optional[tuple[Fraction, Fraction, Fraction]] = None
-    step: Optional[Fraction] = None
+    # step's size (_newton_point) if it was a Newton probe
+    last: Optional[tuple[Dyadic, Dyadic, tuple[Dyadic, Dyadic]]] = None
+    step: Optional[tuple[Dyadic, Dyadic]] = None
     # after an estimate misleads, bisect `skip` times before the next
     # Newton step; the penalty doubles with each miss
     skip, penalty = 0, 1
 
     def probe(y: Dyadic) -> None:
         nonlocal a, b, core, overlap, last
-        x = y.as_fraction()
-        mu, _ = moments(handle.snapshot, x, "limit", orders, p)
-        v = _g_from_moments(quantity, mu[0], mu[1], x, p)
+        mu, _ = moments(handle.snapshot, y.as_fraction(), "limit", orders, p)
+        v = _g_from_moments(quantity, mu[0], mu[1], y, p)
         value = _mid(v)
-        last = (x, value, _slope_estimate(quantity, mu, x, value, ln2))
-        unchecked.discard(y)
+        last = (y, value, _slope_estimate(quantity, mu, y, value, ln2))
+        if y in unchecked:
+            unchecked.remove(y)
         if certified_lt(v, target):
             a = y
         elif certified_gt(v, target):
@@ -867,12 +910,10 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
             overlap = v
         if core is not None and (core[0] < a or b < core[1]):
             core = None  # an overlap that a certified probe has outranged
-        if b == ends[0]:
-            raise RangeError(
-                f"target below the quantity's range on {SOLVE_BRACKET}")
-        if a == ends[1]:
-            raise RangeError(
-                f"target above the quantity's range on {SOLVE_BRACKET}")
+        if b == ends[0] or a == ends[1]:
+            side = "below" if b == ends[0] else "above"
+            raise RangeError(f"target {side} the quantity's range on "
+                             f"[{SOLVE_BRACKET[0]}, {SOLVE_BRACKET[1]}]")
 
     halvings = ceil((ends[1] - ends[0]).as_fraction()
                     / goal.as_fraction()).bit_length()
@@ -895,16 +936,13 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
         y = estimate = newton_step = None
         if skip:
             skip -= 1
-        elif last is not None and (last[2] > 0 or core is not None):
+        elif last is not None and (last[2][0].m > 0 or core is not None):
             x, value, slope = last
-            if slope > 0:
-                x_star = x + (aim - value) / slope
-            else:  # no slope to steer by: seek the edge at the core
-                x_star = x = (hi if hi == core[0] else lo).as_fraction()
-            size = abs(x_star - x)
-            on = Dyadic(x_star.numerator * (1 << grid) // x_star.denominator,
-                        -grid)
-            if size < goal.as_fraction() and lo - w < on < hi + w:
+            if slope[0].m <= 0:
+                # no slope to steer by: seek the edge at the core
+                x = hi if hi == core[0] else lo
+            on, size = _newton_point(x, value, aim, slope, grid)
+            if size[0] < goal * size[1] and lo - w < on < hi + w:
                 # converged: probe just either side of the estimate
                 estimate = min(max(on, lo), hi)
                 y = _window_probe(lo, hi, estimate, w)
@@ -914,7 +952,8 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
                 end = lo if on <= lo else hi
                 if end in unchecked:
                     y = end
-            elif step is None or size <= step / 2:
+            elif (step is None  # size <= step/2, cross-multiplied
+                  or (size[0] * step[1]).scale2(1) <= step[0] * size[1]):
                 y, newton_step = on, size
             else:  # the Newton steps stopped halving
                 skip, penalty = penalty - 1, 2 * penalty
@@ -1050,9 +1089,10 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     A = _next_or_exhausted(A_iter, "A")
     B = _next_or_exhausted(B_iter, "B")
     for _ in range(4096):
-        if not handle.T < A.as_fraction() < handle.t:
+        x = A.as_fraction()
+        if not handle.T < x < handle.t:
             raise RangeError(f"A oracle value {A.serialize()} outside (T, t)")
-        if certified_lt(handle.g(A.as_fraction(), k_e), Enclosure.point(B)):
+        if certified_lt(handle.g(x, k_e), Enclosure.point(B)):
             return ReconstructionReport(handle.T, n, u, int(expected_bits),
                                         A, handle.radius(n))
         A = _next_or_exhausted(A_iter, "A")

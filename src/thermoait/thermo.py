@@ -111,7 +111,8 @@ class WeightChain:
     def _extend(self, length: int) -> None:
         chain = self._chain
         if len(chain) == 1:
-            x = exp2_enclosure(Fraction(-1) / self.T, self.precision_bits)
+            x = exp2_enclosure(Fraction(-self._den, self._num),
+                               self.precision_bits)
             chain.append((x.lo.m, x.lo.e, x.hi.m, x.hi.e))
         xa, xea, xb, xeb = chain[1]
         n = self.precision_bits + _CHAIN_GUARD
@@ -363,9 +364,10 @@ def series_moments(machine: Machine, T: Fraction, orders,
     ends of one exp2 enclosure of x are rounded outward to precision_bits
     + 32 significant bits.  x is its only source of width, so it is taken
     16 bits finer than the working precision."""
-    if T >= 1:
+    tn, td = T.numerator, T.denominator
+    if tn >= td:
         raise RangeError("generating-function limits require T < 1")
-    x = exp2_enclosure(Fraction(-1) / T, precision_bits + 16)
+    x = exp2_enclosure(Fraction(-td, tn), precision_bits + 16)
     D, P = machine.series[1], machine.numerators
     if len(P) <= max(orders):  # an order past those the machine holds
         P = moment_numerators(machine.series, max(orders))

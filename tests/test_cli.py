@@ -248,9 +248,13 @@ def test_solve_F_sign_convention():
 
 
 def test_solve_out_of_range_is_usage_error():
-    code, _, err = run("solve", "--quantity", "Z", "--target", "10",
-                       "--tol", "1*2^-20")
-    assert code == 2 and "error:" in err
+    # the message renders the searched bracket as fractions
+    for quantity, target, side in (("Z", "10", "above"), ("E", "1", "below")):
+        code, out, err = run("solve", "--machine", "geometric", "--quantity",
+                             quantity, "--target", target, "--tol", "1*2^-20")
+        assert (code, out) == (2, "")
+        assert err == (f"error: target {side} the quantity's range on "
+                       f"[1/64, 63/64]\n")
 
 
 def test_witness_cli():

@@ -59,6 +59,31 @@ def test_exp2_random_containment(p, q, prec):
     assert e.width().as_fraction() <= Fraction(1, 2**prec) * max(1, 2**(x.numerator // x.denominator + 1))
 
 
+@PROPERTY
+@given(st.fractions(max_denominator=10**12) | st.integers(-10**6, 10**6),
+       st.integers(4, 300))
+@example(Fraction(-7, 3), 64)
+@example(Fraction(-8, 4), 64)
+def test_exp2_split_is_the_fraction_split(x, prec):
+    # exp2 splits x = n + f with one divmod of its numerator; the reference
+    # splits it in Fractions, f = x - floor(x), and runs the same kernel
+    x = Fraction(x)
+    n = floor(x)
+    f = x - n
+    if f == 0:
+        want = Enclosure.point(Dyadic(1, n))
+    else:
+        w = prec + enclosure._GUARD
+        l2_lo, l2_hi = enclosure._ln2_fixed(w)
+        f_lo = (f.numerator << w) // f.denominator
+        f_hi = -((-f.numerator << w) // f.denominator)
+        s_lo, s_hi = enclosure._exp_fixed(f_lo * l2_lo >> w,
+                                          -(-f_hi * l2_hi >> w), w)
+        want = Enclosure(Dyadic(s_lo, n - w), Dyadic(s_hi, n - w))
+    got = exp2_enclosure(x, prec)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
 def test_log2_exact_power_of_two():
     e = log2_enclosure(Enclosure.point(Dyadic(1, -2)))
     assert e.lo == e.hi == Dyadic(-2)

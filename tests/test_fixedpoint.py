@@ -10,7 +10,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from thermoait import fixedpoint, thermo
 from thermoait.bitstring import BitString, LAMBDA
@@ -433,16 +433,48 @@ def _argument_inputs(h, K):
     return Z_K, h.snapshot.length_counts_up_to(K + 1)[-1][0]
 
 
+def _reference_increment_bounds(h, limit, Z_K):
+    """(alpha, beta, gamma, delta): _increment_bounds as its docstring
+    states it, in Fractions; per unit of weight every increment at a depth
+    >= K lies in [alpha l + beta, gamma l + delta]."""
+    T, Z_K = h.T, Z_K.as_fraction()
+    ln2 = ln2_enclosure(h.precision_bits)
+    Z_lim = limit[0].hi.as_fraction()
+    dlog_lo = 1 / (Z_lim * ln2.hi.as_fraction())
+    dlog_hi = 1 / (Z_K * ln2.lo.as_fraction())
+    if h.quantity == "-F":
+        return Fraction(0), T * dlog_lo, Fraction(0), T * dlog_hi
+    W_lim = limit[1].hi.as_fraction()
+    alpha, beta = Z_K / (Z_lim * Z_lim), -W_lim / (Z_lim * Z_lim)
+    if h.quantity == "E":
+        return alpha, beta, 1 / Z_K, Fraction(0)
+    return alpha / T, beta / T + dlog_lo, 1 / (Z_K * T), dlog_hi
+
+
+def _reference_increments_close(h, limit, Z_K, l):
+    """_increments_close's four inequalities, in Fractions."""
+    b, c = h.b, h.c
+    if b < 1 or c > 1:
+        return False
+    alpha, beta, gamma, delta = _reference_increment_bounds(h, limit, Z_K)
+    two, l = Fraction(2), Fraction(l)
+    return (l ** c / two ** b <= alpha * l + beta
+            and c * l ** (c - 1) / two ** b <= alpha
+            and gamma * l + delta <= l ** b * two ** c
+            and gamma <= b * l ** (b - 1) * two ** c)
+
+
 def _closes_only_where_sound(h, depths, increments=None, outcomes=None):
-    """At each depth K (ascending): check that no reference increment at a
-    depth >= K certifiably leaves _increment_bounds, and try the argument
-    for each of SHIFTS of h's (b, c), which must not close where the
-    reference falsifies a bound at a depth >= K.  The bounds tighten as Z_K
-    grows, so each increment is checked against those of the last K at or
-    below it.  Returns how often the argument closed, and how often it was
-    tried at or before a falsified depth.  increments and outcomes are h's
-    _reference_increments and _reference_outcomes, if the caller holds
-    them."""
+    """At each depth K (ascending): check that _increment_bounds are the
+    Fraction reference's and that no reference increment at a depth >= K
+    certifiably leaves them, and try the argument for each of SHIFTS of h's
+    (b, c): it decides as the Fraction reference does, and must not close
+    where the reference falsifies a bound at a depth >= K.  The bounds
+    tighten as Z_K grows, so each increment is checked against those of the
+    last K at or below it.  Returns how often the argument closed, and how
+    often it was tried at or before a falsified depth.  increments and
+    outcomes are h's _reference_increments and _reference_outcomes, if the
+    caller holds them."""
     limit = limit_moments(h.snapshot, h.T, (0, 1), h.precision_bits)[0]
     increments = increments or _reference_increments(h)
     outcomes = outcomes or _reference_outcomes(h, increments)
@@ -451,8 +483,13 @@ def _closes_only_where_sound(h, depths, increments=None, outcomes=None):
     closed = guarded = 0
     for K, K_next in zip(depths, [*depths[1:], None]):
         args = _argument_inputs(h, K)
-        alpha, beta, gamma, delta = fixedpoint._increment_bounds(
+        alpha, beta, gamma, delta = _reference_increment_bounds(
             h, limit, args[0])
+        (A, B, P), (G, H, Q) = fixedpoint._increment_bounds(h, limit,
+                                                            args[0])
+        assert [u.as_fraction() / d.as_fraction() for u, d in
+                ((A, P), (B, P), (G, Q), (H, Q))] == [alpha, beta, gamma,
+                                                      delta], K
         for k, l, w, d in increments:
             if K <= k and (K_next is None or k < K_next):
                 lower, upper = alpha * l + beta, gamma * l + delta
@@ -462,6 +499,7 @@ def _closes_only_where_sound(h, depths, increments=None, outcomes=None):
                 assert d.lo.as_fraction() <= upper * w_hi, (K, k)
         for m, bad in firsts:
             closes = fixedpoint._increments_close(m, limit, *args)
+            assert closes == _reference_increments_close(m, limit, *args)
             if bad is not None and K <= bad:
                 assert not closes, (h.snapshot.ensemble_id, h.quantity, h.T,
                                     m.b, m.c, K, bad)
@@ -512,6 +550,27 @@ def test_argument_is_sound_on_anonymous_censuses(first, later, quantity, T):
     except CertificationError:
         return
     _closes_only_where_sound(h, list(range(h.k0, _census_total(snap) + 1)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**ANONYMOUS_CENSUSES, b=st.integers(-2, 2), c=st.integers(-2, 2))
+def test_recheck_Z_is_the_stated_inequality_on_anonymous_censuses(first,
+                                                                  later, b, c):
+    # the re-check's integer l^c 2^-b <= 1 <= l^b 2^c decides as the
+    # Fractions do; past the census it needs c <= 0 <= b, unless no program
+    # can follow the census
+    snap = _anonymous_snapshot(first, later)
+    h = certify(snap, "Z", HALF)._replace(b=b, c=c)
+    want = None, None
+    for k, l, _, _ in _reference_increments(h):
+        if not (Fraction(l) ** c / Fraction(2) ** b <= 1
+                <= Fraction(l) ** b * Fraction(2) ** c):
+            want = CertificationError, k
+            break
+    else:
+        if (c > 0 or b < 0) and not fixedpoint._census_is_the_domain(snap):
+            want = CertificationError, _census_total(snap)
+    assert _first_failure(h) == want
 
 
 # (machine, a short maxlen, a longer one)
@@ -602,6 +661,12 @@ def test_an_over_full_census_raises_a_typed_error():
     for quantity in ("Z", "-F", "E", "S"):
         with pytest.raises(InvariantViolation, match="Kraft"):
             certify(snap, quantity, HALF)
+    # over-full only past the cutoff (13 at T = 1/8), which the tail bound
+    # must not take as slack: the census sum 2^-8 + 2^-62 would lie outside
+    # the Z it gave
+    snap = EnsembleSnapshot("over-full past L", 0, 14, [], {1: 1, 14: 2**50})
+    with pytest.raises(InvariantViolation, match="Kraft"):
+        thermo.eval_limit(snap, Fraction(1, 8))
 
 
 def test_recheck_and_reconstruct_errors_name_the_precision():
@@ -878,8 +943,56 @@ def test_solve_property_contains_T_in_few_evaluations(quantity, Tstar, bits):
     assert evaluations <= 15
 
 
-@pytest.mark.parametrize("slope", [Fraction(0), Fraction(-1),
-                                   Fraction(1 << 40)])
+dyadics = st.builds(Dyadic, st.integers(-1 << 70, 1 << 70),
+                    st.integers(-90, 10))
+positive_dyadics = st.builds(Dyadic, st.integers(1, 1 << 70),
+                             st.integers(-90, 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=dyadics, value=dyadics, aim=dyadics, num=dyadics,
+       den=positive_dyadics, grid=st.integers(0, 120), goal=positive_dyadics,
+       step=st.tuples(positive_dyadics, positive_dyadics))
+def test_newton_point_and_its_size_tests_are_the_fractions(
+        x, value, aim, num, den, grid, goal, step):
+    # the Newton point on the 2^-grid, its step size, and the solver's
+    # cross-multiplied size tests, against the same in Fractions
+    on, (dist, over) = fixedpoint._newton_point(x, value, aim, (num, den),
+                                                grid)
+    x_star = x.as_fraction()
+    if num.m > 0:
+        x_star += ((aim - value).as_fraction()
+                   / (num.as_fraction() / den.as_fraction()))
+    assert on == Dyadic(x_star.numerator * (1 << grid) // x_star.denominator,
+                        -grid)
+    size = abs(x_star - x.as_fraction())
+    assert dist.as_fraction() / over.as_fraction() == size
+    assert (dist < goal * over) == (size < goal.as_fraction())
+    assert ((dist * step[1]).scale2(1) <= step[0] * over) == (
+        size <= step[0].as_fraction() / step[1].as_fraction() / 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(quantity=st.sampled_from(("-F", "E", "S")),
+       T=st.fractions(Fraction(1, 64), Fraction(63, 64)),
+       b=st.integers(-1, 4), c=st.integers(-2, 2), Z_K=positive_dyadics,
+       Z_lim=positive_dyadics, W_lim=positive_dyadics, l=st.integers(1, 300))
+# alpha >= c l^(c-1) 2^-b alone decides (S, with beta > 0): rare in draws
+@example(quantity="S", T=Fraction(3, 4), b=4, c=1, Z_K=Dyadic(414749, -25),
+         Z_lim=Dyadic(295587, -19), W_lim=Dyadic(33523, -23), l=46)
+def test_increments_close_is_the_fraction_statement(quantity, T, b, c, Z_K,
+                                                    Z_lim, W_lim, l):
+    # the integer inequalities decide as the Fraction ones, over inputs
+    # wider than any certificate's
+    h = QuantityHandle(GEO, quantity, T, (T + 1) / 2, 0, 0, b, c, 1, 64)
+    limit = {0: Enclosure.point(Z_lim), 1: Enclosure.point(W_lim)}
+    assert fixedpoint._increments_close(h, limit, Z_K, l) == (
+        _reference_increments_close(h, limit, Z_K, l))
+
+
+@pytest.mark.parametrize("slope", [(Dyadic(0), Dyadic(1)),
+                                   (Dyadic(-1), Dyadic(1)),
+                                   (Dyadic(1, 40), Dyadic(1))])
 def test_solve_sound_under_a_misleading_slope(monkeypatch, slope):
     # the slope estimate only places probes: a useless one costs
     # evaluations (at most twice plain bisection's), never soundness
