@@ -111,22 +111,25 @@ class Dyadic:
     def __rsub__(self, other):
         return _coerce(other) - self
 
+    # a product of odd mantissas is odd, and so are -m and |m|: these
+    # results are canonical as built
+
     def __mul__(self, other):
         if type(other) is not Dyadic:
             other = _coerce(other)
-        return Dyadic(self.m * other.m, self.e + other.e)
+        return _canonical(self.m * other.m, self.e + other.e)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Dyadic(-self.m, self.e)
+        return _canonical(-self.m, self.e)
 
     def __abs__(self):
-        return Dyadic(abs(self.m), self.e)
+        return _canonical(abs(self.m), self.e)
 
     def scale2(self, k: int) -> "Dyadic":
         """Exact multiplication by 2**k."""
-        return Dyadic(self.m, self.e + k)
+        return _canonical(self.m, self.e + k)
 
     # -- comparisons --------------------------------------------------
 
@@ -207,6 +210,20 @@ def fraction_text(q: Fraction) -> str:
     if q.denominator == 1:
         return int_text(q.numerator)
     return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
+
+
+_new = object.__new__
+
+
+def _canonical(m: int, e: int) -> Dyadic:
+    """The Dyadic m * 2**e for an m known to be odd or zero, built without
+    the trailing-zero strip of __init__; zero keeps exponent 0."""
+    d = _new(Dyadic)
+    if m:
+        d.m, d.e = m, e
+    else:
+        d.m = d.e = 0
+    return d
 
 
 def _coerce(x) -> Dyadic:

@@ -65,6 +65,16 @@ On top of the handle:
   semidecide_above   sound semidecision of "T < r" from an upper oracle;
   reconstruct_T      recovers T to within 2^(a_lower + c - n) from
                      ceil(Tn/u) bits of beta = sum |p_i|^b 2^(-|p_i|/u).
+
+The last two sum no depth whose comparison a certified bound decides.
+reconstruct_T's slope floor g(A, k_e) >= g(T, k_e) + 2^-a_lower (A - T)
+(k_e >= k0) decides g(A, k_e) < B False wherever it reaches B.
+semidecide_above's limit ceiling, the upper end of f(r), bounds g(r, k)
+at every depth, since lengths never fall, and so decides every
+comparison with an oracle value at or above it.  The oracles are still
+drawn in order (A and B in lockstep, each passed-over value at its
+budget), so the answers and the values consumed are those of summing
+every depth.
 """
 
 from __future__ import annotations
@@ -215,8 +225,8 @@ def _depth_runs(handle: QuantityHandle, x: Fraction
 
 
 def _exceeding_depth(handle: QuantityHandle, x: Fraction,
-                     upper_oracle: Iterable[Dyadic], budget: float
-                     ) -> Optional[int]:
+                     upper_oracle: Iterable[Dyadic], budget: float,
+                     ceiling: Optional[Dyadic] = None) -> Optional[int]:
     """The first depth k >= k0 with g(x, k) certifiably above the oracle's
     first value, or None if the oracle is empty or budget depths are
     compared first.  Once the depths run out, each later value is compared
@@ -227,28 +237,49 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
     that exceeds the value: a census group of any size costs about log2 of
     its count comparisons.  Should rounding make an enclosure's lower end
     fall within a run, the depth returned could only be a later one, and
-    it is certified all the same."""
+    it is certified all the same.
+
+    ceiling, if given, is an upper end of the limit f(x).  Lengths never
+    fall, so g(x, k) <= f(x) at every depth, and no depth is certifiably
+    above a value h >= ceiling: such a value is passed over with no sum,
+    at the budget its comparisons would have spent (the total - k0 + 1
+    depths for the first value, one unit for a later one)."""
     values = iter(upper_oracle)
     h = next(values, None)
     if h is None:
         return None
-    h = Enclosure.point(h)
-    spent = 0
-    for k, m, g in _depth_runs(handle, x):
-        m = min(m, budget - spent)
-        if m < 1:
+    runs = _depth_runs(handle, x)
+    g = None  # the last run's g, at the census total, once drawn
+    if ceiling is not None and h >= ceiling:
+        total = sum(handle.snapshot.census.values())
+        if total < handle.k0:
+            raise RangeError("enumeration exhausted")
+        spent = total - handle.k0 + 1
+        if spent > budget:
             return None
-        spent += m
-        if certified_gt(g(m - 1), h):
-            i, j = 0, m - 1  # depth k + j exceeds h
-            while i < j:
-                mid = (i + j) // 2
-                i, j = (i, mid) if certified_gt(g(mid), h) else (mid + 1, j)
-            return k + j
+    else:
+        h = Enclosure.point(h)
+        spent = 0
+        for k, m, g in runs:
+            m = min(m, budget - spent)
+            if m < 1:
+                return None
+            spent += m
+            if certified_gt(g(m - 1), h):
+                i, j = 0, m - 1  # depth k + j exceeds h
+                while i < j:
+                    mid = (i + j) // 2
+                    i, j = (i, mid) if certified_gt(g(mid), h) else (mid + 1, j)
+                return k + j
     for h in values:  # at the census total k, where g(0) is the total
         if spent >= budget:
             return None
         spent += 1
+        if ceiling is not None and h >= ceiling:
+            continue
+        if g is None:  # walk on to the census total
+            for k, _, g in runs:
+                pass
         if certified_gt(g(0), Enclosure.point(h)):
             return k
     return None
@@ -1021,11 +1052,20 @@ def semidecide_above(handle: QuantityHandle, r: Dyadic,
                      upper_oracle: Iterable[Dyadic], budget: int = 256) -> str:
     """`yes` only with a certificate h(m) < g(r, k); sound because
     g(r, k) <= f(r) and h(m) >= f(T), so yes implies f(T) < f(r), i.e.
-    T < r.  `unknown` on budget exhaustion."""
+    T < r.  `unknown` on budget exhaustion.
+
+    The upper end of f(r), one limit evaluation, is the walk's ceiling
+    (_exceeding_depth): an oracle value at or above it is passed over with
+    no depth sums, at the budget it would have spent.  Where f(r) is
+    unresolved at the handle's precision, every value is compared."""
     r_frac = r.as_fraction()
     if not 0 < r_frac < handle.t:
         raise RangeError(f"r = {r.serialize()} outside the certificate window")
-    k = _exceeding_depth(handle, r_frac, upper_oracle, budget)
+    try:
+        ceiling = handle.f(r_frac).hi
+    except PrecisionError:
+        ceiling = None
+    k = _exceeding_depth(handle, r_frac, upper_oracle, budget, ceiling)
     return "unknown" if k is None else "yes"
 
 
@@ -1078,13 +1118,20 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
 
     # the power-raising tail step: past k_e the quantity's own tail at T
     # must fit under 2^(c - n); verified, not assumed
-    gap_hi = handle.f().hi - handle.g(handle.T, k_e).lo
+    g_T = handle.g(handle.T, k_e).lo
+    gap_hi = handle.f().hi - g_T
     if not gap_hi < Dyadic(1, handle.c - n):
         raise CertificationError(
             f"tail past k_e={k_e} is {gap_hi.serialize()}, not below "
             f"2^{handle.c - n}; certificate falsified")
 
-    # step 2: close the bracket g(A, k_e) < B
+    # step 2: close the bracket g(A, k_e) < B.  Since k_e >= k0, the slope
+    # floor g(A, k_e) >= g(T, k_e) + 2^-a_lower (A - T) holds, so the
+    # comparison is False with no sum wherever the floor reaches B, and
+    # the sum is made only where (B - g(T, k_e)) 2^a_lower - (A - T) > 0,
+    # multiplied out by td for T = tn/td; A and B are drawn in lockstep
+    # all the same
+    tn, td = handle.T.numerator, handle.T.denominator
     A_iter, B_iter = iter(A_oracle), iter(B_oracle)
     A = _next_or_exhausted(A_iter, "A")
     B = _next_or_exhausted(B_iter, "B")
@@ -1092,7 +1139,8 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
         x = A.as_fraction()
         if not handle.T < x < handle.t:
             raise RangeError(f"A oracle value {A.serialize()} outside (T, t)")
-        if certified_lt(handle.g(x, k_e), Enclosure.point(B)):
+        if (((B - g_T).scale2(handle.a_lower) - A) * td + tn > 0
+                and certified_lt(handle.g(x, k_e), Enclosure.point(B))):
             return ReconstructionReport(handle.T, n, u, int(expected_bits),
                                         A, handle.radius(n))
         A = _next_or_exhausted(A_iter, "A")

@@ -97,6 +97,20 @@ def test_scale2(a, k):
     assert a.scale2(k).as_fraction() == a.as_fraction() * Fraction(2) ** k
 
 
+@given(dyadics, dyadics | st.integers(min_value=-2**40, max_value=2**40),
+       st.integers(min_value=-40, max_value=40))
+@example(Dyadic(0), Dyadic(3, 5), 7)
+@example(Dyadic(-3, -2), 0, -4)
+@example(Dyadic(0, 9), -6, 3)
+def test_results_built_without_the_strip_are_canonical(a, b, k):
+    # products, negation, |a| and scale2 build their result without
+    # stripping trailing zeros: each must equal, field for field, the
+    # canonical form of its value, zero with exponent 0
+    for x in (a * b, b * a, -a, abs(a), a.scale2(k)):
+        y = Dyadic.from_fraction(x.as_fraction())
+        assert (x.m, x.e) == (y.m, y.e)
+
+
 def test_float_wide_mantissa():
     # a 1101-bit mantissa whose value is just above 1
     assert float(Dyadic((1 << 1100) + 1, -1100)) == 1.0

@@ -1168,6 +1168,90 @@ def test_semidecide_range_guard(handles):
                          descending_upper_oracle(handles["Z"]))
 
 
+GEO80 = builtin_snapshot("geometric", 80)
+
+
+@pytest.mark.parametrize("quantity", fixedpoint.QUANTITY_CHOICES)
+def test_semidecide_ceiling_charges_the_walks_budget(quantity):
+    # on geometric 80, whose census is shorter than the default budget, at
+    # r below T, a list oracle whose first value is the ceiling f(r) and
+    # whose second is below g(r, 80): the walk compares the first at the
+    # depths k0, ..., 80 and the second at the census total, so it answers
+    # yes from budget 80 - k0 + 2 on, and so must the ceiling, which
+    # passes the first value over with no sums
+    h = certify(GEO80, quantity, HALF)
+    r = Dyadic(7, -4)
+    x = r.as_fraction()
+    ceiling = h.f(x).hi
+    oracle = [ceiling, h.g(x, 80).lo - Dyadic(1, -200)]
+    least = 80 - h.k0 + 2
+    for budget in range(least - 3, least + 2):
+        walk = fixedpoint._exceeding_depth(h, x, oracle, budget)
+        assert walk == (80 if budget >= least else None), budget
+        assert fixedpoint._exceeding_depth(h, x, oracle, budget,
+                                           ceiling) == walk, budget
+    assert [semidecide_above(h, r, oracle, budget)
+            for budget in (least - 1, least)] == ["unknown", "yes"]
+
+
+def test_semidecide_compares_a_value_below_the_upper_end_of_f():
+    # gamma_literal 40's limit encloses its Kraft-slack tail, so past some
+    # depth the lower ends of E and S at r lie above that of f(r): a value
+    # between the two is no upper oracle's, yet the walk exceeds it, and
+    # semidecide, whose ceiling is the upper end of f(r), answers as the
+    # walk does at every budget
+    snap = CERTIFICATE_SNAPSHOTS["gamma_literal 40"]()
+    total = sum(snap.census.values())
+    r = Dyadic(7, -4)
+    x = r.as_fraction()
+    for quantity in ("E", "S"):
+        h = certify(snap, quantity, HALF)
+        oracle = [(h.f(x).lo + h.g(x, total).lo).scale2(-1)]
+        k = fixedpoint._exceeding_depth(h, x, oracle, inf)
+        least = k - h.k0 + 1
+        assert [semidecide_above(h, r, oracle, budget)
+                for budget in (least - 1, least)] == ["unknown", "yes"]
+
+
+@pytest.mark.parametrize("quantity", fixedpoint.QUANTITY_CHOICES)
+def test_semidecide_below_T_sums_no_depth(quantity):
+    # every value of an upper oracle is at least f(T) > f(r) for r < T, so
+    # with the default budget the answer is the walk's unknown, reached
+    # with no depth sum and no running walk
+    h = certify(GEO80, quantity, HALF)
+    r = Dyadic(7, -4)
+    assert fixedpoint._exceeding_depth(h, r.as_fraction(),
+                                       descending_upper_oracle(h),
+                                       256) is None
+    with mock.patch.object(thermo, "moment_sums",
+                           wraps=thermo.moment_sums) as sums, \
+            mock.patch.object(fixedpoint, "_RunningWalk",
+                              wraps=fixedpoint._RunningWalk) as walks:
+        answer = semidecide_above(h, r, descending_upper_oracle(h))
+    assert answer == "unknown"
+    assert (sums.call_count, walks.call_count) == (0, 0)
+
+
+def test_semidecide_walks_every_value_where_the_ceiling_is_unresolved(
+        monkeypatch):
+    # a PrecisionError from f(r) leaves every value to the walk: the pinned
+    # least budgets still answer yes, and r below T still unknown
+    f = QuantityHandle.f
+
+    def unresolved_at_r(self, x=None, precision_bits=None):
+        if x is not None:
+            raise PrecisionError("limit unresolved")
+        return f(self, x, precision_bits)
+
+    monkeypatch.setattr(QuantityHandle, "f", unresolved_at_r)
+    for quantity, h in GEO300_HANDLES.items():
+        r, least = Dyadic(33, -6), PINNED_SEMIDECISION_BUDGETS[quantity][1]
+        assert [semidecide_above(h, r, descending_upper_oracle(h), budget)
+                for budget in (least - 1, least)] == ["unknown", "yes"]
+        assert semidecide_above(h, Dyadic(7, -4), descending_upper_oracle(h),
+                                budget=16) == "unknown"
+
+
 # -- reconstruct_T -----------------------------------------------------
 
 def _beta_prefix(handle, u, n):
@@ -1238,6 +1322,54 @@ def test_reconstruct_randomized():
         assert T < rep.candidate.as_fraction()  # approach is from above
 
 
+def _counted_reconstruct(handle, u, n):
+    """reconstruct_T from the approach and ascending lower oracles, the
+    depth k_e of its step 2, and the number of QuantityHandle.g calls it
+    made; its first call is the tail step's g(T, k_e)."""
+    with mock.patch.object(QuantityHandle, "g", autospec=True,
+                           side_effect=QuantityHandle.g) as counter:
+        rep = reconstruct_T(handle, u, n, _beta_prefix(handle, u, n),
+                            approach_oracle(handle),
+                            ascending_lower_oracle(handle))
+    (_, T, k_e), _ = counter.call_args_list[0]
+    assert T == handle.T
+    return rep, k_e, counter.call_count
+
+
+def _reference_step_2(handle, k_e):
+    """reconstruct_T's step 2 with g evaluated at every A: the first A with
+    g(A, k_e) certifiably below B, and the g calls made with the tail
+    step's one."""
+    As, Bs = approach_oracle(handle), ascending_lower_oracle(handle)
+    A, B = next(As), next(Bs)
+    calls = 2
+    while not certified_lt(handle.g(A.as_fraction(), k_e), Enclosure.point(B)):
+        A, B = next(As), max(B, next(Bs))
+        calls += 1
+    return A, calls
+
+
+def test_reconstruct_skips_only_what_the_slope_floor_decides():
+    # over a seeded grid of (u, n), on the four geometric 300 handles and an
+    # sdm4 one, reconstruct_T gives the candidate and radius of the loop
+    # that evaluates g at every A, with no more g calls
+    handles = [*GEO300_HANDLES.values(),
+               certify(RECHECK_SNAPSHOTS["sdm4 1500 cap 512"], "Z", HALF)]
+    rng = random.Random(24)
+    grid = [(Fraction(rng.randrange(33, 64), 64), rng.randrange(2, 31))
+            for _ in range(6)]
+    saved = 0
+    for h in handles:
+        for u, n in grid:
+            rep, k_e, calls = _counted_reconstruct(h, u, n)
+            A, reference_calls = _reference_step_2(h, k_e)
+            assert (rep.candidate, rep.radius) == (A, h.radius(n)), (
+                h.snapshot.ensemble_id, h.quantity, u, n)
+            assert calls <= reference_calls, (h.quantity, u, n)
+            saved += reference_calls - calls
+    assert saved > 0
+
+
 # -- pinned procedure results ------------------------------------------
 
 # witness_search on geometric 300 at T = 1/2 from n bits of 1/2: (k_e,
@@ -1286,6 +1418,11 @@ PINNED_RECONSTRUCTIONS = {
           (11, "549755813889*2^-40", "1*2^-12"),
           (14, "35184372088833*2^-46", "1*2^-20")],
 }
+# the QuantityHandle.g calls of those reconstructions: the tail step's one,
+# then one per A value that the slope floor leaves undecided (evaluating g
+# at every A took 7, 19, 27; 10, 28, 38; 11, 32, 43 and 20, 39, 45)
+PINNED_RECONSTRUCTION_G_CALLS = {"Z": [4, 4, 4], "-F": [3, 3, 3],
+                                 "E": [5, 6, 5], "S": [6, 6, 6]}
 
 
 def _witness(handle, n):
@@ -1309,14 +1446,14 @@ def test_procedures_are_pinned(quantity):
         answers = [semidecide_above(h, r, descending_upper_oracle(h), budget)
                    for budget in (least - 1, least)]
         assert answers == ["unknown", "yes"], r
-    for (u, n), want in zip(((Fraction(5, 8), 6), (Fraction(3, 4), 16),
-                             (Fraction(7, 8), 24)),
-                            PINNED_RECONSTRUCTIONS[quantity]):
-        rep = reconstruct_T(h, u, n, _beta_prefix(h, u, n),
-                            approach_oracle(h), ascending_lower_oracle(h))
+    for (u, n), want, want_calls in zip(
+            ((Fraction(5, 8), 6), (Fraction(3, 4), 16), (Fraction(7, 8), 24)),
+            PINNED_RECONSTRUCTIONS[quantity],
+            PINNED_RECONSTRUCTION_G_CALLS[quantity]):
+        rep, _, calls = _counted_reconstruct(h, u, n)
         got = (rep.beta_bits_used, rep.candidate.serialize(),
                rep.radius.serialize())
-        assert got == want, (u, n)
+        assert (got, calls) == (want, want_calls), (u, n)
 
 
 def test_running_depth_values_match_the_depth_evaluations():
