@@ -13,8 +13,8 @@ A Machine holds its canonical program enumerator and either the rational
 generating function N(x)/D(x) (sdm4, literal, geometric), whose power
 series is its census and which gives a limit with no census sum and no
 tail, or its own census (gamma_literal).  A snapshot built from a machine
-carries it; one loaded from disk only when its census equals the named
-machine's census exactly.  gamma_literal and any other snapshot (an
+carries it; one loaded from disk only when its nonzero census equals the
+named machine's census exactly.  gamma_literal and any other snapshot (an
 anonymous census) take their tails from the Kraft slack.
 
 Enumeration order is canonical: ascending (length, lex).  The census maps
@@ -76,9 +76,20 @@ class EnsembleSnapshot(NamedTuple):
         by_len = Counter(len(r.program) for r in self.programs)
         return 1 - kraft_slack(by_len.items(), max(by_len, default=0))
 
+    def groups(self, max_length: int | None = None) -> list[tuple[int, int]]:
+        """The census's (length, count) pairs with count > 0, ascending in
+        length, through max_length if given: every program the census
+        holds.  A zero count holds no program, so no reader sees it."""
+        census = self.census
+        lengths = (census if max_length is None
+                   else [l for l in census if l <= max_length])
+        return [(l, census[l]) for l in sorted(lengths) if census[l]]
+
     def length_counts_up_to(self, k: int) -> list[tuple[int, int]]:
-        """(length, count) pairs covering |p_1|..|p_k|, ascending in length
-        (canonical order is nondecreasing in length)."""
+        """The depth-k prefix of groups(): (length, count) pairs covering
+        |p_1|..|p_k| (canonical order is nondecreasing in length), the
+        last count cut at k.  It sorts the lengths itself and stops at
+        depth k."""
         out: list[tuple[int, int]] = []
         left = k
         census = self.census
@@ -502,14 +513,15 @@ def load_snapshot(path: str | PathLike) -> EnsembleSnapshot:
         except (ValueError, ZeroDivisionError) as exc:
             raise SnapshotError(f"bad {parts[0]} record: {exc}", line=lineno) from exc
 
-    # the label only names the machine to check against; the census decides
-    # (lazily: a huge header maxlen costs no more than the file's census)
+    # the label only names the machine to check against; the nonzero census
+    # decides (a zero-count line holds no program), lazily: a huge header
+    # maxlen costs no more than the file's census
+    snap = EnsembleSnapshot(ensemble_id, budget, maxlen, programs, census)
     machine = MACHINES.get(ensemble_id)
-    items = sorted(census.items())
-    if machine and list(islice(machine.census(maxlen), len(items) + 1)) != items:
-        machine = None
-    snap = EnsembleSnapshot(ensemble_id, budget, maxlen, programs, census,
-                            machine)
+    groups = snap.groups()
+    if machine and list(islice(machine.census(maxlen),
+                               len(groups) + 1)) == groups:
+        snap = snap._replace(machine=machine)
     if kraft_line is None:
         raise SnapshotError("missing KRAFT checksum line")
     if snap.kraft_partial() != kraft_line:

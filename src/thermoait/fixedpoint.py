@@ -105,12 +105,6 @@ SLOPE_SAMPLES = 3
 _RECHECK_GUARD = 32
 
 
-def _census_groups(snapshot: EnsembleSnapshot) -> list[tuple[int, int]]:
-    """The census's (length, count) groups, ascending, the empty ones left
-    out: every program the snapshot's census holds."""
-    return [group for group in sorted(snapshot.census.items()) if group[1]]
-
-
 def _floor_log2(d: Dyadic) -> int:
     if d.sign <= 0:
         raise ValueError("log2 of nonpositive dyadic")
@@ -161,7 +155,7 @@ class QuantityHandle(NamedTuple):
 
     def g(self, x: Fraction, k: int) -> Enclosure:
         """Depth-k value at temperature x."""
-        mu, _ = moments(self.snapshot, x, k, self.orders, self.precision_bits)
+        mu = moments(self.snapshot, x, k, self.orders, self.precision_bits)
         return _g_from_moments(self.quantity, mu[0], mu.get(1), x,
                                self.precision_bits)
 
@@ -170,7 +164,7 @@ class QuantityHandle(NamedTuple):
         """Limit value at temperature x (default: the certified T)."""
         x = self.T if x is None else x
         p = self.precision_bits if precision_bits is None else precision_bits
-        mu, _ = moments(self.snapshot, x, "limit", self.orders, p)
+        mu = moments(self.snapshot, x, "limit", self.orders, p)
         return _g_from_moments(self.quantity, mu[0], mu.get(1), x, p)
 
     def radius(self, n: int) -> Dyadic:
@@ -206,7 +200,7 @@ def _depth_runs(handle: QuantityHandle, x: Fraction
     sums, valid until the next run is drawn; the last run is the census
     total alone."""
     k0, p = handle.k0, handle.precision_bits
-    walk = _RunningWalk(_census_groups(handle.snapshot), WeightChain(x, p),
+    walk = _RunningWalk(handle.snapshot.groups(), WeightChain(x, p),
                         handle.orders)
 
     def at(i: int) -> Enclosure:
@@ -322,7 +316,7 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
     p = precision_bits
     ln2 = ln2_enclosure(p)
     reach = (walks[T].groups if T in walks
-             else _slope_reach(_census_groups(snapshot), k0))
+             else _slope_reach(snapshot.groups(), k0))
     K = min(2 * k0 + 2, sum(count for _, count in reach))
     points = {}
 
@@ -342,7 +336,7 @@ def _min_capacity_on_window(snapshot, k0: int, T: Fraction, t: Fraction,
                                      f" on [{T}, {t}] at k0={k0}")
         Z_K = at(x1)[1][0].hi
         Z_lim = (Z_t if x1 == t
-                 else moments(snapshot, x1, "limit", (0,), p)[0][0]).hi
+                 else moments(snapshot, x1, "limit", (0,), p)[0]).hi
         # the smaller of P_k0 / Z_K^2 and P_K / Z_lim^2, compared exactly
         P, Z = ((P_k0, Z_K) if P_k0 * Z_lim * Z_lim <= P_K * Z_K * Z_K
                 else (P_K, Z_lim))
@@ -389,10 +383,10 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     xs = _slope_points(Tf, t)
     p = precision_bits
     ln2 = ln2_enclosure(p)
-    lim_T, _ = moments(snapshot, Tf, "limit", (0, 1, 2), p)
-    lim_t, _ = moments(snapshot, t, "limit", (0, 1, 2), p)
+    lim_T = moments(snapshot, Tf, "limit", (0, 1, 2), p)
+    lim_t = moments(snapshot, t, "limit", (0, 1, 2), p)
     Z_T, W_T = lim_T[0], lim_T[1]
-    groups = _census_groups(snapshot)
+    groups = snapshot.groups()
     if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
                                  "slopes cannot be certified")
@@ -502,11 +496,11 @@ def _verify_certificate(handle: QuantityHandle,
     """Re-check the increment bracket at every depth k >= k0, then sample
     the slope bounds on (T, t).
 
-    groups are the census groups (_census_groups), walks maps T, and any of
-    the slope samples, to its CensusWalk over the slope reach, limit holds
-    the limit moments at T of orders 0 and 1, and xs are the slope samples
-    (_slope_points), as certify built them (whatever is not given is built
-    here).
+    groups are the census groups (EnsembleSnapshot.groups), walks maps T,
+    and any of the slope samples, to its CensusWalk over the slope reach,
+    limit holds the limit moments at T of orders 0 and 1, and xs are the
+    slope samples (_slope_points), as certify built them (whatever is not
+    given is built here).
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -569,7 +563,7 @@ def _verify_certificate(handle: QuantityHandle,
             raise _unproved_past_census(sum(count for _, count in groups),
                                         groups[-1][0])
     else:
-        limit = limit or moments(snapshot, handle.T, "limit", (0, 1), p)[0]
+        limit = limit or moments(snapshot, handle.T, "limit", (0, 1), p)
         running = _RunningWalk(groups, walk.chain, (0, 1))
         _check_increments(
             handle, _argued_groups(handle, running, depth, limit), k0)
@@ -925,7 +919,7 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
 
     def probe(y: Dyadic) -> None:
         nonlocal a, b, core, overlap, last
-        mu, _ = moments(handle.snapshot, y.as_fraction(), "limit", orders, p)
+        mu = moments(handle.snapshot, y.as_fraction(), "limit", orders, p)
         v = _g_from_moments(quantity, mu[0], mu[1], y, p)
         value = _mid(v)
         last = (y, value, _slope_estimate(quantity, mu, y, value, ln2))
@@ -1076,8 +1070,8 @@ def semidecide_above(handle: QuantityHandle, r: Dyadic,
 def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
                   A_oracle: Iterable[Dyadic], B_oracle: Iterable[Dyadic],
                   ) -> ReconstructionReport:
-    u = Fraction(u) if not isinstance(u, Fraction) else u
-    if not handle.T < u < 1:
+    u = _temp_frac(u)
+    if not handle.T < u:
         raise RangeError("u must lie in (T, 1)")
     if n < 1:
         raise SpecError("n must be >= 1")
@@ -1086,8 +1080,7 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     if len(beta_prefix) != expected_bits:
         raise SpecError(f"beta_prefix must carry exactly {expected_bits} "
                         f"bits, got {len(beta_prefix)}")
-    beta_lim, _ = moments(handle.snapshot, u, "limit", (handle.b,), p)
-    beta = beta_lim[handle.b]
+    beta = moments(handle.snapshot, u, "limit", (handle.b,), p)[handle.b]
     floor_lo = beta.lo.floor_scaled(0)
     if beta.hi.floor_scaled(0) != floor_lo:
         raise PrecisionError(f"integer part of beta unresolved at {p} bits "
@@ -1097,7 +1090,7 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     # step 1: the first depth k >= k0 whose beta partial sum certifiably
     # exceeds the prefix: its exact lower end after i programs of a group
     # is S + i w l^b, so one integer division finds the first such i
-    walk = _RunningWalk(_census_groups(handle.snapshot), WeightChain(u, p),
+    walk = _RunningWalk(handle.snapshot.groups(), WeightChain(u, p),
                         (handle.b,))
     tm, te = target.lo.m, target.lo.e
     K = 0  # the programs before the group

@@ -43,7 +43,7 @@ from .ensembles import EnsembleSnapshot
 from .errors import RangeError, SpecError
 from .thermo import (
     CensusWalk, WeightChain, _temp_frac, derive_quantities, evaluate,
-    moment_hull, moment_sums, summed_lengths,
+    moment_sums, moments, summed_lengths,
 )
 
 DERIVATIVE_TARGETS = ("Z", "F", "E", "S")
@@ -102,7 +102,10 @@ def third_derivative_bound(snapshot: EnsembleSnapshot, quantity: str, k,
     if not 0 < t_lo:
         raise RangeError("derivative stencil leaves the temperature range")
     p = precision_bits
-    mu = moment_hull(snapshot, t_lo, t_hi, k, (0, 1, 2, 3, 4), p)
+    # each mu_j rises with the temperature: its hull over [t_lo, t_hi]
+    orders = (0, 1, 2, 3, 4)
+    lo, hi = (moments(snapshot, x, k, orders, p) for x in (t_lo, t_hi))
+    mu = {j: Enclosure(lo[j].lo, hi[j].hi) for j in orders}
     tau = Enclosure(Enclosure.from_rational(t_lo, p).lo,
                     Enclosure.from_rational(t_hi, p).hi)
     L = ln2_enclosure(p)

@@ -309,14 +309,7 @@ def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
     the sums at one (snapshot, T, precision) agree)."""
     if k != "limit":
         return snapshot.length_counts_up_to(int(k))
-    return _census_through(snapshot,
-                           _census_cutoff(snapshot, T, 4, precision_bits))
-
-
-def _census_through(snapshot: EnsembleSnapshot,
-                    L: int) -> list[tuple[int, int]]:
-    """The census's (length, count) pairs of length at most L, ascending."""
-    return sorted((l, c) for l, c in snapshot.census.items() if l <= L)
+    return snapshot.groups(_census_cutoff(snapshot, T, 4, precision_bits))
 
 
 def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
@@ -330,8 +323,7 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
     L = _census_cutoff(snapshot, T, 4, precision_bits)
     # the tails first: an over-full census raises there, before any sum
     tails = kraft_tail_bounds(snapshot.census, L, T, orders, precision_bits)
-    sums = moment_sums(_census_through(snapshot, L), T, orders,
-                       precision_bits)
+    sums = moment_sums(snapshot.groups(L), T, orders, precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails
 
@@ -385,23 +377,13 @@ def series_moments(machine: Machine, T: Fraction, orders,
 
 
 def moments(snapshot: EnsembleSnapshot, T: Fraction, k, orders,
-            precision_bits: int) -> tuple[dict[int, Enclosure], dict[int, Dyadic]]:
+            precision_bits: int) -> dict[int, Enclosure]:
     """Moment enclosures at depth k (k an int) or in the limit (k ==
-    "limit"), plus the tail upper bound of each order (zero at a depth)."""
+    "limit"); limit_moments gives a limit's tails too."""
     if k == "limit":
-        return limit_moments(snapshot, T, orders, precision_bits)
-    sums = moment_sums(summed_lengths(snapshot, T, k, precision_bits), T,
+        return limit_moments(snapshot, T, orders, precision_bits)[0]
+    return moment_sums(summed_lengths(snapshot, T, k, precision_bits), T,
                        orders, precision_bits)
-    return sums, {j: Dyadic(0) for j in orders}
-
-
-def moment_hull(snapshot: EnsembleSnapshot, t_lo: Fraction, t_hi: Fraction,
-                k, orders, precision_bits: int) -> dict[int, Enclosure]:
-    """Hull of mu_j over the temperature interval [t_lo, t_hi]; valid
-    because every term 2^(-l/t) increases with t."""
-    lo, _ = moments(snapshot, t_lo, k, orders, precision_bits)
-    hi, _ = moments(snapshot, t_hi, k, orders, precision_bits)
-    return {j: Enclosure(lo[j].lo, hi[j].hi) for j in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +433,7 @@ def eval_partial(snapshot: EnsembleSnapshot, T, k: int,
     Tf = _temp_frac(T)
     if k < 1:
         raise SpecError("depth k must be >= 1")
-    sums, _ = moments(snapshot, Tf, k, (0, 1, 2), precision_bits)
+    sums = moments(snapshot, Tf, k, (0, 1, 2), precision_bits)
     Z, W, Y = sums[0], sums[1], sums[2]
     F, E, S, C = derive_quantities(Z, W, Y, Tf, precision_bits)
     return ThermoEvaluation(snapshot.ensemble_id, Tf, k, precision_bits,
@@ -462,7 +444,7 @@ def eval_limit(snapshot: EnsembleSnapshot, T,
                precision_bits: int = DEFAULT_PRECISION) -> ThermoEvaluation:
     """Full-domain evaluation: census to the cutoff plus certified tails."""
     Tf = _temp_frac(T)
-    sums, tails = moments(snapshot, Tf, "limit", (0, 1, 2), precision_bits)
+    sums, tails = limit_moments(snapshot, Tf, (0, 1, 2), precision_bits)
     Z, W, Y = sums[0], sums[1], sums[2]
     F, E, S, C = derive_quantities(Z, W, Y, Tf, precision_bits)
     return ThermoEvaluation(snapshot.ensemble_id, Tf, "limit", precision_bits,
@@ -487,7 +469,7 @@ def power_sum(snapshot: EnsembleSnapshot, T, n: int, k,
     if n < 1:
         raise SpecError("power n must be >= 1")
     Tf = _temp_frac(T) / n
-    return moments(snapshot, Tf, k, (0,), precision_bits)[0][0]
+    return moments(snapshot, Tf, k, (0,), precision_bits)[0]
 
 
 def divergence_probe(kind: str, T, threshold, length_cap: int,

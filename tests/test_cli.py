@@ -13,7 +13,10 @@ import pytest
 
 from thermoait.cli import main
 from thermoait.dyadic import Dyadic, int_text
-from thermoait.ensembles import builtin_snapshot, get_machine, save_snapshot
+from thermoait.ensembles import (
+    EnsembleSnapshot, builtin_snapshot, get_machine, load_snapshot,
+    save_snapshot,
+)
 from thermoait.relations import _identities_and_positivity, check_monotone
 from thermoait.thermo import eval_limit, eval_partial
 
@@ -101,6 +104,44 @@ def test_verify_passes_on_a_snapshot_of_fewer_than_12_programs():
                          "--grid", "1/2:1/2:1/4")
     assert code == 0, err
     assert json.loads(out)["failures"] == 0
+
+
+def test_verify_on_one_program_runs_no_depth_sweep():
+    # the depth sweep compares depths 1..k_max >= 2, which one program
+    # does not have; every other check still runs
+    code, out, err = run("verify", "--machine", "geometric", "--maxlen", "1",
+                         "--grid", "1/2:1/2:1", "--k", "1")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["failures"] == 0
+    assert doc["checks"] and not [c for c in doc["checks"]
+                                  if c["k"] == "depth-sweep"]
+
+
+def test_a_zero_count_census_line_changes_no_output(tmp_path):
+    # a census line `L <length> 0` holds no program: verify prints the same
+    # bytes with or without it, and no strict witness stands on it
+    outs = []
+    for name, census in (("zero", {3: 2, 10: 0}), ("plain", {3: 2})):
+        path = tmp_path / f"{name}.snap"
+        save_snapshot(EnsembleSnapshot("custom", 0, 10, [], census), path)
+        code, out, err = run("--format", "csv", "verify", "--snapshot",
+                             str(path), "--grid", "1/2:1/2:1", "--k", "2")
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "strict" not in outs[0]
+    # a machine's file with a zero line still carries the machine
+    path = tmp_path / "sdm4.snap"
+    assert run("enumerate", "--machine", "sdm4", "--budget", "20",
+               "--maxlen", "8", "--save", str(path))[0] == 0
+    text = path.read_text()
+    assert "\nL 4 " in text
+    path.write_text(text.replace("\nL 4 ", "\nL 3 0\nL 4 ", 1))
+    assert load_snapshot(path).machine is get_machine("sdm4")
+    assert (run("thermo", "--snapshot", str(path), "--T", "1/2", "--limit")
+            == run("thermo", "--machine", "sdm4", "--maxlen", "8", "--T",
+                   "1/2", "--limit"))
 
 
 @pytest.mark.parametrize("bad", ["KRAFT", "KRAFT 1/0", "L 1 x", "P x 0 - 0"])

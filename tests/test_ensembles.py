@@ -300,6 +300,12 @@ def test_loaded_snapshot_gets_machine_only_on_census_match(tmp_path, kind):
     del short.census[max(short.census)]
     save_snapshot(short, path)
     assert load_snapshot(path).machine is None
+    # a zero count at a length the census lacks holds no program: the
+    # nonzero census still matches
+    zero = builtin_snapshot(kind, 24, program_cap=0)
+    zero.census[min(set(range(25)) - set(zero.census))] = 0
+    save_snapshot(zero, path)
+    assert load_snapshot(path).machine is MACHINES[kind]
 
 
 @pytest.mark.parametrize("bad", [

@@ -277,7 +277,7 @@ def _reference_outcome(h, increments):
 
 
 def _verify(h):
-    fixedpoint._verify_certificate(h, fixedpoint._census_groups(h.snapshot))
+    fixedpoint._verify_certificate(h, h.snapshot.groups())
 
 
 def _verdict(h):
@@ -617,7 +617,7 @@ def test_a_bound_that_fails_past_the_walk_still_raises(recheck_handles):
     # them on sdm4 1500 cap 512, whose groups hold many programs
     late = 0
     for name, h, _, outcomes in recheck_handles:
-        groups = fixedpoint._census_groups(h.snapshot)
+        groups = h.snapshot.groups()
         K = sum(count for _, count in fixedpoint._slope_reach(groups, h.k0))
         for (db, dc), (_, bad) in outcomes.items():
             mutated = h._replace(b=h.b + db, c=h.c + dc)
@@ -703,7 +703,7 @@ TOP_HEAVY = EnsembleSnapshot("top-heavy", 0, 10, [], {6: 1, 10: 1000})
 
 def _Z_limit(snapshot, t, p=64):
     """The limit of Z at t, as certify hands it to the capacity bound."""
-    return thermo.moments(snapshot, t, "limit", (0,), p)[0][0]
+    return thermo.moments(snapshot, t, "limit", (0,), p)[0]
 
 
 def _capacity_cases(monkeypatch):
@@ -842,7 +842,7 @@ def _check_slope_bounds(snap, T):
     if not handles:
         return 0
     total, ends, K = _census_total(snap), {_census_total(snap)}, 0
-    for _, count in fixedpoint._census_groups(snap):
+    for _, count in snap.groups():
         K += count
         ends.add(K)
     depths = [[k for k in {4 * h.k0, 8 * h.k0, *ends}
@@ -1294,6 +1294,19 @@ def test_reconstruct_validates_u(handles):
         with pytest.raises(RangeError):
             reconstruct_T(h, bad, 16, BitString("0"), approach_oracle(h),
                           ascending_lower_oracle(h))
+
+
+def test_reconstruct_reads_u_as_any_temperature(handles):
+    # u is read like every other temperature: a Dyadic, a float or a
+    # string gives the report of the equal Fraction
+    h = handles["Z"]
+    u, n = Fraction(3, 4), 16
+    prefix = _beta_prefix(h, u, n)
+    want = reconstruct_T(h, u, n, prefix, approach_oracle(h),
+                         ascending_lower_oracle(h))
+    for same in (Dyadic(3, -2), 0.75, "3/4"):
+        assert reconstruct_T(h, same, n, prefix, approach_oracle(h),
+                             ascending_lower_oracle(h)) == want
 
 
 def test_reconstruct_oracle_exhaustion(handles):

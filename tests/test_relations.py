@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from thermoait.ensembles import builtin_snapshot
+from thermoait.ensembles import EnsembleSnapshot, builtin_snapshot
 from thermoait.errors import RangeError, SpecError
 from thermoait.relations import (
     check_derivative, check_identities, check_monotone, check_positivity,
@@ -141,6 +141,21 @@ def test_positivity_degenerate_depth_one():
     r = check_positivity(GEO, Fraction(5, 8), 1)
     assert r.passed
     assert "capacity-strict" not in named(r)
+
+
+@pytest.mark.parametrize("k", [2, "limit"])
+@pytest.mark.parametrize("T", [Fraction(1, 4), Fraction(1, 2),
+                               Fraction(3, 4)])
+def test_a_zero_count_length_changes_no_check(T, k):
+    # two programs of one length have S = C = 0; the zero count at length
+    # 10 holds no program, so it neither changes a sum nor witnesses a
+    # strict positivity
+    zero = EnsembleSnapshot("custom", 0, 10, [], {3: 2, 10: 0})
+    plain = zero._replace(census={3: 2})
+    for check in (check_identities, check_positivity):
+        report = check(zero, T, k)
+        assert repr(report) == repr(check(plain, T, k))
+        assert not [n for n in named(report) if n.endswith("-strict")]
 
 
 # -- monotonicity ------------------------------------------------------

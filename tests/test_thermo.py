@@ -25,7 +25,9 @@ from thermoait.ensembles import (
     MACHINES, EnsembleSnapshot, Machine, ProgramRecord, builtin_snapshot,
     kraft_tail_bounds, load_snapshot, save_snapshot,
 )
-from thermoait.errors import RangeError, SpecError
+from thermoait.errors import RangeError, SpecError, ThermoAITError
+from thermoait.fixedpoint import QUANTITY_CHOICES, QuantityHandle, certify
+from thermoait.relations import _identities_and_positivity
 from thermoait.thermo import (
     QUANTITIES, CensusWalk, WeightChain, _census_cutoff, _RunningWalk,
     divergence_probe, eval_limit, eval_partial, evaluate, limit_moments,
@@ -751,6 +753,39 @@ def test_finite_domain_truth_is_enclosed(domain, extra, T, p):
             for name, value in truth.items():
                 assert _close_to_inside(ev.quantity(name), value), (
                     ev.k, name)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), a handle's without its snapshot, or the typed
+    error it raises."""
+    try:
+        out = f(*args)
+    except ThermoAITError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(out._replace(snapshot=None) if isinstance(out, QuantityHandle)
+                else out)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_domains(), st.integers(0, 8),
+       st.integers(1, 255).map(lambda n: Fraction(n, 256)), st.data())
+def test_zero_count_lengths_change_nothing(domain, extra, T, data):
+    # a zero count holds no program: adding zero-count lengths at or below
+    # maxlen changes no enclosure, no relation report and no certificate
+    census, _ = domain
+    top = max(census) + extra
+    zeros = data.draw(st.sets(st.integers(0, top).filter(
+        lambda l: l not in census), min_size=1))
+    k = data.draw(st.integers(1, sum(census.values())))
+    plain = EnsembleSnapshot("random", 0, top, [], census)
+    padded = plain._replace(census={**census, **dict.fromkeys(zeros, 0)})
+    padded.validate()
+    calls = [(eval_limit, T, 64), (eval_partial, T, k, 64)]
+    calls += [(_identities_and_positivity, T, depth, 64)
+              for depth in (k, "limit")]
+    calls += [(certify, q, T) for q in QUANTITY_CHOICES]
+    for f, *args in calls:
+        assert _outcome(f, plain, *args) == _outcome(f, padded, *args), f
 
 
 def test_thermo_has_no_module_level_cache():
