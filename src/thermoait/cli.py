@@ -35,6 +35,9 @@ from .thermo import QUANTITIES, eval_limit, eval_partial
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CERTIFY, EXIT_PRECISION = 0, 1, 2, 3, 4
 
+# verify's depth where --k is not given, cut to the census total
+VERIFY_DEPTH = 4
+
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -185,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_verify)
     machine_flags(sp, 120)
     sp.add_argument("--grid", type=_grid_arg, required=True)
-    sp.add_argument("--k", type=int, default=4)
+    sp.add_argument("--k", type=int)
 
     sp = sub.add_parser("solve")
     machine_flags(sp, 600)
@@ -238,7 +241,7 @@ def _cmd_enumerate(args, emit) -> int:
         "max_length": snap.max_length,
         "step_budget": snap.step_budget,
         "programs": len(snap.programs),
-        "census_total": sum(snap.census.values()),
+        "census_total": snap.total,
         "kraft_partial": fraction_text(kraft),
         "saved": args.save,
     }
@@ -287,11 +290,13 @@ def _cmd_thermo(args, emit) -> int:
 def _cmd_verify(args, emit) -> int:
     from .relations import _identities_and_positivity, check_monotone
     snap = _load(args, program_cap=0)
+    total = snap.total
+    depth = (args.k if args.k is not None
+             else max(1, min(VERIFY_DEPTH, total)))
     checks = [(fraction_text(T), str(k), chk)
-              for T in args.grid for k in (args.k, "limit")
+              for T in args.grid for k in (depth, "limit")
               for rep in _identities_and_positivity(snap, T, k, args.precision)
               for chk in rep.checks]
-    total = sum(snap.census.values())
     if total >= 2:  # one program has no depths to compare
         mono = check_monotone(snap, Fraction(1, 2), min(12, total))
         checks += [("1/2", "depth-sweep", chk) for chk in mono.checks]

@@ -64,7 +64,7 @@ def build_table(snapshot: EnsembleSnapshot) -> ComplexityTable:
         cand = (len(rec.program), rec.program)
         if cur is None or cand < cur:
             entries[rec.output] = cand
-    complete = len(snapshot.programs) == sum(snapshot.census.values())
+    complete = len(snapshot.programs) == snapshot.total
     exactness = EXACT if complete else UPPER_BOUND
     return ComplexityTable(snapshot, entries, exactness)
 

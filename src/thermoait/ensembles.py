@@ -12,10 +12,10 @@ Builtin machines (``MACHINES``, one ``Machine`` each):
 A Machine holds its canonical program enumerator and either the rational
 generating function N(x)/D(x) (sdm4, literal, geometric), whose power
 series is its census and which gives a limit with no census sum and no
-tail, or its own census (gamma_literal).  A snapshot built from a machine
-carries it; one loaded from disk only when its nonzero census equals the
-named machine's census exactly.  gamma_literal and any other snapshot (an
-anonymous census) take their tails from the Kraft slack.
+tail, or its own census (gamma_literal).  A snapshot keeps the machine
+it is given only when its nonzero census equals that machine's census up
+to its max_length, however it was built.  gamma_literal and any other
+snapshot (an anonymous census) take their tails from the Kraft slack.
 
 Enumeration order is canonical: ascending (length, lex).  The census maps
 length -> count of *all* domain elements of that length, which can exceed
@@ -25,12 +25,15 @@ lengths).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
 from math import ceil, floor, gcd, log2
+from operator import itemgetter
 from os import PathLike
+from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
 
 from .bitstring import BitString
@@ -54,13 +57,74 @@ class ProgramRecord(NamedTuple):
     steps: int  # interpreter steps to halt; 0 for synthetic ensembles
 
 
-class EnsembleSnapshot(NamedTuple):
-    ensemble_id: str
-    step_budget: int
-    max_length: int
-    programs: list[ProgramRecord]
-    census: dict[int, int]
-    machine: Machine | None = None  # None: an anonymous census
+class EnsembleSnapshot:
+    """A census and the program records enumerated from it, checked once,
+    when it is built.
+
+    The constructor keeps its own read-only copy of census (length ->
+    count, zero counts too, as a file writes them) and stores what every
+    reader derives from it: the nonzero (length, count) groups, ascending
+    in length, their cumulative counts, the census total and the exact
+    Kraft sum.  It raises InvariantViolation unless the records are in
+    canonical (length, lex) order, prefix-free and no more per length
+    than the census counts, every census length lies in [0, max_length],
+    every count is at least 0, and the Kraft sum is at most 1 (no
+    prefix-free domain has a larger one).  machine is kept only when the
+    nonzero census equals the machine's census up to max_length, compared
+    lazily, so a huge max_length costs no more than the census; otherwise
+    the snapshot is an anonymous census and machine is None.  So the
+    label names the machine to check against, and the census decides.
+
+    A snapshot is an immutable value, like the library's NamedTuple
+    records: compared field by field, unhashable, and with _fields,
+    iteration over the fields and _replace, which builds and so checks a
+    new snapshot."""
+
+    _fields = ("ensemble_id", "step_budget", "max_length", "programs",
+               "census", "machine")
+    __slots__ = _fields + ("total", "_groups", "_depths", "_kraft")
+    __hash__ = None
+
+    def __init__(self, ensemble_id: str, step_budget: int, max_length: int,
+                 programs: list[ProgramRecord], census,
+                 machine: Machine | None = None):
+        census = dict(census)
+        _check_records(programs, census)
+        if any(l > max_length or l < 0 for l in census):
+            raise InvariantViolation("census length outside [0, max_length]")
+        if any(c < 0 for c in census.values()):
+            raise InvariantViolation("negative census count")
+        groups = tuple((l, census[l]) for l in sorted(census) if census[l])
+        kraft = 1 - kraft_slack(groups, groups[-1][0] if groups else 0)
+        if kraft > 1:
+            raise InvariantViolation("Kraft violation: partial sum exceeds 1")
+        if machine and tuple(islice(machine.census(max_length),
+                                    len(groups) + 1)) != groups:
+            machine = None
+        depths = tuple(accumulate(c for _, c in groups))
+        for name, value in zip(self.__slots__, (
+                ensemble_id, step_budget, max_length, programs,
+                MappingProxyType(census), machine, depths[-1] if depths else 0,
+                groups, depths, kraft)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+    def _replace(self, **changes) -> EnsembleSnapshot:
+        return type(self)(**{**dict(zip(self._fields, self)), **changes})
 
     @property
     def series(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -69,66 +133,57 @@ class EnsembleSnapshot(NamedTuple):
 
     def kraft_partial(self) -> Fraction:
         """Exact census-based partial Kraft sum over lengths <= max_length."""
-        return 1 - kraft_slack(self.census.items(), max(self.census, default=0))
+        return self._kraft
 
     def program_kraft(self) -> Fraction:
         """Exact Kraft sum over the enumerated records."""
         by_len = Counter(len(r.program) for r in self.programs)
         return 1 - kraft_slack(by_len.items(), max(by_len, default=0))
 
-    def groups(self, max_length: int | None = None) -> list[tuple[int, int]]:
+    def groups(self, max_length: int | None = None
+               ) -> tuple[tuple[int, int], ...]:
         """The census's (length, count) pairs with count > 0, ascending in
         length, through max_length if given: every program the census
         holds.  A zero count holds no program, so no reader sees it."""
-        census = self.census
-        lengths = (census if max_length is None
-                   else [l for l in census if l <= max_length])
-        return [(l, census[l]) for l in sorted(lengths) if census[l]]
+        if max_length is None:
+            return self._groups
+        return self._groups[:bisect_right(self._groups, max_length,
+                                          key=itemgetter(0))]
 
-    def length_counts_up_to(self, k: int) -> list[tuple[int, int]]:
+    def length_counts_up_to(self, k: int) -> tuple[tuple[int, int], ...]:
         """The depth-k prefix of groups(): (length, count) pairs covering
         |p_1|..|p_k| (canonical order is nondecreasing in length), the
-        last count cut at k.  It sorts the lengths itself and stops at
-        depth k."""
-        out: list[tuple[int, int]] = []
-        left = k
-        census = self.census
-        for l in sorted(census):
-            count = census[l]
-            if count >= left:  # the last group, cut at k
-                if left:
-                    out.append((l, left))
-                    left = 0
-                break
-            if count:
-                out.append((l, count))
-                left -= count
-        if left:
+        last count cut at k."""
+        if k < 1:
+            return ()
+        depths = self._depths
+        g = bisect_left(depths, k)  # the group that holds program k
+        if g == len(depths):
             raise InvariantViolation(
-                f"census covers only {k - left} programs, {k} requested")
-        return out
+                f"census covers only {self.total} programs, {k} requested")
+        return self._groups[:g] + (
+            (self._groups[g][0], k - (depths[g - 1] if g else 0)),)
 
-    def validate(self) -> None:
-        progs = [r.program for r in self.programs]
-        if any(b < a for a, b in zip(progs, progs[1:])):
-            raise InvariantViolation("programs not in canonical (length, lex) order")
-        # prefix-freeness: in plain lex order a prefix sorts immediately
-        # before its extensions, so adjacent pairs suffice
-        by_lex = sorted(p.bits for p in progs)
-        for a, b in zip(by_lex, by_lex[1:]):
-            if b.startswith(a):
-                msg = "duplicate program" if a == b else "prefix-free violation"
-                raise InvariantViolation(f"{msg}: {a!r} / {b!r}")
-        for l, n in Counter(map(len, progs)).items():
-            if self.census.get(l, 0) < n:
-                raise InvariantViolation(
-                    f"census({l}) = {self.census.get(l, 0)} below enumerated count {n}")
-        if any(l > self.max_length or l < 0 for l in self.census):
-            raise InvariantViolation("census length outside [0, max_length]")
-        if any(c < 0 for c in self.census.values()):
-            raise InvariantViolation("negative census count")
-        if self.kraft_partial() > 1 or self.program_kraft() > 1:
-            raise InvariantViolation("Kraft violation: partial sum exceeds 1")
+
+def _check_records(programs: list[ProgramRecord], census: dict[int, int]
+                   ) -> None:
+    """Raise InvariantViolation unless the records are in canonical
+    (length, lex) order, prefix-free, and no more per length than the
+    census counts."""
+    progs = [r.program for r in programs]
+    if any(b < a for a, b in zip(progs, progs[1:])):
+        raise InvariantViolation("programs not in canonical (length, lex) order")
+    # prefix-freeness: in plain lex order a prefix sorts immediately
+    # before its extensions, so adjacent pairs suffice
+    by_lex = sorted(p.bits for p in progs)
+    for a, b in zip(by_lex, by_lex[1:]):
+        if b.startswith(a):
+            msg = "duplicate program" if a == b else "prefix-free violation"
+            raise InvariantViolation(f"{msg}: {a!r} / {b!r}")
+    for l, n in Counter(map(len, progs)).items():
+        if census.get(l, 0) < n:
+            raise InvariantViolation(
+                f"census({l}) = {census.get(l, 0)} below enumerated count {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,33 +318,19 @@ def kraft_slack(census_items, L: int) -> Fraction:
     return Fraction((1 << L) - filled, 1 << L)
 
 
-def kraft_tail_bounds(census, L: int, T: Fraction, orders,
-                      precision_bits: int) -> dict[int, Dyadic]:
+def kraft_tail_bounds(snapshot: EnsembleSnapshot, L: int, T: Fraction,
+                      orders, precision_bits: int) -> dict[int, Dyadic]:
     """Bounds on sum_{|p|>L} |p|^j 2^(-|p|/T), T < 1, for any prefix-free
-    domain with this census: beyond L the per-length Kraft mass is at most
-    tau = 1 - sum_{l<=L} census(l) 2^-l, and each term satisfies
-    l^j 2^(-l/T) <= M_j (census(l) 2^-l) with
+    domain with the snapshot's census: beyond L the per-length Kraft mass
+    is at most tau = 1 - sum_{l<=L} census(l) 2^-l, and each term
+    satisfies l^j 2^(-l/T) <= M_j (census(l) 2^-l) with
     M_j = max_{l>L} l^j 2^(-l(1/T - 1)); the max of that unimodal function
     is bracketed through rational bounds on its critical point
-    j T / ((1-T) ln 2).  A census whose Kraft sum exceeds 1 is no
-    prefix-free domain and raises InvariantViolation; the sum is checked
-    to the census's last length, because the census past L must fit in
-    tau too."""
+    j T / ((1-T) ln 2).  The census past L fits in tau, because the
+    snapshot has checked that its Kraft sum is at most 1."""
     if T >= 1:
         raise RangeError("census-slack tail bounds require T < 1")
-    # one pass over the census: its Kraft sum through L at 2^-L, and past
-    # L at 2^-top
-    top = max(max(census, default=L), L)
-    filled = past = 0
-    for l, c in census.items():
-        if l <= L:
-            filled += c << (L - l)
-        else:
-            past += c << (top - l)
-    free = (1 << L) - filled  # tau = free 2^-L
-    if free < 0 or past > free << (top - L):
-        raise InvariantViolation("Kraft violation: the census sum exceeds 1")
-    tau = Fraction(free, 1 << L)
+    tau = kraft_slack(snapshot.groups(L), L)
     if tau == 0:
         return {j: Dyadic(0) for j in orders}
     delta = 1 / T - 1  # weight is (2^-l) * 2^(-l*delta)
@@ -433,10 +474,8 @@ def builtin_snapshot(kind: str, max_length: int,
         programs.extend(machine.programs(length, count, step_budget))
         if len(programs) - before < count:
             break  # step budget exhausted: longer programs need more steps
-    snap = EnsembleSnapshot(kind, step_budget, max_length, programs, census,
+    return EnsembleSnapshot(kind, step_budget, max_length, programs, census,
                             machine)
-    snap.validate()
-    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -513,24 +552,18 @@ def load_snapshot(path: str | PathLike) -> EnsembleSnapshot:
         except (ValueError, ZeroDivisionError) as exc:
             raise SnapshotError(f"bad {parts[0]} record: {exc}", line=lineno) from exc
 
-    # the label only names the machine to check against; the nonzero census
-    # decides (a zero-count line holds no program), lazily: a huge header
-    # maxlen costs no more than the file's census
-    snap = EnsembleSnapshot(ensemble_id, budget, maxlen, programs, census)
-    machine = MACHINES.get(ensemble_id)
-    groups = snap.groups()
-    if machine and list(islice(machine.census(maxlen),
-                               len(groups) + 1)) == groups:
-        snap = snap._replace(machine=machine)
     if kraft_line is None:
         raise SnapshotError("missing KRAFT checksum line")
-    if snap.kraft_partial() != kraft_line:
-        raise SnapshotError(
-            f"checksum mismatch: census Kraft sum "
-            f"{fraction_text(snap.kraft_partial())} != recorded "
-            f"{fraction_text(kraft_line)}")
     try:
-        snap.validate()
+        # the label only names the machine to check against: the snapshot
+        # keeps it only where the nonzero census matches
+        snap = EnsembleSnapshot(ensemble_id, budget, maxlen, programs, census,
+                                MACHINES.get(ensemble_id))
+        if snap.kraft_partial() != kraft_line:
+            raise SnapshotError(
+                f"checksum mismatch: census Kraft sum "
+                f"{fraction_text(snap.kraft_partial())} != recorded "
+                f"{fraction_text(kraft_line)}")
         replay_check(snap)  # records of a machine-backed file must replay
     except InvariantViolation as exc:
         raise SnapshotError(str(exc)) from exc

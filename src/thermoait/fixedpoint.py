@@ -245,7 +245,7 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
     runs = _depth_runs(handle, x)
     g = None  # the last run's g, at the census total, once drawn
     if ceiling is not None and h >= ceiling:
-        total = sum(handle.snapshot.census.values())
+        total = handle.snapshot.total
         if total < handle.k0:
             raise RangeError("enumeration exhausted")
         spent = total - handle.k0 + 1
@@ -372,6 +372,15 @@ def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
     return _window_points(T, t, SLOPE_SAMPLES + 1)[1:-1]
 
 
+# the limit moments certify reads, by quantity, at T and at t: Z and W at
+# T for the increments of -F, E and S past the census (_increments_close)
+# and for the conditions on k0, none for Z; at t, W for the slope bound of
+# Z, Z and W for that of -F (S_lim(t)), and Z and Y for the capacity bound
+# of E and S
+_LIMIT_ORDERS = {"Z": ((), (1,)), "-F": ((0, 1), (0, 1)),
+                 "E": ((0, 1), (0, 2)), "S": ((0, 1), (0, 2))}
+
+
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
             precision_bits: int = DEFAULT_PRECISION) -> QuantityHandle:
     """Compute the certificate constants from enclosures, then re-verify
@@ -383,9 +392,9 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     xs = _slope_points(Tf, t)
     p = precision_bits
     ln2 = ln2_enclosure(p)
-    lim_T = moments(snapshot, Tf, "limit", (0, 1, 2), p)
-    lim_t = moments(snapshot, t, "limit", (0, 1, 2), p)
-    Z_T, W_T = lim_T[0], lim_T[1]
+    orders_T, orders_t = _LIMIT_ORDERS[quantity]
+    lim_T = moments(snapshot, Tf, "limit", orders_T, p) if orders_T else None
+    lim_t = moments(snapshot, t, "limit", orders_t, p)
     groups = snapshot.groups()
     if len(groups) < 2:
         raise CertificationError("ensemble has a single program length; "
@@ -432,7 +441,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     elif quantity == "-F":
         c = 0
         # increment factor T/(Z ln2) between T/(Z_lim ln2) and T/(Z_k0 ln2)
-        factor_lo = div(Enclosure.from_rational(Tf, p), Z_T * ln2, p).lo
+        factor_lo = div(Enclosure.from_rational(Tf, p), lim_T[0] * ln2, p).lo
         b = max(1, -_floor_log2(factor_lo)) if factor_lo < Dyadic(1) else 1
         U = div(Enclosure.from_rational(Tf, p),
                 Enclosure.point(Z1_lo) * ln2, p).hi
@@ -448,7 +457,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     else:  # E and S share the capacity-based slope machinery
         # l >= max(2 E_sup, 1 / (2 Z_1)), E_sup the upper end of E_lim(T),
         # multiplied out
-        E_up = div(W_T, Z_T, p).hi.scale2(1)
+        E_up = div(lim_T[1], lim_T[0], p).hi.scale2(1)
 
         def long_enough(l: int) -> bool:
             return E_up <= l and Z1_lo * (2 * l) >= 1
@@ -1018,7 +1027,7 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
         raise OracleExhausted("oracle ended before g(r, k) exceeded it")
 
     threshold = Dyadic.from_fraction(handle.T * (n - handle.a - handle.b))
-    verified_through = min(10 * k_e, sum(handle.snapshot.census.values()))
+    verified_through = min(10 * k_e, handle.snapshot.total)
     if k_e < verified_through:
         # lengths never fall, so program k_e + 1 is the shortest checked
         l = handle.snapshot.length_counts_up_to(k_e + 1)[-1][0]

@@ -296,9 +296,8 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
     target = precision_bits + 12
     L = (target + 8) / delta
     L = (target + max_order * log2(max(2.0, L))) / delta
-    return min(snapshot.max_length,
-               max(8, ceil(L), min((l for l, c in snapshot.census.items()
-                                    if c), default=0)))
+    shortest = snapshot.groups()[0][0] if snapshot.total else 0
+    return min(snapshot.max_length, max(8, ceil(L), shortest))
 
 
 def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
@@ -321,8 +320,7 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
         return (series_moments(snapshot.machine, T, orders, precision_bits),
                 {j: Dyadic(0) for j in orders})
     L = _census_cutoff(snapshot, T, 4, precision_bits)
-    # the tails first: an over-full census raises there, before any sum
-    tails = kraft_tail_bounds(snapshot.census, L, T, orders, precision_bits)
+    tails = kraft_tail_bounds(snapshot, L, T, orders, precision_bits)
     sums = moment_sums(snapshot.groups(L), T, orders, precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
     return moments, tails

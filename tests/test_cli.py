@@ -118,6 +118,21 @@ def test_verify_on_one_program_runs_no_depth_sweep():
                                   if c["k"] == "depth-sweep"]
 
 
+def test_verify_default_depth_is_cut_to_the_census_total():
+    # no --k: the default depth 4 is cut to the 3 programs of the census;
+    # a depth the user sets is not cut
+    base = ("verify", "--machine", "geometric", "--maxlen", "3", "--grid",
+            "1/2:1/2:1")
+    code, out, err = run(*base)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["failures"] == 0
+    assert {c["k"] for c in doc["checks"]} == {"3", "limit", "depth-sweep"}
+    code, _, err = run(*base, "--k", "4")
+    assert code == 2
+    assert err == "error: census covers only 3 programs, 4 requested\n"
+
+
 def test_a_zero_count_census_line_changes_no_output(tmp_path):
     # a census line `L <length> 0` holds no program: verify prints the same
     # bytes with or without it, and no strict witness stands on it

@@ -9,12 +9,15 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thermoait.bitstring import BitString, LAMBDA
 from thermoait.cli import main
-from thermoait.dyadic import fraction_text, int_from_text
+from thermoait.dyadic import fraction_text, int_from_text, int_text
 from thermoait.ensembles import (
-    BUDGET, DEFAULT_PROGRAM_CAP, DIVERGE, HALT, MACHINES, builtin_snapshot,
+    BUDGET, DEFAULT_PROGRAM_CAP, DIVERGE, HALT, MACHINES, EnsembleSnapshot,
+    builtin_snapshot,
     gamma_code, gamma_literal_length, kraft_slack, load_snapshot, run_sdm4,
     replay_check, save_snapshot,
 )
@@ -260,10 +263,9 @@ def test_load_rejects_kraft_violation(tmp_path):
 
 
 def test_validate_rejects_negative_census_count():
-    snap = builtin_snapshot("geometric", 4, program_cap=0)
-    snap.census[2] = -1
+    census = {**builtin_snapshot("geometric", 4, program_cap=0).census, 2: -1}
     with pytest.raises(InvariantViolation, match="negative"):
-        snap.validate()
+        EnsembleSnapshot("geometric", 4, 4, [], census)
 
 
 def test_load_rejects_checksum_mismatch(tmp_path):
@@ -296,14 +298,15 @@ def test_loaded_snapshot_gets_machine_only_on_census_match(tmp_path, kind):
     assert back.machine is snap.machine is MACHINES[kind]
     # the census without its last length is a valid file, but no longer
     # this machine's census at this maxlen
-    short = builtin_snapshot(kind, 24, program_cap=0)
-    del short.census[max(short.census)]
+    census = dict(snap.census)
+    del census[max(census)]
+    short = EnsembleSnapshot(kind, snap.step_budget, 24, [], census)
     save_snapshot(short, path)
     assert load_snapshot(path).machine is None
     # a zero count at a length the census lacks holds no program: the
     # nonzero census still matches
-    zero = builtin_snapshot(kind, 24, program_cap=0)
-    zero.census[min(set(range(25)) - set(zero.census))] = 0
+    zero = snap._replace(programs=[], census={
+        **snap.census, min(set(range(25)) - set(snap.census)): 0})
     save_snapshot(zero, path)
     assert load_snapshot(path).machine is MACHINES[kind]
 
@@ -353,7 +356,7 @@ def test_mutated_snapshot_loads_or_is_snapshot_error(tmp_path):
                 del mutated[at]
         path.write_bytes(bytes(mutated))
         try:
-            load_snapshot(path).validate()
+            load_snapshot(path)
             outcomes["loaded"] += 1
         except SnapshotError as exc:
             outcomes["not UTF-8" if "not UTF-8" in str(exc)
@@ -367,3 +370,98 @@ def test_lengths_up_to():
             for _ in range(c)] == [2, 4, 4, 6]
     with pytest.raises(InvariantViolation):
         snap.length_counts_up_to(99)
+
+
+# -- the snapshot's readers --------------------------------------------
+
+@st.composite
+def censuses(draw):
+    """A census that a prefix-free domain can have (its Kraft sum at most
+    1), with zero counts and gaps among its lengths, in a drawn key order;
+    some counts fill what the Kraft sum leaves at their length."""
+    census, free = {}, Fraction(1)
+    for l in sorted(draw(st.sets(st.integers(0, 40), max_size=12))):
+        room = int(free * 2**l)  # programs of length l that still fit
+        count = draw(st.sampled_from([0, room]) | st.integers(0, room))
+        census[l] = count
+        free -= Fraction(count, 2**l)
+    return {l: census[l] for l in draw(st.permutations(list(census)))}
+
+
+def _prefix(groups, k):
+    """The first k programs of groups as (length, count) pairs."""
+    out = []
+    for l, count in groups:
+        if k <= 0:
+            break
+        out.append((l, min(count, k)))
+        k -= count
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(censuses(), st.integers(0, 8), st.data())
+def test_readers_equal_a_sort_based_reference(census, extra, data):
+    # groups, the depth-k prefixes, the total and the Kraft sum, from the
+    # census sorted afresh; the caller's dict is copied, so a change to it
+    # after the build changes nothing
+    maxlen = max(census, default=0) + extra
+    given_census = dict(census)
+    snap = EnsembleSnapshot("random", 0, maxlen, [], given_census)
+    given_census.clear()
+    given_census[maxlen] = 2**maxlen
+    groups = [(l, census[l]) for l in sorted(census) if census[l]]
+    total = sum(count for _, count in groups)
+    assert snap.census == census
+    assert list(snap.groups()) == groups
+    for L in range(-1, maxlen + 2):
+        assert list(snap.groups(L)) == [(l, c) for l, c in groups if l <= L]
+    assert snap.total == total
+    assert snap.kraft_partial() == sum(Fraction(c, 2**l) for l, c in groups)
+    ends = [sum(c for _, c in groups[:i]) for i in range(len(groups) + 1)]
+    ks = data.draw(st.lists(st.integers(0, total), max_size=6))
+    for k in {*ks, *ends, *(e + 1 for e in ends if e < total)}:
+        assert list(snap.length_counts_up_to(k)) == _prefix(groups, k), k
+    with pytest.raises(InvariantViolation, match=(
+            f"^census covers only {total} programs, {total + 1} requested$")):
+        snap.length_counts_up_to(total + 1)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(censuses(), st.integers(0, 40), st.integers(1, 3))
+def test_a_kraft_violating_census_builds_no_snapshot(tmp_path, census,
+                                                     length, excess):
+    # one more program at a length than the Kraft sum leaves room for: the
+    # constructor raises, and so does a file of it, whose recorded Kraft
+    # sum matches its census
+    free = 1 - sum(Fraction(c, 2**l) for l, c in census.items())
+    census = {**census, length: census.get(length, 0)
+              + int(free * 2**length) + excess}
+    maxlen = max(census)
+    with pytest.raises(InvariantViolation, match="Kraft"):
+        EnsembleSnapshot("custom", 0, maxlen, [], census)
+    kraft = sum(Fraction(c, 2**l) for l, c in census.items())
+    path = tmp_path / "over.snap"
+    path.write_text("\n".join([
+        "THERMOAIT-SNAPSHOT v1", f"ensemble=custom budget=0 maxlen={maxlen}",
+        *(f"L {l} {int_text(c)}" for l, c in census.items()),
+        f"KRAFT {int_text(kraft.numerator)}/{int_text(kraft.denominator)}",
+    ]) + "\n")
+    with pytest.raises(SnapshotError, match="Kraft") as err:
+        load_snapshot(path)
+    assert isinstance(err.value.__cause__, InvariantViolation)
+
+
+def test_a_machine_the_census_does_not_match_is_dropped():
+    # geometric's census through length 10 has one program per length; one
+    # program of length 1 alone is not that census, so the label's
+    # generating function (Z = 1/3 at T = 1/2) is not used.  The census is
+    # complete through 10, so Z lies in [1/4, 1025/4096]: the census sum
+    # 1/4, plus at most its Kraft slack 1/2 times 2^-11, the largest weight
+    # per unit of Kraft mass, 2^-l, past length 10
+    snap = EnsembleSnapshot("x", 1, 10, [], {1: 1}, MACHINES["geometric"])
+    assert snap.machine is None
+    Z = eval_limit(snap, Fraction(1, 2)).Z
+    assert Fraction(1, 4) <= Z.lo.as_fraction()
+    assert Z.hi.as_fraction() <= Fraction(1025, 4096)

@@ -653,20 +653,15 @@ def test_a_bracket_unproved_past_the_census_raises(monkeypatch):
 
 def test_an_over_full_census_raises_a_typed_error():
     # Kraft sum 1/2 + 1/64 + 990/1024 > 1: no prefix-free domain has this
-    # census, and its Kraft slack is negative; load_snapshot rejects such a
-    # file, and a snapshot built directly is rejected by the limit
-    snap = EnsembleSnapshot("over-full", 0, 10, [], {1: 1, 6: 1, 10: 990})
+    # census, and its Kraft slack is negative; a snapshot is not built from
+    # it, however it is built, so no limit or certificate reads it
     with pytest.raises(InvariantViolation, match="Kraft"):
-        thermo.eval_limit(snap, HALF)
-    for quantity in ("Z", "-F", "E", "S"):
-        with pytest.raises(InvariantViolation, match="Kraft"):
-            certify(snap, quantity, HALF)
+        EnsembleSnapshot("over-full", 0, 10, [], {1: 1, 6: 1, 10: 990})
     # over-full only past the cutoff (13 at T = 1/8), which the tail bound
     # must not take as slack: the census sum 2^-8 + 2^-62 would lie outside
     # the Z it gave
-    snap = EnsembleSnapshot("over-full past L", 0, 14, [], {1: 1, 14: 2**50})
     with pytest.raises(InvariantViolation, match="Kraft"):
-        thermo.eval_limit(snap, Fraction(1, 8))
+        EnsembleSnapshot("over-full past L", 0, 14, [], {1: 1, 14: 2**50})
 
 
 def test_recheck_and_reconstruct_errors_name_the_precision():
