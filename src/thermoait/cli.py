@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -156,9 +155,7 @@ def _make_oracle(spec: str, handle, kind: str):
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="thermoait")
-    p.add_argument("--precision", type=int,
-                   default=int(os.environ.get("THERMOAIT_PRECISION",
-                                              DEFAULT_PRECISION)))
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--format", dest="out_format", choices=("csv", "json"),
                    default="json")
     sub = p.add_subparsers(dest="command", required=True)

@@ -80,6 +80,7 @@ every depth.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, inf
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -87,13 +88,16 @@ from .bitstring import BitString, successor
 from .dyadic import Dyadic
 from .enclosure import (
     DEFAULT_PRECISION, Enclosure, certified_gt, certified_lt,
-    certified_positive, div, ln2_enclosure, log2_enclosure, prefix_value,
+    certified_positive, div, ln2_enclosure, prefix_value,
 )
 from .ensembles import EnsembleSnapshot
 from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
-from .thermo import CensusWalk, WeightChain, _RunningWalk, _temp_frac, moments
+from .thermo import (
+    CensusWalk, WeightChain, _RunningWalk, _temp_frac, entropy,
+    minus_free_energy, moments,
+)
 
 QUANTITY_CHOICES = ("Z", "-F", "E", "S")
 
@@ -116,20 +120,18 @@ def _ceil_log2(d: Dyadic) -> int:
     return f if d.m == 1 else f + 1  # canonical mantissa is 1 iff power of 2
 
 
-def _g_from_moments(quantity: str, Z: Enclosure, W: Optional[Enclosure],
-                    x: Fraction | Dyadic, precision_bits: int) -> Enclosure:
+def _g_from_moments(quantity: str, mu: dict[int, Enclosure],
+                    x: Fraction | Dyadic, p: int) -> Enclosure:
+    """The quantity at x from its moments mu, as derive_quantities has it."""
     if quantity == "Z":
-        return Z
-    p = precision_bits
-    if quantity == "-F":
-        return Enclosure.from_rational(x, p) * log2_enclosure(Z, p)
-    E = div(W, Z, p)
+        return mu[0]
     if quantity == "E":
-        return E
-    if quantity == "S":
-        return (div(E, Enclosure.from_rational(x, p), p)
-                + log2_enclosure(Z, p))
-    raise SpecError(f"unknown quantity {quantity!r}")
+        return div(mu[1], mu[0], p)
+    if quantity not in QUANTITY_CHOICES:
+        raise SpecError(f"unknown quantity {quantity!r}")
+    Tq = Enclosure.from_rational(x, p)
+    g = minus_free_energy(mu[0], Tq, p)  # the -F handle's value
+    return g if quantity == "-F" else entropy(div(mu[1], mu[0], p), g, Tq, p)
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +155,21 @@ class QuantityHandle(NamedTuple):
         """The moments the quantity reads: W only for E and S."""
         return (0,) if self.quantity in ("Z", "-F") else (0, 1)
 
-    def g(self, x: Fraction, k: int) -> Enclosure:
-        """Depth-k value at temperature x."""
+    def g(self, x, k: int) -> Enclosure:
+        """Depth-k value at x: eval_partial's, bit for bit, at any x it takes."""
+        x = _temp_frac(x)
+        if k < 1:
+            raise SpecError("depth k must be >= 1")
         mu = moments(self.snapshot, x, k, self.orders, self.precision_bits)
-        return _g_from_moments(self.quantity, mu[0], mu.get(1), x,
-                               self.precision_bits)
+        return _g_from_moments(self.quantity, mu, x, self.precision_bits)
 
-    def f(self, x: Optional[Fraction] = None,
-          precision_bits: Optional[int] = None) -> Enclosure:
-        """Limit value at temperature x (default: the certified T)."""
-        x = self.T if x is None else x
+    def f(self, x=None, precision_bits: Optional[int] = None) -> Enclosure:
+        """Limit value at x (default: the certified T): eval_limit's, bit
+        for bit, at any x it takes."""
+        x = self.T if x is None else _temp_frac(x)
         p = self.precision_bits if precision_bits is None else precision_bits
         mu = moments(self.snapshot, x, "limit", self.orders, p)
-        return _g_from_moments(self.quantity, mu[0], mu.get(1), x, p)
+        return _g_from_moments(self.quantity, mu, x, p)
 
     def radius(self, n: int) -> Dyadic:
         return Dyadic(1, self.a_lower + self.c - n)
@@ -205,7 +209,7 @@ def _depth_runs(handle: QuantityHandle, x: Fraction
 
     def at(i: int) -> Enclosure:
         mu = {j: walk.at(j, i) for j in handle.orders}
-        return _g_from_moments(handle.quantity, mu[0], mu.get(1), x, p)
+        return _g_from_moments(handle.quantity, mu, x, p)
 
     k = 0
     for _, count in walk:
@@ -448,10 +452,10 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         k0 = first_k(lambda l: U <= l ** b)
         # slope is S_k(x): between S_{k0}(T) and S_lim(t)
         mu = walk_over_reach(k0).sums((0, 1), (k0,))[0]
-        s_lo = _g_from_moments("S", mu[0], mu[1], Tf, p)
+        s_lo = _g_from_moments("S", mu, Tf, p)
         if not certified_positive(s_lo):
             raise CertificationError("entropy at k0 not certifiably positive")
-        s_hi = _g_from_moments("S", lim_t[0], lim_t[1], t, p)
+        s_hi = _g_from_moments("S", lim_t, t, p)
         a = max(0, _ceil_log2(s_hi.hi))
         a_lower = max(0, -_floor_log2(s_lo.lo))
     else:  # E and S share the capacity-based slope machinery
@@ -493,23 +497,21 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         a_lower = max(0, -_floor_log2(c_lo))
 
     handle = QuantityHandle(snapshot, quantity, Tf, t, a, a_lower, b, c, k0, p)
-    _verify_certificate(handle, groups, walks, lim_T, xs)
+    _verify_certificate(handle, walks, lim_T, xs)
     return handle
 
 
 def _verify_certificate(handle: QuantityHandle,
-                        groups: list[tuple[int, int]],
                         walks: Optional[dict[Fraction, CensusWalk]] = None,
                         limit: Optional[dict[int, Enclosure]] = None,
                         xs: Optional[list[Fraction]] = None) -> None:
     """Re-check the increment bracket at every depth k >= k0, then sample
     the slope bounds on (T, t).
 
-    groups are the census groups (EnsembleSnapshot.groups), walks maps T,
-    and any of the slope samples, to its CensusWalk over the slope reach,
-    limit holds the limit moments at T of orders 0 and 1, and xs are the
-    slope samples (_slope_points), as certify built them (whatever is not
-    given is built here).
+    walks maps T, and any of the slope samples, to its CensusWalk over the
+    slope reach, limit holds the limit moments at T of orders 0 and 1, and
+    xs are the slope samples (_slope_points), as certify built them
+    (whatever is not given is built here).
 
     The claimed bounds l^c 2^(-b) w and l^b 2^c w depend on a program's
     length l and weight w alone, so the depths are checked one census
@@ -543,6 +545,7 @@ def _verify_certificate(handle: QuantityHandle,
     """
     snapshot, quantity = handle.snapshot, handle.quantity
     k0, b, c = handle.k0, handle.b, handle.c
+    groups = snapshot.groups()
     reach = _slope_reach(groups, k0)
     depth = sum(count for _, count in reach)  # the census total if < 2 k0 + 2
     if depth <= k0:
@@ -589,10 +592,9 @@ def _verify_certificate(handle: QuantityHandle,
     slopes = [(dx.scale2(handle.a), dx.scale2(-handle.a_lower))
               for dx in (Enclosure.from_rational(x - T, p) for x in xs)]
     for i, k in enumerate(ks):
-        gT = _g_from_moments(quantity, at_T[i][0], at_T[i].get(1), T, p)
+        gT = _g_from_moments(quantity, at_T[i], T, p)
         for x, mu, (up, down) in zip(xs, at_x, slopes):
-            diff = _g_from_moments(quantity, mu[i][0], mu[i].get(1), x,
-                                   p) - gT
+            diff = _g_from_moments(quantity, mu[i], x, p) - gT
             if certified_lt(up, diff):
                 raise CertificationError(
                     f"slope upper bound falsified at k={k}, x={x}")
@@ -929,7 +931,7 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
     def probe(y: Dyadic) -> None:
         nonlocal a, b, core, overlap, last
         mu = moments(handle.snapshot, y.as_fraction(), "limit", orders, p)
-        v = _g_from_moments(quantity, mu[0], mu[1], y, p)
+        v = _g_from_moments(quantity, mu, y, p)
         value = _mid(v)
         last = (y, value, _slope_estimate(quantity, mu, y, value, ln2))
         if y in unchecked:
@@ -1051,7 +1053,7 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
 # semidecision of T < r
 # ---------------------------------------------------------------------------
 
-def semidecide_above(handle: QuantityHandle, r: Dyadic,
+def semidecide_above(handle: QuantityHandle, r,
                      upper_oracle: Iterable[Dyadic], budget: int = 256) -> str:
     """`yes` only with a certificate h(m) < g(r, k); sound because
     g(r, k) <= f(r) and h(m) >= f(T), so yes implies f(T) < f(r), i.e.
@@ -1061,9 +1063,9 @@ def semidecide_above(handle: QuantityHandle, r: Dyadic,
     (_exceeding_depth): an oracle value at or above it is passed over with
     no depth sums, at the budget it would have spent.  Where f(r) is
     unresolved at the handle's precision, every value is compared."""
-    r_frac = r.as_fraction()
-    if not 0 < r_frac < handle.t:
-        raise RangeError(f"r = {r.serialize()} outside the certificate window")
+    r_frac = _temp_frac(r)
+    if not r_frac < handle.t:
+        raise RangeError(f"r = {r_frac} outside the certificate window")
     try:
         ceiling = handle.f(r_frac).hi
     except PrecisionError:
@@ -1168,20 +1170,14 @@ ORACLE_STEPS = 64
 
 def descending_upper_oracle(handle: QuantityHandle):
     """Dyadics >= f(T), descending toward it."""
-    best = None
-    for m in range(ORACLE_STEPS):
-        v = handle.f(precision_bits=16 + 8 * m).hi
-        best = v if best is None else min(best, v)
-        yield best
+    yield from accumulate((handle.f(precision_bits=16 + 8 * m).hi
+                           for m in range(ORACLE_STEPS)), min)
 
 
 def ascending_lower_oracle(handle: QuantityHandle):
     """Dyadics <= f(T), ascending toward it."""
-    best = None
-    for m in range(ORACLE_STEPS):
-        v = handle.f(precision_bits=16 + 8 * m).lo
-        best = v if best is None else max(best, v)
-        yield best
+    yield from accumulate((handle.f(precision_bits=16 + 8 * m).lo
+                           for m in range(ORACLE_STEPS)), max)
 
 
 def approach_oracle(handle: QuantityHandle):

@@ -44,8 +44,8 @@ from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .enclosure import (
-    DEFAULT_PRECISION, Enclosure, certified_gt, div, exp2_enclosure,
-    ln2_enclosure, log2_enclosure,
+    DEFAULT_PRECISION, Enclosure, _as_fraction, certified_gt, div,
+    exp2_enclosure, ln2_enclosure, log2_enclosure,
 )
 from .ensembles import (
     EnsembleSnapshot, Machine, get_machine, kraft_tail_bounds,
@@ -54,14 +54,12 @@ from .ensembles import (
 from .errors import RangeError, SpecError
 
 QUANTITIES = ("Z", "W", "Y", "F", "E", "S", "C")
+_CUTOFF_ORDER = 4  # one cutoff for the orders up to 4, so that sums agree
 
 
 def _temp_frac(T, allow_high: bool = False) -> Fraction:
     """Normalise a temperature argument to an exact Fraction in range."""
-    if isinstance(T, Dyadic):
-        q = T.as_fraction()
-    else:
-        q = Fraction(T)
+    q = _as_fraction(T)
     limit = 2 if allow_high else 1
     if not 0 < q < limit:
         raise RangeError(f"temperature {q} outside (0, {limit})")
@@ -276,17 +274,17 @@ def moment_sums(length_counts, T: Fraction, orders, precision_bits: int) -> dict
 # census cutoffs
 # ---------------------------------------------------------------------------
 
-def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
+def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction,
                    precision_bits: int) -> int:
-    """Length beyond which the certified tail bound is already below the
-    working precision, so summing further census terms cannot tighten the
-    result.  Float arithmetic here only picks the cutoff; certification
-    comes from the tail bound itself.  The terms of a census growing by
-    `growth` bits per length shrink by delta bits per length; below the
-    Kraft bound's 1, growth is priced at 9/10 of the rate: near T = 1,
-    where the terms shrink slowly, the sum runs a little longer.  The sum
-    reaches the shortest census length at least, so that Z is certifiably
-    positive however small its terms are."""
+    """Length beyond which the certified tail bound of each order up to
+    _CUTOFF_ORDER is already below the working precision, so summing
+    further census terms cannot tighten the result.  Float arithmetic here
+    only picks the cutoff; certification comes from the tail bound itself.
+    The terms of a census growing by `growth` bits per length shrink by
+    delta bits per length; below the Kraft bound's 1, growth is priced at
+    9/10 of the rate: near T = 1, where the terms shrink slowly, the sum
+    runs a little longer.  The sum reaches the shortest census length at
+    least, so that Z is certifiably positive however small its terms are."""
     growth = snapshot.machine.growth if snapshot.machine else 1
     delta = 1 / float(T) - growth
     if 0 < growth < 1:
@@ -295,7 +293,7 @@ def _census_cutoff(snapshot: EnsembleSnapshot, T: Fraction, max_order: int,
         return snapshot.max_length
     target = precision_bits + 12
     L = (target + 8) / delta
-    L = (target + max_order * log2(max(2.0, L))) / delta
+    L = (target + _CUTOFF_ORDER * log2(max(2.0, L))) / delta
     shortest = snapshot.groups()[0][0] if snapshot.total else 0
     return min(snapshot.max_length, max(8, ceil(L), shortest))
 
@@ -304,11 +302,10 @@ def summed_lengths(snapshot: EnsembleSnapshot, T: Fraction, k,
                    precision_bits: int) -> list[tuple[int, int]]:
     """The (length, count) pairs a depth-k (k an int) or limit (k ==
     "limit") census sum covers: the first k programs, or the census up to
-    the cutoff past which the tails take over (one for all orders, so that
-    the sums at one (snapshot, T, precision) agree)."""
+    the cutoff past which the tails take over."""
     if k != "limit":
         return snapshot.length_counts_up_to(int(k))
-    return snapshot.groups(_census_cutoff(snapshot, T, 4, precision_bits))
+    return snapshot.groups(_census_cutoff(snapshot, T, precision_bits))
 
 
 def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
@@ -319,7 +316,7 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
     if snapshot.series:
         return (series_moments(snapshot.machine, T, orders, precision_bits),
                 {j: Dyadic(0) for j in orders})
-    L = _census_cutoff(snapshot, T, 4, precision_bits)
+    L = _census_cutoff(snapshot, T, precision_bits)
     tails = kraft_tail_bounds(snapshot, L, T, orders, precision_bits)
     sums = moment_sums(snapshot.groups(L), T, orders, precision_bits)
     moments = {j: sums[j] + Enclosure(Dyadic(0), tails[j]) for j in orders}
@@ -408,21 +405,31 @@ class ThermoEvaluation(NamedTuple):
         return getattr(self, name)
 
 
+def minus_free_energy(Z: Enclosure, Tq: Enclosure, p: int) -> Enclosure:
+    """-F = T log2 Z, with Tq the enclosure of T."""
+    return Tq * log2_enclosure(Z, p)
+
+
+def entropy(E: Enclosure, minus_F: Enclosure, Tq: Enclosure,
+            p: int) -> Enclosure:
+    """S = (E - F)/T, from -F, clamped at zero (see derive_quantities)."""
+    return div(E + minus_F, Tq, p).clamp_nonnegative()
+
+
 def derive_quantities(Z: Enclosure, W: Enclosure, Y: Enclosure,
                       T: Fraction, precision_bits: int):
     """F, E, S, C from the first three moments.  S and C are clamped at
     zero: both are provably nonnegative (Gibbs and variance forms), so the
     clamp only trims rounding slack."""
     Tq = Enclosure.from_rational(T, precision_bits)
-    logZ = log2_enclosure(Z, precision_bits)
-    F = -(Tq * logZ)
+    minus_F = minus_free_energy(Z, Tq, precision_bits)
     E = div(W, Z, precision_bits)
-    S = div(E - F, Tq, precision_bits).clamp_nonnegative()
+    S = entropy(E, minus_F, Tq, precision_bits)
     ln2 = ln2_enclosure(precision_bits)
     var = div(Y, Z, precision_bits) - E * E
     C = (div(ln2, Enclosure.from_rational(T * T, precision_bits), precision_bits)
          * var).clamp_nonnegative()
-    return F, E, S, C
+    return -minus_F, E, S, C
 
 
 def eval_partial(snapshot: EnsembleSnapshot, T, k: int,

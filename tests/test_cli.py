@@ -228,12 +228,19 @@ def test_byte_identical_reruns():
     assert run(*args) == run(*args)
 
 
-def test_precision_env_and_flag(monkeypatch):
-    monkeypatch.setenv("THERMOAIT_PRECISION", "96")
-    _, out96, _ = run("thermo", "--machine", "geometric", "--T", "1/2")
+def test_precision_comes_from_the_flag_alone(monkeypatch):
+    # an invocation's output depends on argv and files only: the variable
+    # that once set the default precision changes nothing, even unparsable
+    argv = ("thermo", "--machine", "geometric", "--T", "1/2")
+    monkeypatch.delenv("THERMOAIT_PRECISION", raising=False)
+    unset = run(*argv)
+    assert unset[0] == 0 and json.loads(unset[1])["precision_bits"] == 64
+    for value in ("96", "8", "abc"):
+        monkeypatch.setenv("THERMOAIT_PRECISION", value)
+        assert run(*argv) == unset, value
+    _, out96, _ = run("--precision", "96", *argv)
     assert json.loads(out96)["precision_bits"] == 96
-    monkeypatch.setenv("THERMOAIT_PRECISION", "8")
-    code, _, err = run("thermo", "--machine", "geometric", "--T", "1/2")
+    code, _, err = run("--precision", "8", *argv)
     assert code == 2 and "precision" in err
 
 

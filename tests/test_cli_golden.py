@@ -81,7 +81,6 @@ def golden():
 def _fixed_environment(monkeypatch):
     # argparse wraps its usage text to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("THERMOAIT_PRECISION", raising=False)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
@@ -95,7 +94,6 @@ def test_every_golden_has_a_case(golden):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("THERMOAIT_PRECISION", None)
     goldens = {}
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import ceil, inf, log2
 from unittest import mock
 
@@ -28,7 +28,7 @@ from thermoait.fixedpoint import (
     descending_upper_oracle, reconstruct_T, semidecide_above,
     solve_temperature, witness_search,
 )
-from thermoait.thermo import limit_moments
+from thermoait.thermo import eval_limit, eval_partial, limit_moments
 
 GEO = builtin_snapshot("geometric", 600)
 HALF = Fraction(1, 2)
@@ -83,6 +83,49 @@ def test_slope_bounds_hold_numerically(handles):
         dx = x - h.T
         assert diff.hi.as_fraction() <= Fraction(2) ** h.a * dx
         assert diff.lo.as_fraction() >= Fraction(2) ** (-h.a_lower) * dx
+
+
+# -- a handle's values are thermo's ------------------------------------
+
+def _thermo_value(ev, quantity):
+    return -ev.F if quantity == "-F" else ev.quantity(quantity)
+
+
+@pytest.mark.parametrize("snapshot", [
+    ("geometric", 300, {}), ("sdm4", 1500, {"program_cap": 512}),
+    ("literal", 200, {}), ("gamma_literal", 300, {})], ids=lambda s: s[0])
+def test_handle_values_are_thermos_bit_for_bit(snapshot):
+    # f and g evaluate as eval_limit and eval_partial do, endpoint for
+    # endpoint, S included
+    kind, maxlen, options = snapshot
+    snap = builtin_snapshot(kind, maxlen, **options)
+    xs = (Fraction(9, 16), Fraction(5, 8), Fraction(11, 16), Fraction(3, 4))
+    for quantity in fixedpoint.QUANTITY_CHOICES:
+        h = certify(snap, quantity, HALF)
+        for x in xs:
+            for p in (64, 128):
+                got, want = h.f(x, p), _thermo_value(eval_limit(snap, x, p),
+                                                     quantity)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (quantity, x, p)
+            for k in (h.k0, h.k0 + 5, 40):
+                got = h.g(x, k)
+                want = _thermo_value(
+                    eval_partial(snap, x, k, h.precision_bits), quantity)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (quantity, x, k)
+
+
+def test_handles_read_temperatures_as_thermo_does(handles):
+    # a Dyadic, a string and a Fraction name one temperature alike
+    forms = (Dyadic(5, -3), "5/8", Fraction(5, 8))
+    for h in handles.values():
+        f = {(v.lo, v.hi) for v in (h.f(x) for x in forms)}
+        g = {(v.lo, v.hi) for v in (h.g(x, 12) for x in forms)}
+        assert len(f) == len(g) == 1
+        answers = {semidecide_above(h, x, descending_upper_oracle(h), 64)
+                   for x in forms}
+        assert len(answers) == 1
+        with pytest.raises(SpecError):
+            h.g(HALF, 0)
 
 
 # -- the increment re-check --------------------------------------------
@@ -277,7 +320,7 @@ def _reference_outcome(h, increments):
 
 
 def _verify(h):
-    fixedpoint._verify_certificate(h, h.snapshot.groups())
+    fixedpoint._verify_certificate(h)
 
 
 def _verdict(h):
@@ -1028,6 +1071,29 @@ def test_solve_rounds_a_rational_target_at_the_working_precision(handles):
     assert fine.contains(HALF) and fine.width() <= Dyadic(1, -203)
 
 
+def test_a_root_within_tol_of_the_bracket_end_probes_the_end():
+    # the root 63/64 - 2^-40 lies within tol of the bracket's high end,
+    # which no earlier probe reached: the solve ends by probing 63/64
+    # itself, and its enclosure holds the root
+    root = Fraction(63, 64) - Fraction(1, 1 << 40)
+    h = GEO300_HANDLES["S"]
+    target = Enclosure.point(h.f(root, precision_bits=200).lo)
+    with mock.patch.object(thermo, "limit_moments",
+                           wraps=thermo.limit_moments) as counter:
+        enc = solve_temperature(h, target, Dyadic(1, -30))
+    assert enc.contains(root)
+    probed = [call.args[1] for call in counter.call_args_list]
+    assert probed[-1] == Fraction(63, 64)
+    assert probed.count(Fraction(63, 64)) == 1
+
+
+def test_a_target_past_the_bracket_end_is_out_of_range():
+    h = GEO300_HANDLES["Z"]
+    target = h.f(Fraction(63, 64) + Fraction(1, 1 << 33), precision_bits=200)
+    with pytest.raises(RangeError, match="target above the quantity's range"):
+        solve_temperature(h, target, Dyadic(1, -30))
+
+
 def test_precision_error_names_a_too_wide_target(handles):
     h = handles["Z"]
     v = h.f(HALF)
@@ -1079,6 +1145,30 @@ def test_witness_witness_is_least_absent(handles):
     assert rep.witness not in outputs
     assert all(s in outputs or rep.witness <= s
                for s in [BitString("1"), BitString("10")])
+
+
+def _first_absent(outputs):
+    """The first string in canonical order (by length, then
+    lexicographically) that is not in outputs."""
+    for n in range(len(outputs) + 1):
+        for bits in product("01", repeat=n):
+            if BitString("".join(bits)) not in outputs:
+                return BitString("".join(bits))
+
+
+@pytest.mark.parametrize("kind, maxlen, n, k_e, witness", [
+    ("literal", 41, 8, 4, "01"), ("sdm4", 60, 12, 28, "0001")])
+def test_witness_past_the_empty_string(kind, maxlen, n, k_e, witness):
+    # literal and sdm4 output the empty string and more: the witness is
+    # found by successor, and is the first string none of the first k_e
+    # programs outputs
+    h = certify(builtin_snapshot(kind, maxlen), "Z", HALF)
+    rep = witness_search(h, bits_prefix(Dyadic(1, -1), n),
+                         descending_upper_oracle(h))
+    assert (rep.k_e, rep.witness) == (k_e, BitString(witness))
+    outputs = {r.output for r in h.snapshot.programs[:rep.k_e]}
+    assert LAMBDA in outputs
+    assert rep.witness == _first_absent(outputs)
 
 
 def test_witness_n_below_n0(handles):

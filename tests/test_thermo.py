@@ -142,7 +142,7 @@ def test_near_critical_sdm4_sums_few_lengths():
 
 def test_literal_cutoff_follows_its_decay():
     snap = builtin_snapshot("literal", 1500, program_cap=0)
-    assert _census_cutoff(snap, Fraction(7, 8), 4, 64) < 790
+    assert _census_cutoff(snap, Fraction(7, 8), 64) < 790
 
 
 def test_limit_tail_bounds_cover_true_tail():
@@ -568,7 +568,7 @@ def _reference_limit(snap, T: Fraction, orders, p: int) -> dict:
             _round_significand(_closed_tail(snap.ensemble_id,
                                             x.hi.as_fraction(), 0, j),
                                p + 32, True)) for j in orders}
-    L = _census_cutoff(snap, T, 4, p)
+    L = _census_cutoff(snap, T, p)
     items = [(l, c) for l, c in sorted(snap.census.items()) if l <= L]
     sums = _reference_sums(items, T, orders, p)
     tails = {j: kraft_tail_bounds(snap, L, T, (j,), p)[j]
