@@ -31,6 +31,9 @@ class Dyadic:
     __slots__ = ("m", "e")
 
     def __init__(self, mantissa: int, exponent: int = 0):
+        if mantissa & 1:  # odd: canonical as given
+            self.m, self.e = mantissa, exponent
+            return
         if mantissa == 0:
             self.m, self.e = 0, 0
             return

@@ -195,10 +195,11 @@ class Enclosure:
 
     def clamp_nonnegative(self) -> "Enclosure":
         """Intersect with [0, inf); caller must know the value is >= 0."""
-        zero = Dyadic(0)
-        if self.hi < zero:
+        if self.lo.m >= 0:
+            return self
+        if self.hi.m < 0:
             raise PrecisionError("cannot clamp a certified-negative enclosure")
-        return Enclosure(max(self.lo, zero), max(self.hi, zero))
+        return Enclosure(Dyadic(0), self.hi)
 
 
 def _coerce(x) -> Enclosure:
@@ -255,13 +256,19 @@ def exp2_enclosure(x: RationalLike, precision_bits: int = DEFAULT_PRECISION) -> 
     """Certified enclosure of 2**x for rational x.
 
     Integer x is exact; otherwise width <= 2**-precision_bits * max(1, 2**x).
+    The work is _exp2_ratio's, the integer entry that callers holding x as
+    a numerator and denominator use directly.
     """
+    x = _as_fraction(x)
+    return _exp2_ratio(x.numerator, x.denominator, precision_bits)
+
+
+def _exp2_ratio(num: int, den: int, precision_bits: int) -> Enclosure:
+    """exp2_enclosure(num/den), for num/den in lowest terms with den > 0."""
     if precision_bits < 4:
         raise ValueError("precision_bits must be >= 4")
-    x = _as_fraction(x)
-    # x = n + r/den with 0 <= r < den, and r/den in lowest terms as x is
-    den = x.denominator
-    n, r = divmod(x.numerator, den)
+    # num/den = n + r/den with 0 <= r < den, and r/den in lowest terms
+    n, r = divmod(num, den)
     if not r:
         return Enclosure.point(Dyadic(1, n))
     w = precision_bits + _GUARD
@@ -288,7 +295,8 @@ def log2_enclosure(v: Enclosure | Dyadic, precision_bits: int = DEFAULT_PRECISIO
     """Ends in one binade share one atanh series over [z(lo), z(hi)]: its
     upper end reads z(hi) alone, and its lower end sums at least the terms
     that a series of z(lo) alone would."""
-    v = _coerce(v)
+    if type(v) is not Enclosure:
+        v = _coerce(v)
     if v.lo.sign <= 0:
         raise PrecisionError("log2 requires a certified-positive input")
     w = precision_bits + _GUARD
@@ -300,7 +308,7 @@ def log2_enclosure(v: Enclosure | Dyadic, precision_bits: int = DEFAULT_PRECISIO
     l2_lo, l2_hi = _ln2_fixed(w)
     lo = (s_lo << (w + 1)) // l2_hi
     hi = -((-s_hi << (w + 1)) // l2_lo)
-    return Enclosure(Dyadic(g_lo) + Dyadic(lo, -w), Dyadic(g_hi) + Dyadic(hi, -w))
+    return Enclosure(Dyadic((g_lo << w) + lo, -w), Dyadic((g_hi << w) + hi, -w))
 
 
 _LN2_ENCL_CACHE: dict[int, Enclosure] = {}

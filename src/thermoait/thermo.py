@@ -15,7 +15,9 @@ domain: from the rational generating function of the snapshot's machine
 (sdm4, literal, geometric; series_moments), with no census sum and a tail
 bound of 0, or else (gamma_literal, an anonymous census) by summing the
 census up to a cutoff and adding a certified tail bound per order from
-the census Kraft slack, which holds for any prefix-free domain.
+the census Kraft slack, which holds for any prefix-free domain.  Both paths
+take x = 2^(-1/T) from _exp2_ratio(-den, num, p), exp2's integer entry,
+with T = num/den read as two integers: no Fraction -1/T is built.
 
 Only this module turns weights into sums.  The weights come from a
 WeightChain: 2^(-l/T) as the outward-rounded l-th power of 2^(-1/T), held
@@ -37,15 +39,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import ceil, log2
 from operator import mul
 from typing import NamedTuple
 
 from .dyadic import Dyadic
 from .enclosure import (
-    DEFAULT_PRECISION, Enclosure, _as_fraction, certified_gt, div,
-    exp2_enclosure, ln2_enclosure, log2_enclosure,
+    DEFAULT_PRECISION, Enclosure, _as_fraction, _exp2_ratio, certified_gt,
+    div, ln2_enclosure, log2_enclosure,
 )
 from .ensembles import (
     EnsembleSnapshot, Machine, get_machine, kraft_tail_bounds,
@@ -61,7 +63,8 @@ def _temp_frac(T, allow_high: bool = False) -> Fraction:
     """Normalise a temperature argument to an exact Fraction in range."""
     q = _as_fraction(T)
     limit = 2 if allow_high else 1
-    if not 0 < q < limit:
+    num = q.numerator
+    if not 0 < num < limit * q.denominator:
         raise RangeError(f"temperature {q} outside (0, {limit})")
     return q
 
@@ -83,7 +86,7 @@ class WeightChain:
     __slots__ = ("T", "precision_bits", "_chain", "_num", "_den")
 
     def __init__(self, T, precision_bits: int):
-        self.T = Fraction(T)
+        self.T = _as_fraction(T)
         self.precision_bits = precision_bits
         self._chain = [(1, 0, 1, 0)]
         # read on every raw() call: Fraction's properties cost a call each
@@ -109,8 +112,7 @@ class WeightChain:
     def _extend(self, length: int) -> None:
         chain = self._chain
         if len(chain) == 1:
-            x = exp2_enclosure(Fraction(-self._den, self._num),
-                               self.precision_bits)
+            x = _exp2_ratio(-self._den, self._num, self.precision_bits)
             chain.append((x.lo.m, x.lo.e, x.hi.m, x.hi.e))
         xa, xea, xb, xeb = chain[1]
         n = self.precision_bits + _CHAIN_GUARD
@@ -315,7 +317,7 @@ def limit_moments(snapshot: EnsembleSnapshot, T: Fraction, orders,
     census sums up to a cutoff plus a [0, bound] Kraft-slack tail."""
     if snapshot.series:
         return (series_moments(snapshot.machine, T, orders, precision_bits),
-                {j: Dyadic(0) for j in orders})
+                dict.fromkeys(orders, Dyadic(0)))
     L = _census_cutoff(snapshot, T, precision_bits)
     tails = kraft_tail_bounds(snapshot, L, T, orders, precision_bits)
     sums = moment_sums(snapshot.groups(L), T, orders, precision_bits)
@@ -335,9 +337,17 @@ def _rounded_quotient(num: int, den: int, e: int, n: int, up: bool) -> Dyadic:
     """num/den 2^e (num, den > 0) rounded down, or up, to an n-bit
     significand: the quotient scaled by 2^shift lies in [2^(n-1), 2^n)."""
     shift = n + den.bit_length() - num.bit_length()
-    if num << max(shift, 0) >= den << max(-shift, 0) + n:
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    if num >= den << n:  # one bit too many: halve the quotient's scale
         shift -= 1
-    q, r = divmod(num << max(shift, 0), den << max(-shift, 0))
+        if shift >= 0:
+            num >>= 1
+        else:
+            den <<= 1
+    q, r = divmod(num, den)
     return Dyadic(q + (up and r > 0), e - shift)
 
 
@@ -354,18 +364,20 @@ def series_moments(machine: Machine, T: Fraction, orders,
     tn, td = T.numerator, T.denominator
     if tn >= td:
         raise RangeError("generating-function limits require T < 1")
-    x = exp2_enclosure(Fraction(-td, tn), precision_bits + 16)
+    x = _exp2_ratio(-td, tn, precision_bits + 16)
     D, P = machine.series[1], machine.numerators
-    if len(P) <= max(orders):  # an order past those the machine holds
-        P = moment_numerators(machine.series, max(orders))
+    top = max(orders)
+    if len(P) <= top:  # an order past those the machine holds
+        P = moment_numerators(machine.series, top)
     ends = []
     for end, up in ((x.lo, False), (x.hi, True)):
         m, s = end.m, -end.e  # poly(x) = _horner(poly, m, s) 2^(-s deg)
         d = _horner(D, m, s)
         if d <= 0:
             raise RangeError(f"T = {T} is past the generating function's pole")
+        powers = list(accumulate(repeat(d, top + 1), mul))  # d^(j+1)
         ends.append([_rounded_quotient(
-            _horner(P[j], m, s), d ** (j + 1),
+            _horner(P[j], m, s), powers[j],
             s * ((len(D) - 1) * (j + 1) - len(P[j]) + 1),
             precision_bits + _CHAIN_GUARD, up) for j in orders])
     return {j: Enclosure(lo, hi) for j, lo, hi in zip(orders, *ends)}

@@ -29,6 +29,18 @@ def test_parse_and_serialize():
         Dyadic.parse("1/3")
 
 
+@given(st.integers(min_value=-2**200, max_value=2**200),
+       st.integers(min_value=-300, max_value=300))
+@example(0, 5)
+@example(1, -7)
+@example(-12, 3)
+@example(2**100, 0)
+def test_constructor_is_canonical_for_any_mantissa(m, e):
+    d = Dyadic(m, e)
+    assert d.m % 2 == 1 or (d.m, d.e) == (0, 0)
+    assert d.as_fraction() == Fraction(m) * Fraction(2) ** e
+
+
 def test_decimal_exact():
     assert Dyadic(3, -2).decimal() == "0.75"
     assert Dyadic(-1, -4).decimal() == "-0.0625"

@@ -8,7 +8,7 @@ checked against exact Fraction corners.
 
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import mpmath
 import pytest
@@ -317,6 +317,37 @@ def test_clamp_nonnegative():
     assert e.lo == Dyadic(0)
     with pytest.raises(PrecisionError):
         Enclosure(Dyadic(-2), Dyadic(-1)).clamp_nonnegative()
+
+
+@PROPERTY
+@given(DYADICS, DYADICS)
+@example(Dyadic(0), Dyadic(0))
+@example(Dyadic(-1, -10), Dyadic(0))
+@example(Dyadic(-2), Dyadic(-1))
+def test_clamp_nonnegative_is_max_with_zero(a, b):
+    lo, hi = min(a, b), max(a, b)
+    zero = Dyadic(0)
+    if hi < zero:
+        with pytest.raises(PrecisionError):
+            Enclosure(lo, hi).clamp_nonnegative()
+        return
+    e = Enclosure(lo, hi).clamp_nonnegative()
+    assert ((e.lo.m, e.lo.e), (e.hi.m, e.hi.e)) == (
+        (max(lo, zero).m, max(lo, zero).e), (max(hi, zero).m, max(hi, zero).e))
+
+
+@PROPERTY
+@given(st.integers(-2**40, 2**40), st.integers(1, 2**40), PRECISIONS)
+@example(-7, 1, 64)
+@example(-1, 3, 16)
+@example(5, 8, 64)
+def test_exp2_ratio_is_exp2_of_the_fraction(num, den, prec):
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    got = enclosure._exp2_ratio(num, den, prec)
+    want = exp2_enclosure(Fraction(num, den), prec)
+    assert ((got.lo.m, got.lo.e), (got.hi.m, got.hi.e)) == (
+        (want.lo.m, want.lo.e), (want.hi.m, want.hi.e))
 
 
 def test_temperature_validation():

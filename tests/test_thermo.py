@@ -96,6 +96,34 @@ def test_partial_rejects_bad_args():
         eval_partial(GEO60, 0, 1)
 
 
+_TEMPERATURE_ARGS = (
+    st.integers(-4, 4)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=2**40)
+    | st.builds(Dyadic, st.integers(-2**20, 2**20), st.integers(-22, 2))
+    | st.fractions(min_value=-3, max_value=3, max_denominator=2**20).map(str))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TEMPERATURE_ARGS, st.booleans())
+@example(0, False)
+@example(1, False)
+@example(1, True)
+@example(2, True)
+@example(Fraction(-1, 2), True)
+@example("1/2", False)
+@example(Dyadic(1, 0), False)
+@example(Dyadic(3, -1), True)
+def test_temperature_range_is_the_open_interval(T, allow_high):
+    q = T.as_fraction() if isinstance(T, Dyadic) else Fraction(T)
+    limit = 2 if allow_high else 1
+    if 0 < q < limit:
+        got = thermo._temp_frac(T, allow_high)
+        assert type(got) is Fraction and got == q
+    else:
+        with pytest.raises(RangeError):
+            thermo._temp_frac(T, allow_high)
+
+
 # -- limits ------------------------------------------------------------
 
 def test_geometric_limit_closed_form():
