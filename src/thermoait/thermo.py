@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import ceil, log2
 from operator import mul
 from typing import NamedTuple
@@ -366,18 +366,16 @@ def series_moments(machine: Machine, T: Fraction, orders,
         raise RangeError("generating-function limits require T < 1")
     x = _exp2_ratio(-td, tn, precision_bits + 16)
     D, P = machine.series[1], machine.numerators
-    top = max(orders)
-    if len(P) <= top:  # an order past those the machine holds
-        P = moment_numerators(machine.series, top)
+    if len(P) <= max(orders):  # an order past those the machine holds
+        P = moment_numerators(machine.series, max(orders))
     ends = []
     for end, up in ((x.lo, False), (x.hi, True)):
         m, s = end.m, -end.e  # poly(x) = _horner(poly, m, s) 2^(-s deg)
         d = _horner(D, m, s)
         if d <= 0:
             raise RangeError(f"T = {T} is past the generating function's pole")
-        powers = list(accumulate(repeat(d, top + 1), mul))  # d^(j+1)
         ends.append([_rounded_quotient(
-            _horner(P[j], m, s), powers[j],
+            _horner(P[j], m, s), d ** (j + 1),
             s * ((len(D) - 1) * (j + 1) - len(P[j]) + 1),
             precision_bits + _CHAIN_GUARD, up) for j in orders])
     return {j: Enclosure(lo, hi) for j, lo, hi in zip(orders, *ends)}
