@@ -26,7 +26,9 @@ from .ensembles import (
     DEFAULT_PROGRAM_CAP, MACHINES, EnsembleSnapshot, builtin_snapshot,
     load_snapshot, save_snapshot,
 )
-from .errors import CertificationError, PrecisionError, ThermoAITError
+from .errors import (
+    CertificationError, PrecisionError, SpecError, ThermoAITError,
+)
 from .thermo import QUANTITIES, eval_limit, eval_partial
 
 # fixedpoint, relations and complexity are imported inside the commands
@@ -78,17 +80,14 @@ def _json_text(value, level: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 def _argument_type(convert):
-    """An argparse type= converter that reports the library's errors and a
-    zero denominator as usage errors (exit 2) instead of escaping main."""
+    """An argparse type= converter that reports the library's errors, each
+    of which names the text it rejects, as usage errors (exit 2)."""
     @functools.wraps(convert)
     def checked(text: str):
         try:
             return convert(text)
         except ThermoAITError as exc:
-            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
-        except ZeroDivisionError:
-            raise argparse.ArgumentTypeError(
-                f"{text!r}: zero denominator") from None
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return checked
 
 
@@ -97,16 +96,21 @@ def _parse_dyadic(text: str) -> Dyadic:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise SpecError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise SpecError(f"{text!r} is not a rational number") from None
 
 
 def _parse_grid(text: str) -> list[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ThermoAITError("grid must be a:b:step")
-    a, b, step = (Fraction(p) for p in parts)
+        raise SpecError(f"grid {text!r} is not a:b:step")
+    a, b, step = map(_parse_fraction, parts)
     if step <= 0 or b < a:
-        raise ThermoAITError("grid needs a <= b and step > 0")
+        raise SpecError(f"grid {text!r} needs a <= b and step > 0")
     grid, x = [], a
     while x <= b:
         grid.append(x)

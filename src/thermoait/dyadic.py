@@ -53,14 +53,22 @@ class Dyadic:
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
-        """Parse 'm*2^e', a plain integer, or 'p/q' with q a power of two."""
+        """Parse 'm*2^e', a plain integer, or 'p/q' with q a power of two;
+        any other text raises SpecError naming it."""
         text = text.strip()
         m = _DYADIC_RE.match(text)
         if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        if "/" in text:
-            return cls.from_fraction(Fraction(text))
-        return cls(int(text))
+            return cls(int_from_text(m.group(1)), int(m.group(2)))
+        try:
+            if "/" not in text:
+                return cls(int_from_text(text))
+            q = Fraction(text)
+        except ZeroDivisionError:
+            raise SpecError(f"zero denominator in {text!r}") from None
+        except ValueError:
+            raise SpecError(f"{text!r} is not a number: expected m*2^e, "
+                            "an integer or p/q") from None
+        return cls.from_fraction(q)
 
     # -- conversions --------------------------------------------------
 

@@ -63,6 +63,38 @@ def test_bad_argument_value_is_usage_error(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("witness", "--T", "1/2", "--n", "12", "--oracle", "grid:1/0"),
+    ("witness", "--T", "1/2", "--n", "12", "--oracle", "file:{path}"),
+    ("reconstruct", "--T", "1/2", "--u", "3/4", "--n", "4",
+     "--oracle-B", "file:{path}"),
+    ("profile", "--alpha", "1/0", "--N", "4"),
+    ("profile", "--alpha", "Z@1/0", "--N", "4"),
+], ids=["witness grid", "witness file", "reconstruct file", "profile alpha",
+        "profile alpha at T"])
+def test_a_zero_denominator_is_usage_error(argv, tmp_path):
+    oracle = tmp_path / "oracle.txt"
+    oracle.write_text("1/0\n", encoding="utf-8")
+    code, out, err = run(*(a.format(path=oracle) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("solve", "--quantity", "Z", "--target", "abc", "--tol", "1*2^-20"),
+     "--target"),
+    (("solve", "--quantity", "Z", "--target", "1/2", "--tol", "abc"),
+     "--tol"),
+    (("thermo", "--machine", "geometric", "--T", "abc"), "--T"),
+    (("thermo", "--machine", "geometric", "--grid", "0:1:abc"), "--grid"),
+])
+def test_a_malformed_number_names_the_text(argv, flag):
+    code, _, err = run(*argv)
+    assert code == 2
+    assert f"argument {flag}: 'abc' is not a" in err
+    assert "_parse" not in err and "Traceback" not in err
+
+
 def test_certification_error_exits_3():
     # literal up to length 1 has one program length: no slope certifies
     code, out, err = run("solve", "--machine", "literal", "--maxlen", "1",

@@ -1,12 +1,13 @@
 """Exactness and ordering of dyadic rationals."""
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from thermoait.dyadic import Dyadic, from_rational_ceil
+from thermoait.dyadic import Dyadic, from_rational_ceil, int_text
 from thermoait.errors import SpecError
 
 dyadics = st.builds(Dyadic,
@@ -27,6 +28,27 @@ def test_parse_and_serialize():
     assert Dyadic.parse(Dyadic(9, -5).serialize()) == Dyadic(9, -5)
     with pytest.raises(SpecError):
         Dyadic.parse("1/3")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "zero denominator in '1/0'"),
+    (" -3/0 ", "zero denominator in '-3/0'"),
+    ("abc", "'abc' is not a number"),
+    ("", "'' is not a number"),
+    ("0.5", "'0.5' is not a number"),
+    ("3*2^x", "'3*2^x' is not a number"),
+    ("1/2/3", "'1/2/3' is not a number"),
+])
+def test_parse_rejects_malformed_text_naming_it(text, reason):
+    with pytest.raises(SpecError, match=re.escape(reason)):
+        Dyadic.parse(text)
+
+
+def test_parse_reads_numerals_of_any_length():
+    # past the interpreter's int-to-str digit limit, as int_from_text reads
+    big = 10**5000 + 1
+    assert Dyadic.parse(int_text(big)) == Dyadic(big)
+    assert Dyadic.parse(f"-{int_text(big)}*2^-9") == Dyadic(-big, -9)
 
 
 @given(st.integers(min_value=-2**200, max_value=2**200),
