@@ -1134,17 +1134,25 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     # comparison is False with no sum wherever the floor reaches B, and
     # the sum is made only where (B - g(T, k_e)) 2^a_lower - (A - T) > 0,
     # multiplied out by td for T = tn/td; A and B are drawn in lockstep
-    # all the same
+    # all the same.  Both tests run in integers: A = an 2^-sa, t = un/ud,
+    # B 2^a_lower = bm 2^be and g(T, k_e) 2^a_lower = gm 2^ge, over the
+    # common exponent s, which is negative since A in (T, t) is no integer
     tn, td = handle.T.numerator, handle.T.denominator
+    un, ud = handle.t.numerator, handle.t.denominator
+    gm, ge = g_T.m, g_T.e + handle.a_lower
     A_iter, B_iter = iter(A_oracle), iter(B_oracle)
     A = _next_or_exhausted(A_iter, "A")
     B = _next_or_exhausted(B_iter, "B")
     for _ in range(4096):
-        x = A.as_fraction()
-        if not handle.T < x < handle.t:
+        an, sa = (A.m, -A.e) if A.e < 0 else (A.m << A.e, 0)
+        if not (tn << sa < an * td and an * ud < un << sa):
             raise RangeError(f"A oracle value {A.serialize()} outside (T, t)")
-        if (((B - g_T).scale2(handle.a_lower) - A) * td + tn > 0
-                and certified_lt(handle.g(x, k_e), Enclosure.point(B))):
+        bm, be = B.m, B.e + handle.a_lower
+        s = min(be, ge, -sa)
+        slack = (bm << be - s) - (gm << ge - s) - (an << -sa - s)
+        if (slack * td + (tn << -s) > 0
+                and certified_lt(handle.g(A.as_fraction(), k_e),
+                                 Enclosure.point(B))):
             return ReconstructionReport(handle.T, n, u, int(expected_bits),
                                         A, handle.radius(n))
         A = _next_or_exhausted(A_iter, "A")
@@ -1161,23 +1169,37 @@ def _next_or_exhausted(it: Iterator[Dyadic], name: str) -> Dyadic:
 
 # ---------------------------------------------------------------------------
 # oracle factories (explicit streams; `closed-form` uses the handle's own
-# certified evaluator at increasing precision)
+# certified evaluator at doubling precision: f(T) is evaluated once each at
+# 16, 32, 64, ... bits, and the m-th value is an end of the first of those
+# evaluations made at 16 + 8m bits or more, uncut, so values 0, 2, 6, 14,
+# 30 and 62 are the ends at exactly 16 + 8m bits and every other one is an
+# end of a tighter enclosure; 64 values cost 7 limit evaluations)
 # ---------------------------------------------------------------------------
 
 # values each oracle stream yields (the grid oracle one more)
 ORACLE_STEPS = 64
 
 
+def _doubling_ends(handle: QuantityHandle, end: str) -> Iterator[Dyadic]:
+    """The named end of f(T), for m < ORACLE_STEPS, at the first of 16, 32,
+    64, ... bits that is at least 16 + 8m; one doubling always suffices."""
+    p = 16
+    value = getattr(handle.f(precision_bits=p), end)
+    for m in range(ORACLE_STEPS):
+        if p < 16 + 8 * m:
+            p *= 2
+            value = getattr(handle.f(precision_bits=p), end)
+        yield value
+
+
 def descending_upper_oracle(handle: QuantityHandle):
     """Dyadics >= f(T), descending toward it."""
-    yield from accumulate((handle.f(precision_bits=16 + 8 * m).hi
-                           for m in range(ORACLE_STEPS)), min)
+    yield from accumulate(_doubling_ends(handle, "hi"), min)
 
 
 def ascending_lower_oracle(handle: QuantityHandle):
     """Dyadics <= f(T), ascending toward it."""
-    yield from accumulate((handle.f(precision_bits=16 + 8 * m).lo
-                           for m in range(ORACLE_STEPS)), max)
+    yield from accumulate(_doubling_ends(handle, "lo"), max)
 
 
 def approach_oracle(handle: QuantityHandle):

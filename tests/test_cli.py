@@ -424,6 +424,15 @@ def test_reconstruct_grid_oracle_is_usage_error():
     assert err == "error: grid oracles only serve upper bounds\n"
 
 
+def test_reconstruct_A_value_outside_the_window_is_usage_error(tmp_path):
+    path = tmp_path / "A.txt"
+    path.write_text("1\n", encoding="utf-8")
+    code, out, err = run("reconstruct", "--T", "1/2", "--u", "3/4", "--n",
+                         "16", "--oracle-A", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == "error: A oracle value 1*2^0 outside (T, t)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("witness", "--T", "1/2", "--n", "20", "--oracle", "bogus"),
     ("reconstruct", "--T", "1/2", "--u", "3/4", "--n", "16",

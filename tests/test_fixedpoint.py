@@ -1420,6 +1420,21 @@ def test_reconstruct_randomized():
         assert T < rep.candidate.as_fraction()  # approach is from above
 
 
+@pytest.mark.parametrize("A", [Dyadic(1, -1), Dyadic(3, -2), Dyadic(1, -2),
+                               Dyadic(7, -3), Dyadic(0), Dyadic(3, 2)],
+                         ids=["T", "t", "below T", "above t", "zero",
+                              "positive exponent"])
+def test_reconstruct_rejects_an_A_value_outside_the_window(handles, A):
+    # T = 1/2 and t = 3/4: an A value at either end or outside (T, t)
+    # raises, named, before any comparison with B
+    h = handles["Z"]
+    u, n = Fraction(3, 4), 16
+    with pytest.raises(RangeError) as exc:
+        reconstruct_T(h, u, n, _beta_prefix(h, u, n), iter([A]),
+                      ascending_lower_oracle(h))
+    assert str(exc.value) == f"A oracle value {A.serialize()} outside (T, t)"
+
+
 def _counted_reconstruct(handle, u, n):
     """reconstruct_T from the approach and ascending lower oracles, the
     depth k_e of its step 2, and the number of QuantityHandle.g calls it
@@ -1466,6 +1481,55 @@ def test_reconstruct_skips_only_what_the_slope_floor_decides():
             assert calls <= reference_calls, (h.quantity, u, n)
             saved += reference_calls - calls
     assert saved > 0
+
+
+# -- closed-form oracles -----------------------------------------------
+
+def _geometric_f(quantity, T):
+    """f(T) on the geometric ensemble, one program per length, x = 2^(-1/T):
+    Z = x/(1 - x), E = 1/(1 - x), -F = T log2 Z, S = (E - F)/T."""
+    T = mpmath.mpf(T.numerator) / T.denominator
+    x = mpmath.power(2, -1 / T)
+    Z, E = x / (1 - x), 1 / (1 - x)
+    minus_F = T * mpmath.log(Z, 2)
+    return {"Z": Z, "E": E, "-F": minus_F, "S": (E + minus_F) / T}[quantity]
+
+
+@pytest.mark.parametrize("quantity", ["Z", "-F", "E", "S"])
+def test_closed_form_oracles_evaluate_f_once_per_doubling(handles, quantity,
+                                                           monkeypatch):
+    # each stream yields ORACLE_STEPS values, monotone and on its side of
+    # f(T), from f at 16, 32, ..., 1024 bits: its m-th value is an end of
+    # the first of these at 16 + 8m bits or more, so at m = 0, 2, 6, 14,
+    # 30 and 62 it takes the end at exactly 16 + 8m bits
+    h = handles[quantity]
+    exact = {m: h.f(precision_bits=16 + 8 * m) for m in (0, 2, 6, 14, 30, 62)}
+    evaluate, precisions = QuantityHandle.f, []
+
+    def counted(self, x=None, precision_bits=None):
+        precisions.append(precision_bits)
+        return evaluate(self, x, precision_bits)
+
+    monkeypatch.setattr(QuantityHandle, "f", counted)
+    upper = list(descending_upper_oracle(h))
+    assert precisions == [16, 32, 64, 128, 256, 512, 1024]
+    precisions.clear()
+    lower = list(ascending_lower_oracle(h))
+    assert precisions == [16, 32, 64, 128, 256, 512, 1024]
+    assert len(upper) == len(lower) == fixedpoint.ORACLE_STEPS
+    assert (upper[0], lower[0]) == (exact[0].hi, exact[0].lo)
+    for m, f in exact.items():
+        if m:
+            assert upper[m] == min(upper[m - 1], f.hi), m
+            assert lower[m] == max(lower[m - 1], f.lo), m
+    assert all(v >= w for v, w in zip(upper, upper[1:]))
+    assert all(v <= w for v, w in zip(lower, lower[1:]))
+    # a 1024-bit end lies about 2^-1024 from f(T): the reference is
+    # computed past that
+    with mpmath.workprec(2048):
+        ref = _geometric_f(quantity, h.T)
+        assert all(mpmath.ldexp(v.m, v.e) > ref for v in upper)
+        assert all(mpmath.ldexp(v.m, v.e) < ref for v in lower)
 
 
 # -- pinned procedure results ------------------------------------------
