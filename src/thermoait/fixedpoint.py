@@ -259,7 +259,8 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
         h = Enclosure.point(h)
         spent = 0
         for k, m, g in runs:
-            m = min(m, budget - spent)
+            if spent + m > budget:  # not min(): m may be past any float
+                m = budget - spent
             if m < 1:
                 return None
             spent += m
@@ -1018,6 +1019,7 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
     n = len(T_n_bits)
     if n < 1:
         raise SpecError("need at least one bit of T")
+    T = Dyadic.from_fraction(handle.T)  # the threshold T(n - a - b) is dyadic
     r = prefix_value(T_n_bits) + Dyadic(1, -n)
     r_frac = r.as_fraction()
     if not handle.T < r_frac < handle.t:
@@ -1028,7 +1030,7 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
     if k_e is None:
         raise OracleExhausted("oracle ended before g(r, k) exceeded it")
 
-    threshold = Dyadic.from_fraction(handle.T * (n - handle.a - handle.b))
+    threshold = T * (n - handle.a - handle.b)
     verified_through = min(10 * k_e, handle.snapshot.total)
     if k_e < verified_through:
         # lengths never fall, so program k_e + 1 is the shortest checked
@@ -1202,12 +1204,12 @@ def ascending_lower_oracle(handle: QuantityHandle):
     yield from accumulate(_doubling_ends(handle, "lo"), max)
 
 
-def approach_oracle(handle: QuantityHandle):
-    """Dyadics in (T, t), descending to T: A_l = T + (t - T) 2^-l."""
-    span = Dyadic.from_fraction(handle.t - handle.T)
-    T_dy = Dyadic.from_fraction(handle.T)
-    for l in range(1, ORACLE_STEPS + 1):
-        yield T_dy + span.scale2(-l)
+def approach_oracle(handle: QuantityHandle) -> Iterator[Dyadic]:
+    """Dyadics in (T, t), descending to T: A_l = T + (t - T) 2^-l.  A T
+    that is not dyadic raises SpecError at the call, naming T."""
+    T = Dyadic.from_fraction(handle.T)
+    span = Dyadic.from_fraction(handle.t) - T
+    return (T + span.scale2(-l) for l in range(1, ORACLE_STEPS + 1))
 
 
 def file_oracle(path):

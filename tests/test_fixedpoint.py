@@ -1202,6 +1202,30 @@ def test_witness_oracle_exhausted(handles):
         assert time.monotonic() - start < 2.0
 
 
+def test_a_depth_past_any_float_ends_in_a_typed_error():
+    # sdm4 -F at T = 19/32 from 28 bits walks into census groups of more
+    # than 2^1024 programs; the unbounded search still bisects them and
+    # names the records it lacks
+    h = certify(RECHECK_SNAPSHOTS["sdm4 1500 cap 512"], "-F",
+                Fraction(19, 32))
+    with pytest.raises(RangeError, match="listing outputs needs") as exc:
+        witness_search(h, bits_prefix(Dyadic(19, -5), 28),
+                       descending_upper_oracle(h))
+    assert int(str(exc.value).rsplit(" ", 1)[1]) > 2 ** 1024
+
+
+def test_a_non_dyadic_T_is_named_before_any_search():
+    # certify takes any rational T, but the witness threshold T(n - a - b)
+    # and the approach oracle's values are dyadics built from T: at T = 1/5
+    # each raises SpecError naming T, before an oracle value is drawn
+    h = certify(GEO300, "Z", Fraction(1, 5))
+    for call in (lambda: witness_search(h, BitString("00110011"), iter(())),
+                 lambda: approach_oracle(h)):
+        with pytest.raises(SpecError) as exc:
+            call()
+        assert str(exc.value).startswith("1/5 is not dyadic")
+
+
 def test_procedures_past_two_to_the_twenty_end_in_typed_errors():
     # handles whose k0 lies far past 2^20 programs: witness_search finds
     # k_e within a vast length group and names the records it lacks, and
