@@ -1019,7 +1019,7 @@ def witness_search(handle: QuantityHandle, T_n_bits: BitString,
     n = len(T_n_bits)
     if n < 1:
         raise SpecError("need at least one bit of T")
-    T = Dyadic.from_fraction(handle.T)  # the threshold T(n - a - b) is dyadic
+    T = Dyadic.from_fraction(handle.T)  # a non-dyadic T raises here, named
     r = prefix_value(T_n_bits) + Dyadic(1, -n)
     r_frac = r.as_fraction()
     if not handle.T < r_frac < handle.t:
