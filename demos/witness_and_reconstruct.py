@@ -5,18 +5,18 @@ Three protocols run against the geometric ensemble's partition sum:
    program is certifiably longer than T(n - a - b), plus a short string
    none of the first k_e programs outputs;
  * semidecide_above: a sound one-sided test of "T < r";
- * reconstruct_T: ceil(Tn/u) bits of a power sum at temperature u pin T
-   to within 2^(a_lower + c - n).
+ * reconstruct_T: ceil(Tn/u) bits of a power sum at temperature u, which
+   beta_bits reads from the ensemble's limit, pin T to within
+   2^(a_lower + c - n).
 """
 
 from fractions import Fraction
 
 from thermoait import (
-    Dyadic, approach_oracle, ascending_lower_oracle, bits_prefix,
+    Dyadic, approach_oracle, ascending_lower_oracle, beta_bits, bits_prefix,
     builtin_snapshot, certify, descending_upper_oracle, reconstruct_T,
     semidecide_above, witness_search,
 )
-from thermoait.thermo import limit_moments
 
 snap = builtin_snapshot("geometric", 600)
 h = certify(snap, "Z", Fraction(1, 2))
@@ -38,10 +38,8 @@ for r in (Dyadic(9, -4), Dyadic(1, -1), Dyadic(7, -4)):
 print()
 
 u, n = Fraction(3, 4), 16
-bits_needed = int(-((-h.T * n) // u))
-beta, _ = limit_moments(snap, u, (h.b,), 96)
-prefix = bits_prefix(beta[h.b], bits_needed)
-print(f"reconstruction from {bits_needed} bits of the power sum at u = {u}:")
+prefix = beta_bits(h, u, n)
+print(f"reconstruction from {len(prefix)} bits of the power sum at u = {u}:")
 rec = reconstruct_T(h, u, n, prefix, approach_oracle(h),
                     ascending_lower_oracle(h))
 print(f"  candidate T = {rec.candidate.decimal()}")

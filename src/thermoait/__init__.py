@@ -35,7 +35,7 @@ _LAZY = {name: module for module, names in {
     "complexity": "ComplexityTable InvarianceGap ProfileEntry build_table "
                   "invariance_gap profile",
     "fixedpoint": "QuantityHandle ReconstructionReport WitnessReport "
-                  "approach_oracle ascending_lower_oracle certify "
+                  "approach_oracle ascending_lower_oracle beta_bits certify "
                   "descending_upper_oracle file_oracle grid_oracle "
                   "reconstruct_T semidecide_above solve_temperature "
                   "witness_search",

@@ -22,12 +22,6 @@ class BitString:
     def __len__(self):
         return len(self.bits)
 
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, i):
-        return self.bits[i]
-
     def __eq__(self, other):
         return isinstance(other, BitString) and self.bits == other.bits
 

@@ -125,12 +125,11 @@ _grid_arg = _argument_type(_parse_grid)
 
 def _load(args, program_cap: int = DEFAULT_PROGRAM_CAP) -> EnsembleSnapshot:
     """The snapshot, with up to program_cap records if built (0: none)."""
-    if getattr(args, "snapshot", None):
+    if args.snapshot:
         return load_snapshot(args.snapshot)
     if not args.machine:
         raise ThermoAITError("need --machine or --snapshot")
     return builtin_snapshot(args.machine, args.maxlen,
-                            step_budget=getattr(args, "budget", None),
                             program_cap=program_cap)
 
 
@@ -346,15 +345,11 @@ def _cmd_witness(args, emit) -> int:
 
 
 def _cmd_reconstruct(args, emit) -> int:
-    from .fixedpoint import certify, reconstruct_T
-    from .thermo import limit_moments
+    from .fixedpoint import beta_bits, certify, reconstruct_T
     snap = _load(args, program_cap=0)
     handle = certify(snap, "Z", args.T.as_fraction(), args.precision)
-    u = args.u.as_fraction()
-    bits_needed = int(-((-handle.T * args.n) // u))
-    beta, _ = limit_moments(snap, u, (handle.b,), args.precision + 32)
-    prefix = bits_prefix(beta[handle.b], bits_needed)
-    rep = reconstruct_T(handle, u, args.n, prefix,
+    rep = reconstruct_T(handle, args.u, args.n,
+                        beta_bits(handle, args.u, args.n),
                         _make_oracle(args.oracle_A, handle, "approach"),
                         _make_oracle(args.oracle_B, handle, "lower"))
     emit({"T_true": fraction_text(rep.T_true), "n": rep.n,

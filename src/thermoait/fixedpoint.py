@@ -87,7 +87,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .bitstring import BitString, successor
 from .dyadic import Dyadic
 from .enclosure import (
-    DEFAULT_PRECISION, Enclosure, certified_gt, certified_lt,
+    DEFAULT_PRECISION, Enclosure, bits_prefix, certified_gt, certified_lt,
     certified_positive, div, ln2_enclosure, prefix_value,
 )
 from .ensembles import EnsembleSnapshot
@@ -904,10 +904,8 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
     if tol.sign <= 0:
         raise SpecError("tol must be positive")
     p = max(handle.precision_bits, SOLVE_GUARD_BITS - _floor_log2(tol))
-    if isinstance(target, Dyadic):
-        target = Enclosure.point(target)
-    elif not isinstance(target, Enclosure):
-        target = Enclosure.from_rational(Fraction(target), p)
+    if not isinstance(target, Enclosure):
+        target = Enclosure.from_rational(target, p)
     quantity = handle.quantity
     orders = (0, 1, 2) if quantity in ("E", "S") else (0, 1)
     ln2 = ln2_enclosure(p).lo
@@ -918,7 +916,7 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
 
     ends = tuple(map(Dyadic.from_fraction, SOLVE_BRACKET))
     a, b = ends
-    unchecked = list(ends)  # bracket ends not yet probed (no Dyadic hash)
+    unchecked = list(ends)  # bracket ends not yet probed
     core: Optional[tuple[Dyadic, Dyadic]] = None  # hull of overlapping probes
     overlap: Optional[Enclosure] = None  # the last overlapping value
     # the last probe's (x, value midpoint, slope estimate), and its Newton
@@ -1212,6 +1210,17 @@ def approach_oracle(handle: QuantityHandle) -> Iterator[Dyadic]:
     return (T + span.scale2(-l) for l in range(1, ORACLE_STEPS + 1))
 
 
+def beta_bits(handle: QuantityHandle, u, n: int) -> BitString:
+    """The ceil(Tn/u) bits after the point of beta = sum |p|^b 2^(-|p|/u),
+    the prefix reconstruct_T reads: the limit of order b at u, evaluated
+    at 32 bits past the handle's precision.  u is read as a temperature
+    first, so a u outside (0, 1) raises RangeError, named."""
+    u = _temp_frac(u)
+    beta = moments(handle.snapshot, u, "limit", (handle.b,),
+                   handle.precision_bits + 32)[handle.b]
+    return bits_prefix(beta, -((-handle.T * n) // u))
+
+
 def file_oracle(path):
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -1222,7 +1231,8 @@ def file_oracle(path):
 
 
 def grid_oracle(handle: QuantityHandle, step: Dyadic):
-    """Coarse upper oracle: f(T) rounded up to the grid, descending."""
+    """Coarse upper oracle, descending: the upper end of f(T) at 32 bits
+    plus step m, for m = ORACLE_STEPS, ..., 1, 0."""
     base = handle.f(precision_bits=32).hi
     for m in range(ORACLE_STEPS, -1, -1):
         yield base + step * m

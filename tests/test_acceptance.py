@@ -17,11 +17,10 @@ from thermoait import (
     certified_lt, certified_positive, certify, check_derivative,
     check_identities, check_positivity, build_table, div, divergence_probe,
     descending_upper_oracle, approach_oracle, ascending_lower_oracle,
-    eval_limit, eval_partial, log2_enclosure, power_sum, reconstruct_T,
-    semidecide_above, solve_temperature, witness_search,
+    beta_bits, eval_limit, eval_partial, log2_enclosure, power_sum,
+    reconstruct_T, semidecide_above, solve_temperature, witness_search,
 )
 from thermoait.bitstring import BitString
-from thermoait.thermo import limit_moments
 
 mpmath.mp.prec = 300
 
@@ -196,9 +195,7 @@ def test_criterion_08_fixed_point_machinery():
         if T not in cache:
             cache[T] = certify(GEO, "Z", T)
         h = cache[T]
-        bits = int(-((-T * n) // u))
-        beta, _ = limit_moments(GEO, u, (h.b,), 96)
-        rec = reconstruct_T(h, u, n, bits_prefix(beta[h.b], bits),
+        rec = reconstruct_T(h, u, n, beta_bits(h, u, n),
                             approach_oracle(h), ascending_lower_oracle(h))
         assert abs(rec.candidate.as_fraction() - T) < \
             Fraction(2) ** (h.a_lower + h.c - n)

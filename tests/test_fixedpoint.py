@@ -24,9 +24,9 @@ from thermoait.errors import (
     RangeError, SpecError,
 )
 from thermoait.fixedpoint import (
-    QuantityHandle, approach_oracle, ascending_lower_oracle, certify,
-    descending_upper_oracle, reconstruct_T, semidecide_above,
-    solve_temperature, witness_search,
+    QUANTITY_CHOICES, QuantityHandle, approach_oracle, ascending_lower_oracle,
+    beta_bits, certify, descending_upper_oracle, reconstruct_T,
+    semidecide_above, solve_temperature, witness_search,
 )
 from thermoait.thermo import eval_limit, eval_partial, limit_moments
 
@@ -910,6 +910,19 @@ def test_slope_bounds_hold_past_the_slope_reach_on_anonymous_censuses(
     _check_slope_bounds(_anonymous_snapshot(first, later), T)
 
 
+@pytest.mark.parametrize("quantity", QUANTITY_CHOICES)
+@pytest.mark.parametrize("snapshot", sorted(RECHECK_SNAPSHOTS))
+def test_verify_falsifies_a_slope_exponent_too_small(snapshot, quantity):
+    # a slope bound 2^8 too tight in either direction fails at the first
+    # sample point 9/16 of (1/2, 3/4), at the first sampled depth k0
+    h = certify(RECHECK_SNAPSHOTS[snapshot], quantity, HALF)
+    for field, side in (("a", "upper"), ("a_lower", "lower")):
+        with pytest.raises(CertificationError) as raised:
+            _verify(h._replace(**{field: getattr(h, field) - 8}))
+        assert str(raised.value) == (f"slope {side} bound falsified at "
+                                     f"k={h.k0}, x=9/16")
+
+
 # -- solve_temperature -------------------------------------------------
 
 def test_solve_recovers_Z_target(handles):
@@ -1069,6 +1082,16 @@ def test_solve_rounds_a_rational_target_at_the_working_precision(handles):
     assert (exact.lo, exact.hi) == (rounded.lo, rounded.hi)
     fine = solve_temperature(h, Fraction(4, 3), Dyadic(1, -200))
     assert fine.contains(HALF) and fine.width() <= Dyadic(1, -203)
+
+
+def test_solve_reads_a_dyadic_target_as_its_point_enclosure():
+    h = GEO300_HANDLES["E"]
+    tol = Dyadic(1, -20)
+    got = {(enc.lo, enc.hi) for enc in (
+        solve_temperature(h, target, tol)
+        for target in (Dyadic(11, -3), Fraction(11, 8),
+                       Enclosure.point(Dyadic(11, -3))))}
+    assert got == {(Dyadic(71603049, -27), Dyadic(71603065, -27))}
 
 
 def test_a_root_within_tol_of_the_bracket_end_probes_the_end():
@@ -1363,16 +1386,10 @@ def test_semidecide_walks_every_value_where_the_ceiling_is_unresolved(
 
 # -- reconstruct_T -----------------------------------------------------
 
-def _beta_prefix(handle, u, n):
-    bits = -((-handle.T * n) // u)
-    beta, _ = limit_moments(handle.snapshot, u, (handle.b,), 96)
-    return bits_prefix(beta[handle.b], int(bits))
-
-
 def test_reconstruct_spec_example(handles):
     h = handles["Z"]
     u, n = Fraction(3, 4), 16
-    prefix = _beta_prefix(h, u, n)
+    prefix = beta_bits(h, u, n)
     assert len(prefix) == 11  # ceil(16 * (1/2) / (3/4))
     rep = reconstruct_T(h, u, n, prefix, approach_oracle(h),
                         ascending_lower_oracle(h))
@@ -1381,10 +1398,29 @@ def test_reconstruct_spec_example(handles):
     assert abs(rep.candidate.as_fraction() - HALF) < rep.radius.as_fraction()
 
 
+def test_beta_bits_match_the_geometric_closed_form():
+    # geometric's beta at b = 0 is Z(u) = x / (1 - x), x = 2^(-1/u): the
+    # bits after its point, at 256 bits of mpmath, on criterion 08's draw
+    rng = random.Random(2)
+    cache = {}
+    for _ in range(50):
+        T = Fraction(rng.randrange(9, 48), 64)
+        u = Fraction(rng.randrange(int(T * 64) + 1, 64), 64)
+        n = rng.randrange(2, 25)
+        if T not in cache:
+            cache[T] = certify(GEO, "Z", T)
+        bits = ceil(T * n / u)
+        with mpmath.workprec(256):
+            x = mpmath.mpf(2) ** (-mpmath.mpf(u.denominator) / u.numerator)
+            beta = x / (1 - x)
+            want = int(mpmath.floor(mpmath.ldexp(beta % 1, bits)))
+        assert beta_bits(cache[T], u, n) == BitString.from_int(want, bits)
+
+
 def test_reconstruct_tiny_n_has_huge_radius(handles):
     h = handles["Z"]
     u = Fraction(3, 4)
-    rep = reconstruct_T(h, u, 1, _beta_prefix(h, u, 1), approach_oracle(h),
+    rep = reconstruct_T(h, u, 1, beta_bits(h, u, 1), approach_oracle(h),
                         ascending_lower_oracle(h))
     assert rep.radius.as_fraction() >= Fraction(1, 2)
     assert abs(rep.candidate.as_fraction() - HALF) < rep.radius.as_fraction()
@@ -1410,7 +1446,7 @@ def test_reconstruct_reads_u_as_any_temperature(handles):
     # string gives the report of the equal Fraction
     h = handles["Z"]
     u, n = Fraction(3, 4), 16
-    prefix = _beta_prefix(h, u, n)
+    prefix = beta_bits(h, u, n)
     want = reconstruct_T(h, u, n, prefix, approach_oracle(h),
                          ascending_lower_oracle(h))
     for same in (Dyadic(3, -2), 0.75, "3/4"):
@@ -1421,7 +1457,7 @@ def test_reconstruct_reads_u_as_any_temperature(handles):
 def test_reconstruct_oracle_exhaustion(handles):
     h = handles["Z"]
     u, n = Fraction(3, 4), 16
-    prefix = _beta_prefix(h, u, n)
+    prefix = beta_bits(h, u, n)
     with pytest.raises(OracleExhausted):
         reconstruct_T(h, u, n, prefix, iter([Dyadic(5, -3)]),
                       ascending_lower_oracle(h))
@@ -1438,7 +1474,7 @@ def test_reconstruct_randomized():
         if T not in cache:
             cache[T] = certify(GEO, "Z", T)
         h = cache[T]
-        rep = reconstruct_T(h, u, n, _beta_prefix(h, u, n),
+        rep = reconstruct_T(h, u, n, beta_bits(h, u, n),
                             approach_oracle(h), ascending_lower_oracle(h))
         assert abs(rep.candidate.as_fraction() - T) < rep.radius.as_fraction()
         assert T < rep.candidate.as_fraction()  # approach is from above
@@ -1454,7 +1490,7 @@ def test_reconstruct_rejects_an_A_value_outside_the_window(handles, A):
     h = handles["Z"]
     u, n = Fraction(3, 4), 16
     with pytest.raises(RangeError) as exc:
-        reconstruct_T(h, u, n, _beta_prefix(h, u, n), iter([A]),
+        reconstruct_T(h, u, n, beta_bits(h, u, n), iter([A]),
                       ascending_lower_oracle(h))
     assert str(exc.value) == f"A oracle value {A.serialize()} outside (T, t)"
 
@@ -1465,7 +1501,7 @@ def _counted_reconstruct(handle, u, n):
     made; its first call is the tail step's g(T, k_e)."""
     with mock.patch.object(QuantityHandle, "g", autospec=True,
                            side_effect=QuantityHandle.g) as counter:
-        rep = reconstruct_T(handle, u, n, _beta_prefix(handle, u, n),
+        rep = reconstruct_T(handle, u, n, beta_bits(handle, u, n),
                             approach_oracle(handle),
                             ascending_lower_oracle(handle))
     (_, T, k_e), _ = counter.call_args_list[0]

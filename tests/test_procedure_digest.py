@@ -6,9 +6,9 @@ its error's type and message instead.
 
 Each snapshot is certified for Z, -F, E and S at seeded dyadic
 temperatures.  Every handle then runs one reconstruction (the beta prefix
-read from the snapshot's own limit at u, as the CLI reads it), one
-witness search and, for r below and above T (within 2^-3 down to 2^-30
-of it), a semidecision at each of the budgets 16, 256 and 4096.
+from beta_bits, as the CLI reads it), one witness search and, for r
+below and above T (within 2^-3 down to 2^-30 of it), a semidecision at
+each of the budgets 16, 256 and 4096.
 
 A deliberate change of a procedure or an oracle regenerates the record
 and names the change:
@@ -29,10 +29,10 @@ from thermoait.enclosure import bits_prefix
 from thermoait.ensembles import EnsembleSnapshot, builtin_snapshot
 from thermoait.errors import ThermoAITError
 from thermoait.fixedpoint import (
-    QUANTITY_CHOICES, approach_oracle, ascending_lower_oracle, certify,
-    descending_upper_oracle, reconstruct_T, semidecide_above, witness_search,
+    QUANTITY_CHOICES, approach_oracle, ascending_lower_oracle, beta_bits,
+    certify, descending_upper_oracle, reconstruct_T, semidecide_above,
+    witness_search,
 )
-from thermoait.thermo import limit_moments
 
 RECORD = Path(__file__).resolve().parent / "data" / "procedure_digest.json"
 
@@ -52,9 +52,7 @@ def _snapshots() -> dict[str, EnsembleSnapshot]:
 def _reconstruct(h, rng: random.Random) -> str:
     u = Fraction(rng.randrange(int(h.T * SCALE) + 1, SCALE), SCALE)
     n = rng.randrange(2, 33)
-    bits = int(-((-h.T * n) // u))
-    beta, _ = limit_moments(h.snapshot, u, (h.b,), PRECISION + 32)
-    rep = reconstruct_T(h, u, n, bits_prefix(beta[h.b], bits),
+    rep = reconstruct_T(h, u, n, beta_bits(h, u, n),
                         approach_oracle(h), ascending_lower_oracle(h))
     return (f"{rep.beta_bits_used} {rep.candidate.serialize()} "
             f"{rep.radius.serialize()}")
