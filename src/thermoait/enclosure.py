@@ -157,19 +157,10 @@ class Enclosure:
     # -- exact ring operations ----------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Enclosure:
-            other = _coerce(other)
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if type(other) is not Enclosure:
-            other = _coerce(other)
         return Enclosure(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
 
     def __mul__(self, other):
         a, b = self, other
@@ -203,8 +194,6 @@ class Enclosure:
 
 
 def _coerce(x) -> Enclosure:
-    if isinstance(x, Enclosure):
-        return x
     if isinstance(x, (Dyadic, int)):
         return Enclosure.point(x)
     raise TypeError(f"cannot mix Enclosure with {type(x).__name__}")
@@ -234,10 +223,6 @@ def _div_dyadic(a: Dyadic, b: Dyadic, n: int, up: bool) -> Dyadic:
 
 
 def div(a: Enclosure, b: Enclosure, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
-    if type(a) is not Enclosure:
-        a = _coerce(a)
-    if type(b) is not Enclosure:
-        b = _coerce(b)
     if b.lo.m <= 0 <= b.hi.m:
         raise PrecisionError("division by an interval containing 0")
     if b.hi.m < 0:
@@ -291,12 +276,10 @@ def _binade(d: Dyadic, w: int) -> tuple[int, int, int]:
     return d.e + bl - 1, num // den, -(-num // den)
 
 
-def log2_enclosure(v: Enclosure | Dyadic, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
+def log2_enclosure(v: Enclosure, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
     """Ends in one binade share one atanh series over [z(lo), z(hi)]: its
     upper end reads z(hi) alone, and its lower end sums at least the terms
     that a series of z(lo) alone would."""
-    if type(v) is not Enclosure:
-        v = _coerce(v)
     if v.lo.sign <= 0:
         raise PrecisionError("log2 requires a certified-positive input")
     w = precision_bits + _GUARD
@@ -328,10 +311,6 @@ def ln2_enclosure(precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
 
 def certified_lt(a: Enclosure, b: Enclosure) -> Optional[bool]:
     """True/False when the order is certain, None when unresolved."""
-    if type(a) is not Enclosure:
-        a = _coerce(a)
-    if type(b) is not Enclosure:
-        b = _coerce(b)
     if a.hi < b.lo:
         return True
     if b.hi <= a.lo:

@@ -48,6 +48,8 @@ Every sum is thermo's: certify's depth sets come from one exact integer
 thermo.CensusWalk per temperature, each over the slope reach; the
 increment re-check and the procedures' depths come from thermo's lazy
 running walk over the whole census, which stops where its reader stops.
+Each quantity's orders, value and slope are its thermo.INCREASING record;
+its part of the certificate is one row of _CERTIFICATES.
 
 On top of the handle:
   solve_temperature  monotone inversion in one shared bracket [a, b]: a is
@@ -87,19 +89,19 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .bitstring import BitString, successor
 from .dyadic import Dyadic
 from .enclosure import (
-    DEFAULT_PRECISION, Enclosure, bits_prefix, certified_gt, certified_lt,
-    certified_positive, div, ln2_enclosure, prefix_value,
+    DEFAULT_PRECISION, Enclosure, _as_fraction, bits_prefix, certified_gt,
+    certified_lt, certified_positive, div, ln2_enclosure, prefix_value,
 )
 from .ensembles import EnsembleSnapshot
 from .errors import (
     CertificationError, OracleExhausted, PrecisionError, RangeError, SpecError,
 )
 from .thermo import (
-    CensusWalk, WeightChain, _RunningWalk, _temp_frac, entropy,
-    minus_free_energy, moments,
+    INCREASING, CensusWalk, Increasing, WeightChain, _RunningWalk,
+    _temp_frac, moments,
 )
 
-QUANTITY_CHOICES = ("Z", "-F", "E", "S")
+QUANTITY_CHOICES = tuple(record.name for record in INCREASING)
 
 # points sampled in (T, t) at each checked depth of the slope check
 SLOPE_SAMPLES = 3
@@ -120,20 +122,6 @@ def _ceil_log2(d: Dyadic) -> int:
     return f if d.m == 1 else f + 1  # canonical mantissa is 1 iff power of 2
 
 
-def _g_from_moments(quantity: str, mu: dict[int, Enclosure],
-                    x: Fraction | Dyadic, p: int) -> Enclosure:
-    """The quantity at x from its moments mu, as derive_quantities has it."""
-    if quantity == "Z":
-        return mu[0]
-    if quantity == "E":
-        return div(mu[1], mu[0], p)
-    if quantity not in QUANTITY_CHOICES:
-        raise SpecError(f"unknown quantity {quantity!r}")
-    Tq = Enclosure.from_rational(x, p)
-    g = minus_free_energy(mu[0], Tq, p)  # the -F handle's value
-    return g if quantity == "-F" else entropy(div(mu[1], mu[0], p), g, Tq, p)
-
-
 # ---------------------------------------------------------------------------
 # handle
 # ---------------------------------------------------------------------------
@@ -151,25 +139,26 @@ class QuantityHandle(NamedTuple):
     precision_bits: int
 
     @property
-    def orders(self) -> tuple[int, ...]:
-        """The moments the quantity reads: W only for E and S."""
-        return (0,) if self.quantity in ("Z", "-F") else (0, 1)
+    def record(self) -> Increasing:
+        """The quantity's thermo.Increasing: its orders, value and slope."""
+        return INCREASING[QUANTITY_CHOICES.index(self.quantity)]
 
     def g(self, x, k: int) -> Enclosure:
         """Depth-k value at x: eval_partial's, bit for bit, at any x it takes."""
         x = _temp_frac(x)
         if k < 1:
             raise SpecError("depth k must be >= 1")
-        mu = moments(self.snapshot, x, k, self.orders, self.precision_bits)
-        return _g_from_moments(self.quantity, mu, x, self.precision_bits)
+        q = self.record
+        mu = moments(self.snapshot, x, k, q.orders, self.precision_bits)
+        return q.value(mu, x, self.precision_bits)
 
     def f(self, x=None, precision_bits: Optional[int] = None) -> Enclosure:
         """Limit value at x (default: the certified T): eval_limit's, bit
         for bit, at any x it takes."""
         x = self.T if x is None else _temp_frac(x)
         p = self.precision_bits if precision_bits is None else precision_bits
-        mu = moments(self.snapshot, x, "limit", self.orders, p)
-        return _g_from_moments(self.quantity, mu, x, p)
+        q = self.record
+        return q.value(moments(self.snapshot, x, "limit", q.orders, p), x, p)
 
     def radius(self, n: int) -> Dyadic:
         return Dyadic(1, self.a_lower + self.c - n)
@@ -204,12 +193,11 @@ def _depth_runs(handle: QuantityHandle, x: Fraction
     sums, valid until the next run is drawn; the last run is the census
     total alone."""
     k0, p = handle.k0, handle.precision_bits
-    walk = _RunningWalk(handle.snapshot.groups(), WeightChain(x, p),
-                        handle.orders)
+    q = handle.record
+    walk = _RunningWalk(handle.snapshot.groups(), WeightChain(x, p), q.orders)
 
     def at(i: int) -> Enclosure:
-        mu = {j: walk.at(j, i) for j in handle.orders}
-        return _g_from_moments(handle.quantity, mu, x, p)
+        return q.value({j: walk.at(j, i) for j in q.orders}, x, p)
 
     k = 0
     for _, count in walk:
@@ -377,13 +365,18 @@ def _slope_points(T: Fraction, t: Fraction) -> list[Fraction]:
     return _window_points(T, t, SLOPE_SAMPLES + 1)[1:-1]
 
 
-# the limit moments certify reads, by quantity, at T and at t: Z and W at
-# T for the increments of -F, E and S past the census (_increments_close)
-# and for the conditions on k0, none for Z; at t, W for the slope bound of
-# Z, Z and W for that of -F (S_lim(t)), and Z and Y for the capacity bound
-# of E and S
-_LIMIT_ORDERS = {"Z": ((), (1,)), "-F": ((0, 1), (0, 1)),
-                 "E": ((0, 1), (0, 2)), "S": ((0, 1), (0, 2))}
+# each quantity's part of the certificate: the limit orders certify reads
+# at T (Z and W, for the increments past the census and the conditions on
+# k0) and at t (for the slope bounds: W for Z, Z and W for S_lim(t) of -F,
+# Z and Y for the capacity of E and S); and (cL, cN, cD) from T = tn/td,
+# the increment per unit weight r = (cL dlog + cN dE) / cD that
+# _check_increments and _increment_bounds read.  Z's increment is w itself.
+_CERTIFICATES = {
+    "Z": ((), (1,), None),
+    "-F": ((0, 1), (0, 1), lambda tn, td: (tn, 0, td)),
+    "E": ((0, 1), (0, 2), lambda tn, td: (0, 1, 1)),
+    "S": ((0, 1), (0, 2), lambda tn, td: (tn, td, tn)),
+}
 
 
 def certify(snapshot: EnsembleSnapshot, quantity: str, T,
@@ -397,7 +390,7 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
     xs = _slope_points(Tf, t)
     p = precision_bits
     ln2 = ln2_enclosure(p)
-    orders_T, orders_t = _LIMIT_ORDERS[quantity]
+    orders_T, orders_t, _ = _CERTIFICATES[quantity]
     lim_T = moments(snapshot, Tf, "limit", orders_T, p) if orders_T else None
     lim_t = moments(snapshot, t, "limit", orders_t, p)
     groups = snapshot.groups()
@@ -453,10 +446,10 @@ def certify(snapshot: EnsembleSnapshot, quantity: str, T,
         k0 = first_k(lambda l: U <= l ** b)
         # slope is S_k(x): between S_{k0}(T) and S_lim(t)
         mu = walk_over_reach(k0).sums((0, 1), (k0,))[0]
-        s_lo = _g_from_moments("S", mu, Tf, p)
+        s_lo = INCREASING[QUANTITY_CHOICES.index("S")].value(mu, Tf, p)
         if not certified_positive(s_lo):
             raise CertificationError("entropy at k0 not certifiably positive")
-        s_hi = _g_from_moments("S", lim_t, t, p)
+        s_hi = INCREASING[QUANTITY_CHOICES.index("S")].value(lim_t, t, p)
         a = max(0, _ceil_log2(s_hi.hi))
         a_lower = max(0, -_floor_log2(s_lo.lo))
     else:  # E and S share the capacity-based slope machinery
@@ -587,15 +580,16 @@ def _verify_certificate(handle: QuantityHandle,
     T, t = handle.T, handle.t
     ks = sorted({k0, k0 + 1, min(2 * k0 + 2, depth)})
     xs = xs or _slope_points(T, t)
-    at_T = walk.sums(handle.orders, ks)
-    at_x = [(walks.get(x) or CensusWalk(reach, x, p)).sums(handle.orders, ks)
+    q = handle.record
+    at_T = walk.sums(q.orders, ks)
+    at_x = [(walks.get(x) or CensusWalk(reach, x, p)).sums(q.orders, ks)
             for x in xs]
     slopes = [(dx.scale2(handle.a), dx.scale2(-handle.a_lower))
               for dx in (Enclosure.from_rational(x - T, p) for x in xs)]
     for i, k in enumerate(ks):
-        gT = _g_from_moments(quantity, at_T[i], T, p)
+        gT = q.value(at_T[i], T, p)
         for x, mu, (up, down) in zip(xs, at_x, slopes):
-            diff = _g_from_moments(quantity, mu[i], x, p) - gT
+            diff = q.value(mu[i], x, p) - gT
             if certified_lt(up, diff):
                 raise CertificationError(
                     f"slope upper bound falsified at k={k}, x={x}")
@@ -665,11 +659,10 @@ def _check_increments(handle: QuantityHandle, prefixes, start: int) -> None:
     is named at the group's first checked program; a falsified lower
     bound at the first program where it fails, found by bisection, since
     r_hi falls across the group."""
-    quantity, b, c = handle.quantity, handle.b, handle.c
+    b, c = handle.b, handle.c
     bits = handle.precision_bits + _RECHECK_GUARD
-    tn, td = handle.T.numerator, handle.T.denominator
-    cL, cN, cD = {"-F": (tn, 0, td), "E": (0, 1, 1),
-                  "S": (tn, td, tn)}[quantity]
+    cL, cN, cD = _CERTIFICATES[handle.quantity][2](handle.T.numerator,
+                                                   handle.T.denominator)
     ln2 = ln2_enclosure(handle.precision_bits)
     l0, e0, l1, e1 = ln2.lo.m, ln2.lo.e, ln2.hi.m, ln2.hi.e
 
@@ -746,31 +739,26 @@ def _increment_bounds(handle: QuantityHandle, limit: dict[int, Enclosure],
     program k + 1 has length l, lies in [(A l + B) / P, (G l + H) / Q].
     They come from Z_K <= Z_k <= Z_{k+1} <= Z_lim and W_k <= W_lim: Z_K is
     a lower end of the sum over the first K programs, Z_lim and W_lim the
-    upper ends of limit (the limit moments at T).  With dE and dlog as in
+    upper ends of limit (the limit moments at T).  With the increment r =
+    (cL dlog + cN dE) / cD of _CERTIFICATES, dE and dlog as in
     _check_increments, and the ends of ln2_enclosure taken outward:
 
-      E   [(Z_K l - W_lim) / Z_lim^2, l / Z_K]: Z_k l - W_k is at least 0
-          (no earlier program is longer) and at least Z_K l - W_lim, and
-          Z_k Z_{k+1} <= Z_lim^2;
-      -F  T dlog, with dlog in [1 / (Z_lim ln 2), 1 / (Z_K ln 2)], since
-          q / (1 + q) <= ln(1 + q) <= q and Z_k + w = Z_{k+1};
-      S   the bounds of E divided by T, plus dlog.
+      dE    [(Z_K l - W_lim) / Z_lim^2, l / Z_K]: Z_k l - W_k is at least 0
+            (no earlier program is longer) and at least Z_K l - W_lim, and
+            Z_k Z_{k+1} <= Z_lim^2;
+      dlog  [1 / (Z_lim ln 2), 1 / (Z_K ln 2)], since q / (1 + q) <=
+            ln(1 + q) <= q and Z_k + w = Z_{k+1}.
 
-    Each pair is put over one denominator, with T = tn/td, so that every
-    end is exact in dyadics."""
-    tn, td = handle.T.numerator, handle.T.denominator
+    Each pair is put over one denominator, so that every end is exact in
+    dyadics."""
+    cL, cN, cD = _CERTIFICATES[handle.quantity][2](handle.T.numerator,
+                                                   handle.T.denominator)
     ln2 = ln2_enclosure(handle.precision_bits)
     L_lo, L_hi = ln2.lo, ln2.hi
-    Z_lim = limit[0].hi
-    zero = Dyadic(0)
-    if handle.quantity == "-F":
-        return ((zero, Dyadic(tn), Z_lim * L_hi * td),
-                (zero, Dyadic(tn), Z_K * L_lo * td))
-    W_lim, Z2 = limit[1].hi, Z_lim * Z_lim
-    if handle.quantity == "E":
-        return (Z_K, -W_lim, Z2), (Dyadic(1), zero, Z_K)
-    return ((Z_K * L_hi * td, Z_lim * tn - W_lim * L_hi * td, Z2 * L_hi * tn),
-            (L_lo * td, Dyadic(tn), Z_K * L_lo * tn))
+    Z_lim, W_lim = limit[0].hi, limit[1].hi
+    return ((Z_K * L_hi * cN, Z_lim * cL - W_lim * L_hi * cN,
+             Z_lim * Z_lim * L_hi * cD),
+            (L_lo * cN, Dyadic(cL), Z_K * L_lo * cD))
 
 
 def _increments_close(handle: QuantityHandle, limit: dict[int, Enclosure],
@@ -817,19 +805,13 @@ def _mid(e: Enclosure) -> Dyadic:
 def _slope_estimate(quantity: str, mu: dict[int, Enclosure], x: Dyadic,
                     value: Dyadic, ln2: Dyadic) -> tuple[Dyadic, Dyadic]:
     """d/dx of the limit quantity at x as a quotient (num, den) of dyadics,
-    den > 0, from the midpoints Z, W, Y of the moments the probe already
-    summed and its value's midpoint v: Z' = ln2 W / x^2, (-F)' = S =
-    (W + v Z) / (Z x), E' = C = ln2 (Y Z - W^2) / (Z^2 x^2) and S' = C/x.
-    It only picks probes; num <= 0 means no usable estimate."""
-    Z, W = _mid(mu[0]), _mid(mu[1])
-    if quantity == "Z":
-        return ln2 * W, x * x
-    if Z.m <= 0:
-        return Dyadic(0), Dyadic(1)
-    if quantity == "-F":  # S = E/x + log2 Z, and the value is x log2 Z
-        return W + value * Z, Z * x
-    num, den = ln2 * (_mid(mu[2]) * Z - W * W), Z * Z * x * x
-    return num, den if quantity == "E" else den * x
+    den > 0: the slope of the quantity's thermo.Increasing at the midpoints
+    Z, W and Y of the moments the probe already summed (Y where it summed
+    it) and its value's midpoint.  It only picks probes; num <= 0 means no
+    usable estimate."""
+    Z, W, Y = (_mid(mu[j]) if j in mu else None for j in range(3))
+    return INCREASING[QUANTITY_CHOICES.index(quantity)].slope(
+        Z, W, Y, x, value, ln2)
 
 
 def _newton_point(x: Dyadic, value: Dyadic, aim: Dyadic,
@@ -906,8 +888,8 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
     p = max(handle.precision_bits, SOLVE_GUARD_BITS - _floor_log2(tol))
     if not isinstance(target, Enclosure):
         target = Enclosure.from_rational(target, p)
-    quantity = handle.quantity
-    orders = (0, 1, 2) if quantity in ("E", "S") else (0, 1)
+    quantity, q = handle.quantity, handle.record
+    orders = (*q.orders, max(q.orders) + 1)  # as the slope reads
     ln2 = ln2_enclosure(p).lo
     goal = tol.scale2(-3)
     half = goal.scale2(-1)
@@ -930,7 +912,7 @@ def solve_temperature(handle: QuantityHandle, target: Enclosure,
     def probe(y: Dyadic) -> None:
         nonlocal a, b, core, overlap, last
         mu = moments(handle.snapshot, y.as_fraction(), "limit", orders, p)
-        v = _g_from_moments(quantity, mu, y, p)
+        v = q.value(mu, y, p)
         value = _mid(v)
         last = (y, value, _slope_estimate(quantity, mu, y, value, ln2))
         if y in unchecked:
@@ -1081,9 +1063,7 @@ def semidecide_above(handle: QuantityHandle, r,
 def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
                   A_oracle: Iterable[Dyadic], B_oracle: Iterable[Dyadic],
                   ) -> ReconstructionReport:
-    u = _temp_frac(u)
-    if not handle.T < u:
-        raise RangeError("u must lie in (T, 1)")
+    u = _u_in_window(handle, u)
     if n < 1:
         raise SpecError("n must be >= 1")
     p = handle.precision_bits
@@ -1160,6 +1140,13 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     raise OracleExhausted("A/B oracles did not close the bracket")
 
 
+def _u_in_window(handle: QuantityHandle, u) -> Fraction:
+    u = _as_fraction(u)
+    if not handle.T < u < 1:
+        raise RangeError(f"u = {u} outside (T, 1) = ({handle.T}, 1)")
+    return u
+
+
 def _next_or_exhausted(it: Iterator[Dyadic], name: str) -> Dyadic:
     try:
         return next(it)
@@ -1213,9 +1200,9 @@ def approach_oracle(handle: QuantityHandle) -> Iterator[Dyadic]:
 def beta_bits(handle: QuantityHandle, u, n: int) -> BitString:
     """The ceil(Tn/u) bits after the point of beta = sum |p|^b 2^(-|p|/u),
     the prefix reconstruct_T reads: the limit of order b at u, evaluated
-    at 32 bits past the handle's precision.  u is read as a temperature
-    first, so a u outside (0, 1) raises RangeError, named."""
-    u = _temp_frac(u)
+    at 32 bits past the handle's precision.  A u outside (T, 1) raises
+    RangeError, named, before beta is evaluated."""
+    u = _u_in_window(handle, u)
     beta = moments(handle.snapshot, u, "limit", (handle.b,),
                    handle.precision_bits + 32)[handle.b]
     return bits_prefix(beta, -((-handle.T * n) // u))

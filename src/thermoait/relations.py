@@ -42,11 +42,12 @@ from .enclosure import (
 from .ensembles import EnsembleSnapshot
 from .errors import RangeError, SpecError
 from .thermo import (
-    CensusWalk, WeightChain, _temp_frac, derive_quantities, evaluate,
-    moment_sums, moments, summed_lengths,
+    INCREASING, CensusWalk, WeightChain, _temp_frac, derive_quantities,
+    evaluate, moment_sums, moments, summed_lengths,
 )
 
-DERIVATIVE_TARGETS = ("Z", "F", "E", "S")
+# INCREASING's quantities, spelled with F for -F
+DERIVATIVE_TARGETS = tuple(q.name.lstrip("-") for q in INCREASING)
 
 RICHARDSON_LO = Fraction(5, 2)
 RICHARDSON_HI = Fraction(6)
@@ -142,15 +143,11 @@ def third_derivative_bound(snapshot: EnsembleSnapshot, quantity: str, k,
 
 def _analytic_derivative(snapshot, quantity, T: Fraction, k, p) -> Enclosure:
     ev = evaluate(snapshot, T, k, p)
-    if quantity == "Z":
-        # Z' = (ln2/T^2) W
-        return div(ln2_enclosure(p) * ev.W,
-                   Enclosure.from_rational(T * T, p), p)
-    if quantity == "F":
-        return -ev.S
-    if quantity == "E":
-        return ev.C
-    return div(ev.C, Enclosure.from_rational(T, p), p)  # S
+    record = INCREASING[DERIVATIVE_TARGETS.index(quantity)]
+    sign = 1 if record.name == quantity else -1  # F' = -(-F)'
+    num, den = record.slope(ev.Z, ev.W, ev.Y, Enclosure.from_rational(T, p),
+                            ev.quantity(quantity) * sign, ln2_enclosure(p))
+    return div(num, den, p) * sign
 
 
 def _central_difference(snapshot, quantity, T: Fraction, h: Fraction, k, p) -> Enclosure:
@@ -169,8 +166,8 @@ def check_derivative(snapshot: EnsembleSnapshot, quantity: str, T, k="limit",
     if h <= 0 or Tf - h <= 0 or Tf + h >= 1:
         raise RangeError("stencil T +/- h must stay inside (0, 1)")
     p = precision_bits
-    analytic = _analytic_derivative(snapshot, quantity, Tf, k, p)
     K = third_derivative_bound(snapshot, quantity, k, Tf, h, p)
+    analytic = _analytic_derivative(snapshot, quantity, Tf, k, p)
     checks = []
     discrepancies = {}
     for step, label in ((h, "remainder-h"), (h / 2, "remainder-h/2")):

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil, log2
 from operator import mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .dyadic import Dyadic
 from .enclosure import (
@@ -424,6 +424,42 @@ def entropy(E: Enclosure, minus_F: Enclosure, Tq: Enclosure,
             p: int) -> Enclosure:
     """S = (E - F)/T, from -F, clamped at zero (see derive_quantities)."""
     return div(E + minus_F, Tq, p).clamp_nonnegative()
+
+
+class Increasing(NamedTuple):
+    """A quantity that rises with the temperature, as fixedpoint certifies
+    and solves it: value(mu, x, p) encloses it at x from the moments mu of
+    its orders, and slope(Z, W, Y, x, v, ln2), v its value, is its
+    derivative as (num, den), den > 0, in ring operations alone, so that
+    enclosures and dyadic midpoints read one formula (Y for E and S only)."""
+    name: str
+    orders: tuple[int, ...]
+    value: Callable[[dict, Fraction | Dyadic, int], Enclosure]
+    slope: Callable[..., tuple]
+
+
+def _entropy_value(mu, x, p: int) -> Enclosure:
+    t = Enclosure.from_rational(x, p)
+    return entropy(div(mu[1], mu[0], p), minus_free_energy(mu[0], t, p), t, p)
+
+
+def _capacity(Z, W, Y, ln2, x2):  # C x^2 / x2 = ln2 (Y Z - W^2) / (Z^2 x2)
+    return ln2 * (Y * Z - W * W), Z * Z * x2
+
+
+# Z' = ln2 W / x^2, (-F)' = S = (W + v Z) / (Z x) as v = x log2 Z, E' = C
+# and S' = C / x
+INCREASING = (
+    Increasing("Z", (0,), lambda mu, x, p: mu[0],
+               lambda Z, W, Y, x, v, ln2: (ln2 * W, x * x)),
+    Increasing("-F", (0,), lambda mu, x, p: minus_free_energy(
+                   mu[0], Enclosure.from_rational(x, p), p),
+               lambda Z, W, Y, x, v, ln2: (W + v * Z, Z * x)),
+    Increasing("E", (0, 1), lambda mu, x, p: div(mu[1], mu[0], p),
+               lambda Z, W, Y, x, v, ln2: _capacity(Z, W, Y, ln2, x * x)),
+    Increasing("S", (0, 1), _entropy_value,
+               lambda Z, W, Y, x, v, ln2: _capacity(Z, W, Y, ln2, x * x * x)),
+)
 
 
 def derive_quantities(Z: Enclosure, W: Enclosure, Y: Enclosure,

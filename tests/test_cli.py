@@ -429,11 +429,11 @@ def test_reconstruct_grid_oracle_is_usage_error():
     ("1", ("--machine", "gamma_literal", "--maxlen", "300")),
 ], ids=["zero", "one", "above one", "one on gamma_literal"])
 def test_reconstruct_u_outside_the_temperatures_is_usage_error(u, machine):
-    # u is read as a temperature before beta is evaluated at it
+    # u is checked against (T, 1) before beta is evaluated at it
     code, out, err = run("reconstruct", *machine, "--T", "1/2", "--u", u,
                          "--n", "8")
     assert (code, out) == (2, "")
-    assert err == f"error: temperature {u} outside (0, 1)\n"
+    assert err == f"error: u = {u} outside (T, 1) = (1/2, 1)\n"
 
 
 def test_reconstruct_A_value_outside_the_window_is_usage_error(tmp_path):

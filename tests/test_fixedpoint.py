@@ -1433,12 +1433,22 @@ def test_reconstruct_validates_prefix_length(handles):
                       approach_oracle(h), ascending_lower_oracle(h))
 
 
-def test_reconstruct_validates_u(handles):
+def test_reconstruct_validates_u(handles, monkeypatch):
+    # beta_bits and reconstruct_T reject a u outside (T, 1) with one text
+    # that names it, and beta_bits before it evaluates beta
     h = handles["Z"]
-    for bad in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        with pytest.raises(RangeError):
+    monkeypatch.setattr(fixedpoint, "moments",
+                        lambda *_: pytest.fail("beta evaluated"))
+    for bad in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                Fraction(3, 2)):
+        want = f"u = {bad} outside (T, 1) = (1/2, 1)"
+        with pytest.raises(RangeError) as exc:
+            beta_bits(h, bad, 16)
+        assert str(exc.value) == want
+        with pytest.raises(RangeError) as exc:
             reconstruct_T(h, bad, 16, BitString("0"), approach_oracle(h),
                           ascending_lower_oracle(h))
+        assert str(exc.value) == want
 
 
 def test_reconstruct_reads_u_as_any_temperature(handles):

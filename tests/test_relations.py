@@ -5,12 +5,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from thermoait.dyadic import Dyadic
+from thermoait.enclosure import ln2_enclosure
 from thermoait.ensembles import EnsembleSnapshot, builtin_snapshot
 from thermoait.errors import RangeError, SpecError
+from thermoait.fixedpoint import _mid, _slope_estimate
 from thermoait.relations import (
-    check_derivative, check_identities, check_monotone, check_positivity,
-    third_derivative_bound,
+    _analytic_derivative, check_derivative, check_identities, check_monotone,
+    check_positivity, third_derivative_bound,
 )
+from thermoait.thermo import INCREASING, moments
 
 mpmath.mp.prec = 200
 
@@ -71,6 +75,53 @@ def test_third_derivative_bound_dominates_reference():
         bound = mpmath.mpf(K.m) * mpmath.power(2, K.e) * 6
         assert abs(ref) <= bound
         assert bound < 1000 * max(abs(ref), mpmath.mpf("1e-6"))  # not vacuous
+
+
+# each quantity from geometric's Z and W at temperature t, in mpmath
+GEOMETRIC_QUANTITIES = {
+    "Z": lambda Z, W, t: Z,
+    "F": lambda Z, W, t: -t * mpmath.log(Z, 2),
+    "E": lambda Z, W, t: W / Z,
+    "S": lambda Z, W, t: W / Z / t + mpmath.log(Z, 2),
+}
+
+
+def _geometric_moments(t, k):
+    """Z and W of geometric, one program per length l >= 1, at temperature
+    t: summed to depth k, or in the limit x/(1 - x) and x/(1 - x)^2 with
+    x = 2^(-1/t)."""
+    x = mpmath.power(2, -1 / t)
+    if k == "limit":
+        return x / (1 - x), x / (1 - x) ** 2
+    return (mpmath.fsum(x**l for l in range(1, k + 1)),
+            mpmath.fsum(l * x**l for l in range(1, k + 1)))
+
+
+@pytest.mark.parametrize("k", [5, 16, "limit"])
+@pytest.mark.parametrize("T", [Fraction(3, 8), Fraction(1, 2), Fraction(5, 8)])
+@pytest.mark.parametrize("quantity", ["Z", "F", "E", "S"])
+def test_record_slopes_against_mpmath(quantity, T, k):
+    # q'(T) from mpmath's numerical derivative at 300 bits: the analytic
+    # enclosure contains it, and the solve's estimate from the moments it
+    # sums (the -F record's slope for F, negated) is within 2^-60 relative
+    p = 64
+    with mpmath.workprec(300):
+        q = GEOMETRIC_QUANTITIES[quantity]
+        ref = mpmath.diff(lambda t: q(*_geometric_moments(t, k), t),
+                          mpmath.mpf(T.numerator) / T.denominator)
+        analytic = _analytic_derivative(GEO, quantity, T, k, p)
+        assert mpmath.ldexp(analytic.lo.m, analytic.lo.e) <= ref
+        assert ref <= mpmath.ldexp(analytic.hi.m, analytic.hi.e)
+        sign = -1 if quantity == "F" else 1
+        record = INCREASING[("Z", "F", "E", "S").index(quantity)]
+        mu = moments(GEO, T, k, (*record.orders, max(record.orders) + 1), p)
+        x = Dyadic.from_fraction(T)
+        num, den = _slope_estimate(record.name, mu, x,
+                                   _mid(record.value(mu, x, p)),
+                                   ln2_enclosure(p).lo)
+        estimate = (sign * mpmath.ldexp(num.m, num.e)
+                    / mpmath.ldexp(den.m, den.e))
+        assert abs(estimate - ref) <= abs(ref) * mpmath.ldexp(1, -60)
 
 
 def test_derivative_detects_wrong_claim():
