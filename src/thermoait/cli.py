@@ -29,7 +29,7 @@ from .ensembles import (
 from .errors import (
     CertificationError, PrecisionError, SpecError, ThermoAITError,
 )
-from .thermo import QUANTITIES, eval_limit, eval_partial
+from .thermo import QUANTITIES, _temp_frac, eval_limit, eval_partial
 
 # fixedpoint, relations and complexity are imported inside the commands
 # that call them, so that a command compiles only the modules it runs
@@ -345,11 +345,12 @@ def _cmd_witness(args, emit) -> int:
 
 
 def _cmd_reconstruct(args, emit) -> int:
-    from .fixedpoint import beta_bits, certify, reconstruct_T
+    from .fixedpoint import _u_in_window, beta_bits, certify, reconstruct_T
+    T = _temp_frac(args.T.as_fraction())
+    u = _u_in_window(T, args.u)  # before the certificate is paid for
     snap = _load(args, program_cap=0)
-    handle = certify(snap, "Z", args.T.as_fraction(), args.precision)
-    rep = reconstruct_T(handle, args.u, args.n,
-                        beta_bits(handle, args.u, args.n),
+    handle = certify(snap, "Z", T, args.precision)
+    rep = reconstruct_T(handle, u, args.n, beta_bits(handle, u, args.n),
                         _make_oracle(args.oracle_A, handle, "approach"),
                         _make_oracle(args.oracle_B, handle, "lower"))
     emit({"T_true": fraction_text(rep.T_true), "n": rep.n,

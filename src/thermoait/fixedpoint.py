@@ -48,6 +48,9 @@ Every sum is thermo's: certify's depth sets come from one exact integer
 thermo.CensusWalk per temperature, each over the slope reach; the
 increment re-check and the procedures' depths come from thermo's lazy
 running walk over the whole census, which stops where its reader stops.
+One search on that walk (_exceeding_depth) finds all three procedures'
+first depth past a value: of the quantity at r for witness_search and
+semidecide_above, of beta's partial sums at u for reconstruct_T.
 Each quantity's orders, value and slope are its thermo.INCREASING record;
 its part of the certificate is one row of _CERTIFICATES.
 
@@ -70,13 +73,13 @@ On top of the handle:
 
 The last two sum no depth whose comparison a certified bound decides.
 reconstruct_T's slope floor g(A, k_e) >= g(T, k_e) + 2^-a_lower (A - T)
-(k_e >= k0) decides g(A, k_e) < B False wherever it reaches B.
-semidecide_above's limit ceiling, the upper end of f(r), bounds g(r, k)
-at every depth, since lengths never fall, and so decides every
-comparison with an oracle value at or above it.  The oracles are still
-drawn in order (A and B in lockstep, each passed-over value at its
-budget), so the answers and the values consumed are those of summing
-every depth.
+(k_e >= k0) decides g(A, k_e) < B False wherever it reaches B.  The
+search's ceiling, an upper end of the limit of what it walks, decides
+every comparison with a value at or above it: the upper end of f(r) for
+semidecide_above, of beta (already evaluated for floor(beta)) for
+reconstruct_T.  The oracles are still drawn in order (A and B in
+lockstep, each passed-over value at its budget), so the answers and the
+values consumed are those of summing every depth.
 """
 
 from __future__ import annotations
@@ -186,14 +189,15 @@ class ReconstructionReport(NamedTuple):
 # running partial sums (incremental in k)
 # ---------------------------------------------------------------------------
 
-def _depth_runs(handle: QuantityHandle, x: Fraction
+def _depth_runs(handle: QuantityHandle, x: Fraction,
+                q: Optional[Increasing] = None,
                 ) -> Iterator[tuple[int, int, Callable[[int], Enclosure]]]:
     """(k, m, g) for each run of depths k, ..., k + m - 1 >= k0 inside one
     census group, with g(i) = g(x, k + i) from one running walk's exact
     sums, valid until the next run is drawn; the last run is the census
-    total alone."""
+    total alone.  g is q's value, by default the handle's record's."""
     k0, p = handle.k0, handle.precision_bits
-    q = handle.record
+    q = q or handle.record
     walk = _RunningWalk(handle.snapshot.groups(), WeightChain(x, p), q.orders)
 
     def at(i: int) -> Enclosure:
@@ -212,11 +216,15 @@ def _depth_runs(handle: QuantityHandle, x: Fraction
 
 def _exceeding_depth(handle: QuantityHandle, x: Fraction,
                      upper_oracle: Iterable[Dyadic], budget: float,
-                     ceiling: Optional[Dyadic] = None) -> Optional[int]:
+                     ceiling: Optional[Dyadic] = None,
+                     q: Optional[Increasing] = None) -> Optional[int]:
     """The first depth k >= k0 with g(x, k) certifiably above the oracle's
     first value, or None if the oracle is empty or budget depths are
     compared first.  Once the depths run out, each later value is compared
-    at the census total, at one unit of budget each.
+    at the census total, at one unit of budget each.  g is q's value, by
+    default the handle's record's: the one search of all three procedures
+    walks the quantity at r for witness_search and semidecide_above, and
+    beta's partial sums, the order-b moment at u, for reconstruct_T.
 
     g(x, k) rises with k, so one comparison at a run's last depth stands
     for the whole run, and bisection finds the first depth inside the run
@@ -225,16 +233,17 @@ def _exceeding_depth(handle: QuantityHandle, x: Fraction,
     fall within a run, the depth returned could only be a later one, and
     it is certified all the same.
 
-    ceiling, if given, is an upper end of the limit f(x).  Lengths never
-    fall, so g(x, k) <= f(x) at every depth, and no depth is certifiably
-    above a value h >= ceiling: such a value is passed over with no sum,
-    at the budget its comparisons would have spent (the total - k0 + 1
-    depths for the first value, one unit for a later one)."""
+    ceiling, if given, is an upper end of g's limit: of f(x) for
+    semidecide_above, of beta for reconstruct_T.  g(x, k) rises to its
+    limit (lengths never fall), so no depth is certifiably above a value
+    h >= ceiling: such a value is passed over with no sum, at the budget
+    its comparisons would have spent (the total - k0 + 1 depths for the
+    first value, one unit for a later one)."""
     values = iter(upper_oracle)
     h = next(values, None)
     if h is None:
         return None
-    runs = _depth_runs(handle, x)
+    runs = _depth_runs(handle, x, q)
     g = None  # the last run's g, at the census total, once drawn
     if ceiling is not None and h >= ceiling:
         total = handle.snapshot.total
@@ -1063,40 +1072,28 @@ def semidecide_above(handle: QuantityHandle, r,
 def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
                   A_oracle: Iterable[Dyadic], B_oracle: Iterable[Dyadic],
                   ) -> ReconstructionReport:
-    u = _u_in_window(handle, u)
+    u = _u_in_window(handle.T, u)
     if n < 1:
         raise SpecError("n must be >= 1")
-    p = handle.precision_bits
+    p, b = handle.precision_bits, handle.b
     expected_bits = -((-handle.T * n) // u)  # ceil(T n / u)
     if len(beta_prefix) != expected_bits:
         raise SpecError(f"beta_prefix must carry exactly {expected_bits} "
                         f"bits, got {len(beta_prefix)}")
-    beta = moments(handle.snapshot, u, "limit", (handle.b,), p)[handle.b]
+    beta = moments(handle.snapshot, u, "limit", (b,), p)[b]
     floor_lo = beta.lo.floor_scaled(0)
     if beta.hi.floor_scaled(0) != floor_lo:
         raise PrecisionError(f"integer part of beta unresolved at {p} bits "
                              f"of working precision")
-    target = Enclosure.point(Dyadic(floor_lo) + prefix_value(beta_prefix))
+    target = Dyadic(floor_lo) + prefix_value(beta_prefix)
 
-    # step 1: the first depth k >= k0 whose beta partial sum certifiably
-    # exceeds the prefix: its exact lower end after i programs of a group
-    # is S + i w l^b, so one integer division finds the first such i
-    walk = _RunningWalk(handle.snapshot.groups(), WeightChain(u, p),
-                        (handle.b,))
-    tm, te = target.lo.m, target.lo.e
-    K = 0  # the programs before the group
-    for _, count in walk:
-        S, e, _, _ = walk.exact(handle.b)  # S 2^e over the first K programs
-        step = walk.term(handle.b)[0]
-        f = min(e, te)
-        i = max(handle.k0 - K,
-                ((tm << (te - f)) - (S << (e - f))) // (step << (e - f)) + 1,
-                1)
-        if i <= count:
-            k_e = K + i
-            break
-        K += count
-    else:
+    # step 1: the first depth k >= k0 whose beta partial sum, the order-b
+    # moment at u, certifiably exceeds the prefix; beta's upper end is the
+    # search's ceiling, so a prefix at or above it ends the search unwalked
+    k_e = _exceeding_depth(handle, u, (target,), inf, beta.hi,
+                           Increasing("beta", (b,), lambda mu, x, p: mu[b],
+                                      None))
+    if k_e is None:
         raise OracleExhausted("enumeration exhausted before the beta "
                               "partial sum cleared the prefix value")
 
@@ -1140,10 +1137,10 @@ def reconstruct_T(handle: QuantityHandle, u, n: int, beta_prefix: BitString,
     raise OracleExhausted("A/B oracles did not close the bracket")
 
 
-def _u_in_window(handle: QuantityHandle, u) -> Fraction:
+def _u_in_window(T: Fraction, u) -> Fraction:
     u = _as_fraction(u)
-    if not handle.T < u < 1:
-        raise RangeError(f"u = {u} outside (T, 1) = ({handle.T}, 1)")
+    if not T < u < 1:
+        raise RangeError(f"u = {u} outside (T, 1) = ({T}, 1)")
     return u
 
 
@@ -1202,7 +1199,7 @@ def beta_bits(handle: QuantityHandle, u, n: int) -> BitString:
     the prefix reconstruct_T reads: the limit of order b at u, evaluated
     at 32 bits past the handle's precision.  A u outside (T, 1) raises
     RangeError, named, before beta is evaluated."""
-    u = _u_in_window(handle, u)
+    u = _u_in_window(handle.T, u)
     beta = moments(handle.snapshot, u, "limit", (handle.b,),
                    handle.precision_bits + 32)[handle.b]
     return bits_prefix(beta, -((-handle.T * n) // u))

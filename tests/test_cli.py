@@ -8,9 +8,11 @@ import sys
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from thermoait import fixedpoint
 from thermoait.cli import main
 from thermoait.dyadic import Dyadic, int_text
 from thermoait.ensembles import (
@@ -425,15 +427,30 @@ def test_reconstruct_grid_oracle_is_usage_error():
 
 
 @pytest.mark.parametrize("u, machine", [
-    ("0", ()), ("1", ()), ("3/2", ()),
+    ("0", ()), ("1/4", ()), ("1", ()), ("3/2", ()),
     ("1", ("--machine", "gamma_literal", "--maxlen", "300")),
-], ids=["zero", "one", "above one", "one on gamma_literal"])
+], ids=["zero", "below T", "one", "above one", "one on gamma_literal"])
 def test_reconstruct_u_outside_the_temperatures_is_usage_error(u, machine):
-    # u is checked against (T, 1) before beta is evaluated at it
-    code, out, err = run("reconstruct", *machine, "--T", "1/2", "--u", u,
-                         "--n", "8")
-    assert (code, out) == (2, "")
+    # u is checked against (T, 1) before the handle is certified
+    with mock.patch.object(fixedpoint, "certify",
+                           wraps=fixedpoint.certify) as counter:
+        code, out, err = run("reconstruct", *machine, "--T", "1/2", "--u", u,
+                             "--n", "8")
+    assert (code, out, counter.call_count) == (2, "", 0)
     assert err == f"error: u = {u} outside (T, 1) = (1/2, 1)\n"
+
+
+@pytest.mark.parametrize("T, certified, err", [
+    ("1", 0, "error: temperature 1 outside (0, 1)\n"), ("1/2", 1, ""),
+], ids=["T one", "valid"])
+def test_reconstruct_reads_T_before_it_certifies(T, certified, err):
+    # --T is read as a temperature before u is checked against it, and the
+    # handle is certified once both hold
+    with mock.patch.object(fixedpoint, "certify",
+                           wraps=fixedpoint.certify) as counter:
+        code, _, got = run("reconstruct", "--T", T, "--u", "3/4", "--n", "8")
+    assert (code, got, counter.call_count) == (2 if err else 0, err,
+                                               certified)
 
 
 def test_reconstruct_A_value_outside_the_window_is_usage_error(tmp_path):

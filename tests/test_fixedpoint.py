@@ -1473,6 +1473,46 @@ def test_reconstruct_oracle_exhaustion(handles):
                       ascending_lower_oracle(h))
 
 
+def test_reconstruct_tail_check_falsifies_a_lowered_c():
+    # on the geometric 300 Z handle with c lowered by 64, the tail past k_e
+    # no longer fits under 2^(c - n): reconstruct_T, on the same prefix,
+    # finds the unchanged handle's k_e and raises there, naming both
+    h = GEO300_HANDLES["Z"]
+    u, n = Fraction(3, 4), 16
+    _, k_e, _ = _counted_reconstruct(h, u, n)
+    low = h._replace(c=h.c - 64)
+    with pytest.raises(CertificationError) as raised:
+        reconstruct_T(low, u, n, beta_bits(h, u, n), approach_oracle(low),
+                      ascending_lower_oracle(low))
+    text = str(raised.value)
+    assert text.startswith(f"tail past k_e={k_e} is "), text
+    assert text.endswith(f", not below 2^{low.c - n}; certificate "
+                         f"falsified"), text
+
+
+def test_reconstruct_gives_up_after_4096_rounds_unsummed():
+    # a constant A inside (T, t) and a B of 0, which the slope floor always
+    # reaches: 4096 rounds draw A and B in lockstep, sum nothing past the
+    # tail step's g(T, k_e), and raise
+    h = GEO300_HANDLES["Z"]
+    u, n = Fraction(3, 4), 16
+    drawn = Counter()
+
+    def stream(name, value):
+        while True:
+            drawn[name] += 1
+            yield value
+
+    with mock.patch.object(QuantityHandle, "g", autospec=True,
+                           side_effect=QuantityHandle.g) as counter, \
+            pytest.raises(OracleExhausted) as raised:
+        reconstruct_T(h, u, n, beta_bits(h, u, n),
+                      stream("A", Dyadic(5, -3)), stream("B", Dyadic(0)))
+    assert str(raised.value) == "A/B oracles did not close the bracket"
+    assert counter.call_count == 1
+    assert drawn == {"A": 4097, "B": 4097}
+
+
 def test_reconstruct_randomized():
     rng = random.Random(20260826)
     cache = {}
@@ -1726,6 +1766,63 @@ def test_exceeding_depth_is_the_first_a_scan_of_every_depth_finds():
                 got = [fixedpoint._exceeding_depth(h, x, [value], budget)
                        for budget in (inf, spent, spent - 1)]
                 assert got == [want, want, None], (quantity, k)
+
+
+def _first_beta_index(h, u, target):
+    """The first depth k >= k0 whose order-b moment at u has its exact
+    lower end above target, in integers: after i programs of a group that
+    lower end is S + i w l^b, so one floor division per group finds the
+    first such i; None past the census."""
+    b = h.b
+    walk = thermo._RunningWalk(h.snapshot.groups(),
+                               thermo.WeightChain(u, h.precision_bits), (b,))
+    K = 0  # the programs before the group
+    for _, count in walk:
+        S, e, _, _ = walk.exact(b)
+        step = walk.term(b)[0]
+        f = min(e, target.e)
+        i = max(h.k0 - K, ((target.m << (target.e - f)) - (S << (e - f)))
+                // (step << (e - f)) + 1, 1)
+        if i <= count:
+            return K + i
+        K += count
+    return None
+
+
+@pytest.mark.parametrize("snapshot", ["geometric 300", "sdm4 1500 cap 512",
+                                      "literal 200", "gamma_literal 300"])
+def test_exceeding_depth_on_beta_matches_the_integer_first_index(snapshot):
+    # the search on the order-b moment at u, with beta's upper end as its
+    # ceiling, as reconstruct_T calls it, returns the integer reference's
+    # depth on a seeded grid of u and targets: beta's lower end cut to m
+    # bits after the point (a prefix as reconstruct_T reads it), a fraction
+    # of it, which the first depths pass, three values 2^-s of it below it,
+    # s <= 60, which deep groups pass (inside sdm4's large ones the
+    # bisection takes many steps), and a value above beta, which none does
+    kind, maxlen, *cap = snapshot.split()
+    snap = builtin_snapshot(kind, int(maxlen),
+                            **({"program_cap": int(cap[1])} if cap else {}))
+    rng = random.Random(32)
+    for quantity in ("Z", "-F", "E", "S"):
+        h = certify(snap, quantity, HALF)
+        b = h.b
+        beta_q = thermo.Increasing("beta", (b,), lambda mu, x, p: mu[b], None)
+        for _ in range(3):
+            u = Fraction(rng.randrange(33, 64), 64)
+            beta = thermo.moments(snap, u, "limit", (b,),
+                                  h.precision_bits)[b]
+            m = rng.randrange(1, 40)
+            targets = [Dyadic(beta.lo.floor_scaled(m), -m),
+                       beta.lo * Dyadic(rng.randrange(1, 1 << 20), -20),
+                       *(beta.lo - beta.lo.scale2(-rng.randrange(1, 61))
+                         for _ in range(3)),
+                       beta.hi + Dyadic(1, -10)]
+            for target in targets:
+                want = _first_beta_index(h, u, target)
+                got = fixedpoint._exceeding_depth(h, u, (target,), inf,
+                                                  beta.hi, beta_q)
+                assert got == want, (quantity, u, target.serialize())
+            assert want is None
 
 
 def test_certify_builds_few_weight_chains(monkeypatch):
