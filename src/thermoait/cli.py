@@ -23,8 +23,8 @@ from .enclosure import (
     DEFAULT_PRECISION, Enclosure, bits_prefix, parse_temperature_text,
 )
 from .ensembles import (
-    DEFAULT_PROGRAM_CAP, MACHINES, EnsembleSnapshot, builtin_snapshot,
-    load_snapshot, save_snapshot,
+    MACHINES, EnsembleSnapshot, builtin_snapshot, load_snapshot,
+    save_snapshot,
 )
 from .errors import (
     CertificationError, PrecisionError, SpecError, ThermoAITError,
@@ -123,14 +123,14 @@ _fraction_arg = _argument_type(_parse_fraction)
 _grid_arg = _argument_type(_parse_grid)
 
 
-def _load(args, program_cap: int = DEFAULT_PROGRAM_CAP) -> EnsembleSnapshot:
-    """The snapshot, with up to program_cap records if built (0: none)."""
+def _load(args) -> EnsembleSnapshot:
+    """The snapshot of --snapshot or of --machine; its records are built
+    only if the command reads them."""
     if args.snapshot:
         return load_snapshot(args.snapshot)
     if not args.machine:
         raise ThermoAITError("need --machine or --snapshot")
-    return builtin_snapshot(args.machine, args.maxlen,
-                            program_cap=program_cap)
+    return builtin_snapshot(args.machine, args.maxlen)
 
 
 def _make_oracle(spec: str, handle, kind: str):
@@ -265,7 +265,7 @@ def _thermo_rows(ev, temperature: Fraction):
 
 
 def _cmd_thermo(args, emit) -> int:
-    snap = _load(args, program_cap=0)
+    snap = _load(args)
     if (args.T is None) == (args.grid is None):
         raise ThermoAITError("need exactly one of --T or --grid")
     temps = args.grid if args.grid else [args.T.as_fraction()]
@@ -289,7 +289,7 @@ def _cmd_thermo(args, emit) -> int:
 
 def _cmd_verify(args, emit) -> int:
     from .relations import _identities_and_positivity, check_monotone
-    snap = _load(args, program_cap=0)
+    snap = _load(args)
     total = snap.total
     depth = (args.k if args.k is not None
              else max(1, min(VERIFY_DEPTH, total)))
@@ -312,7 +312,7 @@ def _cmd_verify(args, emit) -> int:
 
 def _cmd_solve(args, emit) -> int:
     from .fixedpoint import certify, solve_temperature
-    snap = _load(args, program_cap=0)
+    snap = _load(args)
     quantity = "-F" if args.quantity == "F" else args.quantity
     handle = certify(snap, quantity, Fraction(1, 2), args.precision)
     target = args.target if args.quantity != "F" else -args.target
@@ -348,7 +348,7 @@ def _cmd_reconstruct(args, emit) -> int:
     from .fixedpoint import _u_in_window, beta_bits, certify, reconstruct_T
     T = _temp_frac(args.T.as_fraction())
     u = _u_in_window(T, args.u)  # before the certificate is paid for
-    snap = _load(args, program_cap=0)
+    snap = _load(args)
     handle = certify(snap, "Z", T, args.precision)
     rep = reconstruct_T(handle, u, args.n, beta_bits(handle, u, args.n),
                         _make_oracle(args.oracle_A, handle, "approach"),
@@ -385,7 +385,7 @@ def _resolve_alpha(spec: str, precision: int):
         if qname not in QUANTITIES:
             raise ThermoAITError(f"unknown quantity {qname!r} in --alpha")
         T = parse_temperature_text(t_text).as_fraction()
-        snap = builtin_snapshot("geometric", 200, program_cap=0)
+        snap = builtin_snapshot("geometric", 200)
         return eval_limit(snap, T, precision_bits=precision).quantity(qname)
     return _parse_dyadic(spec)
 

@@ -17,6 +17,11 @@ it is given only when its nonzero census equals that machine's census up
 to its max_length, however it was built.  gamma_literal and any other
 snapshot (an anonymous census) take their tails from the Kraft slack.
 
+A snapshot checks its census when it is built and its program records
+when they are first read: a builtin snapshot enumerates them then, and a
+loaded file parses, checks and replays its P lines then.  Every value of
+Z, F, E, S and C reads the census alone.
+
 Enumeration order is canonical: ascending (length, lex).  The census maps
 length -> count of *all* domain elements of that length, which can exceed
 the explicitly enumerated programs (aggregate-only evaluation needs only
@@ -58,22 +63,29 @@ class ProgramRecord(NamedTuple):
 
 
 class EnsembleSnapshot:
-    """A census and the program records enumerated from it, checked once,
-    when it is built.
+    """A census, checked when the snapshot is built, and the program
+    records enumerated from it, checked when they are first read.
 
     The constructor keeps its own read-only copy of census (length ->
-    count, zero counts too, as a file writes them) and stores what every
-    reader derives from it: the nonzero (length, count) groups, ascending
-    in length, their cumulative counts, the census total and the exact
-    Kraft sum.  It raises InvariantViolation unless the records are in
-    canonical (length, lex) order, prefix-free and no more per length
-    than the census counts, every census length lies in [0, max_length],
-    every count is at least 0, and the Kraft sum is at most 1 (no
-    prefix-free domain has a larger one).  machine is kept only when the
-    nonzero census equals the machine's census up to max_length, compared
-    lazily, so a huge max_length costs no more than the census; otherwise
-    the snapshot is an anonymous census and machine is None.  So the
-    label names the machine to check against, and the census decides.
+    count, zero counts too, as a file writes them; None: the machine's
+    census up to max_length) and stores what every reader derives from
+    it: the nonzero (length, count) groups, ascending in length, their
+    cumulative counts, the census total and the exact Kraft sum.  It
+    raises InvariantViolation unless every census length lies in [0,
+    max_length], every count is at least 0, and the Kraft sum is at most
+    1 (no prefix-free domain has a larger one).  machine is kept only
+    when the nonzero census equals the machine's census up to
+    max_length, compared lazily, so a huge max_length costs no more than
+    the census; otherwise the snapshot is an anonymous census and
+    machine is None.  So the label names the machine to check against,
+    and the census decides.
+
+    programs is the list of records or their source.  A list is checked
+    at once: InvariantViolation unless the records are in canonical
+    (length, lex) order, prefix-free and no more per length than the
+    census counts.  A source is a function of the snapshot that builds
+    the records and checks them so; the first read of .programs calls it
+    and keeps the list it returns.
 
     A snapshot is an immutable value, like the library's NamedTuple
     records: compared field by field, unhashable, and with _fields,
@@ -82,14 +94,18 @@ class EnsembleSnapshot:
 
     _fields = ("ensemble_id", "step_budget", "max_length", "programs",
                "census", "machine")
-    __slots__ = _fields + ("total", "_groups", "_depths", "_kraft")
+    __slots__ = ("ensemble_id", "step_budget", "max_length", "_programs",
+                 "census", "machine", "total", "_groups", "_depths", "_kraft")
     __hash__ = None
 
     def __init__(self, ensemble_id: str, step_budget: int, max_length: int,
-                 programs: list[ProgramRecord], census,
-                 machine: Machine | None = None):
-        census = dict(census)
-        _check_records(programs, census)
+                 programs: list[ProgramRecord] | Callable[
+                     [EnsembleSnapshot], list[ProgramRecord]],
+                 census, machine: Machine | None = None):
+        matched = census is None
+        census = dict(machine.census(max_length) if matched else census)
+        if not callable(programs):
+            _check_records(programs, census)
         if any(l > max_length or l < 0 for l in census):
             raise InvariantViolation("census length outside [0, max_length]")
         if any(c < 0 for c in census.values()):
@@ -98,8 +114,8 @@ class EnsembleSnapshot:
         kraft = 1 - kraft_slack(groups, groups[-1][0] if groups else 0)
         if kraft > 1:
             raise InvariantViolation("Kraft violation: partial sum exceeds 1")
-        if machine and tuple(islice(machine.census(max_length),
-                                    len(groups) + 1)) != groups:
+        if machine and not matched and tuple(
+                islice(machine.census(max_length), len(groups) + 1)) != groups:
             machine = None
         depths = tuple(accumulate(c for _, c in groups))
         for name, value in zip(self.__slots__, (
@@ -125,6 +141,14 @@ class EnsembleSnapshot:
 
     def _replace(self, **changes) -> EnsembleSnapshot:
         return type(self)(**{**dict(zip(self._fields, self)), **changes})
+
+    @property
+    def programs(self) -> list[ProgramRecord]:
+        """The program records, built and checked by their source on the
+        first read and kept."""
+        if callable(self._programs):
+            object.__setattr__(self, "_programs", self._programs(self))
+        return self._programs
 
     @property
     def series(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -454,10 +478,10 @@ def get_machine(name: str) -> Machine:
 def builtin_snapshot(kind: str, max_length: int,
                      step_budget: int | None = None,
                      program_cap: int = DEFAULT_PROGRAM_CAP) -> EnsembleSnapshot:
-    """Deterministically enumerate a builtin machine's domain in canonical
-    (length, lex) order.  Records cover whole lengths only, up to
-    program_cap records or until the step budget runs out; the census
-    always covers every length <= max_length."""
+    """A builtin machine's snapshot: its census covers every length <=
+    max_length, and its records, enumerated deterministically in canonical
+    (length, lex) order on their first read, cover whole lengths only, up
+    to program_cap records or until the step budget runs out."""
     machine = get_machine(kind)
     if max_length < 1:
         raise SpecError("max_length must be >= 1")
@@ -465,17 +489,26 @@ def builtin_snapshot(kind: str, max_length: int,
         step_budget = max(1, max_length)  # ample: SDM-4 halts in <= len/2 steps
     if step_budget < 1 and machine.run is not None:
         raise SpecError("step_budget must be >= 1 for machine-backed ensembles")
-    census = dict(machine.census(max_length))
+    return EnsembleSnapshot(
+        kind, step_budget, max_length,
+        partial(_machine_records, machine.programs, program_cap), None,
+        machine)
+
+
+def _machine_records(enumerate_length, program_cap: int,
+                     snapshot: EnsembleSnapshot) -> list[ProgramRecord]:
+    """The records of snapshot's census lengths, ascending, each length's
+    from enumerate_length(length, count, step_budget), checked."""
     programs: list[ProgramRecord] = []
-    for length, count in census.items():
+    for length, count in snapshot.groups():
         if len(programs) + count > program_cap:
             break
         before = len(programs)
-        programs.extend(machine.programs(length, count, step_budget))
+        programs.extend(enumerate_length(length, count, snapshot.step_budget))
         if len(programs) - before < count:
             break  # step budget exhausted: longer programs need more steps
-    return EnsembleSnapshot(kind, step_budget, max_length, programs, census,
-                            machine)
+    _check_records(programs, snapshot.census)
+    return programs
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +531,10 @@ def save_snapshot(snapshot: EnsembleSnapshot, path: str | PathLike) -> None:
 
 
 def load_snapshot(path: str | PathLike) -> EnsembleSnapshot:
+    """The snapshot a file holds.  The header, the census and its Kraft
+    checksum are checked now, and the P lines only for their form; their
+    records are parsed, checked and replayed on the first read of
+    .programs, which raises SnapshotError where they fail."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -519,7 +556,7 @@ def load_snapshot(path: str | PathLike) -> EnsembleSnapshot:
         raise SnapshotError(f"bad header: {exc}", line=2) from exc
 
     census: dict[int, int] = {}
-    programs: list[ProgramRecord] = []
+    rows: list[tuple[str, str, int]] = []  # program, output, steps
     kraft_line: Fraction | None = None
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
@@ -537,11 +574,12 @@ def load_snapshot(path: str | PathLike) -> EnsembleSnapshot:
                 if len(parts) != 5:
                     raise SnapshotError(
                         "program line needs 'P <index> <bits> <output> <steps>'", line=lineno)
-                if int(parts[1]) != len(programs) + 1:
+                if int(parts[1]) != len(rows) + 1:
                     raise SnapshotError(f"program index {parts[1]} out of order", line=lineno)
-                programs.append(ProgramRecord(BitString.from_render(parts[2]),
-                                              BitString.from_render(parts[3]),
-                                              int(parts[4])))
+                for bits in parts[2:4]:
+                    if bits != "-" and bits.strip("01"):
+                        BitString(bits)  # raises, naming the text
+                rows.append((parts[2], parts[3], int(parts[4])))
             elif parts[0] == "KRAFT":
                 if len(parts) != 2:
                     raise SnapshotError("checksum line needs 'KRAFT <num>/<den>'", line=lineno)
@@ -557,26 +595,42 @@ def load_snapshot(path: str | PathLike) -> EnsembleSnapshot:
     try:
         # the label only names the machine to check against: the snapshot
         # keeps it only where the nonzero census matches
-        snap = EnsembleSnapshot(ensemble_id, budget, maxlen, programs, census,
+        snap = EnsembleSnapshot(ensemble_id, budget, maxlen,
+                                partial(_file_records, rows), census,
                                 MACHINES.get(ensemble_id))
-        if snap.kraft_partial() != kraft_line:
-            raise SnapshotError(
-                f"checksum mismatch: census Kraft sum "
-                f"{fraction_text(snap.kraft_partial())} != recorded "
-                f"{fraction_text(kraft_line)}")
-        replay_check(snap)  # records of a machine-backed file must replay
     except InvariantViolation as exc:
         raise SnapshotError(str(exc)) from exc
+    if snap.kraft_partial() != kraft_line:
+        raise SnapshotError(
+            f"checksum mismatch: census Kraft sum "
+            f"{fraction_text(snap.kraft_partial())} != recorded "
+            f"{fraction_text(kraft_line)}")
     return snap
 
 
-def replay_check(snapshot: EnsembleSnapshot) -> None:
-    """Re-execute every record of a machine-backed snapshot on its
-    machine's interpreter; raises on any mismatch."""
+def _file_records(rows: list[tuple[str, str, int]],
+                  snapshot: EnsembleSnapshot) -> list[ProgramRecord]:
+    """The records of a loaded file's P lines, checked against its census
+    and, where it carries a machine with an interpreter, replayed on it."""
+    programs = [ProgramRecord(BitString.from_render(bits),
+                              BitString.from_render(output), steps)
+                for bits, output, steps in rows]
+    try:
+        _check_records(programs, snapshot.census)
+        replay_check(snapshot, programs)
+    except InvariantViolation as exc:
+        raise SnapshotError(str(exc)) from exc
+    return programs
+
+
+def replay_check(snapshot: EnsembleSnapshot,
+                 programs: list[ProgramRecord]) -> None:
+    """Re-execute programs, records of a machine-backed snapshot, on its
+    machine's interpreter with its step budget; raises on any mismatch."""
     run = snapshot.machine.run if snapshot.machine else None
     if run is None:
         return
-    for rec in snapshot.programs:
+    for rec in programs:
         res = run(rec.program, snapshot.step_budget)
         if (res.status != HALT or res.output != rec.output
                 or res.steps != rec.steps or res.consumed != len(rec.program)):

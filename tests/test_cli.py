@@ -12,13 +12,14 @@ from unittest import mock
 
 import pytest
 
-from thermoait import fixedpoint
+from thermoait import ensembles, fixedpoint
 from thermoait.cli import main
 from thermoait.dyadic import Dyadic, int_text
 from thermoait.ensembles import (
     EnsembleSnapshot, builtin_snapshot, get_machine, load_snapshot,
     save_snapshot,
 )
+from thermoait.errors import SnapshotError
 from thermoait.relations import _identities_and_positivity, check_monotone
 from thermoait.thermo import eval_limit, eval_partial
 
@@ -218,6 +219,43 @@ def test_edited_sdm4_record_is_usage_error(tmp_path):
     assert code == 2
     assert out == ""
     assert "error: replay mismatch" in err
+
+
+def test_an_edited_record_fails_only_the_commands_that_read_it(tmp_path):
+    # thermo and verify read the census alone: the edited file prints the
+    # unedited file's bytes.  complexity and profile read the outputs, and
+    # the first read of the records replays them
+    paths = {name: tmp_path / f"{name}.snap" for name in ("plain", "edited")}
+    assert run("enumerate", "--machine", "sdm4", "--budget", "20",
+               "--maxlen", "8", "--save", str(paths["plain"]))[0] == 0
+    text = paths["plain"].read_text()
+    assert "P 2 0011 0 2\n" in text
+    paths["edited"].write_text(text.replace("P 2 0011 0 2\n",
+                                            "P 2 0011 1 2\n"))
+    for argv in (("thermo", "--T", "1/2", "--limit"),
+                 ("verify", "--grid", "1/4:3/4:1/4")):
+        plain, edited = (run(argv[0], "--snapshot", str(paths[name]),
+                             *argv[1:]) for name in ("plain", "edited"))
+        assert plain[0] == 0 and plain[1]
+        assert edited == plain
+    for argv in (("complexity",), ("profile", "--alpha", "1/2", "--N", "4")):
+        code, out, err = run(argv[0], "--snapshot", str(paths["edited"]),
+                             *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: replay mismatch for '0011'")
+        assert "Traceback" not in err
+    snap = load_snapshot(paths["edited"])
+    with pytest.raises(SnapshotError, match="replay mismatch"):
+        snap.programs
+
+
+def test_thermo_on_a_builtin_machine_runs_no_program():
+    with mock.patch.object(ensembles, "run_sdm4",
+                           wraps=ensembles.run_sdm4) as run_sdm4:
+        code, out, _ = run("thermo", "--machine", "sdm4", "--maxlen",
+                           "1500", "--T", "1/2", "--limit")
+    assert code == 0 and out
+    assert run_sdm4.call_count == 0
 
 
 # -- thermo output -----------------------------------------------------
@@ -566,8 +604,8 @@ def test_a_command_loads_only_the_modules_it_calls(tmp_path, bare_modules,
     ("gamma_literal", 300),
 ])
 def test_census_commands_read_no_records(kind, maxlen):
-    # thermo and verify build their snapshots without program records:
-    # the evaluations and the relation reports are the same with them
+    # thermo and verify read the census alone: the evaluations and the
+    # relation reports are the same with program records and without
     full = builtin_snapshot(kind, maxlen)
     bare = builtin_snapshot(kind, maxlen, program_cap=0)
     assert full.programs and not bare.programs

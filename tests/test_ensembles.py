@@ -7,17 +7,19 @@ import sys
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from thermoait import ensembles
 from thermoait.bitstring import BitString, LAMBDA
 from thermoait.cli import main
 from thermoait.dyadic import fraction_text, int_from_text, int_text
 from thermoait.ensembles import (
     BUDGET, DEFAULT_PROGRAM_CAP, DIVERGE, HALT, MACHINES, EnsembleSnapshot,
-    builtin_snapshot,
+    Machine, builtin_snapshot,
     gamma_code, gamma_literal_length, kraft_slack, load_snapshot, run_sdm4,
     replay_check, save_snapshot,
 )
@@ -81,7 +83,7 @@ def test_sdm4_census_counts():
     census = dict(MACHINES["sdm4"].census(24))
     assert census == {2 * m + 2: (3 ** (m + 1) + (-1) ** m) // 4
                       for m in range(12)}
-    replay_check(snap)
+    replay_check(snap, snap.programs)
 
 
 def test_sdm4_census_count_matches_the_recurrence():
@@ -147,6 +149,54 @@ def test_program_cap_keeps_census_full():
     snap = builtin_snapshot("literal", 7, step_budget=1, program_cap=3)
     assert len(snap.programs) == 3  # whole lengths only: 1 + 2
     assert snap.census == {1: 1, 3: 2, 5: 4, 7: 8}
+
+
+def test_records_are_built_on_their_first_read_only():
+    # the census is expanded once, and no program runs on the interpreter
+    # until .programs is read; the records are then built once and kept
+    with mock.patch.object(ensembles, "run_sdm4",
+                           wraps=ensembles.run_sdm4) as run, \
+            mock.patch.object(Machine, "census", autospec=True,
+                              side_effect=Machine.census) as census:
+        snap = builtin_snapshot("sdm4", 1500)
+        eval_limit(snap, Fraction(1, 2))
+        assert (run.call_count, census.call_count) == (0, 1)
+        records = snap.programs
+        assert run.call_count == len(records) == 2460
+        assert snap.programs is records
+        assert (run.call_count, census.call_count) == (2460, 1)
+
+
+def _eager_records(kind, max_length, step_budget, program_cap):
+    """The records as builtin_snapshot enumerated them when it built
+    them with the census: whole lengths, up to program_cap records or
+    until the step budget runs out."""
+    machine = MACHINES[kind]
+    programs = []
+    for length, count in machine.census(max_length):
+        if len(programs) + count > program_cap:
+            break
+        before = len(programs)
+        programs.extend(machine.programs(length, count, step_budget))
+        if len(programs) - before < count:
+            break
+    return programs
+
+
+@pytest.mark.parametrize("kind", sorted(MACHINES))
+def test_lazy_records_equal_the_eager_enumeration(kind):
+    # caps that take no record, one, some lengths and the default; sdm4's
+    # budget of 5 steps runs out at length 10, before the cap and maxlen
+    for max_length, budget, cap in [
+            (40, None, 0), (40, None, 1), (40, None, 300),
+            (40, None, DEFAULT_PROGRAM_CAP), (600, None, 300),
+            (40, 5, DEFAULT_PROGRAM_CAP), (40, 5, 30)]:
+        snap = builtin_snapshot(kind, max_length, step_budget=budget,
+                                program_cap=cap)
+        want = _eager_records(kind, max_length, snap.step_budget, cap)
+        assert snap.programs == want, (max_length, budget, cap)
+    assert (len(builtin_snapshot("sdm4", 40, step_budget=5).programs)
+            == 91 < len(builtin_snapshot("sdm4", 40).programs))
 
 
 def test_spec_validation():
@@ -244,8 +294,11 @@ def test_load_rejects_prefix_violation(tmp_path):
         "P 2 001 - 0",
         "KRAFT 5/8",
     ]) + "\n")
+    # the census is sound, so the file loads; its records are checked on
+    # their first read
+    snap = load_snapshot(path)
     with pytest.raises(SnapshotError, match="prefix-free") as err:
-        load_snapshot(path)
+        snap.programs
     assert isinstance(err.value.__cause__, InvariantViolation)
 
 
@@ -313,7 +366,7 @@ def test_loaded_snapshot_gets_machine_only_on_census_match(tmp_path, kind):
 
 @pytest.mark.parametrize("bad", [
     "KRAFT", "KRAFT 1/0", "L 1 x", "P x 0 - 0", "KRAFT 1", "P 1 0 - y",
-    "L 2 -1",
+    "L 2 -1", "P 1 2 - 0", "P 1 0 -1 0", "P 2 0 - 0", "P 1 0 - 0 0",
 ])
 def test_malformed_line_is_snapshot_error(tmp_path, bad):
     path = tmp_path / "bad.snap"
@@ -336,9 +389,10 @@ def test_non_utf8_byte_is_snapshot_error(tmp_path):
 
 def test_mutated_snapshot_loads_or_is_snapshot_error(tmp_path):
     # 500 seeded mutations of a saved sdm4 snapshot, each of 1 to 3 bytes
-    # replaced, inserted or deleted: every file either loads and validates
-    # or raises SnapshotError, whatever it breaks (UTF-8, a record, the
-    # checksum, prefix-freeness, a replay)
+    # replaced, inserted or deleted: every file either loads and validates,
+    # its records included, or raises SnapshotError, whatever it breaks
+    # (UTF-8, a record, the checksum, prefix-freeness, a replay), at the
+    # load or at the first read of its records
     path = tmp_path / "sdm4.snap"
     save_snapshot(builtin_snapshot("sdm4", 10), path)
     data = path.read_bytes()
@@ -356,7 +410,7 @@ def test_mutated_snapshot_loads_or_is_snapshot_error(tmp_path):
                 del mutated[at]
         path.write_bytes(bytes(mutated))
         try:
-            load_snapshot(path)
+            load_snapshot(path).programs
             outcomes["loaded"] += 1
         except SnapshotError as exc:
             outcomes["not UTF-8" if "not UTF-8" in str(exc)
